@@ -8,9 +8,8 @@
 //	schedbench [-table3] [-table4] [-table5] [-fig1] [-all]
 //	           [-model pipe1|fpu|asym|super2] [-runs 5] [-bench name]
 //	schedbench -parallel [-workers N] [-builder tableb|tablef]
-//	           [-verify] [-csr=bool] [-cache=bool]
-//	           [-adaptive=bool] [-packedsel=bool] [-crossover N]
-//	           [-chunk N] [-json BENCH_engine.json]
+//	           [-verify] [-cache=bool] [-adaptive=bool]
+//	           [-packedsel=bool] [-crossover N] [-json BENCH_engine.json]
 //	schedbench -chaos [-seed N] [-faultrate r] [-workers N]
 //	           [-bench name]
 //	schedbench -stream [-insts 100e6] [-depth N] [-workers N]
@@ -36,12 +35,12 @@
 // statistics are written as JSON.
 //
 // With -adaptive (the default) the N-worker engine uses adaptive
-// builder dispatch and size-binned distribution, a third fixed-
-// pipeline engine (DisableAdaptive) is raced against it to report the
-// adaptive speedup, a pooled "mixed" corpus of every benchmark's
-// blocks is appended, and each benchmark's per-size-bin breakdown is
-// printed and recorded. -crossover and -chunk pass through to
-// engine.Config (0 = calibrate / default).
+// builder dispatch, a third table-only engine (Crossover -1) is raced
+// against it to report the adaptive speedup, a pooled "mixed" corpus
+// of every benchmark's blocks is appended, and each benchmark's
+// per-size-bin breakdown is printed and recorded. -crossover passes
+// through to engine.Config (0 = calibrate); -adaptive=false runs every
+// engine table-only.
 //
 // With -packedsel (the default) the mixed corpus is additionally raced
 // with the schedule cache disabled against a DisablePackedSel engine,
@@ -140,12 +139,10 @@ func run() (code int) {
 		workers  = flag.Int("workers", 0, "engine worker-pool size for -parallel (0 = GOMAXPROCS)")
 		builder  = flag.String("builder", "tableb", "engine construction pipeline for -parallel (tableb, tablef)")
 		verify   = flag.Bool("verify", false, "cross-check every engine schedule on the scoreboard simulator")
-		csr      = flag.Bool("csr", true, "use the frozen flat-adjacency (CSR) hot path for -parallel")
 		cache    = flag.Bool("cache", true, "enable the block-fingerprint schedule cache for -parallel")
-		adaptive = flag.Bool("adaptive", true, "use adaptive builder dispatch + binned distribution for -parallel, racing a fixed-pipeline engine")
+		adaptive = flag.Bool("adaptive", true, "use adaptive builder dispatch for -parallel, racing a table-only (crossover -1) engine")
 		packed   = flag.Bool("packedsel", true, "race the packed-priority selection engine against the winnowing rescan (cache off, mixed corpus) for -parallel")
 		cross    = flag.Int("crossover", 0, "adaptive n² size threshold for -parallel (0 = calibrate, <0 = never)")
-		chunk    = flag.Int("chunk", 0, "small-block chunk size per atomic fetch for -parallel (0 = default)")
 		jsonOut  = flag.String("json", "BENCH_engine.json", "file for -parallel engine statistics JSON")
 		chaos    = flag.Bool("chaos", false, "run the fault-injection chaos gate against the engine")
 		seed     = flag.Uint64("seed", 1, "fault-plan seed for -chaos")
@@ -292,9 +289,9 @@ func run() (code int) {
 	}
 	if *par {
 		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify, csr: *csr,
+			workers: *workers, builder: *builder, verify: *verify,
 			cache: *cache, adaptive: *adaptive, packedsel: *packed,
-			crossover: *cross, chunk: *chunk,
+			crossover: *cross,
 		}
 		if err := runParallel(sets, m, *model, cfg, *jsonOut); err != nil {
 			return fail(exitRuntime, "%v", err)
@@ -302,8 +299,8 @@ func run() (code int) {
 	}
 	if *stream {
 		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify, csr: *csr,
-			cache: *cache, adaptive: *adaptive, crossover: *cross, chunk: *chunk,
+			workers: *workers, builder: *builder, verify: *verify,
+			cache: *cache, adaptive: *adaptive, crossover: *cross,
 		}
 		if err := runStream(m, *model, cfg, *insts, *depth, *bench, *jsonOut); err != nil {
 			return fail(exitRuntime, "stream: %v", err)
@@ -311,8 +308,8 @@ func run() (code int) {
 	}
 	if *cacheFn != "" {
 		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify, csr: *csr,
-			cache: *cache, adaptive: *adaptive, crossover: *cross, chunk: *chunk,
+			workers: *workers, builder: *builder, verify: *verify,
+			cache: *cache, adaptive: *adaptive, crossover: *cross,
 		}
 		if err := runWarmstart(sets, m, *model, cfg, *cacheFn, *warmExp, *jsonOut); err != nil {
 			return fail(exitRuntime, "warm start: %v", err)
@@ -355,10 +352,10 @@ type engineReport struct {
 	HitRate        float64      `json:"hit_rate"`
 	DeltaP50Micros float64      `json:"delta_p50_micros"`
 	DeltaP99Micros float64      `json:"delta_p99_micros"`
-	// Fixed is the warm run of the fixed-pipeline engine raced against
-	// the adaptive one (only under -adaptive), and AdaptiveSpeedup is
-	// fixed wall over adaptive wall — above 1 means adaptive dispatch
-	// plus binned distribution beat the fixed per-block-grab pipeline.
+	// Fixed is the warm run of the table-only engine (Crossover -1)
+	// raced against the adaptive one (only under -adaptive), and
+	// AdaptiveSpeedup is fixed wall over adaptive wall — above 1 means
+	// routing small blocks to the n² pipeline beat table-building them.
 	// Its cold/warm p50/p99 sit alongside Parallel's for comparison.
 	Fixed           *engine.Stats `json:"fixed,omitempty"`
 	AdaptiveSpeedup float64       `json:"adaptive_speedup,omitempty"`
@@ -369,11 +366,9 @@ type engineFile struct {
 	Model      string         `json:"model"`
 	Builder    string         `json:"builder"`
 	Workers    int            `json:"workers"`
-	CSR        bool           `json:"csr"`
 	Cache      bool           `json:"cache"`
 	Adaptive   bool           `json:"adaptive"`
 	Crossover  int            `json:"crossover,omitempty"`
-	ChunkSize  int            `json:"chunk_size,omitempty"`
 	Benchmarks []engineReport `json:"benchmarks"`
 	// Stream is the -stream run's section, written by mergeStreamReport
 	// and preserved across -parallel rewrites of the document.
@@ -404,12 +399,20 @@ type parallelConfig struct {
 	workers   int
 	builder   string
 	verify    bool
-	csr       bool
 	cache     bool
 	adaptive  bool
 	packedsel bool
 	crossover int
-	chunk     int
+}
+
+// crossoverFor is the Config.Crossover of an engine built from this
+// flag group: a fixed engine is table-only (-1 never routes a block to
+// the n² builder).
+func (c parallelConfig) crossoverFor(fixed bool) int {
+	if fixed {
+		return -1
+	}
+	return c.crossover
 }
 
 // runParallel benchmarks the batch engine over every set: a warmed
@@ -419,11 +422,10 @@ type parallelConfig struct {
 // hardware-dependent — it tracks the machine's physical core count,
 // not the configured worker count.
 func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string, cfg parallelConfig, jsonPath string) error {
-	mk := func(w int, disableAdaptive bool) (*engine.Engine, error) {
+	mk := func(w int, fixed bool) (*engine.Engine, error) {
 		return engine.New(engine.Config{
 			Workers: w, Model: m, Builder: cfg.builder, Verify: cfg.verify,
-			DisableCSR: !cfg.csr, Cache: cfg.cache,
-			DisableAdaptive: disableAdaptive, Crossover: cfg.crossover, ChunkSize: cfg.chunk,
+			Cache: cfg.cache, Crossover: cfg.crossoverFor(fixed),
 		})
 	}
 	serial, err := mk(1, !cfg.adaptive)
@@ -449,8 +451,8 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 		sets = append(sets, tables.BenchmarkSet{Name: "mixed", Blocks: mixed})
 	}
 
-	fmt.Printf("Parallel batch engine: builder %s, %d workers, model %s, csr %v, cache %v, adaptive %v (crossover %d)\n\n",
-		cfg.builder, parallel.Workers(), modelName, cfg.csr, cfg.cache, cfg.adaptive, parallel.Crossover())
+	fmt.Printf("Parallel batch engine: builder %s, %d workers, model %s, cache %v, adaptive %v (crossover %d)\n\n",
+		cfg.builder, parallel.Workers(), modelName, cfg.cache, cfg.adaptive, parallel.Crossover())
 	adaptCol := ""
 	if cfg.adaptive {
 		adaptCol = "   adapt"
@@ -462,8 +464,8 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 
 	doc := engineFile{
 		Model: modelName, Builder: cfg.builder, Workers: parallel.Workers(),
-		CSR: cfg.csr, Cache: cfg.cache, Adaptive: cfg.adaptive,
-		Crossover: parallel.Crossover(), ChunkSize: parallel.ChunkSize(),
+		Cache: cfg.cache, Adaptive: cfg.adaptive,
+		Crossover: parallel.Crossover(),
 	}
 	for _, set := range sets {
 		// Two runs per engine: the first grows every worker arena (and,
@@ -563,8 +565,7 @@ func runPackedSelRace(mixed []*block.Block, m *machine.Model, cfg parallelConfig
 	mk := func(disable bool) (*engine.Engine, error) {
 		return engine.New(engine.Config{
 			Workers: cfg.workers, Model: m, Builder: cfg.builder,
-			DisableCSR: !cfg.csr, DisablePackedSel: disable,
-			Crossover: cfg.crossover, ChunkSize: cfg.chunk,
+			DisablePackedSel: disable, Crossover: cfg.crossover,
 		})
 	}
 	rep := new(packedselReport)

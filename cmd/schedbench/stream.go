@@ -72,8 +72,7 @@ func runStream(m *machine.Model, modelName string, cfg parallelConfig, insts flo
 	mk := func() (*engine.Engine, error) {
 		return engine.New(engine.Config{
 			Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
-			DisableCSR: !cfg.csr, Cache: cfg.cache,
-			DisableAdaptive: !cfg.adaptive, Crossover: cfg.crossover, ChunkSize: cfg.chunk,
+			Cache: cfg.cache, Crossover: cfg.crossoverFor(!cfg.adaptive),
 			StreamDepth: depth,
 		})
 	}

@@ -60,8 +60,7 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 	mk := func(path string) (*engine.Engine, error) {
 		return engine.New(engine.Config{
 			Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
-			DisableCSR: !cfg.csr, Cache: cfg.cache, CachePath: path,
-			DisableAdaptive: !cfg.adaptive, Crossover: cfg.crossover, ChunkSize: cfg.chunk,
+			Cache: cfg.cache, CachePath: path, Crossover: cfg.crossoverFor(!cfg.adaptive),
 			KeepOrders: true,
 		})
 	}
@@ -69,8 +68,7 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 	// The identity yardstick: the same pipeline with no cache at all.
 	refEngine, err := engine.New(engine.Config{
 		Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
-		DisableCSR: !cfg.csr, Cache: false,
-		DisableAdaptive: !cfg.adaptive, Crossover: cfg.crossover, ChunkSize: cfg.chunk,
+		Cache: false, Crossover: cfg.crossoverFor(!cfg.adaptive),
 		KeepOrders: true,
 	})
 	if err != nil {

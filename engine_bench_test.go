@@ -79,9 +79,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // pipeline on a mixed corpus (every non-windowed benchmark pooled, so
 // tiny spice-like blocks sit alongside large scientific ones) with an
 // 8-worker pool. The adaptive rows route mask-capable small blocks to
-// the n²-direct pipeline and hand the small tail out in chunks; the
-// fixed row is the per-block-grab table+CSR pipeline. Schedules are
-// byte-identical across rows (TestAdaptiveMatchesFixed).
+// the n²-direct pipeline; the fixed row (Crossover -1) table-builds
+// every block. All rows share one claim loop, big blocks first and
+// the small tail in chunks. Schedules are byte-identical across rows
+// (TestAdaptiveMatchesFixed).
 func BenchmarkEngineAdaptive(b *testing.B) {
 	var blocks []*block.Block
 	for _, name := range []string{"grep", "cccp", "dfa", "lloops", "nasa7", "tomcatv", "fpppp-1000"} {
@@ -92,7 +93,7 @@ func BenchmarkEngineAdaptive(b *testing.B) {
 		name string
 		cfg  engine.Config
 	}{
-		{"fixed", engine.Config{Workers: 8, Model: m, DisableAdaptive: true}},
+		{"fixed", engine.Config{Workers: 8, Model: m, Crossover: -1}},
 		{"adaptive", engine.Config{Workers: 8, Model: m}},
 		{"adaptive-max", engine.Config{Workers: 8, Model: m, Crossover: 64}},
 	} {

@@ -14,31 +14,26 @@
 // once at engine construction by racing the two pipelines over a
 // ladder of synthetic probe blocks (Config.Crossover overrides).
 //
-// Work distribution changes with dispatch: instead of one atomic
-// per-block grab, blocks are sorted by size descending (longest
-// processing time first, so a worker never strands a huge block at the
-// tail of the run) and the small tail is handed out in chunks of
-// Config.ChunkSize per atomic fetch, cutting contention on corpora
-// dominated by tiny blocks.
+// Work distribution is size-binned too: blocks above smallCutoff are
+// claimed one at a time, largest first (so a worker never strands a
+// huge block at the tail of a run), and the small tail in chunks of
+// chunkSize, cutting claim contention on corpora dominated by tiny
+// blocks. Run prefills the claim queues that way (prefill); RunStream
+// routes into the same queues online (stream.go).
 package engine
 
 import (
+	"slices"
 	"time"
 
-	"slices"
-	"sync"
-	"sync/atomic"
-
 	"daginsched/internal/block"
-	"daginsched/internal/buf"
 	"daginsched/internal/dag"
 	"daginsched/internal/machine"
 	"daginsched/internal/testgen"
 )
 
-// defaultChunk is how many small blocks a worker claims per atomic
-// fetch when Config.ChunkSize is unset.
-const defaultChunk = 32
+// chunkSize is how many small blocks a worker claims at once.
+const chunkSize = 32
 
 // smallCutoff splits the distribution's two segments: blocks above it
 // are claimed one at a time (they are individually long enough that a
@@ -176,75 +171,70 @@ func (e *Engine) collectBins(dst []BinStats) []BinStats {
 	return dst
 }
 
-// runBinned is the adaptive work distributor: blocks are processed
-// largest-first (LPT — a worker can never strand one huge block
-// behind a drained queue), large blocks claimed one per atomic fetch
-// and the small tail claimed in chunks of e.chunk.
-//
-// The order is built by an O(n) counting sort over the size bins
-// (descending bin, original index within a bin — deterministic and
-// stable), so a fully cache-hit run is not taxed with an n·log n
-// comparison sort; only the large prefix, usually a handful of
-// blocks, is then exact-sorted by size so an 11k-instruction giant
-// starts before a 600-instruction one.
-func (e *Engine) runBinned(res *BatchResult, blocks []*block.Block, done <-chan struct{}) {
-	nb := len(blocks)
-	res.perm = buf.Int32(res.perm, nb)
-	var counts, off [nBins]int32
+// prefill loads Run's recycled claim queues from the batch in LPT
+// order, largest first, so the tail of the run is the smallest work:
+// the big blocks one per slot in exact size-descending order (the
+// 11k-instruction giant starts first), then the small blocks chunkSize
+// per slot, largest bin first. A counting sort over the size bins,
+// stable by index, gives the order in O(n); only the big prefix,
+// usually a handful of blocks, is sorted exactly. Closed channels
+// cannot be reused, so prefill ends each queue with one end marker per
+// worker — the zero value a closed channel yields — instead of closing
+// it, which keeps a warm Run allocation-free. It first drains what a
+// cancelled run left behind.
+func (e *Engine) prefill(blocks []*block.Block) *claimQueues {
+	q := &e.batch
+	for range len(q.bigQ) {
+		<-q.bigQ
+	}
+	for range len(q.smallQ) {
+		<-q.smallQ
+	}
+	var counts, off [nBins]int
 	for _, b := range blocks {
 		counts[binIndex(b.Len())]++
 	}
-	pos := int32(0)
+	pos := 0
 	for bi := nBins - 1; bi >= 0; bi-- {
 		off[bi] = pos
 		pos += counts[bi]
 	}
+	items := slices.Grow(q.items[:0], len(blocks))[:len(blocks)]
 	for i, b := range blocks {
 		bi := binIndex(b.Len())
-		res.perm[off[bi]] = int32(i)
+		items[off[bi]] = streamItem{seq: int64(i), b: b}
 		off[bi]++
 	}
-	smallStart := 0
+	nBig := 0
 	for bi := binIndex(smallCutoff) + 1; bi < nBins; bi++ {
-		smallStart += int(counts[bi])
+		nBig += counts[bi]
 	}
-	slices.SortFunc(res.perm[:smallStart], func(a, b int32) int {
-		if la, lb := blocks[a].Len(), blocks[b].Len(); la != lb {
-			return lb - la // size descending
+	slices.SortFunc(items[:nBig], func(x, y streamItem) int {
+		if lx, ly := x.b.Len(), y.b.Len(); lx != ly {
+			return ly - lx
 		}
-		return int(a - b) // index ascending: deterministic order
+		return int(x.seq - y.seq)
 	})
-	var big, small atomic.Int64
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			for {
-				if cancelled(done) {
-					return
-				}
-				i := int(big.Add(1)) - 1
-				if i >= smallStart {
-					break
-				}
-				e.process(w, res, blocks, int(res.perm[i]))
-			}
-			for {
-				if cancelled(done) {
-					return
-				}
-				lo := smallStart + (int(small.Add(1))-1)*e.chunk
-				if lo >= nb {
-					return
-				}
-				for _, p := range res.perm[lo:min(lo+e.chunk, nb)] {
-					e.process(w, res, blocks, int(p))
-				}
-			}
-		}(w)
+	q.items = items
+	small := items[nBig:]
+	nw := len(e.workers)
+	if need := nBig + nw; cap(q.bigQ) < need {
+		q.bigQ = make(chan streamItem, need)
 	}
-	wg.Wait()
+	if need := (len(small)+chunkSize-1)/chunkSize + nw; cap(q.smallQ) < need {
+		q.smallQ = make(chan []streamItem, need)
+	}
+	for _, it := range items[:nBig] {
+		q.bigQ <- it
+	}
+	for lo := 0; lo < len(small); lo += chunkSize {
+		q.smallQ <- small[lo:min(lo+chunkSize, len(small))]
+	}
+	for range nw {
+		q.bigQ <- streamItem{}
+		q.smallQ <- nil
+	}
+	return q
 }
 
 // probeSizes is the calibration ladder: the sizes at which the two

@@ -36,11 +36,12 @@ func adaptiveCorpus(t testing.TB) []*block.Block {
 // TestAdaptiveMatchesFixed is the identity gate of adaptive dispatch:
 // with the n² pipeline enabled — at the calibrated crossover and at
 // the forced maximum — every block's cycle count, arc count and
-// scheduled order must be byte-identical to the fixed pipeline's.
+// scheduled order must be byte-identical to the table-only pipeline's
+// (Crossover -1: no block is routed to the n² builder).
 func TestAdaptiveMatchesFixed(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := adaptiveCorpus(t)
-	fixed, err := New(Config{Workers: 8, Model: m, KeepOrders: true, DisableAdaptive: true})
+	fixed, err := New(Config{Workers: 8, Model: m, KeepOrders: true, Crossover: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +116,12 @@ func TestAdaptiveConfig(t *testing.T) {
 		t.Errorf("calibrated crossover %d outside [0, 64]", c)
 	}
 	for _, cfg := range []Config{
-		{DisableAdaptive: true, Crossover: 16},
 		{Builder: "tablef", Crossover: 16},
 		{CollectDAGStats: true, Crossover: 16},
 	} {
 		if e := mk(cfg); e.adaptive || e.Crossover() != 0 {
 			t.Errorf("config %+v left adaptive on (crossover %d)", cfg, e.Crossover())
 		}
-	}
-	// ChunkSize reaches the run stats.
-	e := mk(Config{Workers: 2, ChunkSize: 5, Crossover: 8})
-	res, err := e.Run(testBlocks(t, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ChunkSize != 5 {
-		t.Errorf("Stats.ChunkSize = %d, want 5", res.Stats.ChunkSize)
 	}
 }
 
@@ -152,7 +143,7 @@ func TestAdaptiveBinStats(t *testing.T) {
 		"<=4": 4, "<=8": 2, "<=16": 2, "<=32": 0, "<=64": 2, "<=128": 2, "<=512": 1, ">512": 1,
 	}
 	for _, cross := range []int{-1, 64} {
-		e, err := New(Config{Workers: 3, Model: m, ChunkSize: 2, Crossover: cross})
+		e, err := New(Config{Workers: 3, Model: m, Crossover: cross})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,10 +62,10 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 //     rejected.
 //   - Workers: 0 means GOMAXPROCS (filled in here); negative is
 //     rejected rather than silently treated as a default.
-//   - ChunkSize/CacheCap/Crossover: 0 means "default/calibrate";
-//     negative ChunkSize and CacheCap are rejected (a negative
-//     Crossover is a documented "never route to n²" setting and stays
-//     legal); Crossover above dag.N2MaskCap is clamped to it.
+//   - CacheCap/Crossover: 0 means "default/calibrate"; a negative
+//     CacheCap is rejected (a negative Crossover is a documented "never
+//     route to n²" setting and stays legal); Crossover above
+//     dag.N2MaskCap is clamped to it.
 //   - CachePath: implies Cache; rejected combined with
 //     CollectDAGStats (the disk tier stores no DAG statistics, so a
 //     disk-served block could not fill its DAGStats slot).
@@ -90,9 +90,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ChunkSize < 0 {
-		return &ConfigError{Field: "ChunkSize", Value: cfg.ChunkSize, Reason: "negative chunk size (0 means the default)"}
 	}
 	if cfg.CacheCap < 0 {
 		return &ConfigError{Field: "CacheCap", Value: cfg.CacheCap, Reason: "negative cache capacity (0 means the default)"}

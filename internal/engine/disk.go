@@ -2,7 +2,7 @@
 // in-process striped cache (cache.go) evaporates on every restart;
 // Config.CachePath backs it with internal/diskcache's memory-mapped,
 // crash-safe, content-keyed file, shared across processes and
-// restarts. The tiering protocol:
+// restarts. The tiering protocol (worker.lookup in engine.go):
 //
 //   - L1 miss → L2 probe. A hit decodes straight from the mapping into
 //     the worker's recycled scratch (zero allocations in steady state),
@@ -30,13 +30,8 @@ package engine
 
 import (
 	"sync"
-	"time"
 
-	"daginsched/internal/block"
-	"daginsched/internal/buf"
 	"daginsched/internal/diskcache"
-	"daginsched/internal/fault"
-	"daginsched/internal/sched"
 )
 
 // diskTier owns the engine's handle on the persistent cache plus the
@@ -176,87 +171,6 @@ func (e *Engine) Close() error {
 // the scratch has grown to the corpus's largest block.
 //
 //sched:noalloc
-func (e *Engine) probeDisk(w *worker, h uint64) bool {
-	return e.disk.c.Lookup(h, w.enc, &w.l2)
-}
-
-// admitDiskHit runs the served-schedule checks shared by the batch and
-// streaming paths: the cache-bitflip injection point (modeling decayed
-// persistent entries), then the structural half of the output gate. A
-// failure removes the entry from both tiers and reports !ok, sending
-// the block down the ladder. On success the schedule is promoted into
-// L1 — copied out of the scratch, which the next block will recycle —
-// so later occurrences in this process hit the fast tier.
-func (e *Engine) admitDiskHit(w *worker, b *block.Block, h uint64) (order []int32, ok bool) {
-	order = w.l2.Order
-	if w.inj.Should(fault.CacheBitflip, h) {
-		// Poison a scratch copy, as the L1 path does; w.l2.Order is
-		// reused across blocks but the flip must not look like a real
-		// disk corruption to a later re-probe.
-		w.flip = buf.Int32(w.flip, len(w.l2.Order))
-		copy(w.flip, w.l2.Order)
-		w.inj.FlipBit(w.flip, h)
-		w.faults++
-		order = w.flip
-	}
-	if !w.structuralGate(order, w.l2.Issue, b.Len()) {
-		w.gateFails++
-		e.cache.remove(h, w.enc)
-		e.disk.remove(h, w.enc)
-		return nil, false
-	}
-	w.diskHits++
-	ent := &cacheEntry{
-		key:    append([]byte(nil), w.enc...),
-		order:  append([]int32(nil), w.l2.Order...),
-		issue:  append([]int32(nil), w.l2.Issue...),
-		cycles: w.l2.Cycles,
-		arcs:   w.l2.Arcs,
-	}
-	e.cache.insert(h, ent)
-	return order, true
-}
-
-// serveDiskHit serves block i of a batch from the decoded L2 entry in
-// w.l2. It mirrors serveHit; false means the gate rejected the entry
-// (already removed from both tiers) and the caller must recompute.
-func (e *Engine) serveDiskHit(w *worker, res *BatchResult, blocks []*block.Block, i int, h uint64, t0 time.Time) bool {
-	b := blocks[i]
-	order, ok := e.admitDiskHit(w, b, h)
-	if !ok {
-		return false
-	}
-	res.Cycles[i] = w.l2.Cycles
-	res.Arcs[i] = w.l2.Arcs
-	res.Rungs[i] = RungPrimary
-	if res.Orders != nil {
-		copy(res.Orders[i], order)
-	}
-	if e.cfg.Verify {
-		// The same independent witness a computed or L1-served
-		// schedule gets.
-		w.rt.PrepareBlock(b.Insts)
-		w.hitRes = sched.Result{Order: w.l2.Order, Issue: w.l2.Issue, Cycles: w.l2.Cycles}
-		res.errs[i] = verify(b, &w.hitRes, e.cfg.Model, w.rt)
-	}
-	res.durs[i] = int64(time.Since(t0))
-	if e.adaptive {
-		w.binAdd(b.Len(), res.durs[i], pathCached)
-	}
-	return true
-}
-
-// streamServeDiskHit is serveDiskHit's streaming twin; the caller
-// deposits the outcome.
-func (e *Engine) streamServeDiskHit(w *worker, b *block.Block, h uint64) (ok bool, cycles, arcs int32, order []int32, err error) {
-	order, ok = e.admitDiskHit(w, b, h)
-	if !ok {
-		return false, 0, 0, nil, nil
-	}
-	if e.cfg.Verify {
-		w.rt.PrepareBlock(b.Insts)
-		w.hitRes = sched.Result{Order: w.l2.Order, Issue: w.l2.Issue, Cycles: w.l2.Cycles}
-		err = verify(b, &w.hitRes, e.cfg.Model, w.rt)
-	}
-	return true, w.l2.Cycles, w.l2.Arcs, order, err
+func (w *worker) probeDisk(h uint64) bool {
+	return w.e.disk.c.Lookup(h, w.enc, &w.l2)
 }

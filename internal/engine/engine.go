@@ -6,17 +6,19 @@
 // heuristics → schedule) performs no allocations once every buffer has
 // grown to the stream's largest block.
 //
-// Work distribution is an atomic index counter; each result is written
-// to its block's slot, so the output is byte-identical to a serial run
-// of the same pipeline regardless of worker count or interleaving.
+// Both entry points share one per-block function (worker.run) and one
+// claim loop over two queues, big blocks one per slot and small blocks
+// in chunks (see stream.go). Run prefills the queues from its slice,
+// largest block first; RunStream routes into them online. Each result
+// lands in its block's slot (Run) or its sequence number's ring slot
+// (RunStream), so the output is byte-identical to a serial run of the
+// same pipeline regardless of worker count or interleaving.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"daginsched/internal/block"
@@ -56,11 +58,6 @@ type Config struct {
 	// too: a memoized schedule gets the same independent witness as a
 	// freshly computed one.
 	Verify bool
-	// DisableCSR turns off the frozen flat-adjacency (CSR) hot path and
-	// falls back to the PR 1 pipeline that chases per-node arc slices.
-	// The schedules are identical either way; the switch exists for
-	// benchmarking the layouts against each other.
-	DisableCSR bool
 	// DisablePackedSel turns off the packed-priority selection engine
 	// entirely — neither the indexed ready-heap pick loop nor the packed
 	// static-prefix filter is engaged, and blocks are scheduled through
@@ -98,21 +95,14 @@ type Config struct {
 	// CSR freeze), falling back to table building for that block alone
 	// when the n² DAG is not transitive-free. Zero means measure the
 	// crossover with a one-time calibration probe inside New; a
-	// negative value keeps adaptive distribution and bin statistics but
-	// never routes a block to the n² builder. Values beyond
-	// dag.N2MaskCap are clamped to it.
-	Crossover int
-	// ChunkSize is how many small blocks (at most dag.N2MaskCap insts)
-	// a worker claims per atomic fetch under adaptive distribution;
-	// <= 0 means 32. Large blocks are always claimed one at a time.
-	ChunkSize int
-	// DisableAdaptive restores the fixed pipeline (every block table-
-	// built) and the per-block atomic work grab. Adaptive dispatch is
-	// also implicitly disabled for Builder "tablef" (the n² identity
-	// argument is proven against backward table building) and under
+	// negative value keeps bin statistics but never routes a block to
+	// the n² builder: every block takes the table pipeline. Values
+	// beyond dag.N2MaskCap are clamped to it. Adaptive dispatch is
+	// implicitly disabled for Builder "tablef" (the n² identity argument
+	// is proven against backward table building) and under
 	// CollectDAGStats (arc *kinds* may legitimately differ between the
 	// builders on equal-delay ties, so ByKind tallies could too).
-	DisableAdaptive bool
+	Crossover int
 	// BlockTimeout is the per-block soft deadline: a block whose
 	// pipeline attempt outlives it is demoted to the ladder's
 	// bounded-work identity rung instead of hanging a worker. The check
@@ -145,8 +135,11 @@ type Stats struct {
 	BlocksPerSec float64 `json:"blocks_per_sec"`
 	InstsPerSec  float64 `json:"insts_per_sec"`
 	ArcsPerSec   float64 `json:"arcs_per_sec"`
-	P50Micros    float64 `json:"p50_block_micros"`
-	P99Micros    float64 `json:"p99_block_micros"`
+	// P50Micros and P99Micros are per-block latency percentiles read
+	// from a log-scale histogram (4 sub-buckets per octave, so about 12%
+	// bucket resolution) on both entry points.
+	P50Micros float64 `json:"p50_block_micros"`
+	P99Micros float64 `json:"p99_block_micros"`
 	// CacheHits/CacheMisses count schedule-cache outcomes for the run
 	// (both zero when the cache is disabled); DiskHits counts blocks
 	// served from the persistent tier (a subset of neither — an L1 hit
@@ -157,11 +150,10 @@ type Stats struct {
 	CacheMisses  int64   `json:"cache_misses"`
 	DiskHits     int64   `json:"disk_hits,omitempty"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Crossover and ChunkSize echo the adaptive-dispatch configuration
-	// in effect for the run, and Bins breaks the run down by block-size
-	// bin. All are zero/empty when adaptive dispatch is off.
+	// Crossover echoes the adaptive-dispatch threshold in effect for the
+	// run, and Bins breaks the run down by block-size bin. Both are
+	// zero/empty when adaptive dispatch is off.
 	Crossover int        `json:"crossover,omitempty"`
-	ChunkSize int        `json:"chunk_size,omitempty"`
 	Bins      []BinStats `json:"bins,omitempty"`
 	// PackedSelBlocks counts blocks whose schedule was selected through
 	// the packed-priority heap (zero under DisablePackedSel, and for
@@ -212,44 +204,51 @@ type BatchResult struct {
 	Stats Stats
 
 	orderArena []int32
-	durs       []int64 // per-block wall nanos
-	sorted     []int64 // percentile scratch
 	errs       []error // per-block verify outcome (Verify only)
-	perm       []int32 // adaptive distribution order (size desc)
+}
+
+// tally is one worker's per-run counters. Each worker owns its tally
+// exclusively, so the hot path updates it without synchronization; a
+// run resets every tally on entry, sums them into Stats once the pool
+// drains, and a quarantine carries the tally across its scratch swap.
+type tally struct {
+	blocks, insts, arcs, cycles, degraded int64
+	// Schedule-cache outcomes: L1 hits, L2 (disk) hits, and misses of
+	// both tiers that ran the pipeline.
+	hits, diskHits, misses int64
+	// packedBlocks counts blocks scheduled through the packed-priority
+	// heap, summed into Stats.PackedSelBlocks.
+	packedBlocks int64
+	// Hardening tallies: quarantines, rung descents, gate rejections
+	// and injection events fired.
+	quars, demoted, gateFails, faults int64
+	// bins are the size-bin tallies under adaptive dispatch.
+	bins [nBins]binAcc
+	// hist is the per-block wall-time histogram behind the percentiles.
+	hist [streamHistBuckets]int64
 }
 
 // worker is one pool member's private scratch: every structure here is
 // recycled block to block and never shared.
 type worker struct {
-	rt    *resource.Table
-	ar    dag.BuildArena
-	a     *heur.Annot
-	obs   heur.FusedBackward
-	bld   dag.ReuseBuilder
-	fused bool
-	csr   bool
-	sc    sched.Scratch
-	sel   *sched.PooledWinnow
+	e   *Engine // the owner: configuration, cache tiers, dispatch state
+	rt  *resource.Table
+	ar  dag.BuildArena
+	a   *heur.Annot
+	bld dag.ReuseBuilder
+	sc  sched.Scratch
+	sel *sched.PooledWinnow
 
-	// Schedule-cache scratch: the recycled key-encoding buffer, the
-	// per-run hit/miss tallies (summed lock-free into Stats after the
-	// pool drains) and a Result shell for re-verifying cached hits.
-	enc          []byte
-	hits, misses int64
-	hitRes       sched.Result
-	// Disk-tier scratch: the recycled decode target of the L2 probe
-	// (its slices grow once to the corpus's largest block, then every
-	// warm hit is allocation-free) and the per-run disk-hit tally.
-	l2       diskcache.Entry
-	diskHits int64
+	// Schedule-cache scratch: the recycled key-encoding buffer and a
+	// Result shell for re-verifying cached hits.
+	enc    []byte
+	hitRes sched.Result
+	// l2 is the recycled decode target of the disk-tier probe (its
+	// slices grow once to the corpus's largest block, then every warm
+	// hit is allocation-free).
+	l2 diskcache.Entry
 
-	// bins are the per-run size-bin tallies under adaptive dispatch,
-	// summed lock-free into Stats.Bins after the pool drains.
-	bins [nBins]binAcc
-
-	// packedBlocks counts blocks this worker scheduled through the
-	// packed-priority heap, summed into Stats.PackedSelBlocks.
-	packedBlocks int64
+	tally
 
 	// Hardening state. inj is the engine's fault injector (nil without
 	// a FaultPlan); deadline is the current block's soft deadline (zero
@@ -270,16 +269,14 @@ type worker struct {
 	flip     []int32
 	idOrder  []int32
 	idRes    sched.Result
-	// Per-run hardening tallies, summed lock-free into Stats after the
-	// pool drains (and preserved across a quarantine's scratch swap).
-	quars, demoted, gateFails, faults int64
 }
 
+// newWorker builds one worker's scratch for cfg; New attaches the
+// engine and its fault injector.
 func newWorker(cfg *Config) *worker {
 	w := &worker{
 		rt:  resource.NewTable(cfg.Mem),
 		a:   heur.New(nil, cfg.Model),
-		csr: !cfg.DisableCSR,
 		sel: sched.NewPooledWinnow(sched.Section6Ranked()),
 	}
 	// The unique-expression count is a Table 3 reporting statistic the
@@ -287,19 +284,13 @@ func newWorker(cfg *Config) *worker {
 	// reference on every block.
 	w.rt.SetUniqueCounting(false)
 	w.sc.DisablePacked = cfg.DisablePackedSel
-	switch {
-	case cfg.Builder == "tablef":
+	if cfg.Builder == "tablef" {
 		w.bld = dag.TableForward{}
-	case w.csr:
-		// CSR pipeline: plain backward table building, then one fused
-		// reverse walk over the frozen flat arc array computes every
-		// heuristic the selector reads — the construction observer is
-		// not needed.
+	} else {
+		// Plain backward table building: the fused reverse walk over the
+		// frozen flat arc array computes every heuristic the selector
+		// reads, so no construction observer is needed.
 		w.bld = dag.TableBackward{}
-	default:
-		w.fused = true
-		w.obs = heur.FusedBackward{A: w.a, ComputeLocals: true}
-		w.bld = dag.TableBackward{Observer: &w.obs}
 	}
 	return w
 }
@@ -314,26 +305,14 @@ func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag
 	return w.finish(d, m)
 }
 
-// finish runs the post-construction half of the fixed pipeline —
-// heuristics then list scheduling — on a table-built DAG.
+// finish runs the post-construction half of the table pipeline on a
+// table-built DAG: freeze it into its flat CSR view, compute every
+// heuristic (and pack the selector's priority words) in one fused
+// sweep over the flat arcs, then list-schedule over the same arrays.
 func (w *worker) finish(d *dag.DAG, m *machine.Model) (*sched.Result, *dag.DAG) {
-	if w.csr {
-		// Freeze the DAG into its flat CSR view; the heuristic pass and
-		// the scheduler below both run over the two flat arc arrays (and
-		// the fused sweep packs the selector's priority words as it goes).
-		d.Freeze()
-		w.a.D = d
-		w.a.ComputeFusedCSR()
-	} else {
-		if !w.fused {
-			w.a.D = d
-			w.a.ComputeBackward()
-			w.a.ComputeLocal()
-		}
-		// The non-CSR pipelines compute the same three ranked keys, so
-		// the heap pick loop is available to them too.
-		w.a.PackSection6Prio()
-	}
+	d.Freeze()
+	w.a.D = d
+	w.a.ComputeFusedCSR()
 	r := w.sc.Forward(d, m, w.a, w.sel)
 	if w.sc.UsedPacked() {
 		w.packedBlocks++
@@ -389,14 +368,14 @@ type Engine struct {
 	// Config.CachePath); see disk.go. Cleared by Engine.Close.
 	disk *diskTier
 	// adaptive dispatch state, resolved once in New: whether per-block
-	// builder selection and size-binned distribution are active, the
-	// effective n² size threshold, and the small-block chunk size.
+	// builder selection is active and the effective n² size threshold.
 	adaptive  bool
 	crossover int
-	chunk     int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
 	inj *fault.Injector
+	// batch is Run's claim queues, recycled across runs (see prefill).
+	batch claimQueues
 
 	// Lifecycle accounting: every Run/RunStream entry point increments
 	// active under lcMu and decrements it on return, and Close refuses
@@ -434,7 +413,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, workers: make([]*worker, cfg.Workers), inj: inj}
 	for i := range e.workers {
 		e.workers[i] = newWorker(&e.cfg)
-		e.workers[i].inj = inj
+		e.workers[i].e, e.workers[i].inj = e, inj
 	}
 	if cfg.Cache {
 		e.cache = newSchedCache(cfg.CacheCap)
@@ -448,12 +427,8 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.disk = disk
 	}
-	e.adaptive = !cfg.DisableAdaptive && cfg.Builder == "tableb" && !cfg.CollectDAGStats
+	e.adaptive = cfg.Builder == "tableb" && !cfg.CollectDAGStats
 	if e.adaptive {
-		e.chunk = cfg.ChunkSize
-		if e.chunk <= 0 {
-			e.chunk = defaultChunk
-		}
 		switch {
 		case cfg.Crossover < 0:
 			e.crossover = 0
@@ -470,16 +445,6 @@ func New(cfg Config) (*Engine, error) {
 // configured one after clamping, or the calibrated one when
 // Config.Crossover was zero. It is zero when adaptive dispatch is off.
 func (e *Engine) Crossover() int { return e.crossover }
-
-// ChunkSize returns the effective small-block claim granularity of the
-// adaptive distributor (Config.ChunkSize or the default). It is zero
-// when adaptive dispatch is off.
-func (e *Engine) ChunkSize() int {
-	if !e.adaptive {
-		return 0
-	}
-	return e.chunk
-}
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.workers) }
@@ -517,7 +482,6 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	nb := len(blocks)
 	res.Cycles = buf.Int32(res.Cycles, nb)
 	res.Arcs = buf.Int32(res.Arcs, nb)
-	res.durs = buf.Int64(res.durs, nb)
 	if e.cfg.KeepOrders {
 		total := 0
 		for _, b := range blocks {
@@ -541,9 +505,6 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 			res.DAGStats = make([]dag.Stats, nb)
 		}
 		res.DAGStats = res.DAGStats[:nb]
-		for i := range res.DAGStats {
-			res.DAGStats[i] = dag.Stats{}
-		}
 	} else {
 		res.DAGStats = res.DAGStats[:0]
 	}
@@ -553,117 +514,22 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 			res.errs = make([]error, nb)
 		}
 		res.errs = res.errs[:nb]
-		for i := range res.errs {
-			res.errs[i] = nil
-		}
 	}
 	if cap(res.Rungs) < nb {
 		res.Rungs = make([]Rung, nb)
 	}
 	res.Rungs = res.Rungs[:nb]
-	for i := range res.Rungs {
-		res.Rungs[i] = RungPrimary
-	}
 
-	for _, w := range e.workers {
-		w.hits, w.misses, w.diskHits = 0, 0, 0
-		w.bins = [nBins]binAcc{}
-		w.packedBlocks = 0
-		w.quars, w.demoted, w.gateFails, w.faults = 0, 0, 0, 0
-	}
-
-	// done is nil for Background-style contexts, so the fault-free Run
-	// path's per-claim cancellation check is a single nil test.
-	done := ctx.Done()
-
+	e.resetTallies()
 	start := time.Now()
-	switch {
-	case nb == 0:
-		// Nothing to schedule: leave the stats zeroed and spawn no
-		// workers.
-	case len(e.workers) == 1:
-		w := e.workers[0]
-		for i := range blocks {
-			if cancelled(done) {
-				break
-			}
-			e.process(w, res, blocks, i)
-		}
-	case e.adaptive:
-		e.runBinned(res, blocks, done)
-	default:
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, w := range e.workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				for {
-					if cancelled(done) {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(blocks) {
-						return
-					}
-					e.process(w, res, blocks, i)
-				}
-			}(w)
-		}
-		wg.Wait()
+	if nb > 0 {
+		e.work(e.prefill(blocks), res, ctx.Done())
 	}
 	wall := time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("engine: run cancelled: %w", err)
 	}
-
-	st := &res.Stats
-	bins := st.Bins[:0] // retain the bin slice's capacity across runs
-	*st = Stats{Workers: len(e.workers), Blocks: nb, WallSeconds: wall.Seconds()}
-	if e.adaptive {
-		st.Crossover = e.crossover
-		st.ChunkSize = e.chunk
-		if nb > 0 {
-			st.Bins = e.collectBins(bins)
-		}
-	}
-	for _, b := range blocks {
-		st.Insts += int64(b.Len())
-	}
-	for i := 0; i < nb; i++ {
-		st.Arcs += int64(res.Arcs[i])
-		st.TotalCycles += int64(res.Cycles[i])
-	}
-	if s := wall.Seconds(); s > 0 {
-		st.BlocksPerSec = float64(nb) / s
-		st.InstsPerSec = float64(st.Insts) / s
-		st.ArcsPerSec = float64(st.Arcs) / s
-	}
-	for _, w := range e.workers {
-		st.CacheHits += w.hits
-		st.CacheMisses += w.misses
-		st.DiskHits += w.diskHits
-		st.PackedSelBlocks += w.packedBlocks
-		st.Quarantines += w.quars
-		st.Demotions += w.demoted
-		st.GateFailures += w.gateFails
-		st.FaultsInjected += w.faults
-	}
-	if total := st.CacheHits + st.DiskHits + st.CacheMisses; total > 0 {
-		st.CacheHitRate = float64(st.CacheHits+st.DiskHits) / float64(total)
-	}
-	for _, rg := range res.Rungs {
-		if rg != RungPrimary {
-			st.DegradedBlocks++
-		}
-	}
-	if nb > 0 {
-		res.sorted = buf.Int64(res.sorted, nb)
-		copy(res.sorted, res.durs)
-		slices.Sort(res.sorted)
-		st.P50Micros = float64(res.sorted[(nb-1)*50/100]) / 1e3
-		st.P99Micros = float64(res.sorted[(nb-1)*99/100]) / 1e3
-	}
+	res.Stats = e.stats(wall, res.Stats.Bins[:0]) // recycle the bin slice
 
 	for i, err := range res.errs {
 		if err != nil {
@@ -671,6 +537,75 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 		}
 	}
 	return res, nil
+}
+
+// put writes block it.seq's outcome into its result slot, copying the
+// order out of worker or cache storage. Slots are disjoint per block,
+// so no locking.
+func (res *BatchResult) put(it streamItem, o outcome) {
+	i := it.seq
+	res.Cycles[i] = o.cycles
+	res.Arcs[i] = o.arcs
+	res.Rungs[i] = o.rung
+	if len(res.Orders) > 0 {
+		copy(res.Orders[i], o.order)
+	}
+	if len(res.DAGStats) > 0 {
+		res.DAGStats[i] = o.stats
+	}
+	if len(res.errs) > 0 {
+		res.errs[i] = o.err
+	}
+}
+
+// resetTallies zeroes every worker's per-run counters.
+func (e *Engine) resetTallies() {
+	for _, w := range e.workers {
+		w.tally = tally{}
+	}
+}
+
+// stats sums the workers' tallies into one run's Stats, reusing bins'
+// storage for Stats.Bins.
+func (e *Engine) stats(wall time.Duration, bins []BinStats) Stats {
+	st := Stats{Workers: len(e.workers), WallSeconds: wall.Seconds()}
+	var hist [streamHistBuckets]int64
+	for _, w := range e.workers {
+		t := &w.tally
+		st.Blocks += int(t.blocks)
+		st.Insts += t.insts
+		st.Arcs += t.arcs
+		st.TotalCycles += t.cycles
+		st.DegradedBlocks += t.degraded
+		st.CacheHits += t.hits
+		st.CacheMisses += t.misses
+		st.DiskHits += t.diskHits
+		st.PackedSelBlocks += t.packedBlocks
+		st.Quarantines += t.quars
+		st.Demotions += t.demoted
+		st.GateFailures += t.gateFails
+		st.FaultsInjected += t.faults
+		for k := range hist {
+			hist[k] += t.hist[k]
+		}
+	}
+	if secs := wall.Seconds(); secs > 0 {
+		st.BlocksPerSec = float64(st.Blocks) / secs
+		st.InstsPerSec = float64(st.Insts) / secs
+		st.ArcsPerSec = float64(st.Arcs) / secs
+	}
+	if total := st.CacheHits + st.DiskHits + st.CacheMisses; total > 0 {
+		st.CacheHitRate = float64(st.CacheHits+st.DiskHits) / float64(total)
+	}
+	st.P50Micros = histPercentile(&hist, int64(st.Blocks), 50) / 1e3
+	st.P99Micros = histPercentile(&hist, int64(st.Blocks), 99) / 1e3
+	if e.adaptive {
+		st.Crossover = e.crossover
+		if st.Blocks > 0 {
+			st.Bins = e.collectBins(bins)
+		}
+	}
+	return st
 }
 
 // cancelled is the per-claim cooperative cancellation check; done is
@@ -687,16 +622,29 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// process runs block i in worker w's scratch and writes its slot of
-// the batch result. Slots are disjoint per block, so no locking. With
-// the cache enabled, a fingerprint hit that passes the output gate
-// copies the memoized schedule into the slot and skips the entire
-// pipeline; everything else descends the degradation ladder, which
-// always produces a gated schedule.
+// outcome is one block's result as worker.run produced it. order
+// aliases worker scratch or an immutable cache entry and is valid only
+// until the worker's next block, so each entry point copies it out.
+type outcome struct {
+	cycles, arcs int32
+	rung         Rung
+	path         blockPath
+	order        []int32
+	stats        dag.Stats // Config.CollectDAGStats only
+	err          error     // Config.Verify only: the simulator cross-check
+}
+
+// run is the per-block function of both entry points. With the cache
+// enabled, a fingerprint hit in either tier that passes the output
+// gate serves the memoized schedule and skips the entire pipeline;
+// everything else descends the degradation ladder, which always
+// produces a gated schedule, and a healthy primary result is memoized.
+// Under Config.Verify every schedule, served or computed, is
+// re-timed on the simulator. The worker's tallies record the block.
 //
 //sched:recover-boundary
-func (e *Engine) process(w *worker, res *BatchResult, blocks []*block.Block, i int) {
-	b := blocks[i]
+func (w *worker) run(b *block.Block) outcome {
+	e := w.e
 	t0 := time.Now()
 	if e.cfg.BlockTimeout > 0 {
 		w.deadline = t0.Add(e.cfg.BlockTimeout)
@@ -708,115 +656,128 @@ func (e *Engine) process(w *worker, res *BatchResult, blocks []*block.Block, i i
 		w.enc = appendBlockKey(w.enc[:0], b.Insts)
 		h = fnv1a64(w.enc)
 	}
-	if e.cache != nil {
-		if ent := e.cache.lookup(h, w.enc); ent != nil && e.serveHit(w, res, blocks, i, ent, h, t0) {
-			return
+	o, ok := w.lookup(b, h)
+	if !ok {
+		rung, path, r, d := w.ladder(b, h)
+		o = outcome{cycles: r.Cycles, rung: rung, path: path, order: r.Order}
+		if d != nil { // the identity rung builds no DAG
+			o.arcs = int32(d.NumArcs)
+			if e.cfg.CollectDAGStats {
+				o.stats = d.Statistics()
+			}
 		}
-		// An L1 miss (or a poisoned hit the gate rejected and dropped)
-		// probes the persistent tier before paying for the pipeline.
-		if e.disk != nil && e.probeDisk(w, h) && e.serveDiskHit(w, res, blocks, i, h, t0) {
-			return
+		if e.cache != nil && rung == RungPrimary {
+			// Only healthy primary results are memoized: a degraded
+			// rung's schedule (identity in particular) must never
+			// masquerade as the canonical one for later occurrences of
+			// the same block.
+			ent := &cacheEntry{
+				key:    append([]byte(nil), w.enc...),
+				order:  append([]int32(nil), r.Order...),
+				issue:  append([]int32(nil), r.Issue...),
+				cycles: r.Cycles,
+				arcs:   o.arcs,
+				stats:  o.stats,
+			}
+			e.cache.insert(h, ent)
+			if e.disk != nil {
+				e.disk.enqueue(h, ent)
+			}
 		}
-		// Missed both tiers — or a served entry failed the gate, which
-		// already dropped it from both; either way the pipeline runs.
-		w.misses++
-	}
-	rung, path, r, d := e.ladder(w, b, h)
-	res.Rungs[i] = rung
-	res.Cycles[i] = r.Cycles
-	if d != nil {
-		res.Arcs[i] = int32(d.NumArcs)
-	} else {
-		res.Arcs[i] = 0 // the identity rung builds no DAG
-	}
-	if res.Orders != nil {
-		copy(res.Orders[i], r.Order)
-	}
-	if res.DAGStats != nil {
-		if d != nil {
-			res.DAGStats[i] = d.Statistics()
-		} else {
-			res.DAGStats[i] = dag.Stats{}
-		}
-	}
-	if e.cache != nil && rung == RungPrimary {
-		// Only healthy primary results are memoized: a degraded rung's
-		// schedule (identity in particular) must never masquerade as
-		// the canonical one for later occurrences of the same block.
-		ent := &cacheEntry{
-			key:    append([]byte(nil), w.enc...),
-			order:  append([]int32(nil), r.Order...),
-			issue:  append([]int32(nil), r.Issue...),
-			cycles: r.Cycles,
-			arcs:   int32(d.NumArcs),
-		}
-		if res.DAGStats != nil {
-			ent.stats = res.DAGStats[i]
-		}
-		e.cache.insert(h, ent)
-		if e.disk != nil {
-			e.disk.enqueue(h, ent)
+		if e.cfg.Verify {
+			o.err = verify(b, r, e.cfg.Model, w.rt)
 		}
 	}
-	if e.cfg.Verify {
-		res.errs[i] = verify(b, r, e.cfg.Model, w.rt)
+	n := b.Len()
+	dur := int64(time.Since(t0))
+	w.blocks++
+	w.insts += int64(n)
+	w.arcs += int64(o.arcs)
+	w.cycles += int64(o.cycles)
+	if o.rung != RungPrimary {
+		w.degraded++
 	}
-	res.durs[i] = int64(time.Since(t0))
+	w.hist[histIndex(dur)]++
 	if e.adaptive {
-		w.binAdd(b.Len(), res.durs[i], path)
+		w.binAdd(n, dur, o.path)
 	}
+	return o
 }
 
-// serveHit serves block i from cache entry ent, running the
-// structural half of the output gate (and the cache-bitflip injection
-// point) on the way out. It reports false — leaving the result slot
-// untouched and the poisoned entry removed from the cache — when the
-// served schedule fails the gate; the caller then recomputes the
-// block on the ladder.
-func (e *Engine) serveHit(w *worker, res *BatchResult, blocks []*block.Block, i int, ent *cacheEntry, h uint64, t0 time.Time) bool {
-	b := blocks[i]
-	order := ent.order
+// lookup serves block b from the schedule cache: the L1 first, then —
+// on an L1 miss, or a poisoned L1 entry the gate rejected — the
+// persistent tier, promoting a disk hit into L1 so later occurrences
+// hit the fast tier. It reports false, counting a miss, when the block
+// must run the pipeline.
+func (w *worker) lookup(b *block.Block, h uint64) (outcome, bool) {
+	e := w.e
+	if e.cache == nil {
+		return outcome{}, false
+	}
+	if ent := e.cache.lookup(h, w.enc); ent != nil {
+		if o, ok := w.serve(b, h, ent.order, ent.issue, ent.cycles, ent.arcs); ok {
+			w.hits++
+			o.stats = ent.stats
+			return o, true
+		}
+	}
+	if e.disk != nil && w.probeDisk(h) {
+		if o, ok := w.serve(b, h, w.l2.Order, w.l2.Issue, w.l2.Cycles, w.l2.Arcs); ok {
+			w.diskHits++
+			// Copied out of the decode scratch, which the next block
+			// recycles.
+			e.cache.insert(h, &cacheEntry{
+				key:    append([]byte(nil), w.enc...),
+				order:  append([]int32(nil), w.l2.Order...),
+				issue:  append([]int32(nil), w.l2.Issue...),
+				cycles: w.l2.Cycles,
+				arcs:   w.l2.Arcs,
+			})
+			return o, true
+		}
+	}
+	// Missed both tiers — or a served entry failed the gate, which
+	// already dropped it from both; either way the pipeline runs.
+	w.misses++
+	return outcome{}, false
+}
+
+// serve admits one cached schedule for block b: the cache-bitflip
+// injection point, then the structural half of the output gate (the
+// only half that can run without a DAG). A rejected entry is removed
+// from both tiers, so neither this process nor any later one serves it
+// again, and serve reports false. Under Config.Verify the entry gets
+// the same simulator witness as a computed schedule.
+func (w *worker) serve(b *block.Block, h uint64, order, issue []int32, cycles, arcs int32) (outcome, bool) {
+	e := w.e
+	served := order
 	if w.inj.Should(fault.CacheBitflip, h) {
-		// Poison a scratch copy: the shared entry is immutable and may
-		// be mid-read by another worker.
-		w.flip = buf.Int32(w.flip, len(ent.order))
-		copy(w.flip, ent.order)
+		// Poison a scratch copy: cached storage is shared (an L1 entry
+		// may be mid-read by another worker) or recycled (the L2 decode
+		// scratch must not look like a real disk corruption to a later
+		// re-probe).
+		w.flip = buf.Int32(w.flip, len(order))
+		copy(w.flip, order)
 		w.inj.FlipBit(w.flip, h)
 		w.faults++
-		order = w.flip
+		served = w.flip
 	}
-	if !w.structuralGate(order, ent.issue, b.Len()) {
+	if !w.structuralGate(served, issue, b.Len()) {
 		w.gateFails++
-		e.cache.remove(h, ent.key)
+		e.cache.remove(h, w.enc)
 		if e.disk != nil {
-			// Both tiers: the poisoned schedule must not be served to
-			// any later process either.
-			e.disk.remove(h, ent.key)
+			e.disk.remove(h, w.enc)
 		}
-		return false
+		return outcome{}, false
 	}
-	w.hits++
-	res.Cycles[i] = ent.cycles
-	res.Arcs[i] = ent.arcs
-	res.Rungs[i] = RungPrimary
-	if res.Orders != nil {
-		copy(res.Orders[i], order)
-	}
-	if res.DAGStats != nil {
-		res.DAGStats[i] = ent.stats
-	}
+	o := outcome{cycles: cycles, arcs: arcs, path: pathCached, order: served}
 	if e.cfg.Verify {
-		// Same independent witness as a computed schedule; the
-		// simulator needs the worker's table prepared for b.
+		// The simulator needs the worker's table prepared for b.
 		w.rt.PrepareBlock(b.Insts)
-		w.hitRes = sched.Result{Order: ent.order, Issue: ent.issue, Cycles: ent.cycles}
-		res.errs[i] = verify(b, &w.hitRes, e.cfg.Model, w.rt)
+		w.hitRes = sched.Result{Order: order, Issue: issue, Cycles: cycles}
+		o.err = verify(b, &w.hitRes, e.cfg.Model, w.rt)
 	}
-	res.durs[i] = int64(time.Since(t0))
-	if e.adaptive {
-		w.binAdd(b.Len(), res.durs[i], pathCached)
-	}
-	return true
+	return o, true
 }
 
 // verify re-times the schedule on the scoreboard simulator, which

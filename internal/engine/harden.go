@@ -9,10 +9,10 @@
 // production engine carries the failure side of that story:
 //
 //   - Every per-block pipeline attempt runs under a recover boundary
-//     (attempt). A panicking block quarantines its worker — the arena
-//     and every structure that may alias it are discarded and fresh
-//     ones attached — and the block retries down the degradation
-//     ladder.
+//     (attempt, reached from the per-block function worker.run). A
+//     panicking block quarantines its worker — the arena and every
+//     structure that may alias it are discarded and fresh ones
+//     attached — and the block retries down the degradation ladder.
 //   - The ladder's rungs are RungPrimary (the normal adaptive or fixed
 //     dispatch), RungTable (forced table+CSR), RungN2 (n²-direct over
 //     the per-node arc mirrors, no freeze — a structurally independent
@@ -34,8 +34,8 @@
 //     of hanging a worker.
 //
 // Fault injection (internal/fault) hooks into exactly three places —
-// buildCheckpoint (panic, corrupt-arc), serveHit (cache-bitflip) and
-// ladder entry (slow-block) — and every hook is a nil-check no-op
+// buildCheckpoint (panic, corrupt-arc), worker.serve (cache-bitflip)
+// and ladder entry (slow-block) — and every hook is a nil-check no-op
 // without a Config.FaultPlan.
 package engine
 
@@ -59,8 +59,8 @@ type Rung uint8
 
 const (
 	// RungPrimary is the normal pipeline: adaptive n²/table dispatch
-	// (or the fixed pipeline when adaptive is off), including schedules
-	// served from the fingerprint cache.
+	// (or the table pipeline alone when adaptive is off), including
+	// schedules served from the fingerprint cache.
 	RungPrimary Rung = iota
 	// RungTable is the first fallback: the fixed table+CSR pipeline,
 	// forced regardless of adaptive dispatch. Its schedules are
@@ -221,19 +221,14 @@ func (w *worker) gate(d *dag.DAG, r *sched.Result, n int) bool {
 // armed deadline. The discarded arena's storage must regrow on the
 // fresh one, so a quarantine costs real allocations; it is strictly a
 // fault-path event.
-func (w *worker) quarantine(cfg *Config) {
-	fresh := newWorker(cfg)
-	fresh.inj = w.inj
+func (w *worker) quarantine() {
+	fresh := newWorker(&w.e.cfg)
+	fresh.e, fresh.inj = w.e, w.inj
 	fresh.deadline = w.deadline
 	fresh.hookKey = w.hookKey
 	fresh.enc = w.enc // plain bytes: cannot alias the discarded arena
-	fresh.hits, fresh.misses = w.hits, w.misses
-	fresh.bins = w.bins
-	fresh.packedBlocks = w.packedBlocks
-	fresh.quars = w.quars + 1
-	fresh.demoted = w.demoted
-	fresh.gateFails = w.gateFails
-	fresh.faults = w.faults
+	fresh.tally = w.tally
+	fresh.quars++
 	*w = *fresh
 }
 
@@ -242,7 +237,8 @@ func (w *worker) quarantine(cfg *Config) {
 // DAG, when the rung builds one); a panicking attempt returns the
 // recovered failure as err — errDeadline for a cooperative deadline
 // unwind, the injected or genuine panic otherwise.
-func (e *Engine) attempt(w *worker, b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG, path blockPath, err error) {
+func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG, path blockPath, err error) {
+	e := w.e
 	defer func() {
 		if p := recover(); p != nil {
 			r, d = nil, nil
@@ -321,7 +317,7 @@ func (w *worker) scheduleIdentity(b *block.Block, m *machine.Model) *sched.Resul
 // reruns the pipeline clean); a panic or gate failure quarantines the
 // worker and demotes the block one rung; a deadline expiry demotes it
 // straight to the identity floor, which always succeeds.
-func (e *Engine) ladder(w *worker, b *block.Block, h uint64) (Rung, blockPath, *sched.Result, *dag.DAG) {
+func (w *worker) ladder(b *block.Block, h uint64) (Rung, blockPath, *sched.Result, *dag.DAG) {
 	rung := RungPrimary
 	if w.inj != nil {
 		w.hookKey = h
@@ -339,7 +335,7 @@ func (e *Engine) ladder(w *worker, b *block.Block, h uint64) (Rung, blockPath, *
 	}
 	//sched:lint-ignore cancelpoll every iteration demotes the rung or returns, so the loop is bounded by the rung count
 	for {
-		r, d, path, err := e.attempt(w, b, rung)
+		r, d, path, err := w.attempt(b, rung)
 		switch {
 		case err == nil && w.gate(d, r, b.Len()):
 			return rung, path, r, d
@@ -350,10 +346,10 @@ func (e *Engine) ladder(w *worker, b *block.Block, h uint64) (Rung, blockPath, *
 		case err == nil:
 			// Computed but illegal: a silent miscompile the gate caught.
 			w.gateFails++
-			w.quarantine(&e.cfg)
+			w.quarantine()
 		default:
 			// Panic: injected or genuine.
-			w.quarantine(&e.cfg)
+			w.quarantine()
 		}
 		if rung == RungIdentity {
 			// The identity rung has no panic sites and trivially passes

@@ -318,7 +318,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"nil model", Config{}, "Model"},
 		{"unknown builder", Config{Model: m, Builder: "lattice"}, "Builder"},
 		{"negative workers", Config{Model: m, Workers: -1}, "Workers"},
-		{"negative chunk", Config{Model: m, ChunkSize: -8}, "ChunkSize"},
 		{"negative cache cap", Config{Model: m, CacheCap: -1}, "CacheCap"},
 		{"negative timeout", Config{Model: m, BlockTimeout: -time.Second}, "BlockTimeout"},
 		{"bad fault rate", Config{Model: m, FaultPlan: &fault.Plan{PanicBuilder: 2}}, "FaultPlan"},
@@ -380,7 +379,7 @@ func TestEngineQuarantineThenZeroAlloc(t *testing.T) {
 		want[i] = append([]int32(nil), want[i]...)
 	}
 
-	e.workers[0].quarantine(&e.cfg)
+	e.workers[0].quarantine()
 	if e.workers[0].quars != 1 {
 		t.Fatalf("quarantine tally = %d, want 1", e.workers[0].quars)
 	}

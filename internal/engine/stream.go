@@ -1,22 +1,25 @@
-// The streaming constant-memory pipeline. Run materializes a whole
-// corpus before scheduling, so peak memory grows linearly with corpus
-// size and ingestion is fully serialized with scheduling. RunStream
-// overlaps the three phases — ingestion, scheduling, emission — so a
-// 100M-instruction run needs memory proportional to the configured
-// queue depth, never to the corpus:
+// The streaming constant-memory pipeline and the claim loop both entry
+// points share. Run materializes a whole corpus before scheduling, so
+// peak memory grows linearly with corpus size and ingestion is fully
+// serialized with scheduling. RunStream overlaps the three phases —
+// ingestion, scheduling, emission — so a 100M-instruction run needs
+// memory proportional to the configured queue depth, never to the
+// corpus:
 //
 //		src ─► dispatcher ─► bigQ (1 block/slot)  ─► workers ─► reorder ring ─► emitter ─► sink
 //		                └──► smallQ (chunk/slot)  ─┘
 //
 //	  - The dispatcher assigns each block a dense sequence number and
 //	    routes it online by size: blocks above smallCutoff go to bigQ one
-//	    per slot, the small tail is batched into chunks of the engine's
-//	    chunk size. This preserves the PR 4 LPT spirit — a worker always
-//	    prefers the big-block queue, and tiny blocks are claimed in
-//	    chunks to amortize contention — without needing the full batch
-//	    for a counting sort. Both queues are bounded, so a slow consumer
-//	    backpressures the producer through src.
-//	  - Workers run the exact per-block pipeline of Run: the same cache
+//	    per slot, the small tail is batched into chunks of chunkSize.
+//	    Run fills the same two queues up front instead (prefill), big
+//	    blocks largest first; the stream keeps the LPT spirit online — a
+//	    worker always prefers the big-block queue, and tiny blocks are
+//	    claimed in chunks to amortize contention. Both stream queues are
+//	    bounded, so a slow consumer backpressures the producer through
+//	    src.
+//	  - Workers run the one claim loop (claim) and the one per-block
+//	    function (worker.run) of both entry points: the same cache
 //	    lookup, the same adaptive n²/table dispatch, the same degradation
 //	    ladder and output gate. A block's schedule is a pure function of
 //	    its instruction bytes once the engine is configured, so streamed
@@ -27,13 +30,14 @@
 //	    drains it in sequence order and invokes the sink serially. The
 //	    sizing makes deposits wait-free in the healthy case: every
 //	    assigned-but-unemitted block occupies a queue slot, a worker, or
-//	    a ring slot, and the ring has room for all of them.
+//	    a ring slot, and the ring has room for all of them. The
+//	    dispatcher, the ring and the emitter are all the stream adds to
+//	    Run's path.
 //
-// Per-block latency percentiles come from a fixed log-scale histogram
-// (4 sub-buckets per octave, ~12% resolution) rather than a recorded
-// duration per block — the one place streaming stats are approximate
-// where batch stats are exact, because an exact per-block record would
-// grow with the corpus.
+// Per-block latency percentiles, batch and streaming alike, come from a
+// fixed log-scale histogram (4 sub-buckets per octave, ~12% resolution)
+// rather than a recorded duration per block, which would grow with the
+// corpus.
 package engine
 
 import (
@@ -45,8 +49,6 @@ import (
 
 	"daginsched/internal/block"
 	"daginsched/internal/buf"
-	"daginsched/internal/fault"
-	"daginsched/internal/sched"
 )
 
 // defaultStreamDepth is the bounded-queue depth (in blocks) when
@@ -73,11 +75,99 @@ type BlockOutcome struct {
 	Err error
 }
 
-// streamItem is one dispatched block: its dense sequence number and
-// the producer's block pointer.
+// streamItem is one claimable block: its sequence number (RunStream's
+// arrival number, or Run's slice index) and the block. The zero value
+// ends a queue.
 type streamItem struct {
 	seq int64
 	b   *block.Block
+}
+
+// claimQueues is the work source of the claim loop: big blocks one per
+// slot, small blocks in chunks.
+type claimQueues struct {
+	bigQ   chan streamItem
+	smallQ chan []streamItem
+	// chunkPool recycles RunStream's chunk storage; nil for Run, whose
+	// chunks slice items.
+	chunkPool chan []streamItem
+	// items backs Run's prefilled chunks.
+	items []streamItem
+	// wg joins the pool's spawned workers. It is a field rather than a
+	// local of work, which the goroutines' closure would move to the
+	// heap, so a one-worker Run stays allocation-free.
+	wg sync.WaitGroup
+}
+
+// outcomeSink consumes claimed blocks' outcomes: a *BatchResult writes
+// result slots, a *streamRun its reorder ring.
+type outcomeSink interface {
+	put(it streamItem, o outcome)
+}
+
+// work runs every worker's claim loop over q, delivering outcomes to
+// out, and returns once all of them have stopped. The calling
+// goroutine serves as worker 0, so a one-worker run starts no
+// goroutine at all.
+func (e *Engine) work(q *claimQueues, out outcomeSink, done <-chan struct{}) {
+	for _, w := range e.workers[1:] {
+		q.wg.Add(1)
+		go func(w *worker) {
+			defer q.wg.Done()
+			w.claim(q, out, done)
+		}(w)
+	}
+	e.workers[0].claim(q, out, done)
+	q.wg.Wait()
+}
+
+// claim is the claim loop: it takes blocks off q and runs each through
+// the per-block function, handing the outcome to out, until it has
+// seen the end of both queues or the context is cancelled. The
+// big-block queue is always preferred (the LPT spirit: a giant block
+// starts as soon as any worker frees up), falling back to a fair
+// select over both. A queue ends at its zero value: the receive of a
+// closed channel, or one of Run's end markers. A claimed block is
+// always finished — cancellation is observed at claim boundaries (and
+// between a chunk's blocks), never mid-block.
+func (w *worker) claim(q *claimQueues, out outcomeSink, done <-chan struct{}) {
+	big, small := q.bigQ, q.smallQ
+	for big != nil || small != nil {
+		if cancelled(done) {
+			return
+		}
+		// A finished queue is nil, which a select never picks.
+		var it streamItem
+		var chunk []streamItem
+		fromSmall := false
+		select {
+		case it = <-big:
+		default:
+			select {
+			case it = <-big:
+			case chunk = <-small:
+				fromSmall = true
+			}
+		}
+		switch {
+		case !fromSmall && it.b == nil:
+			big = nil
+		case !fromSmall:
+			out.put(it, w.run(it.b))
+		case chunk == nil:
+			small = nil
+		default:
+			for i, it := range chunk {
+				if i > 0 && cancelled(done) {
+					return
+				}
+				out.put(it, w.run(it.b))
+			}
+			if q.chunkPool != nil {
+				q.chunkPool <- chunk[:0]
+			}
+		}
+	}
 }
 
 // Reorder-ring slot states: free (writable by the next depositor of
@@ -103,26 +193,6 @@ type streamSlot struct {
 // sub-buckets per power of two — ~12% worst-case relative error on the
 // reported percentiles, constant memory at any stream length.
 const streamHistBuckets = 16 + 4*60
-
-// streamAcc is one worker's streaming tallies, written without
-// synchronization (each worker owns its slot exclusively) and summed
-// after the pool drains.
-type streamAcc struct {
-	blocks   int64
-	insts    int64
-	arcs     int64
-	cycles   int64
-	degraded int64
-	hist     [streamHistBuckets]int64
-}
-
-// histAdd records one finished block and its wall nanos.
-//
-//sched:noalloc
-func (a *streamAcc) histAdd(nanos int64) {
-	a.hist[histIndex(nanos)]++
-	a.blocks++
-}
 
 // histIndex maps a duration to its histogram bucket.
 //
@@ -156,8 +226,8 @@ func histRepNanos(i int) float64 {
 }
 
 // histPercentile returns the pct-th percentile duration in nanos of
-// the merged histogram, using the same rank convention as the batch
-// path (sorted[(n-1)*pct/100]).
+// the merged histogram: the bucket holding the sample of rank
+// (total-1)*pct/100 in ascending order.
 func histPercentile(h *[streamHistBuckets]int64, total, pct int64) float64 {
 	if total == 0 {
 		return 0
@@ -205,14 +275,10 @@ type streamRun struct {
 	//sched:signals cond
 	ringWaiters int //sched:guarded-by mu
 
-	bigQ      chan streamItem
-	smallQ    chan []streamItem
-	chunkPool chan []streamItem
+	claimQueues
 
 	// Queue occupancy high-water marks, written by the dispatcher only.
 	bigPeak, smallPeak int
-
-	accs []streamAcc
 }
 
 // reserve admits one sequence number into the reorder window: the
@@ -240,17 +306,19 @@ func (s *streamRun) reserve(seq int64) int64 {
 	return base
 }
 
-// deposit publishes block seq's outcome into its reorder-ring slot.
-// reserve guarantees the slot's previous occupant was already emitted,
-// so the wait loop only ever rides out the emitter's sink call on that
-// occupant (slotSinking); it cannot block on another worker. The slot
+// put deposits a claimed block's outcome into the reorder-ring slot of
+// its sequence number. reserve guarantees the slot's previous occupant
+// was already emitted, so the wait loop only ever rides out the
+// emitter's sink call on that occupant (slotSinking); it cannot block
+// on another worker. The slot
 // fill happens outside the lock — the depositor owns the slot
 // exclusively between the free check and the ready flip, and the
 // lock's release/acquire pair orders the fill against the emitter's
 // read.
 //
 //sched:noalloc
-func (s *streamRun) deposit(seq int64, b *block.Block, cycles, arcs int32, rung Rung, order []int32, err error) {
+func (s *streamRun) put(it streamItem, o outcome) {
+	seq := it.seq
 	slot := &s.slots[seq%s.window]
 	s.mu.Lock()
 	for slot.state != slotFree {
@@ -259,23 +327,23 @@ func (s *streamRun) deposit(seq int64, b *block.Block, cycles, arcs int32, rung 
 		s.ringWaiters--
 	}
 	s.mu.Unlock()
-	if s.keepOrders && order != nil {
-		slot.order = buf.Int32(slot.order, len(order))
-		copy(slot.order, order)
+	if s.keepOrders && o.order != nil {
+		slot.order = buf.Int32(slot.order, len(o.order))
+		copy(slot.order, o.order)
 		slot.out.Order = slot.order
 	} else {
 		slot.out.Order = nil
 	}
 	slot.out.Seq = seq
-	slot.out.Block = b
-	slot.out.Cycles = cycles
-	slot.out.Arcs = arcs
-	slot.out.Rung = rung
-	slot.out.Err = err
+	slot.out.Block = it.b
+	slot.out.Cycles = o.cycles
+	slot.out.Arcs = o.arcs
+	slot.out.Rung = o.rung
+	slot.out.Err = o.err
 	s.mu.Lock()
 	slot.state = slotReady
-	if err != nil && s.firstErr == nil {
-		s.firstErr = err
+	if o.err != nil && s.firstErr == nil {
+		s.firstErr = o.err
 		s.errSeq = seq
 	}
 	if p := seq + 1 - s.base; p > s.pendingPeak {
@@ -355,7 +423,7 @@ func (s *streamRun) emitLoop(done chan struct{}) {
 // cancellation the deferred closes run immediately; sequence numbers
 // already assigned but never deposited become the gap the emitter
 // stops at.
-func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}, chunkSize int) {
+func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}) {
 	defer close(s.bigQ)
 	defer close(s.smallQ)
 	cur := <-s.chunkPool
@@ -421,173 +489,6 @@ func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}, chun
 	}
 }
 
-// streamWorker claims and schedules blocks until both queues are
-// closed or the context is cancelled. The big-block queue is always
-// preferred (the LPT spirit: a giant block starts as soon as any
-// worker frees up), falling back to a fair select over both. A claimed
-// block is always finished — cancellation is observed at claim
-// boundaries (and between a chunk's blocks), mirroring the batch
-// engine's never-abandon-a-claimed-block rule.
-func (e *Engine) streamWorker(w *worker, s *streamRun, wi int, done <-chan struct{}) {
-	bigQ, smallQ := s.bigQ, s.smallQ
-	for bigQ != nil || smallQ != nil {
-		if cancelled(done) {
-			return
-		}
-		if bigQ != nil {
-			select {
-			case it, ok := <-bigQ:
-				if !ok {
-					bigQ = nil
-					continue
-				}
-				e.streamBlock(w, s, wi, it)
-				continue
-			default:
-			}
-		}
-		select {
-		case it, ok := <-bigQ:
-			if !ok {
-				bigQ = nil
-				continue
-			}
-			e.streamBlock(w, s, wi, it)
-		case chunk, ok := <-smallQ:
-			if !ok {
-				smallQ = nil
-				continue
-			}
-			for i := range chunk {
-				if i > 0 && cancelled(done) {
-					return
-				}
-				e.streamBlock(w, s, wi, chunk[i])
-			}
-			s.chunkPool <- chunk[:0]
-		}
-	}
-}
-
-// streamBlock runs one claimed block through the exact per-block
-// pipeline of Run — cache lookup, degradation ladder, output gate,
-// optional simulator verify — and deposits the outcome. It is the
-// streaming twin of process: same ladder, same injection hooks, so
-// schedules (and rungs, which are content-keyed) are byte-identical to
-// a batch run over the same corpus.
-//
-//sched:recover-boundary
-func (e *Engine) streamBlock(w *worker, s *streamRun, wi int, it streamItem) {
-	b := it.b
-	t0 := time.Now()
-	if e.cfg.BlockTimeout > 0 {
-		w.deadline = t0.Add(e.cfg.BlockTimeout)
-	} else {
-		w.deadline = time.Time{}
-	}
-	var h uint64
-	if e.cache != nil || w.inj != nil {
-		w.enc = appendBlockKey(w.enc[:0], b.Insts)
-		h = fnv1a64(w.enc)
-	}
-	if e.cache != nil {
-		if ent := e.cache.lookup(h, w.enc); ent != nil {
-			if ok, cycles, arcs, order, err := e.streamServeHit(w, b, ent, h); ok {
-				e.streamFinish(w, s, wi, it, t0, cycles, arcs, RungPrimary, pathCached, order, err)
-				return
-			}
-		}
-		// An L1 miss (or a poisoned hit the gate rejected and dropped)
-		// probes the persistent tier, exactly as the batch path does.
-		if e.disk != nil && e.probeDisk(w, h) {
-			if ok, cycles, arcs, order, err := e.streamServeDiskHit(w, b, h); ok {
-				e.streamFinish(w, s, wi, it, t0, cycles, arcs, RungPrimary, pathCached, order, err)
-				return
-			}
-		}
-		// Missed both tiers — or a served entry failed the gate, which
-		// already dropped it from both.
-		w.misses++
-	}
-	rung, path, r, d := e.ladder(w, b, h)
-	var arcs int32
-	if d != nil {
-		arcs = int32(d.NumArcs)
-	}
-	if e.cache != nil && rung == RungPrimary {
-		// Only healthy primary results are memoized, exactly as in the
-		// batch path.
-		ent := &cacheEntry{
-			key:    append([]byte(nil), w.enc...),
-			order:  append([]int32(nil), r.Order...),
-			issue:  append([]int32(nil), r.Issue...),
-			cycles: r.Cycles,
-			arcs:   arcs,
-		}
-		e.cache.insert(h, ent)
-		if e.disk != nil {
-			e.disk.enqueue(h, ent)
-		}
-	}
-	var err error
-	if e.cfg.Verify {
-		err = verify(b, r, e.cfg.Model, w.rt)
-	}
-	e.streamFinish(w, s, wi, it, t0, r.Cycles, arcs, rung, path, r.Order, err)
-}
-
-// streamFinish records the worker's tallies and deposits the outcome.
-func (e *Engine) streamFinish(w *worker, s *streamRun, wi int, it streamItem, t0 time.Time, cycles, arcs int32, rung Rung, path blockPath, order []int32, err error) {
-	dur := int64(time.Since(t0))
-	acc := &s.accs[wi]
-	acc.insts += int64(it.b.Len())
-	acc.arcs += int64(arcs)
-	acc.cycles += int64(cycles)
-	if rung != RungPrimary {
-		acc.degraded++
-	}
-	acc.histAdd(dur)
-	if e.adaptive {
-		w.binAdd(it.b.Len(), dur, path)
-	}
-	s.deposit(it.seq, it.b, cycles, arcs, rung, order, err)
-}
-
-// streamServeHit serves a cache hit on the streaming path: the
-// structural half of the output gate (plus the cache-bitflip injection
-// point) exactly as serveHit runs it for batch. A gate failure removes
-// the poisoned entry and reports !ok, sending the block down the
-// ladder.
-func (e *Engine) streamServeHit(w *worker, b *block.Block, ent *cacheEntry, h uint64) (ok bool, cycles, arcs int32, order []int32, err error) {
-	order = ent.order
-	if w.inj.Should(fault.CacheBitflip, h) {
-		// Poison a scratch copy: the shared entry is immutable and may
-		// be mid-read by another worker.
-		w.flip = buf.Int32(w.flip, len(ent.order))
-		copy(w.flip, ent.order)
-		w.inj.FlipBit(w.flip, h)
-		w.faults++
-		order = w.flip
-	}
-	if !w.structuralGate(order, ent.issue, b.Len()) {
-		w.gateFails++
-		e.cache.remove(h, ent.key)
-		if e.disk != nil {
-			// Both tiers: the poisoned schedule must not be served to
-			// any later process either.
-			e.disk.remove(h, ent.key)
-		}
-		return false, 0, 0, nil, nil
-	}
-	w.hits++
-	if e.cfg.Verify {
-		w.rt.PrepareBlock(b.Insts)
-		w.hitRes = sched.Result{Order: ent.order, Issue: ent.issue, Cycles: ent.cycles}
-		err = verify(b, &w.hitRes, e.cfg.Model, w.rt)
-	}
-	return true, ent.cycles, ent.arcs, order, err
-}
-
 // RunStream schedules blocks as they arrive on src, invoking sink once
 // per block in sequence (arrival) order, and returns the run's Stats
 // once src closes and the pipeline drains. Ingestion, scheduling and
@@ -599,10 +500,10 @@ func (e *Engine) streamServeHit(w *worker, b *block.Block, ent *cacheEntry, h ui
 // The sink runs on a dedicated goroutine, serially and in order; the
 // outcome's Order slice (and nothing else) is valid only during the
 // call. A nil sink discards outcomes. Config.CollectDAGStats has no
-// streaming form and is ignored here. Cancellation mirrors RunCtx:
-// workers stop claiming at the next block boundary, the sink sees a
-// dense prefix of the stream, and ctx's error is returned with the
-// partial Stats.
+// streaming form: BlockOutcome carries no DAG statistics.
+// Cancellation mirrors RunCtx: workers stop claiming at the next block
+// boundary, the sink sees a dense prefix of the stream, and ctx's
+// error is returned with the partial Stats.
 //
 //sched:cancellable
 func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink func(BlockOutcome)) (Stats, error) {
@@ -618,10 +519,6 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	e.beginRun()
 	defer e.endRun()
 	depth := e.cfg.StreamDepth
-	chunk := e.chunk
-	if chunk <= 0 {
-		chunk = defaultChunk
-	}
 	nw := len(e.workers)
 
 	// Ring sizing: the dispatcher's reserve call caps the in-flight
@@ -630,58 +527,42 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	// binding constraint on a healthy pipeline: it has a slot for every
 	// sequence number the bounded queues and workers could hold at once
 	// — bigQ (<= depth), smallQ (<= smallCap chunks), the dispatcher's
-	// partial chunk (< chunk), one chunk or big block per worker —
+	// partial chunk (< chunkSize), one chunk or big block per worker —
 	// plus one, so the queues fill before the window does and
 	// backpressure lands on src, not on the ring lock.
-	smallCap := depth / chunk
-	if smallCap < 1 {
-		smallCap = 1
-	}
-	window := int64(depth + smallCap*chunk + chunk + nw*chunk + nw + 1)
+	smallCap := max(depth/chunkSize, 1)
+	window := int64(depth + smallCap*chunkSize + chunkSize + nw*chunkSize + nw + 1)
 
 	s := &streamRun{
 		sink:       sink,
 		keepOrders: e.cfg.KeepOrders,
 		window:     window,
 		slots:      make([]streamSlot, window),
-		bigQ:       make(chan streamItem, depth),
-		smallQ:     make(chan []streamItem, smallCap),
-		chunkPool:  make(chan []streamItem, smallCap+nw+2),
-		accs:       make([]streamAcc, nw),
+		claimQueues: claimQueues{
+			bigQ:      make(chan streamItem, depth),
+			smallQ:    make(chan []streamItem, smallCap),
+			chunkPool: make(chan []streamItem, smallCap+nw+2),
+		},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cap(s.chunkPool); i++ {
-		s.chunkPool <- make([]streamItem, 0, chunk)
+		s.chunkPool <- make([]streamItem, 0, chunkSize)
 	}
 
-	for _, w := range e.workers {
-		w.hits, w.misses, w.diskHits = 0, 0, 0
-		w.bins = [nBins]binAcc{}
-		w.packedBlocks = 0
-		w.quars, w.demoted, w.gateFails, w.faults = 0, 0, 0, 0
-	}
-
+	e.resetTallies()
 	done := ctx.Done()
 	start := time.Now()
 	// The dispatcher is joined explicitly: on a cancelled stream it can
-	// outlive the workers (wg.Wait only covers them), and it writes the
+	// outlive the workers (work only joins them), and it writes the
 	// queue peaks this function reads after the pipeline drains.
 	dispDone := make(chan struct{})
 	go func() {
 		defer close(dispDone)
-		s.dispatch(src, done, chunk)
+		s.dispatch(src, done)
 	}()
-	var wg sync.WaitGroup
-	for wi, w := range e.workers {
-		wg.Add(1)
-		go func(w *worker, wi int) {
-			defer wg.Done()
-			e.streamWorker(w, s, wi, done)
-		}(w, wi)
-	}
 	emitDone := make(chan struct{})
 	go s.emitLoop(emitDone)
-	wg.Wait()
+	e.work(&s.claimQueues, s, done)
 	s.mu.Lock()
 	s.finished = true
 	s.cond.Broadcast()
@@ -690,46 +571,8 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	<-dispDone
 	wall := time.Since(start)
 
-	st := Stats{Workers: nw, WallSeconds: wall.Seconds(), StreamDepth: depth}
-	var hist [streamHistBuckets]int64
-	for i := range s.accs {
-		a := &s.accs[i]
-		st.Blocks += int(a.blocks)
-		st.Insts += a.insts
-		st.Arcs += a.arcs
-		st.TotalCycles += a.cycles
-		st.DegradedBlocks += a.degraded
-		for k := range a.hist {
-			hist[k] += a.hist[k]
-		}
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		st.BlocksPerSec = float64(st.Blocks) / secs
-		st.InstsPerSec = float64(st.Insts) / secs
-		st.ArcsPerSec = float64(st.Arcs) / secs
-	}
-	st.P50Micros = histPercentile(&hist, int64(st.Blocks), 50) / 1e3
-	st.P99Micros = histPercentile(&hist, int64(st.Blocks), 99) / 1e3
-	for _, w := range e.workers {
-		st.CacheHits += w.hits
-		st.CacheMisses += w.misses
-		st.DiskHits += w.diskHits
-		st.PackedSelBlocks += w.packedBlocks
-		st.Quarantines += w.quars
-		st.Demotions += w.demoted
-		st.GateFailures += w.gateFails
-		st.FaultsInjected += w.faults
-	}
-	if total := st.CacheHits + st.DiskHits + st.CacheMisses; total > 0 {
-		st.CacheHitRate = float64(st.CacheHits+st.DiskHits) / float64(total)
-	}
-	if e.adaptive {
-		st.Crossover = e.crossover
-		st.ChunkSize = e.chunk
-		if st.Blocks > 0 {
-			st.Bins = e.collectBins(nil)
-		}
-	}
+	st := e.stats(wall, nil)
+	st.StreamDepth = depth
 	st.BigQueuePeak = s.bigPeak
 	st.SmallQueuePeak = s.smallPeak
 	s.mu.Lock()

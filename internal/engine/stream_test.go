@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -172,6 +173,116 @@ func TestRunStreamFaultedMatchesRun(t *testing.T) {
 	requireStreamMatchesBatch(t, got, want)
 	if st.DegradedBlocks != int64(degraded) {
 		t.Fatalf("stream degraded %d blocks, batch degraded %d", st.DegradedBlocks, degraded)
+	}
+
+	// The same plan over both cache tiers, on files a fault-free engine
+	// populated: both entry points run one per-block function, so every
+	// counter must agree, not only the schedules. Each block is distinct,
+	// so its cache history — and with it every counter — is independent
+	// of claim order even at eight workers. Pass 0 serves from the disk
+	// tier, pass 1 from L1; bitflips poison served entries in both.
+	distinct := uniqueBlocks(blocks)
+	var total Stats
+	for _, workers := range []int{1, 8} {
+		dcfg := cfg
+		dcfg.Workers = workers
+		dcfg.StreamDepth = 16
+		runEng := newOnPopulatedCache(t, dcfg, distinct)
+		streamEng := newOnPopulatedCache(t, dcfg, distinct)
+		for pass := 0; pass < 2; pass++ {
+			res, err := runEng.Run(distinct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := collectStream(t, streamEng, distinct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireStreamMatchesBatch(t, got, res)
+			requireSameCounters(t, fmt.Sprintf("workers=%d pass=%d", workers, pass), res.Stats, st)
+			total.CacheHits += st.CacheHits
+			total.DiskHits += st.DiskHits
+			total.GateFailures += st.GateFailures
+			total.Quarantines += st.Quarantines
+			total.DegradedBlocks += st.DegradedBlocks
+		}
+		closeEngine(t, runEng)
+		closeEngine(t, streamEng)
+	}
+	if total.CacheHits == 0 || total.DiskHits == 0 || total.GateFailures == 0 ||
+		total.Quarantines == 0 || total.DegradedBlocks == 0 {
+		t.Fatalf("a counter never fired, so the comparison is vacuous: %+v", total)
+	}
+}
+
+// uniqueBlocks keeps the first occurrence of each block content.
+func uniqueBlocks(blocks []*block.Block) []*block.Block {
+	seen := make(map[uint64]bool)
+	var out []*block.Block
+	for _, b := range blocks {
+		if k := BlockKey(b.Insts); !seen[k] {
+			seen[k] = true
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// newOnPopulatedCache opens an engine with cfg over a fresh cache file
+// that a fault-free engine populated with blocks, so engines compared
+// against each other start from the same persistent state without
+// sharing it.
+func newOnPopulatedCache(t *testing.T, cfg Config, blocks []*block.Block) *Engine {
+	t.Helper()
+	cfg.CachePath = diskPath(t)
+	pop, err := New(Config{Model: cfg.Model, CachePath: cfg.CachePath, Crossover: cfg.Crossover})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pop.Run(blocks); err != nil {
+		t.Fatal(err)
+	}
+	closeEngine(t, pop)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// requireSameCounters checks that a Run and a RunStream over the same
+// corpus tallied the same cache, hardening, packed-selection and
+// per-bin counters.
+func requireSameCounters(t *testing.T, what string, run, stream Stats) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		r, s int64
+	}{
+		{"CacheHits", run.CacheHits, stream.CacheHits},
+		{"DiskHits", run.DiskHits, stream.DiskHits},
+		{"CacheMisses", run.CacheMisses, stream.CacheMisses},
+		{"GateFailures", run.GateFailures, stream.GateFailures},
+		{"FaultsInjected", run.FaultsInjected, stream.FaultsInjected},
+		{"Demotions", run.Demotions, stream.Demotions},
+		{"Quarantines", run.Quarantines, stream.Quarantines},
+		{"DegradedBlocks", run.DegradedBlocks, stream.DegradedBlocks},
+		{"PackedSelBlocks", run.PackedSelBlocks, stream.PackedSelBlocks},
+	} {
+		if c.r != c.s {
+			t.Errorf("%s: Run counted %s = %d, RunStream %d", what, c.name, c.r, c.s)
+		}
+	}
+	if len(run.Bins) != len(stream.Bins) {
+		t.Fatalf("%s: Run reported %d bins, RunStream %d", what, len(run.Bins), len(stream.Bins))
+	}
+	for i, r := range run.Bins {
+		s := stream.Bins[i]
+		if r.Blocks != s.Blocks || r.N2Blocks != s.N2Blocks || r.TableBlocks != s.TableBlocks || r.CachedBlocks != s.CachedBlocks {
+			t.Errorf("%s bin %s: Run %d blocks (n2 %d, table %d, cached %d), RunStream %d (n2 %d, table %d, cached %d)",
+				what, r.Label, r.Blocks, r.N2Blocks, r.TableBlocks, r.CachedBlocks,
+				s.Blocks, s.N2Blocks, s.TableBlocks, s.CachedBlocks)
+		}
 	}
 }
 

@@ -670,6 +670,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Records are flushed while the body is still being read. An
+	// HTTP/1.1 server that is not told so discards up to 256 KiB of the
+	// unread body when the header goes out, truncating or misparsing
+	// the stream. Writers without the switch, such as a ResponseRecorder,
+	// answer ErrNotSupported; they discard nothing, so that is fine.
+	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		s.jsonError(w, http.StatusInternalServerError, "cannot stream: "+err.Error(), nil)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

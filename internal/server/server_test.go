@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -445,6 +447,76 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	if !tr.Done || tr.Blocks != 30 {
 		t.Fatalf("trailer %+v, want done with 30 blocks", tr)
+	}
+}
+
+// TestStreamLargeBodyOverListener drives /v1/stream through a real
+// HTTP/1.1 listener (a ResponseRecorder never sees the bug this pins):
+// a handler that flushes its first record and keeps reading the body
+// must run full duplex, or net/http discards up to 256 KiB of the
+// unread body and the stream ends early or misparses. Bodies above
+// 256 KiB are sent with and without a Content-Length (a piped
+// producer's upload is chunked), plus one below it. Every block must
+// come back, in order, followed by a done trailer.
+func TestStreamLargeBodyOverListener(t *testing.T) {
+	s := newTestServer(t, nil, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, tc := range []struct {
+		name    string
+		blocks  int
+		chunked bool
+	}{
+		{"over 256KiB with length", 6000, false},
+		{"over 256KiB chunked", 6000, true},
+		{"under 256KiB with length", 1500, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := corpusAsm(tc.blocks)
+			if big := len(body) > 256<<10; big != (tc.blocks == 6000) {
+				t.Fatalf("%d-byte body is on the wrong side of 256 KiB", len(body))
+			}
+			var rd io.Reader = strings.NewReader(body)
+			if tc.chunked {
+				rd = io.MultiReader(rd) // hides the length: the client sends chunks
+			}
+			resp, err := http.Post(ts.URL+"/v1/stream", "text/plain", rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			sc := bufio.NewScanner(resp.Body)
+			var lines []string
+			for sc.Scan() {
+				lines = append(lines, sc.Text())
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatalf("reading the stream after %d lines: %v", len(lines), err)
+			}
+			n := tc.blocks
+			if len(lines) != n+1 {
+				t.Fatalf("%d NDJSON lines, want %d records + trailer (last line: %.200s)", len(lines), n, lines[len(lines)-1])
+			}
+			for i, line := range lines[:n] {
+				var rec streamRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("line %d: %v", i, err)
+				}
+				if rec.Seq != int64(i) {
+					t.Fatalf("line %d: seq %d", i, rec.Seq)
+				}
+			}
+			var tr streamTrailer
+			if err := json.Unmarshal([]byte(lines[n]), &tr); err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Done || tr.Blocks != n {
+				t.Fatalf("trailer %+v, want done with %d blocks", tr, n)
+			}
+		})
 	}
 }
 
