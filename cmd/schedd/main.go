@@ -16,8 +16,9 @@
 // The daemon prints "schedd: listening on ADDR" once the socket is
 // bound (the line supervisors and the CI gate wait for), serves until
 // SIGTERM or SIGINT, then drains gracefully: admission stops (/readyz
-// flips to 503), in-flight requests finish, the cache file is flushed
-// via Engine.Close, and a one-line drain summary is logged.
+// flips to 503), in-flight requests finish (any still running after
+// 30 s are cancelled), the cache file is flushed via Engine.Close, and
+// a one-line drain summary is logged.
 //
 // Exit codes are distinct by failure class: 0 clean shutdown, 1
 // runtime failure (bind or serve error), 2 usage error (bad flag), 3

@@ -24,6 +24,7 @@ package engine
 
 import (
 	"slices"
+	"strconv"
 	"time"
 
 	"daginsched/internal/block"
@@ -52,25 +53,11 @@ const nBins = len(binBounds) + 1
 var binLabels = func() [nBins]string {
 	var l [nBins]string
 	for i, b := range binBounds {
-		l[i] = "<=" + itoa(b)
+		l[i] = "<=" + strconv.Itoa(b)
 	}
-	l[nBins-1] = ">" + itoa(binBounds[len(binBounds)-1])
+	l[nBins-1] = ">" + strconv.Itoa(binBounds[len(binBounds)-1])
 	return l
 }()
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
 
 // binIndex maps a block size to its bin.
 func binIndex(n int) int {
@@ -128,9 +115,9 @@ type BinStats struct {
 	InstsPerSec  float64 `json:"insts_per_sec"`
 }
 
-// collectBins sums the workers' per-bin tallies into dst (recycled
+// collectBins sums the crew's per-bin tallies into dst (recycled
 // across runs once it has grown to nBins).
-func (e *Engine) collectBins(dst []BinStats) []BinStats {
+func (c *crew) collectBins(dst []BinStats) []BinStats {
 	if cap(dst) < nBins {
 		dst = make([]BinStats, nBins)
 	}
@@ -138,7 +125,7 @@ func (e *Engine) collectBins(dst []BinStats) []BinStats {
 	var total int64
 	for i := range dst {
 		var acc binAcc
-		for _, w := range e.workers {
+		for _, w := range c.workers {
 			a := &w.bins[i]
 			acc.blocks += a.blocks
 			acc.insts += a.insts
@@ -171,7 +158,7 @@ func (e *Engine) collectBins(dst []BinStats) []BinStats {
 	return dst
 }
 
-// prefill loads Run's recycled claim queues from the batch in LPT
+// prefill loads the crew's recycled claim queues from the batch in LPT
 // order, largest first, so the tail of the run is the smallest work:
 // the big blocks one per slot in exact size-descending order (the
 // 11k-instruction giant starts first), then the small blocks chunkSize
@@ -179,11 +166,11 @@ func (e *Engine) collectBins(dst []BinStats) []BinStats {
 // stable by index, gives the order in O(n); only the big prefix,
 // usually a handful of blocks, is sorted exactly. Closed channels
 // cannot be reused, so prefill ends each queue with one end marker per
-// worker — the zero value a closed channel yields — instead of closing
-// it, which keeps a warm Run allocation-free. It first drains what a
-// cancelled run left behind.
-func (e *Engine) prefill(blocks []*block.Block) *claimQueues {
-	q := &e.batch
+// crew worker — the zero value a closed channel yields — instead of
+// closing it, which keeps a warm Run allocation-free. It first drains
+// what a cancelled run left behind.
+func (c *crew) prefill(blocks []*block.Block) *claimQueues {
+	q := &c.q
 	for range len(q.bigQ) {
 		<-q.bigQ
 	}
@@ -217,7 +204,7 @@ func (e *Engine) prefill(blocks []*block.Block) *claimQueues {
 	})
 	q.items = items
 	small := items[nBig:]
-	nw := len(e.workers)
+	nw := len(c.workers)
 	if need := nBig + nw; cap(q.bigQ) < need {
 		q.bigQ = make(chan streamItem, need)
 	}

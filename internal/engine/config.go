@@ -13,30 +13,6 @@ import (
 // nonsense" from runtime failures.
 var ErrConfig = errors.New("invalid engine config")
 
-// ErrBusy is the sentinel a lifecycle misuse wraps: errors.Is(err,
-// ErrBusy) identifies an Engine.Close attempted while Run/RunStream
-// was still executing. The documented contract has always been "do not
-// call Close concurrently with a run"; ErrBusy turns a violation into
-// a structured refusal instead of unmapping the persistent cache file
-// under an active reader.
-var ErrBusy = errors.New("engine busy")
-
-// BusyError is the structured form of a rejected Close: how many runs
-// were in flight when it was attempted. It unwraps to ErrBusy.
-type BusyError struct {
-	// Active is the number of Run/RunStream invocations that had
-	// entered the engine and not yet returned.
-	Active int
-}
-
-// Error implements error.
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("engine: Close with %d active run(s); wait for Run/RunStream to return", e.Active)
-}
-
-// Unwrap makes every BusyError match errors.Is(err, ErrBusy).
-func (e *BusyError) Unwrap() error { return ErrBusy }
-
 // ConfigError is the structured form of a rejected Config: which field
 // was bad, the offending value, and why. It unwraps to ErrConfig.
 type ConfigError struct {

@@ -144,26 +144,27 @@ func (t *diskTier) close() error {
 	return t.c.Close()
 }
 
-// Close releases the engine's persistent cache tier: the write-behind
-// flusher drains its queue, the mapping is unmapped and the file
-// handle closed (marking a clean shutdown for crash recovery). A
-// Close attempted while Run/RunStream is still executing is refused
-// with a *BusyError (errors.Is(err, ErrBusy)) rather than unmapping
-// the file under an active reader. An engine without Config.CachePath
-// has nothing to release and Close is a no-op. The engine itself
-// remains usable — later runs just lose the disk tier.
+// Close waits for in-flight Run/RunStream calls (it checks out every
+// worker), then releases the persistent cache tier: the write-behind
+// flusher drains, the file is unmapped and closed (marking a clean
+// shutdown for crash recovery). Later and concurrent calls wait for
+// the first and return nil; a RunStream sink must not call it. The
+// engine remains usable — later runs just lose the disk tier.
 func (e *Engine) Close() error {
-	e.lcMu.Lock()
-	defer e.lcMu.Unlock()
-	if e.active > 0 {
-		return &BusyError{Active: e.active}
-	}
-	if e.disk == nil {
-		return nil
-	}
-	t := e.disk
-	e.disk = nil
-	return t.close()
+	var err error
+	e.closeOnce.Do(func() {
+		for range e.workers {
+			<-e.free
+		}
+		if e.disk != nil {
+			err = e.disk.close()
+			e.disk = nil
+		}
+		for _, w := range e.workers {
+			e.free <- w
+		}
+	})
+	return err
 }
 
 // probeDisk is the L2 lookup: it runs only after an L1 miss and

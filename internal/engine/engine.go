@@ -6,6 +6,11 @@
 // heuristics → schedule) performs no allocations once every buffer has
 // grown to the stream's largest block.
 //
+// Every Run/RunStream call checks workers out of a free list — one,
+// waited for, plus whatever others are free — and returns them on
+// exit, so concurrent callers each get a bounded share of the pool and
+// a lone caller gets all of it.
+//
 // Both entry points share one per-block function (worker.run) and one
 // claim loop over two queues, big blocks one per slot and small blocks
 // in chunks (see stream.go). Run prefills the queues from its slice,
@@ -35,7 +40,8 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
+	// Workers is the worker-pool size, shared by concurrent runs;
+	// <= 0 means GOMAXPROCS.
 	Workers int
 	// Model is the target machine. Required.
 	Model *machine.Model
@@ -126,6 +132,7 @@ type Config struct {
 // Stats summarizes one batch run; the JSON form is what cmd/schedbench
 // -parallel writes to BENCH_engine.json.
 type Stats struct {
+	// Workers is the size of the crew that served the run.
 	Workers      int     `json:"workers"`
 	Blocks       int     `json:"blocks"`
 	Insts        int64   `json:"insts"`
@@ -209,8 +216,9 @@ type BatchResult struct {
 
 // tally is one worker's per-run counters. Each worker owns its tally
 // exclusively, so the hot path updates it without synchronization; a
-// run resets every tally on entry, sums them into Stats once the pool
-// drains, and a quarantine carries the tally across its scratch swap.
+// run resets its crew's tallies on entry, sums them into Stats once
+// the crew drains, and a quarantine carries the tally across its
+// scratch swap.
 type tally struct {
 	blocks, insts, arcs, cycles, degraded int64
 	// Schedule-cache outcomes: L1 hits, L2 (disk) hits, and misses of
@@ -354,12 +362,18 @@ func (w *worker) scheduleN2(b *block.Block, m *machine.Model) (r *sched.Result, 
 }
 
 // Engine is a reusable batch scheduler. Create one with New, then call
-// Run (or RunInto) any number of times; workers and their scratch
-// arenas persist across runs, which is what makes repeated batches
-// allocation-free in steady state.
+// Run (or RunInto) any number of times, from any number of goroutines;
+// workers and their scratch arenas persist across runs, which is what
+// makes repeated batches allocation-free in steady state.
 type Engine struct {
-	cfg     Config
+	cfg Config
+	// workers is the pool, fixed by New. free holds the members no run
+	// has checked out: a worker belongs to at most one run at a time,
+	// which is all the exclusion its scratch needs. crews recycles
+	// per-run state, one per worker since every run has a lead.
 	workers []*worker
+	free    chan *worker
+	crews   chan *crew
 	// cache is the block-fingerprint schedule cache (nil unless
 	// Config.Cache). It persists across Run calls, so a corpus that
 	// repeats — or a second run over the same corpus — hits.
@@ -373,30 +387,54 @@ type Engine struct {
 	crossover int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
-	inj *fault.Injector
-	// batch is Run's claim queues, recycled across runs (see prefill).
-	batch claimQueues
-
-	// Lifecycle accounting: every Run/RunStream entry point increments
-	// active under lcMu and decrements it on return, and Close refuses
-	// (with a BusyError) while it is nonzero — so the persistent tier
-	// can never be unmapped under a worker mid-probe.
-	lcMu   sync.Mutex //sched:lock-rank 5
-	active int        //sched:guarded-by lcMu
+	inj       *fault.Injector
+	closeOnce sync.Once // Close releases the disk tier once
 }
 
-// beginRun records one entering Run/RunStream invocation.
-func (e *Engine) beginRun() {
-	e.lcMu.Lock()
-	e.active++
-	e.lcMu.Unlock()
+// crew is one run's workers, lead first, plus the per-run state
+// recycled beside them (a quarantine overwrites a whole worker).
+type crew struct {
+	workers []*worker
+	q       claimQueues // Run's claim queues (see prefill)
+	// wg joins the spawned workers: a field, not a local of work, which
+	// the goroutines' closure would move to the heap.
+	wg sync.WaitGroup
 }
 
-// endRun retires one Run/RunStream invocation.
-func (e *Engine) endRun() {
-	e.lcMu.Lock()
-	e.active--
-	e.lcMu.Unlock()
+// checkout hands a run its crew, tallies zeroed: it waits for a lead
+// worker until one is free or done closes (reporting false), then adds
+// every other worker free at that moment without waiting.
+func (e *Engine) checkout(done <-chan struct{}) (*crew, bool) {
+	var lead *worker
+	select {
+	case lead = <-e.free:
+	case <-done:
+		return nil, false
+	}
+	c := <-e.crews
+	c.workers = append(c.workers[:0], lead)
+fill:
+	for range cap(c.workers) - 1 {
+		select {
+		case w := <-e.free:
+			c.workers = append(c.workers, w)
+		default:
+			break fill
+		}
+	}
+	for _, w := range c.workers {
+		w.tally = tally{}
+	}
+	return c, true
+}
+
+// release returns c's workers, lead first — so a lone caller keeps one
+// lead rather than growing every worker's scratch in turn — then c.
+func (e *Engine) release(c *crew) {
+	for _, w := range c.workers {
+		e.free <- w
+	}
+	e.crews <- c
 }
 
 // New validates cfg and builds the worker pool. Every rejected Config
@@ -410,10 +448,13 @@ func New(cfg Config) (*Engine, error) {
 		// validate already vetted the plan; this is belt and braces.
 		return nil, &ConfigError{Field: "FaultPlan", Value: cfg.FaultPlan, Reason: err.Error()}
 	}
-	e := &Engine{cfg: cfg, workers: make([]*worker, cfg.Workers), inj: inj}
+	n := cfg.Workers
+	e := &Engine{cfg: cfg, workers: make([]*worker, n), free: make(chan *worker, n), crews: make(chan *crew, n), inj: inj}
 	for i := range e.workers {
 		e.workers[i] = newWorker(&e.cfg)
 		e.workers[i].e, e.workers[i].inj = e, inj
+		e.free <- e.workers[i]
+		e.crews <- &crew{workers: make([]*worker, 0, n)}
 	}
 	if cfg.Cache {
 		e.cache = newSchedCache(cfg.CacheCap)
@@ -454,9 +495,9 @@ func (e *Engine) Run(blocks []*block.Block) (*BatchResult, error) {
 	return e.RunIntoCtx(context.Background(), new(BatchResult), blocks)
 }
 
-// RunCtx is Run with cooperative cancellation: workers check ctx at
-// every block claim and stop claiming once it is done (a block already
-// mid-pipeline finishes — the engine never abandons a claimed block
+// RunCtx is Run with cooperative cancellation: a run still waiting for
+// a free worker returns at once; workers check ctx at every block claim
+// and stop claiming once it is done (a claimed block is never abandoned
 // half-written). A cancelled run returns ctx's error; the result's
 // contents are then partial and its Stats are not computed.
 //
@@ -477,8 +518,11 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.beginRun()
-	defer e.endRun()
+	c, ok := e.checkout(ctx.Done())
+	if !ok {
+		return res, fmt.Errorf("engine: run cancelled: %w", ctx.Err())
+	}
+	defer e.release(c)
 	nb := len(blocks)
 	res.Cycles = buf.Int32(res.Cycles, nb)
 	res.Arcs = buf.Int32(res.Arcs, nb)
@@ -520,16 +564,16 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	}
 	res.Rungs = res.Rungs[:nb]
 
-	e.resetTallies()
 	start := time.Now()
 	if nb > 0 {
-		e.work(e.prefill(blocks), res, ctx.Done())
+		c.work(c.prefill(blocks), res, ctx.Done())
+		clear(c.q.items) // the crew outlives the run: drop its blocks
 	}
 	wall := time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("engine: run cancelled: %w", err)
 	}
-	res.Stats = e.stats(wall, res.Stats.Bins[:0]) // recycle the bin slice
+	res.Stats = e.stats(c, wall, res.Stats.Bins[:0]) // recycle the bin slice
 
 	for i, err := range res.errs {
 		if err != nil {
@@ -558,19 +602,12 @@ func (res *BatchResult) put(it streamItem, o outcome) {
 	}
 }
 
-// resetTallies zeroes every worker's per-run counters.
-func (e *Engine) resetTallies() {
-	for _, w := range e.workers {
-		w.tally = tally{}
-	}
-}
-
-// stats sums the workers' tallies into one run's Stats, reusing bins'
+// stats sums crew c's tallies into one run's Stats, reusing bins'
 // storage for Stats.Bins.
-func (e *Engine) stats(wall time.Duration, bins []BinStats) Stats {
-	st := Stats{Workers: len(e.workers), WallSeconds: wall.Seconds()}
+func (e *Engine) stats(c *crew, wall time.Duration, bins []BinStats) Stats {
+	st := Stats{Workers: len(c.workers), WallSeconds: wall.Seconds()}
 	var hist [streamHistBuckets]int64
-	for _, w := range e.workers {
+	for _, w := range c.workers {
 		t := &w.tally
 		st.Blocks += int(t.blocks)
 		st.Insts += t.insts
@@ -602,7 +639,7 @@ func (e *Engine) stats(wall time.Duration, bins []BinStats) Stats {
 	if e.adaptive {
 		st.Crossover = e.crossover
 		if st.Blocks > 0 {
-			st.Bins = e.collectBins(bins)
+			st.Bins = c.collectBins(bins)
 		}
 	}
 	return st

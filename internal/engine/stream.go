@@ -93,10 +93,6 @@ type claimQueues struct {
 	chunkPool chan []streamItem
 	// items backs Run's prefilled chunks.
 	items []streamItem
-	// wg joins the pool's spawned workers. It is a field rather than a
-	// local of work, which the goroutines' closure would move to the
-	// heap, so a one-worker Run stays allocation-free.
-	wg sync.WaitGroup
 }
 
 // outcomeSink consumes claimed blocks' outcomes: a *BatchResult writes
@@ -105,20 +101,20 @@ type outcomeSink interface {
 	put(it streamItem, o outcome)
 }
 
-// work runs every worker's claim loop over q, delivering outcomes to
-// out, and returns once all of them have stopped. The calling
-// goroutine serves as worker 0, so a one-worker run starts no
-// goroutine at all.
-func (e *Engine) work(q *claimQueues, out outcomeSink, done <-chan struct{}) {
-	for _, w := range e.workers[1:] {
-		q.wg.Add(1)
+// work runs the claim loop of every crew worker over q, delivering
+// outcomes to out, and returns once all of them have stopped. The
+// calling goroutine serves as the lead worker, so a one-worker crew
+// starts no goroutine at all.
+func (c *crew) work(q *claimQueues, out outcomeSink, done <-chan struct{}) {
+	for _, w := range c.workers[1:] {
+		c.wg.Add(1)
 		go func(w *worker) {
-			defer q.wg.Done()
+			defer c.wg.Done()
 			w.claim(q, out, done)
 		}(w)
 	}
-	e.workers[0].claim(q, out, done)
-	q.wg.Wait()
+	c.workers[0].claim(q, out, done)
+	c.wg.Wait()
 }
 
 // claim is the claim loop: it takes blocks off q and runs each through
@@ -501,9 +497,10 @@ func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}) {
 // outcome's Order slice (and nothing else) is valid only during the
 // call. A nil sink discards outcomes. Config.CollectDAGStats has no
 // streaming form: BlockOutcome carries no DAG statistics.
-// Cancellation mirrors RunCtx: workers stop claiming at the next block
-// boundary, the sink sees a dense prefix of the stream, and ctx's
-// error is returned with the partial Stats.
+// Cancellation mirrors RunCtx: a stream still waiting for a worker
+// returns at once, workers stop claiming at the next block boundary,
+// the sink sees a dense prefix of the stream, and ctx's error is
+// returned with the partial Stats.
 //
 //sched:cancellable
 func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink func(BlockOutcome)) (Stats, error) {
@@ -516,10 +513,13 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	if sink == nil {
 		sink = func(BlockOutcome) {}
 	}
-	e.beginRun()
-	defer e.endRun()
+	c, ok := e.checkout(ctx.Done())
+	if !ok {
+		return Stats{}, fmt.Errorf("engine: stream cancelled: %w", ctx.Err())
+	}
+	defer e.release(c)
 	depth := e.cfg.StreamDepth
-	nw := len(e.workers)
+	nw := len(c.workers)
 
 	// Ring sizing: the dispatcher's reserve call caps the in-flight
 	// sequence span at the window, so correctness needs only window >=
@@ -549,7 +549,6 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 		s.chunkPool <- make([]streamItem, 0, chunkSize)
 	}
 
-	e.resetTallies()
 	done := ctx.Done()
 	start := time.Now()
 	// The dispatcher is joined explicitly: on a cancelled stream it can
@@ -562,7 +561,7 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	}()
 	emitDone := make(chan struct{})
 	go s.emitLoop(emitDone)
-	e.work(&s.claimQueues, s, done)
+	c.work(&s.claimQueues, s, done)
 	s.mu.Lock()
 	s.finished = true
 	s.cond.Broadcast()
@@ -571,7 +570,7 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	<-dispDone
 	wall := time.Since(start)
 
-	st := e.stats(wall, nil)
+	st := e.stats(c, wall, nil)
 	st.StreamDepth = depth
 	st.BigQueuePeak = s.bigPeak
 	st.SmallQueuePeak = s.smallPeak

@@ -7,7 +7,8 @@
 //     buckets (X-Tenant header) shed excess load with 429 and a
 //     truthful Retry-After; a bounded engine queue sheds with 429 when
 //     occupancy saturates; in-flight request bytes are accounted
-//     against a hard cap.
+//     against a hard cap. Admitted requests run concurrently, each on
+//     the share of the engine's workers free when it starts.
 //   - Deadlines: every request runs under a context deadline
 //     (?deadline_ms= or X-Deadline-Ms, clamped to a maximum), mapped
 //     onto Engine.RunCtx/RunStream cancellation; the engine's
@@ -22,13 +23,9 @@
 //     daemon's rung histogram attached for triage.
 //   - Lifecycle: /healthz is process liveness, /readyz flips to 503
 //     the moment a drain starts, and Drain stops admission, waits out
-//     in-flight requests, and flushes the persistent cache tier via
-//     Engine.Close so the next process warm-starts from disk.
-//
-// The engine is not concurrency-safe across runs (workers share
-// per-engine scratch), so the server serializes runs through a
-// capacity-one semaphore channel; the queue behind it is the
-// saturation signal admission control sheds on.
+//     in-flight requests (cancelling them once its budget runs out),
+//     and flushes the persistent cache tier via Engine.Close so the
+//     next process warm-starts from disk.
 package server
 
 import (
@@ -58,8 +55,9 @@ type Config struct {
 	// KeepOrders (responses carry schedules) and, for warm restarts,
 	// CachePath.
 	Engine *engine.Engine
-	// MaxQueue bounds engine-queue occupancy (the request being served
-	// plus waiters); past it requests shed with 429. <= 0 means 8.
+	// MaxQueue bounds engine-queue occupancy: the requests admitted to
+	// the engine at once, running or waiting for a free worker; past
+	// it requests shed with 429. <= 0 means 8.
 	MaxQueue int
 	// MaxBody bounds one request body in bytes (413 past it).
 	// <= 0 means 8 MiB.
@@ -162,11 +160,13 @@ type Server struct {
 	global  *bucket
 	tenants *tenantSet
 
-	// sem is the capacity-one engine semaphore; queued counts the
-	// holder plus waiters and is the saturation signal MaxQueue sheds
-	// on.
-	sem    chan struct{}
+	// queued counts the requests in the engine, running or waiting
+	// for a worker: the saturation signal MaxQueue sheds on.
 	queued atomic.Int64
+	// life is the server's lifetime context, joined to every request
+	// context; Drain cancels it (stop) when its budget runs out.
+	life context.Context
+	stop context.CancelFunc
 
 	// reqMu guards the admission gate: whether the daemon is still
 	// accepting work, and the in-flight byte reservation. wg tracks
@@ -226,8 +226,8 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		global:  newBucket(cfg.Rate, cfg.Burst),
 		tenants: newTenantSet(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants),
-		sem:     make(chan struct{}, 1),
 	}
+	s.life, s.stop = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/v1/schedule", s.guard(s.handleSchedule))
 	s.mux.HandleFunc("/v1/stream", s.guard(s.handleStream))
 	s.mux.HandleFunc("/healthz", s.guard(s.handleHealthz))
@@ -341,7 +341,8 @@ func (s *Server) bodyReserve(r *http.Request) int64 {
 // requestCtx derives the per-request deadline context: the client's
 // ?deadline_ms= (or X-Deadline-Ms header) clamped to MaxDeadline,
 // DefaultDeadline when unstated, layered over the connection context
-// so a vanished client cancels the run too.
+// so a vanished client cancels the run too, and cancelled with the
+// server's lifetime context by a forced drain.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	raw := r.URL.Query().Get("deadline_ms")
@@ -356,7 +357,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	if d > s.cfg.MaxDeadline {
 		d = s.cfg.MaxDeadline
 	}
-	return context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	unjoin := context.AfterFunc(s.life, cancel)
+	return ctx, func() { unjoin(); cancel() }
 }
 
 // tenantFor resolves the request's quota scope from the X-Tenant
@@ -399,26 +402,45 @@ func (s *Server) takeBuckets(w http.ResponseWriter, t *tenant) bool {
 	return true
 }
 
-// acquireEngine claims the engine semaphore, queueing behind at most
-// MaxQueue occupants. It returns the release closure on success; on
-// refusal it has already written the 429 (queue saturated) or 504
-// (deadline expired while queued).
-func (s *Server) acquireEngine(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
+// admit is the scheduling endpoints' admission prologue: POST only,
+// the drain gate, the rate buckets and the in-flight byte reservation.
+// A refusal is answered here; on success the caller calls finish.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (t *tenant, ctx context.Context, finish func(), ok bool) {
+	if r.Method != http.MethodPost {
+		s.jsonError(w, http.StatusMethodNotAllowed, "POST only", nil)
+		return nil, nil, nil, false
+	}
+	if !s.admitRequest() {
+		s.shedDrain.Add(1)
+		s.jsonError(w, http.StatusServiceUnavailable, "draining", nil)
+		return nil, nil, nil, false
+	}
+	t, reserve := s.tenantFor(r), s.bodyReserve(r)
+	if !s.takeBuckets(w, t) {
+		s.wg.Done()
+		return nil, nil, nil, false
+	}
+	if !s.reserveBytes(reserve) {
+		s.shedBytes.Add(1)
+		s.shedRateLimited(w, time.Second, "in-flight byte budget exhausted")
+		s.wg.Done()
+		return nil, nil, nil, false
+	}
+	ctx, cancel := s.requestCtx(r)
+	return t, ctx, func() { cancel(); s.releaseBytes(reserve); s.wg.Done() }, true
+}
+
+// acquireEngine counts the request into the engine queue, refusing
+// with a 429 (already written) past MaxQueue occupants. The caller
+// leaves the queue with s.queued.Add(-1) once its run returns.
+func (s *Server) acquireEngine(w http.ResponseWriter) bool {
 	if n := s.queued.Add(1); n > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.shedQueue.Add(1)
 		s.shedRateLimited(w, time.Second, "engine queue saturated")
-		return nil, false
+		return false
 	}
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem; s.queued.Add(-1) }, true
-	case <-ctx.Done():
-		s.queued.Add(-1)
-		s.deadlineHits.Add(1)
-		s.jsonError(w, http.StatusGatewayTimeout, "deadline expired while queued", nil)
-		return nil, false
-	}
+	return true
 }
 
 // tallyRun folds one run's engine.Stats into the daemon's cumulative
@@ -510,29 +532,11 @@ func (s *Server) runFailed(w http.ResponseWriter, ctx context.Context, err error
 //
 //sched:cancellable
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.jsonError(w, http.StatusMethodNotAllowed, "POST only", nil)
+	t, ctx, finish, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	if !s.admitRequest() {
-		s.shedDrain.Add(1)
-		s.jsonError(w, http.StatusServiceUnavailable, "draining", nil)
-		return
-	}
-	defer s.wg.Done()
-	t := s.tenantFor(r)
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if !s.takeBuckets(w, t) {
-		return
-	}
-	reserve := s.bodyReserve(r)
-	if !s.reserveBytes(reserve) {
-		s.shedBytes.Add(1)
-		s.shedRateLimited(w, time.Second, "in-flight byte budget exhausted")
-		return
-	}
-	defer s.releaseBytes(reserve)
+	defer finish()
 	body, err := readBody(w, r, s.cfg.MaxBody)
 	if err != nil {
 		s.badRequests.Add(1)
@@ -555,12 +559,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, ok := s.acquireEngine(ctx, w)
-	if !ok {
+	if !s.acquireEngine(w) {
 		return
 	}
 	res, err := s.eng.RunCtx(ctx, blocks)
-	release()
+	s.queued.Add(-1)
 	if err != nil {
 		s.runFailed(w, ctx, err)
 		return
@@ -620,36 +623,20 @@ type streamTrailer struct {
 // handleStream is the streaming endpoint: blocks are scheduled as the
 // body arrives and answered one NDJSON line each, in arrival order,
 // through Engine.RunStream's bounded pipeline — constant memory in the
-// stream's length. The first block is scanned before the status line
-// so a body that is malformed from the start still gets a clean 400;
-// a mid-stream scan error terminates the stream with an in-band error
-// trailer instead.
+// stream's length. The first block is scanned before the run so a body
+// that is malformed from the start still gets a clean 400, and the
+// status line waits for the first record, so a run that fails before
+// one (a deadline spent waiting for a worker) gets the same 504 or 500
+// as /v1/schedule; a mid-stream scan error terminates the stream with
+// an in-band error trailer instead.
 //
 //sched:cancellable
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.jsonError(w, http.StatusMethodNotAllowed, "POST only", nil)
+	t, ctx, finish, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	if !s.admitRequest() {
-		s.shedDrain.Add(1)
-		s.jsonError(w, http.StatusServiceUnavailable, "draining", nil)
-		return
-	}
-	defer s.wg.Done()
-	t := s.tenantFor(r)
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	if !s.takeBuckets(w, t) {
-		return
-	}
-	reserve := s.bodyReserve(r)
-	if !s.reserveBytes(reserve) {
-		s.shedBytes.Add(1)
-		s.shedRateLimited(w, time.Second, "in-flight byte budget exhausted")
-		return
-	}
-	defer s.releaseBytes(reserve)
+	defer finish()
 
 	sc := asm.NewBlockScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	first := &block.Block{}
@@ -664,11 +651,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, ok := s.acquireEngine(ctx, w)
-	if !ok {
+	if !s.acquireEngine(w) {
 		return
 	}
-	defer release()
+	defer s.queued.Add(-1)
 
 	// Records are flushed while the body is still being read. An
 	// HTTP/1.1 server that is not told so discards up to 256 KiB of the
@@ -679,19 +665,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusInternalServerError, "cannot stream: "+err.Error(), nil)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	started := false // the status line waits for the first record
 
 	src := make(chan *block.Block)
 	scanErrCh := make(chan error, 1)
 	go s.produceBlocks(ctx, sc, first, src, scanErrCh)
 
 	// The sink runs serially on RunStream's emitter goroutine, which
-	// RunStream joins before returning — enc is never used from two
-	// goroutines at once.
+	// RunStream joins before returning — enc and started are never used
+	// from two goroutines at once.
 	sink := func(o engine.BlockOutcome) {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+		}
 		s.rungs[o.Rung].Add(1)
 		rec := streamRecord{Seq: o.Seq, Cycles: o.Cycles, Arcs: o.Arcs, Rung: o.Rung.String(), Order: o.Order}
 		if o.Block != nil {
@@ -710,6 +700,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.tallyRun(&st)
+	if !started && runErr != nil {
+		s.runFailed(w, ctx, runErr)
+		return
+	}
 	trailer := streamTrailer{Done: true, Blocks: st.Blocks, Insts: st.Insts, Degraded: st.DegradedBlocks}
 	switch {
 	case scanErr != nil:
@@ -848,11 +842,12 @@ func (s *Server) totalShed() int64 {
 
 // Drain is the graceful-shutdown protocol: stop admission (readyz
 // flips to 503 and new requests shed immediately), wait for every
-// admitted request to finish — bounded by ctx; Forced reports an
-// overrun — then flush and release the engine's persistent cache tier
-// via Engine.Close so the next process warm-starts from a complete
-// file. Idempotent: a second Drain finds admission already stopped and
-// Close already a no-op.
+// admitted request to finish — bounded by ctx; on an overrun (Forced)
+// it cancels every in-flight request, whose runs stop at their next
+// block claim — then flush and release the engine's persistent cache
+// tier via Engine.Close, which waits for those runs, so the next
+// process warm-starts from a complete file. Idempotent: a second Drain
+// finds admission already stopped and Close already a no-op.
 func (s *Server) Drain(ctx context.Context) DrainReport {
 	s.reqMu.Lock()
 	s.draining = true
@@ -868,6 +863,7 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	case <-waitDone:
 	case <-ctx.Done():
 		rep.Forced = true
+		s.stop()
 	}
 	rep.CloseErr = s.eng.Close()
 	rep.Served = s.served.Load()

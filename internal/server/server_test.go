@@ -171,14 +171,54 @@ func TestMalformedAsm(t *testing.T) {
 	}
 }
 
-// TestQueueShed saturates the engine queue (the semaphore is held by
-// the test, standing in for a long run) and requires the next request
-// to shed 429 with a Retry-After instead of piling up.
+// openStream starts a /v1/stream request whose body stays open and
+// waits until the server has emitted n records. The body carries more
+// than one chunk of small blocks, since a partial chunk waits for more
+// input. Closing the returned writer ends the body; the request's
+// recorder arrives on the channel once its handler returns.
+func openStream(t *testing.T, s *Server, n int64) (*io.PipeWriter, <-chan *httptest.ResponseRecorder) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	served := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/stream", pr))
+		served <- w
+	}()
+	go func() { _, _ = io.WriteString(pw, corpusAsm(40)) }()
+	for deadline := time.Now().Add(10 * time.Second); s.rungs[engine.RungPrimary].Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the open stream emitted fewer than %d records", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return pw, served
+}
+
+// holdEngine opens a stream (openStream) whose RunStream then holds
+// every engine worker — it was alone when it checked them out — and
+// one engine-queue slot. The returned func ends the body and waits for
+// the request, which must have streamed to completion.
+func holdEngine(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	pw, served := openStream(t, s, 1)
+	return func() {
+		t.Helper()
+		pw.Close()
+		w := <-served
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"done":true`) {
+			t.Fatalf("holding stream: status %d: %s", w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestQueueShed saturates the engine queue with a real run — a stream
+// whose body is held open — and requires the next request to shed 429
+// with a Retry-After instead of piling up.
 func TestQueueShed(t *testing.T) {
 	s := newTestServer(t, nil, func(c *Config) { c.MaxQueue = 1 })
-	s.sem <- struct{}{} // occupy the engine
-	s.queued.Add(1)
-	defer func() { <-s.sem; s.queued.Add(-1) }()
+	release := holdEngine(t, s)
+	defer release()
 
 	w := post(s, "/v1/schedule", corpusAsm(2), nil)
 	if w.Code != http.StatusTooManyRequests {
@@ -192,20 +232,23 @@ func TestQueueShed(t *testing.T) {
 	}
 }
 
-// TestQueuedDeadline holds the engine and sends a short-deadline
-// request: it must come back 504 (expired while queued), never hang.
+// TestQueuedDeadline occupies every engine worker with a held-open
+// stream and sends short-deadline requests to both endpoints: each
+// must come back 504 (expired while waiting for a worker), never hang
+// — the stream included, since its status line waits for a record.
 func TestQueuedDeadline(t *testing.T) {
 	s := newTestServer(t, nil, nil)
-	s.sem <- struct{}{}
-	s.queued.Add(1)
-	defer func() { <-s.sem; s.queued.Add(-1) }()
+	release := holdEngine(t, s)
+	defer release()
 
-	w := post(s, "/v1/schedule?deadline_ms=5", corpusAsm(2), nil)
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
-	}
-	if n := s.Stats().DeadlineHits; n != 1 {
-		t.Fatalf("deadline_hits = %d, want 1", n)
+	for i, path := range []string{"/v1/schedule", "/v1/stream"} {
+		w := post(s, path+"?deadline_ms=5", corpusAsm(2), nil)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d, want 504: %s", path, w.Code, w.Body.String())
+		}
+		if n := s.Stats().DeadlineHits; n != int64(i+1) {
+			t.Fatalf("%s: deadline_hits = %d, want %d", path, n, i+1)
+		}
 	}
 }
 
@@ -371,6 +414,51 @@ func TestDrain(t *testing.T) {
 	}
 	if rep2.Shed != 1 {
 		t.Fatalf("second drain shed = %d, want 1", rep2.Shed)
+	}
+}
+
+// TestDrainForcedStream pins the bounded forced drain: with a stalled
+// /v1/stream in flight (its body never ends), Drain must give up
+// waiting at its budget, cancel the request so its run stops at the
+// next block claim, and still flush the cache — CloseErr nil, and a
+// fresh engine over the file serves the stream's blocks from disk.
+func TestDrainForcedStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sched.cache")
+	s := newTestServer(t, func(c *engine.Config) { c.CachePath = path }, nil)
+	pw, served := openStream(t, s, 2)
+	defer pw.Close()
+
+	const budget = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	rep := s.Drain(ctx)
+	if took := time.Since(start); took > budget+5*time.Second {
+		t.Fatalf("forced drain took %v on a %v budget", took, budget)
+	}
+	if !rep.Forced || rep.CloseErr != nil {
+		t.Fatalf("drain report %+v, want forced with a clean close", rep)
+	}
+	w := <-served
+	if !strings.Contains(w.Body.String(), `"done":false`) {
+		t.Fatalf("cancelled stream did not end with an error trailer: %s", w.Body.String())
+	}
+
+	eng, err := engine.New(engine.Config{Workers: 1, Model: machine.Super2(), CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	blocks, err := scanBlocks(context.Background(), []byte(corpusAsm(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DiskHits != 2 {
+		t.Fatalf("reopened cache served %d of 2 streamed blocks from disk", res.Stats.DiskHits)
 	}
 }
 

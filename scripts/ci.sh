@@ -19,7 +19,10 @@
 # byte-identical to a fault-free run; see DESIGN.md §9), the streaming
 # gates (RunStream byte-identity to batch at several worker counts,
 # cancellation, faulted streams and the bounded-memory test, all under
-# -race, plus producer/scanner equivalence tests; see DESIGN.md §10),
+# -race, the concurrent-caller hammer — Run, cancelled RunCtx and
+# RunStream racing on one two-tier-cache engine at 2 and 8 workers,
+# then Close — at count=10, plus producer/scanner equivalence tests;
+# see DESIGN.md §6 and §10),
 # the persistent-cache gates (the diskcache crash-recovery/corruption
 # suite and the engine's two-tier tests at eight workers under -race,
 # a two-process warm-start proof — one schedbench populates a cache
@@ -71,6 +74,7 @@ go run ./cmd/schedbench -chaos -bench grep -workers 8
 
 echo "== streaming gates (-race)"
 go test -race -run '^TestRunStream|^TestStreamHistogram' ./internal/engine
+go test -race -run '^TestEngineConcurrentCallers$|^TestCloseDuringRunStreamBusy$|^TestCloseDuringRunBusy$' -count 10 ./internal/engine
 go test -race -run '^TestStream|^TestGeneratePass|^TestCorpusDeterminismPin' ./internal/synth
 go test -race -run '^TestScanner|^TestStreamBlocks' ./internal/asm
 
