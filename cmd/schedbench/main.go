@@ -7,9 +7,8 @@
 //
 //	schedbench [-table3] [-table4] [-table5] [-fig1] [-all]
 //	           [-model pipe1|fpu|asym|super2] [-runs 5] [-bench name]
-//	schedbench -parallel [-workers N] [-builder tableb|tablef]
-//	           [-verify] [-cache=bool] [-adaptive=bool]
-//	           [-packedsel=bool] [-crossover N] [-json BENCH_engine.json]
+//	schedbench -parallel [-workers N] [-verify] [-cache=bool]
+//	           [-adaptive=bool] [-crossover N] [-json BENCH_engine.json]
 //	schedbench -chaos [-seed N] [-faultrate r] [-workers N]
 //	           [-bench name]
 //	schedbench -stream [-insts 100e6] [-depth N] [-workers N]
@@ -42,12 +41,11 @@
 // through to engine.Config (0 = calibrate); -adaptive=false runs every
 // engine table-only.
 //
-// With -packedsel (the default) the mixed corpus is additionally raced
-// with the schedule cache disabled against a DisablePackedSel engine,
-// so the report isolates what the packed-priority selection engine —
-// precomputed priority words, heap pick loop, 8-byte arcs — buys over
-// the winnowing rescan; the result lands in the JSON's "packedsel"
-// section.
+// Every -parallel run also times the mixed corpus with the schedule
+// cache disabled, so every block pays for selection through the
+// packed-priority heap; the result lands in the JSON's "packedsel"
+// section. (internal/sched's BenchmarkForwardPackedSel races that
+// selection engine against the winnowing rescan.)
 //
 // -chaos runs the fault-injection gate (see chaos.go): a seeded
 // fault.Plan is fired at the engine over the selected benchmark
@@ -137,11 +135,9 @@ func run() (code int) {
 		bench    = flag.String("bench", "", "restrict to one benchmark (prefix match)")
 		par      = flag.Bool("parallel", false, "benchmark the parallel batch engine")
 		workers  = flag.Int("workers", 0, "engine worker-pool size for -parallel (0 = GOMAXPROCS)")
-		builder  = flag.String("builder", "tableb", "engine construction pipeline for -parallel (tableb, tablef)")
 		verify   = flag.Bool("verify", false, "cross-check every engine schedule on the scoreboard simulator")
 		cache    = flag.Bool("cache", true, "enable the block-fingerprint schedule cache for -parallel")
 		adaptive = flag.Bool("adaptive", true, "use adaptive builder dispatch for -parallel, racing a table-only (crossover -1) engine")
-		packed   = flag.Bool("packedsel", true, "race the packed-priority selection engine against the winnowing rescan (cache off, mixed corpus) for -parallel")
 		cross    = flag.Int("crossover", 0, "adaptive n² size threshold for -parallel (0 = calibrate, <0 = never)")
 		jsonOut  = flag.String("json", "BENCH_engine.json", "file for -parallel engine statistics JSON")
 		chaos    = flag.Bool("chaos", false, "run the fault-injection chaos gate against the engine")
@@ -287,40 +283,31 @@ func run() (code int) {
 		}
 		fmt.Println(tables.WinnersBySize(wsets, m))
 	}
+	cfg := parallelConfig{
+		workers: *workers, verify: *verify,
+		cache: *cache, adaptive: *adaptive, crossover: *cross,
+	}
 	if *par {
-		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify,
-			cache: *cache, adaptive: *adaptive, packedsel: *packed,
-			crossover: *cross,
-		}
 		if err := runParallel(sets, m, *model, cfg, *jsonOut); err != nil {
 			return fail(exitRuntime, "%v", err)
 		}
 	}
 	if *stream {
-		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify,
-			cache: *cache, adaptive: *adaptive, crossover: *cross,
-		}
 		if err := runStream(m, *model, cfg, *insts, *depth, *bench, *jsonOut); err != nil {
 			return fail(exitRuntime, "stream: %v", err)
 		}
 	}
 	if *cacheFn != "" {
-		cfg := parallelConfig{
-			workers: *workers, builder: *builder, verify: *verify,
-			cache: *cache, adaptive: *adaptive, crossover: *cross,
-		}
 		if err := runWarmstart(sets, m, *model, cfg, *cacheFn, *warmExp, *jsonOut); err != nil {
 			return fail(exitRuntime, "warm start: %v", err)
 		}
 	}
 	if *serveURL != "" {
-		cfg := serveConfig{
+		scfg := serveConfig{
 			url: *serveURL, rate: *srvRate, duration: *srvDur,
 			tenants: *srvTen, warmExpect: *srvWarm, check: *srvCheck,
 		}
-		if err := runServe(sets, m, cfg, *jsonOut); err != nil {
+		if err := runServe(sets, m, scfg, *jsonOut); err != nil {
 			return fail(exitRuntime, "serve: %v", err)
 		}
 	}
@@ -364,7 +351,6 @@ type engineReport struct {
 // engineFile is the BENCH_engine.json document.
 type engineFile struct {
 	Model      string         `json:"model"`
-	Builder    string         `json:"builder"`
 	Workers    int            `json:"workers"`
 	Cache      bool           `json:"cache"`
 	Adaptive   bool           `json:"adaptive"`
@@ -376,32 +362,27 @@ type engineFile struct {
 	// Warmstart is the -cachefile run's section, written by
 	// mergeWarmstartReport and likewise preserved.
 	Warmstart *warmstartReport `json:"warmstart,omitempty"`
-	// PackedSel is the -packedsel race's section, rewritten by -parallel
-	// runs with -packedsel on and preserved by everything else.
+	// PackedSel is the cache-off packed-selection run's section,
+	// rewritten by every -parallel run.
 	PackedSel *packedselReport `json:"packedsel,omitempty"`
 	// Serve is the -serve load run's section, written by
 	// mergeServeReport and likewise preserved.
 	Serve *serveReport `json:"serve,omitempty"`
 }
 
-// packedselReport records the packed-priority selection race: the same
-// mixed corpus scheduled with the cache disabled (so every block pays
-// for selection) by the default engine and by a DisablePackedSel
-// engine, both warm. Speedup is winnow wall over packed wall.
+// packedselReport records the mixed corpus scheduled warm with the
+// cache disabled, so every block pays for selection through the
+// packed-priority heap.
 type packedselReport struct {
-	Packed  engine.Stats `json:"packed"`
-	Winnow  engine.Stats `json:"winnow"`
-	Speedup float64      `json:"speedup"`
+	Packed engine.Stats `json:"packed"`
 }
 
 // parallelConfig carries the -parallel flag group.
 type parallelConfig struct {
 	workers   int
-	builder   string
 	verify    bool
 	cache     bool
 	adaptive  bool
-	packedsel bool
 	crossover int
 }
 
@@ -424,7 +405,7 @@ func (c parallelConfig) crossoverFor(fixed bool) int {
 func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string, cfg parallelConfig, jsonPath string) error {
 	mk := func(w int, fixed bool) (*engine.Engine, error) {
 		return engine.New(engine.Config{
-			Workers: w, Model: m, Builder: cfg.builder, Verify: cfg.verify,
+			Workers: w, Model: m, Verify: cfg.verify,
 			Cache: cfg.cache, Crossover: cfg.crossoverFor(fixed),
 		})
 	}
@@ -438,7 +419,7 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 	}
 	// The pooled mixed corpus: tiny spice-like blocks riding alongside
 	// windowed fpppp giants. It is the adaptive dispatch's home turf and
-	// the packed-selection race's measuring ground.
+	// the packed-selection run's measuring ground.
 	var mixed []*block.Block
 	for _, set := range sets {
 		mixed = append(mixed, set.Blocks...)
@@ -451,8 +432,8 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 		sets = append(sets, tables.BenchmarkSet{Name: "mixed", Blocks: mixed})
 	}
 
-	fmt.Printf("Parallel batch engine: builder %s, %d workers, model %s, cache %v, adaptive %v (crossover %d)\n\n",
-		cfg.builder, parallel.Workers(), modelName, cfg.cache, cfg.adaptive, parallel.Crossover())
+	fmt.Printf("Parallel batch engine: %d workers, model %s, cache %v, adaptive %v (crossover %d)\n\n",
+		parallel.Workers(), modelName, cfg.cache, cfg.adaptive, parallel.Crossover())
 	adaptCol := ""
 	if cfg.adaptive {
 		adaptCol = "   adapt"
@@ -463,7 +444,7 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 	fmt.Println(strings.Repeat("-", 98+len(adaptCol)))
 
 	doc := engineFile{
-		Model: modelName, Builder: cfg.builder, Workers: parallel.Workers(),
+		Model: modelName, Workers: parallel.Workers(),
 		Cache: cfg.cache, Adaptive: cfg.adaptive,
 		Crossover: parallel.Crossover(),
 	}
@@ -523,26 +504,20 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 		}
 	}
 
-	if cfg.packedsel {
-		rep, err := runPackedSelRace(mixed, m, cfg)
-		if err != nil {
-			return err
-		}
-		doc.PackedSel = rep
-		fmt.Printf("\npacked selection race (mixed, cache off): packed %.0f insts/s (%d/%d blocks packed), winnow %.0f insts/s, speedup %.2fx\n",
-			rep.Packed.InstsPerSec, rep.Packed.PackedSelBlocks, rep.Packed.Blocks,
-			rep.Winnow.InstsPerSec, rep.Speedup)
+	rep, err := runPackedSel(mixed, m, cfg)
+	if err != nil {
+		return err
 	}
+	doc.PackedSel = rep
+	fmt.Printf("\npacked selection (mixed, cache off): %.0f insts/s (%d/%d blocks packed)\n",
+		rep.Packed.InstsPerSec, rep.Packed.PackedSelBlocks, rep.Packed.Blocks)
 
-	// -stream and -cachefile sections recorded by earlier runs ride
-	// along (and the packedsel section too, when this run didn't race it).
+	// -stream, -cachefile and -serve sections recorded by earlier runs
+	// ride along.
 	if old, err := readEngineFile(jsonPath); err == nil {
 		doc.Stream = old.Stream
 		doc.Warmstart = old.Warmstart
 		doc.Serve = old.Serve
-		if doc.PackedSel == nil {
-			doc.PackedSel = old.PackedSel
-		}
 	}
 	if err := writeEngineFile(jsonPath, &doc); err != nil {
 		return err
@@ -551,55 +526,34 @@ func runParallel(sets []tables.BenchmarkSet, m *machine.Model, modelName string,
 	return nil
 }
 
-// runPackedSelRace measures the packed-priority selection engine
-// against the winnowing rescan on the mixed corpus. The schedule cache
-// is off for both engines so every block pays for selection on every
-// run — with it on, a warm pass would serve hits and measure memcpy,
-// not the pick loop. Both engines are warmed with one full pass, then
-// the timed passes alternate arms and each arm keeps its best (lowest
-// wall) pass: interleaving cancels slow drift in machine load, and the
-// per-arm minimum discards transient stalls the way benchstat's min
-// column does, so the recorded speedup reflects the code, not the
-// neighbors on the box.
-func runPackedSelRace(mixed []*block.Block, m *machine.Model, cfg parallelConfig) (*packedselReport, error) {
-	mk := func(disable bool) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			Workers: cfg.workers, Model: m, Builder: cfg.builder,
-			DisablePackedSel: disable, Crossover: cfg.crossover,
-		})
+// runPackedSel times the packed-priority selection engine on the mixed
+// corpus. The schedule cache is off so every block pays for selection
+// on every run — with it on, a warm pass would serve hits and measure
+// memcpy, not the pick loop. The engine is warmed with one full pass,
+// then it keeps its best (lowest wall) of the timed passes: the
+// minimum discards transient stalls the way benchstat's min column
+// does, so the recorded figure reflects the code, not the neighbors
+// on the box.
+func runPackedSel(mixed []*block.Block, m *machine.Model, cfg parallelConfig) (*packedselReport, error) {
+	e, err := engine.New(engine.Config{Workers: cfg.workers, Model: m, Crossover: cfg.crossover})
+	if err != nil {
+		return nil, err
 	}
-	rep := new(packedselReport)
-	arms := []struct {
-		disable bool
-		stats   *engine.Stats
-	}{{false, &rep.Packed}, {true, &rep.Winnow}}
-	engines := make([]*engine.Engine, len(arms))
 	res := new(engine.BatchResult)
-	for i, arm := range arms {
-		e, err := mk(arm.disable)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e.RunInto(res, mixed); err != nil {
-			return nil, fmt.Errorf("packedsel race: %w", err)
-		}
-		engines[i] = e
+	if _, err := e.RunInto(res, mixed); err != nil {
+		return nil, fmt.Errorf("packedsel: %w", err)
 	}
 	// Passes are cheap (the mixed corpus is small) and the best-of-N
 	// estimate converges on the machine's true speed as N grows.
 	const passes = 10
+	rep := new(packedselReport)
 	for pass := 0; pass < passes; pass++ {
-		for i, arm := range arms {
-			if _, err := engines[i].RunInto(res, mixed); err != nil {
-				return nil, fmt.Errorf("packedsel race: %w", err)
-			}
-			if pass == 0 || res.Stats.WallSeconds < arm.stats.WallSeconds {
-				*arm.stats = res.Stats
-			}
+		if _, err := e.RunInto(res, mixed); err != nil {
+			return nil, fmt.Errorf("packedsel: %w", err)
 		}
-	}
-	if rep.Packed.WallSeconds > 0 {
-		rep.Speedup = rep.Winnow.WallSeconds / rep.Packed.WallSeconds
+		if pass == 0 || res.Stats.WallSeconds < rep.Packed.WallSeconds {
+			rep.Packed = res.Stats
+		}
 	}
 	return rep, nil
 }

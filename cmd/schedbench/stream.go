@@ -71,7 +71,7 @@ func runStream(m *machine.Model, modelName string, cfg parallelConfig, insts flo
 	}
 	mk := func() (*engine.Engine, error) {
 		return engine.New(engine.Config{
-			Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
+			Workers: cfg.workers, Model: m, Verify: cfg.verify,
 			Cache: cfg.cache, Crossover: cfg.crossoverFor(!cfg.adaptive),
 			StreamDepth: depth,
 		})
@@ -81,8 +81,8 @@ func runStream(m *machine.Model, modelName string, cfg parallelConfig, insts flo
 		return err
 	}
 
-	fmt.Printf("Streaming engine: %d workers, model %s, builder %s, cache %v, adaptive %v, depth %d, target %d insts\n",
-		e.Workers(), modelName, cfg.builder, cfg.cache, cfg.adaptive, depth, target)
+	fmt.Printf("Streaming engine: %d workers, model %s, cache %v, adaptive %v, depth %d, target %d insts\n",
+		e.Workers(), modelName, cfg.cache, cfg.adaptive, depth, target)
 
 	// Warm the worker arenas (and calibration already ran inside New)
 	// on one small pass so the measured stream sees the steady state.

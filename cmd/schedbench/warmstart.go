@@ -59,7 +59,7 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 	// included), so first-pass vs warm is a like-for-like comparison.
 	mk := func(path string) (*engine.Engine, error) {
 		return engine.New(engine.Config{
-			Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
+			Workers: cfg.workers, Model: m, Verify: cfg.verify,
 			Cache: cfg.cache, CachePath: path, Crossover: cfg.crossoverFor(!cfg.adaptive),
 			KeepOrders: true,
 		})
@@ -67,7 +67,7 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 
 	// The identity yardstick: the same pipeline with no cache at all.
 	refEngine, err := engine.New(engine.Config{
-		Workers: cfg.workers, Model: m, Builder: cfg.builder, Verify: cfg.verify,
+		Workers: cfg.workers, Model: m, Verify: cfg.verify,
 		Cache: false, Crossover: cfg.crossoverFor(!cfg.adaptive),
 		KeepOrders: true,
 	})

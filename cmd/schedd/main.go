@@ -52,6 +52,13 @@ const (
 	exitPanic   = 4
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and trickles
+// headers cannot hold them open indefinitely. There is deliberately no
+// whole-request ReadTimeout: /v1/stream reads its body for as long as
+// the stream runs.
+const readHeaderTimeout = 10 * time.Second
+
 func main() { os.Exit(run()) }
 
 // run is main behind the panic guard: no failure may crash the daemon
@@ -130,7 +137,7 @@ func run() (code int) {
 	// address matters when -addr asked for port 0.
 	fmt.Printf("schedd: listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -114,6 +114,44 @@ func TestDiskCachePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestDiskCacheReopenReadOnly reopens a populated file read-only: every
+// record must hit, and AppendBatch must refuse with ErrReadOnly without
+// moving the data tail.
+func TestDiskCacheReopenReadOnly(t *testing.T) {
+	c, path := openTemp(t, testOpts)
+	var recs []Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, rec(i))
+	}
+	if err := c.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Open(path, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if !ro.ReadOnly() {
+		t.Fatal("ReadOnly() = false on a read-only handle")
+	}
+	for _, r := range recs {
+		requireHit(t, ro, r)
+	}
+	tail := ro.Tail()
+	if err := ro.AppendBatch([]Record{rec(100), rec(101)}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("read-only AppendBatch: err = %v, want ErrReadOnly", err)
+	}
+	if got := ro.Tail(); got != tail {
+		t.Errorf("read-only AppendBatch moved the tail: %d, want %d", got, tail)
+	}
+	if got := ro.Len(); got != len(recs) {
+		t.Errorf("Len = %d, want %d", got, len(recs))
+	}
+}
+
 // TestDiskCacheCollisionNoAlias forces two distinct keys onto the same
 // fingerprint: the full-key compare must keep them apart, exactly like
 // the in-process tier.

@@ -90,8 +90,7 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 }
 
 // TestAdaptiveConfig pins the crossover resolution rules: clamping,
-// the never-n² negative sentinel, calibration bounds, and the
-// configurations that disable adaptive dispatch outright.
+// the never-n² negative sentinel and calibration bounds.
 func TestAdaptiveConfig(t *testing.T) {
 	m := machine.Pipe1()
 	mk := func(cfg Config) *Engine {
@@ -114,14 +113,6 @@ func TestAdaptiveConfig(t *testing.T) {
 	}
 	if c := mk(Config{}).Crossover(); c < 0 || c > 64 {
 		t.Errorf("calibrated crossover %d outside [0, 64]", c)
-	}
-	for _, cfg := range []Config{
-		{Builder: "tablef", Crossover: 16},
-		{CollectDAGStats: true, Crossover: 16},
-	} {
-		if e := mk(cfg); e.adaptive || e.Crossover() != 0 {
-			t.Errorf("config %+v left adaptive on (crossover %d)", cfg, e.Crossover())
-		}
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"daginsched/internal/dag"
 	"daginsched/internal/isa"
+	"daginsched/internal/machine"
 )
 
 // The block-fingerprint schedule cache. Benchmark corpora and real
@@ -14,11 +14,10 @@ import (
 // idioms, spill/reload pairs, epilogues), and the whole per-block
 // pipeline — resource preparation, DAG construction, heuristics, list
 // scheduling — is a pure function of the instruction sequence once the
-// engine's machine model, builder and memory model are fixed. Hashing
-// a canonical encoding of the instructions therefore lets a repeated
-// block skip the pipeline entirely: the memoized schedule is copied
-// into the block's result slot and the common case becomes a hash
-// lookup.
+// engine's machine model is fixed. Hashing a canonical encoding of the
+// instructions therefore lets a repeated block skip the pipeline
+// entirely: the memoized schedule is copied into the block's result
+// slot and the common case becomes a hash lookup.
 //
 // The cache is striped into shards, each behind its own mutex, so
 // concurrent workers do not serialize on one lock; it is bounded by a
@@ -51,7 +50,6 @@ type cacheEntry struct {
 	issue  []int32 // issue cycle per node, owned by the entry
 	cycles int32
 	arcs   int32
-	stats  dag.Stats // filled only when the engine collects DAG stats
 	// ref is the CLOCK reference bit: set by every lookup hit (under
 	// the shard lock), cleared by a passing eviction hand. An entry
 	// with its bit set gets a second chance; one without is evicted.
@@ -62,7 +60,7 @@ type cacheEntry struct {
 }
 
 type cacheShard struct {
-	mu sync.Mutex            //sched:lock-rank 20
+	mu sync.Mutex             //sched:lock-rank 20
 	m  map[uint64]*cacheEntry //sched:guarded-by mu
 	// ring is the CLOCK of resident hashes (capacity perShard, carved
 	// once at construction) and hand the eviction cursor. A hash whose
@@ -217,9 +215,9 @@ func (c *schedCache) entries() int {
 // count, length-prefixed symbols) so no block's encoding is a prefix
 // of another's. Labels and branch target names are deliberately
 // excluded: dependence analysis, machine delays and the schedulers
-// never read them. The engine-constant context (machine model,
-// builder, memory model) needs no encoding because every cache is
-// private to one Engine, whose configuration is immutable.
+// never read them. The machine model needs no encoding here because
+// the L1 is private to one Engine, whose configuration is immutable;
+// the disk tier, which outlives the engine, folds in modelKey.
 func appendBlockKey(dst []byte, insts []isa.Inst) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(insts)))
 	for i := range insts {
@@ -239,6 +237,40 @@ func appendBlockKey(dst []byte, insts []isa.Inst) []byte {
 		dst = append(dst, in.Mem.Sym...)
 	}
 	return dst
+}
+
+// modelKey fingerprints every machine.Model field that can change a
+// schedule: name, issue width, the delay parameters and flags, the
+// per-class unit structure and the per-opcode latencies. A new Model
+// field that changes schedules must be encoded here too
+// (TestModelKeyCoversModel counts the fields).
+func modelKey(m *machine.Model) uint64 {
+	var dst []byte
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Name)))
+	dst = append(dst, m.Name...)
+	for _, v := range [...]int{m.IssueWidth, m.WARDelay, m.PairSkew} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	var flags byte
+	if m.AsymBypass {
+		flags |= 1
+	}
+	if m.StoreForward {
+		flags |= 2
+	}
+	dst = append(dst, flags)
+	for c := range m.Units {
+		np := byte(0)
+		if m.NonPipelined[c] {
+			np = 1
+		}
+		dst = append(dst, np)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Units[c]))
+	}
+	for op := range isa.NumOpcodes {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Latency(isa.Opcode(op))))
+	}
+	return fnv1a64(dst)
 }
 
 // BlockKey returns the engine's content fingerprint for an

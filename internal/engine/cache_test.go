@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"daginsched/internal/block"
-	"daginsched/internal/dag"
 	"daginsched/internal/isa"
 	"daginsched/internal/machine"
 	"daginsched/internal/testgen"
@@ -233,22 +232,9 @@ func TestEngineCacheHitRateAndIdenticalOutput(t *testing.T) {
 		corpus = append(corpus, b, cloneBlock(b))
 	}
 
-	off, err := New(Config{Workers: 1, Model: m, KeepOrders: true, CollectDAGStats: true, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := off.Run(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrders := make([][]int32, len(want.Orders))
-	for i, o := range want.Orders {
-		wantOrders[i] = append([]int32(nil), o...)
-	}
-	wantCycles := append([]int32(nil), want.Cycles...)
-	wantStats := append([]dag.Stats(nil), want.DAGStats...)
+	wantOrders, wantCycles, wantArcs := serialReference(corpus, m)
 
-	on, err := New(Config{Workers: 1, Model: m, KeepOrders: true, CollectDAGStats: true, Verify: true, Cache: true})
+	on, err := New(Config{Workers: 1, Model: m, KeepOrders: true, Verify: true, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +242,7 @@ func TestEngineCacheHitRateAndIdenticalOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBatch(t, wantOrders, wantCycles, wantStats, first)
+	requireSameBatch(t, wantOrders, wantCycles, wantArcs, first)
 	// Each duplicated block should hit its twin even on the cold pass.
 	if first.Stats.CacheHits < int64(len(base)) {
 		t.Fatalf("cold pass hits=%d, want >= %d (duplicated corpus)",
@@ -267,7 +253,7 @@ func TestEngineCacheHitRateAndIdenticalOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBatch(t, wantOrders, wantCycles, wantStats, second)
+	requireSameBatch(t, wantOrders, wantCycles, wantArcs, second)
 	if second.Stats.CacheHitRate != 1.0 {
 		t.Fatalf("warm pass hit rate %.3f (hits=%d misses=%d), want 1.0",
 			second.Stats.CacheHitRate, second.Stats.CacheHits, second.Stats.CacheMisses)
@@ -276,28 +262,14 @@ func TestEngineCacheHitRateAndIdenticalOutput(t *testing.T) {
 
 // TestEngineCacheDeterminism is the race-suite target: eight workers
 // racing on a cache-enabled engine must produce schedules byte-identical
-// to a one-worker cache-disabled reference, across repeated runs (cold
+// to the cache-free serial reference, across repeated runs (cold
 // cache, then warm). scripts/ci.sh runs this under -race.
 func TestEngineCacheDeterminism(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := testBlocks(t, 60)
+	wantOrders, wantCycles, wantArcs := serialReference(blocks, m)
 
-	ref, err := New(Config{Workers: 1, Model: m, KeepOrders: true, CollectDAGStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := ref.Run(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrders := make([][]int32, len(serial.Orders))
-	for i, o := range serial.Orders {
-		wantOrders[i] = append([]int32(nil), o...)
-	}
-	wantCycles := append([]int32(nil), serial.Cycles...)
-	wantStats := append([]dag.Stats(nil), serial.DAGStats...)
-
-	e8, err := New(Config{Workers: 8, Model: m, KeepOrders: true, CollectDAGStats: true, Verify: true, Cache: true})
+	e8, err := New(Config{Workers: 8, Model: m, KeepOrders: true, Verify: true, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +278,7 @@ func TestEngineCacheDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		requireSameBatch(t, wantOrders, wantCycles, wantStats, par)
+		requireSameBatch(t, wantOrders, wantCycles, wantArcs, par)
 	}
 }
 

@@ -34,18 +34,13 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 // *ConfigError. The rules per field:
 //
 //   - Model: required.
-//   - Builder: "" defaults to "tableb"; anything but tableb/tablef is
-//     rejected.
 //   - Workers: 0 means GOMAXPROCS (filled in here); negative is
 //     rejected rather than silently treated as a default.
 //   - CacheCap/Crossover: 0 means "default/calibrate"; a negative
 //     CacheCap is rejected (a negative Crossover is a documented "never
 //     route to n²" setting and stays legal); Crossover above
 //     dag.N2MaskCap is clamped to it.
-//   - CachePath: implies Cache; rejected combined with
-//     CollectDAGStats (the disk tier stores no DAG statistics, so a
-//     disk-served block could not fill its DAGStats slot).
-//   - CacheReadOnly: requires CachePath.
+//   - CachePath: implies Cache.
 //   - BlockTimeout: negative is rejected; 0 disables deadlines.
 //   - StreamDepth: negative is rejected; 0 means the 256-block default.
 //   - FaultPlan: rates must lie in [0, 1] and SlowDelay must be
@@ -53,13 +48,6 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 func (cfg *Config) validate() error {
 	if cfg.Model == nil {
 		return &ConfigError{Field: "Model", Value: nil, Reason: "a machine model is required"}
-	}
-	switch cfg.Builder {
-	case "":
-		cfg.Builder = "tableb"
-	case "tableb", "tablef":
-	default:
-		return &ConfigError{Field: "Builder", Value: cfg.Builder, Reason: "unknown builder (want tableb or tablef)"}
 	}
 	if cfg.Workers < 0 {
 		return &ConfigError{Field: "Workers", Value: cfg.Workers, Reason: "negative worker count (0 means GOMAXPROCS)"}
@@ -73,13 +61,7 @@ func (cfg *Config) validate() error {
 	if cfg.Crossover > dag.N2MaskCap {
 		cfg.Crossover = dag.N2MaskCap
 	}
-	if cfg.CacheReadOnly && cfg.CachePath == "" {
-		return &ConfigError{Field: "CacheReadOnly", Value: true, Reason: "requires CachePath (there is no file to open read-only)"}
-	}
 	if cfg.CachePath != "" {
-		if cfg.CollectDAGStats {
-			return &ConfigError{Field: "CachePath", Value: cfg.CachePath, Reason: "incompatible with CollectDAGStats (the persistent tier stores no DAG statistics)"}
-		}
 		cfg.Cache = true
 	}
 	if cfg.BlockTimeout < 0 {

@@ -22,9 +22,11 @@
 // Content-keyed fingerprints make persistence safe by construction:
 // the disk tier stores the same canonical block encodings the L1 keys
 // on, every lookup re-validates key and checksum, and the always-on
-// legality gate re-checks every served order. Read-only mode
-// (Config.CacheReadOnly) lets any number of processes share one
-// populated file with no write traffic at all.
+// legality gate re-checks every served order. The L1 is private to
+// one engine and so to one machine model, but a file is not: every
+// disk fingerprint is the block's L1 hash XORed with the model's
+// (modelKey), so engines for different models sharing one file never
+// serve each other's schedules.
 
 package engine
 
@@ -44,9 +46,9 @@ import (
 // file completely (the warm-start gate demands every schedule be
 // served from disk, not "most, minus whatever a full queue dropped").
 type diskTier struct {
-	c  *diskcache.Cache
-	ro bool
-	wg sync.WaitGroup
+	c     *diskcache.Cache
+	model uint64 // modelKey of the engine's machine, folded into every fingerprint
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex         //sched:lock-rank 30
 	pending []diskcache.Record //sched:guarded-by mu
@@ -54,19 +56,16 @@ type diskTier struct {
 	kick    chan struct{}      // wakes the flusher; buffered, never blocks
 }
 
-// newDiskTier opens the cache file and, for writable handles, starts
-// the flusher.
-func newDiskTier(path string, ro bool) (*diskTier, error) {
-	c, err := diskcache.Open(path, diskcache.Options{ReadOnly: ro})
+// newDiskTier opens the cache file for an engine whose machine model
+// fingerprints to model, and starts the flusher.
+func newDiskTier(path string, model uint64) (*diskTier, error) {
+	c, err := diskcache.Open(path, diskcache.Options{})
 	if err != nil {
 		return nil, err
 	}
-	t := &diskTier{c: c, ro: ro}
-	if !ro {
-		t.kick = make(chan struct{}, 1)
-		t.wg.Add(1)
-		go t.flusher()
-	}
+	t := &diskTier{c: c, model: model, kick: make(chan struct{}, 1)}
+	t.wg.Add(1)
+	go t.flusher()
 	return t, nil
 }
 
@@ -103,12 +102,9 @@ func (t *diskTier) flusher() {
 // never touches the disk or the flock: it appends to the pending list
 // under the mutex and pokes the (buffered) wake channel.
 func (t *diskTier) enqueue(h uint64, ent *cacheEntry) {
-	if t.kick == nil {
-		return
-	}
 	// The entry's slices are immutable after the L1 insert, so the
 	// record may alias them; the flusher only reads.
-	rec := diskcache.Record{Fp: h, Key: ent.key, Order: ent.order, Issue: ent.issue, Cycles: ent.cycles, Arcs: ent.arcs}
+	rec := diskcache.Record{Fp: h ^ t.model, Key: ent.key, Order: ent.order, Issue: ent.issue, Cycles: ent.cycles, Arcs: ent.arcs}
 	t.mu.Lock()
 	if !t.closed {
 		t.pending = append(t.pending, rec)
@@ -120,27 +116,21 @@ func (t *diskTier) enqueue(h uint64, ent *cacheEntry) {
 	}
 }
 
-// remove propagates a poisoned-entry removal to the disk tier
-// (read-only handles cannot, and need not within this process: the
-// L1 removal already prevents re-serving here).
+// remove propagates a poisoned-entry removal to the disk tier.
 func (t *diskTier) remove(h uint64, key []byte) {
-	if !t.ro {
-		t.c.Remove(h, key)
-	}
+	t.c.Remove(h^t.model, key)
 }
 
 // close flushes every pending write and releases the file.
 func (t *diskTier) close() error {
-	if t.kick != nil {
-		t.mu.Lock()
-		t.closed = true
-		t.mu.Unlock()
-		select {
-		case t.kick <- struct{}{}:
-		default:
-		}
-		t.wg.Wait()
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+	select {
+	case t.kick <- struct{}{}:
+	default:
 	}
+	t.wg.Wait()
 	return t.c.Close()
 }
 
@@ -173,5 +163,6 @@ func (e *Engine) Close() error {
 //
 //sched:noalloc
 func (w *worker) probeDisk(h uint64) bool {
-	return w.e.disk.c.Lookup(h, w.enc, &w.l2)
+	t := w.e.disk
+	return t.c.Lookup(h^t.model, w.enc, &w.l2)
 }

@@ -1,14 +1,14 @@
 package engine
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"daginsched/internal/block"
-	"daginsched/internal/diskcache"
 	"daginsched/internal/fault"
+	"daginsched/internal/isa"
 	"daginsched/internal/machine"
 )
 
@@ -194,50 +194,67 @@ func TestDiskWarmStartStream(t *testing.T) {
 	}
 }
 
-// TestDiskReadOnly opens a populated file read-only: every block is
-// served from disk, and the file is not written — its tail is
-// byte-stable across the run.
-func TestDiskReadOnly(t *testing.T) {
-	m := machine.Pipe1()
+// TestDiskCrossModel shares one cache file between engines for two
+// machine models. The block encoding alone cannot tell their schedules
+// apart, so without the model in the disk fingerprint a Pipe1 engine
+// reopening a file a Super2 engine populated would serve Super2
+// schedules. Each model must miss the other's entries, compute its own
+// schedules, and then warm-start from its own entries in the shared
+// file.
+func TestDiskCrossModel(t *testing.T) {
 	blocks := testBlocks(t, 30)
 	path := diskPath(t)
+	distinct := int64(distinctBlocks(blocks))
 
-	cold, err := New(Config{Workers: 2, Model: m, CachePath: path})
-	if err != nil {
-		t.Fatal(err)
+	run := func(m *machine.Model) *BatchResult {
+		t.Helper()
+		e, err := New(Config{Workers: 2, Model: m, KeepOrders: true, CachePath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeEngine(t, e)
+		res, err := e.Run(blocks)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		return res
 	}
-	if _, err := cold.Run(blocks); err != nil {
-		t.Fatal(err)
+	for _, m := range []*machine.Model{machine.Super2(), machine.Pipe1()} {
+		wantOrders, wantCycles, wantArcs := serialReference(blocks, m)
+		cold := run(m)
+		if cold.Stats.DiskHits != 0 {
+			t.Errorf("%s cold run: %d disk hits from another model's entries", m.Name, cold.Stats.DiskHits)
+		}
+		requireSameBatch(t, wantOrders, wantCycles, wantArcs, cold)
+		warm := run(m)
+		if warm.Stats.DiskHits != distinct {
+			t.Errorf("%s warm run: %d disk hits, want %d", m.Name, warm.Stats.DiskHits, distinct)
+		}
+		requireSameBatch(t, wantOrders, wantCycles, wantArcs, warm)
 	}
-	closeEngine(t, cold)
+}
 
-	probe, err := diskcache.Open(path, diskcache.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
+// TestModelKeyCoversModel pins modelKey to the machine.Model it
+// fingerprints: every preset gets a distinct key, a one-opcode latency
+// change moves it, and the field count guards against a new Model
+// field that modelKey does not encode.
+func TestModelKeyCoversModel(t *testing.T) {
+	if n := reflect.TypeOf(machine.Model{}).NumField(); n != 9 {
+		t.Fatalf("machine.Model has %d fields; update modelKey and this count", n)
 	}
-	tailBefore := probe.Tail()
-	probe.Close()
-
-	ro, err := New(Config{Workers: 2, Model: m, Verify: true, CachePath: path, CacheReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	seen := map[uint64]string{}
+	for _, m := range []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Asym(), machine.Super2(), machine.Deep()} {
+		k := modelKey(m)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("models %s and %s share key %#x", prev, m.Name, k)
+		}
+		seen[k] = m.Name
 	}
-	res, err := ro.Run(blocks)
-	if err != nil {
-		t.Fatalf("read-only run: %v", err)
-	}
-	if distinct := int64(distinctBlocks(blocks)); res.Stats.DiskHits != distinct {
-		t.Errorf("read-only run: %d disk hits, want %d", res.Stats.DiskHits, distinct)
-	}
-	closeEngine(t, ro)
-
-	probe, err = diskcache.Open(path, diskcache.Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer probe.Close()
-	if got := probe.Tail(); got != tailBefore {
-		t.Errorf("read-only run moved the tail: %d, want %d", got, tailBefore)
+	m := machine.Pipe1()
+	k := modelKey(m)
+	m.SetLatency(isa.LD, m.Latency(isa.LD)+1)
+	if modelKey(m) == k {
+		t.Error("a latency change left modelKey unchanged")
 	}
 }
 
@@ -356,17 +373,10 @@ func TestDiskPoisonPurgedFromFile(t *testing.T) {
 	}
 }
 
-// TestDiskConfigRules pins the validation surface: CacheReadOnly needs
-// CachePath, CachePath rejects CollectDAGStats, and CachePath implies
+// TestDiskConfigRules pins the validation surface: CachePath implies
 // Cache.
 func TestDiskConfigRules(t *testing.T) {
 	m := machine.Pipe1()
-	if _, err := New(Config{Model: m, CacheReadOnly: true}); !errors.Is(err, ErrConfig) {
-		t.Errorf("CacheReadOnly without CachePath: err = %v, want ErrConfig", err)
-	}
-	if _, err := New(Config{Model: m, CachePath: diskPath(t), CollectDAGStats: true}); !errors.Is(err, ErrConfig) {
-		t.Errorf("CachePath with CollectDAGStats: err = %v, want ErrConfig", err)
-	}
 	e, err := New(Config{Model: m, CachePath: diskPath(t)})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,13 @@
 // heuristics → schedule) performs no allocations once every buffer has
 // grown to the stream's largest block.
 //
+// The pipeline is fixed: backward table building with every heuristic
+// computed in the same reverse walk (the paper's third approach,
+// Section 6), and n² construction instead for blocks at or below a
+// calibrated crossover (the Tables 4–5 regime result; see adaptive.go).
+// Forward table building and the Table 3 DAG statistics are reproduced
+// by internal/tables, which calls the dag builders directly.
+//
 // Every Run/RunStream call checks workers out of a free list — one,
 // waited for, plus whatever others are free — and returns them on
 // exit, so concurrent callers each get a bounded share of the pool and
@@ -45,34 +52,15 @@ type Config struct {
 	Workers int
 	// Model is the target machine. Required.
 	Model *machine.Model
-	// Mem selects the memory-disambiguation model for the per-worker
-	// resource tables. The zero value is resource.MemExprModel.
-	Mem resource.MemModel
-	// Builder selects the construction pipeline: "tableb" (default) is
-	// backward table building with the static heuristics fused into
-	// construction — the paper's third approach; "tablef" is forward
-	// table building with a separate backward heuristic pass.
-	Builder string
 	// KeepOrders retains each block's scheduled order in the result
 	// (copied out of worker scratch into one flat per-batch arena).
 	KeepOrders bool
-	// CollectDAGStats retains per-block dag.Stats.
-	CollectDAGStats bool
 	// Verify re-times every schedule on the pipe scoreboard simulator —
 	// an independent witness that never consults the DAG — and fails
 	// the run on any cycle disagreement. Cache hits are re-simulated
 	// too: a memoized schedule gets the same independent witness as a
 	// freshly computed one.
 	Verify bool
-	// DisablePackedSel turns off the packed-priority selection engine
-	// entirely — neither the indexed ready-heap pick loop nor the packed
-	// static-prefix filter is engaged, and blocks are scheduled through
-	// the plain winnowing rescan even when the fused heuristic sweep
-	// produced an exact packed priority for them. Schedules are
-	// byte-identical either way (the packed word encodes the same ranked
-	// comparison the winnower performs); the switch is the identity
-	// gate's reference arm and the packedsel benchmark's baseline.
-	DisablePackedSel bool
 	// Cache enables the block-fingerprint schedule cache: repeated
 	// blocks skip DAG construction, heuristics and scheduling, copying
 	// the memoized schedule into the result slot. Output is
@@ -88,13 +76,10 @@ type Config struct {
 	// An L1 miss probes the file before scheduling; a healthy primary
 	// result is written behind by a flusher goroutine, so workers never
 	// block on disk. Setting it implies Cache. Call Engine.Close to
-	// flush and release the file. Incompatible with CollectDAGStats
-	// (the disk tier does not store DAG statistics).
+	// flush and release the file. Entries are keyed on the machine
+	// model as well as the block, so engines for different models can
+	// share one file without serving each other's schedules.
 	CachePath string
-	// CacheReadOnly opens CachePath read-only: the engine serves warm
-	// hits from the file but never writes to it, so any number of
-	// processes can share one populated cache. Requires CachePath.
-	CacheReadOnly bool
 	// Crossover is the adaptive-dispatch size threshold: a block of at
 	// most this many instructions is attempted on the n²-direct
 	// pipeline (compare-against-all construction, no table reset, no
@@ -103,11 +88,7 @@ type Config struct {
 	// crossover with a one-time calibration probe inside New; a
 	// negative value keeps bin statistics but never routes a block to
 	// the n² builder: every block takes the table pipeline. Values
-	// beyond dag.N2MaskCap are clamped to it. Adaptive dispatch is
-	// implicitly disabled for Builder "tablef" (the n² identity argument
-	// is proven against backward table building) and under
-	// CollectDAGStats (arc *kinds* may legitimately differ between the
-	// builders on equal-delay ties, so ByKind tallies could too).
+	// beyond dag.N2MaskCap are clamped to it.
 	Crossover int
 	// BlockTimeout is the per-block soft deadline: a block whose
 	// pipeline attempt outlives it is demoted to the ladder's
@@ -158,14 +139,14 @@ type Stats struct {
 	DiskHits     int64   `json:"disk_hits,omitempty"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// Crossover echoes the adaptive-dispatch threshold in effect for the
-	// run, and Bins breaks the run down by block-size bin. Both are
-	// zero/empty when adaptive dispatch is off.
+	// run (zero under a negative Config.Crossover), and Bins breaks the
+	// run down by block-size bin.
 	Crossover int        `json:"crossover,omitempty"`
 	Bins      []BinStats `json:"bins,omitempty"`
 	// PackedSelBlocks counts blocks whose schedule was selected through
-	// the packed-priority heap (zero under DisablePackedSel, and for
-	// blocks served from cache, degraded rungs, or whose priority
-	// packing overflowed the exact field widths).
+	// the packed-priority heap (zero for blocks served from cache,
+	// degraded rungs, or whose priority packing overflowed the exact
+	// field widths).
 	PackedSelBlocks int64 `json:"packed_sel_blocks,omitempty"`
 	// Hardening tallies, all zero on a healthy fault-free run:
 	// Quarantines counts worker-scratch discards (panic or gate
@@ -199,9 +180,6 @@ type BatchResult struct {
 	// Orders holds each block's scheduled order (empty unless
 	// Config.KeepOrders); the subslices share one flat arena.
 	Orders [][]int32
-	// DAGStats holds per-block structural statistics (empty unless
-	// Config.CollectDAGStats).
-	DAGStats []dag.Stats
 	// Rungs records which degradation-ladder rung served each block;
 	// all RungPrimary on a healthy run. A block at RungIdentity kept
 	// its original program order (and reports zero Arcs — that rung
@@ -243,7 +221,6 @@ type worker struct {
 	rt  *resource.Table
 	ar  dag.BuildArena
 	a   *heur.Annot
-	bld dag.ReuseBuilder
 	sc  sched.Scratch
 	sel *sched.PooledWinnow
 
@@ -279,36 +256,29 @@ type worker struct {
 	idRes    sched.Result
 }
 
-// newWorker builds one worker's scratch for cfg; New attaches the
+// newWorker builds one worker's scratch for model m; New attaches the
 // engine and its fault injector.
-func newWorker(cfg *Config) *worker {
+func newWorker(m *machine.Model) *worker {
 	w := &worker{
-		rt:  resource.NewTable(cfg.Mem),
-		a:   heur.New(nil, cfg.Model),
+		rt:  resource.NewTable(resource.MemExprModel),
+		a:   heur.New(nil, m),
 		sel: sched.NewPooledWinnow(sched.Section6Ranked()),
 	}
 	// The unique-expression count is a Table 3 reporting statistic the
 	// engine never reads; its dedup map would hash every memory
 	// reference on every block.
 	w.rt.SetUniqueCounting(false)
-	w.sc.DisablePacked = cfg.DisablePackedSel
-	if cfg.Builder == "tablef" {
-		w.bld = dag.TableForward{}
-	} else {
-		// Plain backward table building: the fused reverse walk over the
-		// frozen flat arc array computes every heuristic the selector
-		// reads, so no construction observer is needed.
-		w.bld = dag.TableBackward{}
-	}
 	return w
 }
 
-// schedule runs the full per-block pipeline in worker scratch. The
-// returned Result and DAG are worker-owned and valid only until the
-// worker's next block.
+// schedule runs the full per-block pipeline in worker scratch: plain
+// backward table building (the fused reverse walk over the frozen flat
+// arc array computes every heuristic the selector reads, so no
+// construction observer is needed). The returned Result and DAG are
+// worker-owned and valid only until the worker's next block.
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
-	d := w.bld.BuildInto(&w.ar, b, m, w.rt)
+	d := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
 	w.buildCheckpoint(d)
 	return w.finish(d, m)
 }
@@ -342,7 +312,7 @@ func (w *worker) scheduleN2(b *block.Block, m *machine.Model) (r *sched.Result, 
 	w.rt.PrepareBlock(b.Insts)
 	nd, clean := dag.N2Forward{}.BuildCleanInto(&w.ar, b, m, w.rt)
 	if !clean {
-		td := w.bld.BuildInto(&w.ar, b, m, w.rt)
+		td := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
 		w.buildCheckpoint(td)
 		r, d = w.finish(td, m)
 		return r, d, false
@@ -381,9 +351,8 @@ type Engine struct {
 	// disk is the persistent second tier behind cache (nil unless
 	// Config.CachePath); see disk.go. Cleared by Engine.Close.
 	disk *diskTier
-	// adaptive dispatch state, resolved once in New: whether per-block
-	// builder selection is active and the effective n² size threshold.
-	adaptive  bool
+	// crossover is the effective adaptive-dispatch n² size threshold,
+	// resolved once in New.
 	crossover int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
@@ -451,7 +420,7 @@ func New(cfg Config) (*Engine, error) {
 	n := cfg.Workers
 	e := &Engine{cfg: cfg, workers: make([]*worker, n), free: make(chan *worker, n), crews: make(chan *crew, n), inj: inj}
 	for i := range e.workers {
-		e.workers[i] = newWorker(&e.cfg)
+		e.workers[i] = newWorker(cfg.Model)
 		e.workers[i].e, e.workers[i].inj = e, inj
 		e.free <- e.workers[i]
 		e.crews <- &crew{workers: make([]*worker, 0, n)}
@@ -462,29 +431,27 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CachePath != "" {
 		// A damaged or unopenable file is a runtime failure, not a
 		// ConfigError: the Config itself is fine.
-		disk, err := newDiskTier(cfg.CachePath, cfg.CacheReadOnly)
+		disk, err := newDiskTier(cfg.CachePath, modelKey(cfg.Model))
 		if err != nil {
 			return nil, fmt.Errorf("engine: opening cache file %s: %w", cfg.CachePath, err)
 		}
 		e.disk = disk
 	}
-	e.adaptive = cfg.Builder == "tableb" && !cfg.CollectDAGStats
-	if e.adaptive {
-		switch {
-		case cfg.Crossover < 0:
-			e.crossover = 0
-		case cfg.Crossover > 0:
-			e.crossover = cfg.Crossover // validate clamped it to dag.N2MaskCap
-		default:
-			e.crossover = calibrateCrossover(e.workers[0], cfg.Model)
-		}
+	switch {
+	case cfg.Crossover < 0:
+		e.crossover = 0
+	case cfg.Crossover > 0:
+		e.crossover = cfg.Crossover // validate clamped it to dag.N2MaskCap
+	default:
+		e.crossover = calibrateCrossover(e.workers[0], cfg.Model)
 	}
 	return e, nil
 }
 
 // Crossover returns the effective adaptive-dispatch threshold — the
 // configured one after clamping, or the calibrated one when
-// Config.Crossover was zero. It is zero when adaptive dispatch is off.
+// Config.Crossover was zero. It is zero when Config.Crossover is
+// negative.
 func (e *Engine) Crossover() int { return e.crossover }
 
 // Workers returns the pool size.
@@ -544,14 +511,6 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	} else {
 		res.Orders = res.Orders[:0]
 	}
-	if e.cfg.CollectDAGStats {
-		if cap(res.DAGStats) < nb {
-			res.DAGStats = make([]dag.Stats, nb)
-		}
-		res.DAGStats = res.DAGStats[:nb]
-	} else {
-		res.DAGStats = res.DAGStats[:0]
-	}
 	res.errs = res.errs[:0]
 	if e.cfg.Verify {
 		if cap(res.errs) < nb {
@@ -594,9 +553,6 @@ func (res *BatchResult) put(it streamItem, o outcome) {
 	if len(res.Orders) > 0 {
 		copy(res.Orders[i], o.order)
 	}
-	if len(res.DAGStats) > 0 {
-		res.DAGStats[i] = o.stats
-	}
 	if len(res.errs) > 0 {
 		res.errs[i] = o.err
 	}
@@ -636,11 +592,9 @@ func (e *Engine) stats(c *crew, wall time.Duration, bins []BinStats) Stats {
 	}
 	st.P50Micros = histPercentile(&hist, int64(st.Blocks), 50) / 1e3
 	st.P99Micros = histPercentile(&hist, int64(st.Blocks), 99) / 1e3
-	if e.adaptive {
-		st.Crossover = e.crossover
-		if st.Blocks > 0 {
-			st.Bins = c.collectBins(bins)
-		}
+	st.Crossover = e.crossover
+	if st.Blocks > 0 {
+		st.Bins = c.collectBins(bins)
 	}
 	return st
 }
@@ -667,8 +621,7 @@ type outcome struct {
 	rung         Rung
 	path         blockPath
 	order        []int32
-	stats        dag.Stats // Config.CollectDAGStats only
-	err          error     // Config.Verify only: the simulator cross-check
+	err          error // Config.Verify only: the simulator cross-check
 }
 
 // run is the per-block function of both entry points. With the cache
@@ -699,9 +652,6 @@ func (w *worker) run(b *block.Block) outcome {
 		o = outcome{cycles: r.Cycles, rung: rung, path: path, order: r.Order}
 		if d != nil { // the identity rung builds no DAG
 			o.arcs = int32(d.NumArcs)
-			if e.cfg.CollectDAGStats {
-				o.stats = d.Statistics()
-			}
 		}
 		if e.cache != nil && rung == RungPrimary {
 			// Only healthy primary results are memoized: a degraded
@@ -714,7 +664,6 @@ func (w *worker) run(b *block.Block) outcome {
 				issue:  append([]int32(nil), r.Issue...),
 				cycles: r.Cycles,
 				arcs:   o.arcs,
-				stats:  o.stats,
 			}
 			e.cache.insert(h, ent)
 			if e.disk != nil {
@@ -735,9 +684,7 @@ func (w *worker) run(b *block.Block) outcome {
 		w.degraded++
 	}
 	w.hist[histIndex(dur)]++
-	if e.adaptive {
-		w.binAdd(n, dur, o.path)
-	}
+	w.binAdd(n, dur, o.path)
 	return o
 }
 
@@ -754,7 +701,6 @@ func (w *worker) lookup(b *block.Block, h uint64) (outcome, bool) {
 	if ent := e.cache.lookup(h, w.enc); ent != nil {
 		if o, ok := w.serve(b, h, ent.order, ent.issue, ent.cycles, ent.arcs); ok {
 			w.hits++
-			o.stats = ent.stats
 			return o, true
 		}
 	}

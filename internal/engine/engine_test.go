@@ -33,11 +33,11 @@ func testBlocks(t testing.TB, count int) []*block.Block {
 // serialReference runs the engine's default pipeline (fused backward
 // table building + the Section 6 winnowing pass) with the plain,
 // allocation-per-block APIs — the pre-engine reference the batch path
-// must reproduce exactly.
-func serialReference(blocks []*block.Block, m *machine.Model) (orders [][]int32, cycles []int32, stats []dag.Stats) {
+// must reproduce exactly, arc counts included.
+func serialReference(blocks []*block.Block, m *machine.Model) (orders [][]int32, cycles, arcs []int32) {
 	orders = make([][]int32, len(blocks))
 	cycles = make([]int32, len(blocks))
-	stats = make([]dag.Stats, len(blocks))
+	arcs = make([]int32, len(blocks))
 	rt := resource.NewTable(resource.MemExprModel)
 	for i, b := range blocks {
 		rt.PrepareBlock(b.Insts)
@@ -47,12 +47,12 @@ func serialReference(blocks []*block.Block, m *machine.Model) (orders [][]int32,
 		res := sched.Forward(d, m, a, sched.Winnow(sched.Section6Ranked()))
 		orders[i] = res.Order
 		cycles[i] = res.Cycles
-		stats[i] = d.Statistics()
+		arcs[i] = int32(d.NumArcs)
 	}
-	return orders, cycles, stats
+	return orders, cycles, arcs
 }
 
-func requireSameBatch(t *testing.T, wantOrders [][]int32, wantCycles []int32, wantStats []dag.Stats, got *BatchResult) {
+func requireSameBatch(t *testing.T, wantOrders [][]int32, wantCycles, wantArcs []int32, got *BatchResult) {
 	t.Helper()
 	if len(got.Orders) != len(wantOrders) {
 		t.Fatalf("got %d orders, want %d", len(got.Orders), len(wantOrders))
@@ -70,34 +70,38 @@ func requireSameBatch(t *testing.T, wantOrders [][]int32, wantCycles []int32, wa
 					i, k, got.Orders[i][k], wantOrders[i][k])
 			}
 		}
-		if got.DAGStats[i] != wantStats[i] {
-			t.Fatalf("block %d: dag stats %+v, want %+v", i, got.DAGStats[i], wantStats[i])
+		if got.Arcs[i] != wantArcs[i] {
+			t.Fatalf("block %d: %d arcs, want %d", i, got.Arcs[i], wantArcs[i])
 		}
 	}
 }
 
 // TestEngineMatchesSerialReference requires the batch engine to be
 // byte-identical to the plain serial pipeline, with the scoreboard
-// simulator co-signing every schedule.
+// simulator co-signing every schedule. It runs table-only (Crossover
+// -1), at the calibrated crossover and at the n² maximum (64), so both
+// pipelines are covered whatever this machine calibrates to.
 func TestEngineMatchesSerialReference(t *testing.T) {
 	for _, m := range []*machine.Model{machine.Pipe1(), machine.Super2()} {
 		blocks := testBlocks(t, 40)
-		wantOrders, wantCycles, wantStats := serialReference(blocks, m)
-		for _, workers := range []int{1, 4} {
-			e, err := New(Config{
-				Workers: workers, Model: m,
-				KeepOrders: true, CollectDAGStats: true, Verify: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run(blocks)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			requireSameBatch(t, wantOrders, wantCycles, wantStats, res)
-			if res.Stats.Blocks != len(blocks) || res.Stats.Workers != workers {
-				t.Errorf("stats header wrong: %+v", res.Stats)
+		wantOrders, wantCycles, wantArcs := serialReference(blocks, m)
+		for _, crossover := range []int{-1, 0, 64} {
+			for _, workers := range []int{1, 4} {
+				e, err := New(Config{
+					Workers: workers, Model: m, Crossover: crossover,
+					KeepOrders: true, Verify: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run(blocks)
+				if err != nil {
+					t.Fatalf("crossover=%d workers=%d: %v", crossover, workers, err)
+				}
+				requireSameBatch(t, wantOrders, wantCycles, wantArcs, res)
+				if res.Stats.Blocks != len(blocks) || res.Stats.Workers != workers {
+					t.Errorf("stats header wrong: %+v", res.Stats)
+				}
 			}
 		}
 	}
@@ -105,12 +109,12 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 
 // TestEngineDeterminism is the satellite determinism check: one worker
 // and eight workers must produce identical schedules, cycle counts and
-// DAG statistics. The CI script additionally runs this under -race,
-// which would flag any sharing between worker scratch arenas.
+// arc counts. The CI script additionally runs this under -race, which
+// would flag any sharing between worker scratch arenas.
 func TestEngineDeterminism(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := testBlocks(t, 60)
-	cfg := Config{Model: m, KeepOrders: true, CollectDAGStats: true}
+	cfg := Config{Model: m, KeepOrders: true}
 
 	cfg.Workers = 1
 	e1, err := New(cfg)
@@ -128,7 +132,7 @@ func TestEngineDeterminism(t *testing.T) {
 		wantOrders[i] = append([]int32(nil), o...)
 	}
 	wantCycles := append([]int32(nil), serial.Cycles...)
-	wantStats := append([]dag.Stats(nil), serial.DAGStats...)
+	wantArcs := append([]int32(nil), serial.Arcs...)
 
 	cfg.Workers = 8
 	e8, err := New(cfg)
@@ -140,42 +144,7 @@ func TestEngineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameBatch(t, wantOrders, wantCycles, wantStats, par)
-	}
-}
-
-// TestEngineTablefPipeline covers the alternate builder: it must agree
-// with its own serial equivalent and satisfy the simulator.
-func TestEngineTablefPipeline(t *testing.T) {
-	m := machine.Pipe1()
-	blocks := testBlocks(t, 30)
-
-	want := make([][]int32, len(blocks))
-	rt := resource.NewTable(resource.MemExprModel)
-	for i, b := range blocks {
-		rt.PrepareBlock(b.Insts)
-		d := dag.TableForward{}.Build(b, m, rt)
-		a := heur.New(d, m)
-		a.ComputeBackward()
-		a.ComputeLocal()
-		want[i] = sched.Forward(d, m, a, sched.Winnow(sched.Section6Ranked())).Order
-	}
-
-	e, err := New(Config{Workers: 4, Model: m, Builder: "tablef", KeepOrders: true, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		for k := range want[i] {
-			if res.Orders[i][k] != want[i][k] {
-				t.Fatalf("block %d position %d: node %d, want %d",
-					i, k, res.Orders[i][k], want[i][k])
-			}
-		}
+		requireSameBatch(t, wantOrders, wantCycles, wantArcs, par)
 	}
 }
 
@@ -208,9 +177,6 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 func TestEngineConfigErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a nil machine model")
-	}
-	if _, err := New(Config{Model: machine.Pipe1(), Builder: "n2f"}); err == nil {
-		t.Error("New accepted an unknown builder")
 	}
 	e, err := New(Config{Model: machine.Pipe1(), Workers: 0})
 	if err != nil {

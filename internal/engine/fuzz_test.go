@@ -149,12 +149,8 @@ func FuzzBuildSchedule(f *testing.F) {
 	f.Add([]byte{})
 
 	m := machine.Super2()
-	cfg := Config{Workers: 1, Model: m}
-	if err := (&cfg).validate(); err != nil {
-		f.Fatal(err)
-	}
-	wTable := newWorker(&cfg)
-	wN2 := newWorker(&cfg)
+	wTable := newWorker(m)
+	wN2 := newWorker(m)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := &block.Block{Name: "fuzz", Insts: decodeInsts(data, fuzzMaxInsts)}

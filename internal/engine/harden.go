@@ -222,7 +222,7 @@ func (w *worker) gate(d *dag.DAG, r *sched.Result, n int) bool {
 // fresh one, so a quarantine costs real allocations; it is strictly a
 // fault-path event.
 func (w *worker) quarantine() {
-	fresh := newWorker(&w.e.cfg)
+	fresh := newWorker(w.e.cfg.Model)
 	fresh.e, fresh.inj = w.e, w.inj
 	fresh.deadline = w.deadline
 	fresh.hookKey = w.hookKey
@@ -255,7 +255,7 @@ func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG
 	}()
 	switch rung {
 	case RungPrimary:
-		if n := b.Len(); e.adaptive && n > 0 && n <= e.crossover {
+		if n := b.Len(); n > 0 && n <= e.crossover {
 			var usedN2 bool
 			if r, d, usedN2 = w.scheduleN2(b, e.cfg.Model); usedN2 {
 				path = pathN2

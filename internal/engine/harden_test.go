@@ -316,7 +316,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		field string
 	}{
 		{"nil model", Config{}, "Model"},
-		{"unknown builder", Config{Model: m, Builder: "lattice"}, "Builder"},
 		{"negative workers", Config{Model: m, Workers: -1}, "Workers"},
 		{"negative cache cap", Config{Model: m, CacheCap: -1}, "CacheCap"},
 		{"negative timeout", Config{Model: m, BlockTimeout: -time.Second}, "BlockTimeout"},

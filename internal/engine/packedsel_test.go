@@ -10,22 +10,26 @@ import (
 // TestPackedSelMatchesWinnow is the packed-selection identity gate:
 // with the packed-priority heap engaged (the default), every block's
 // cycle count, arc count and scheduled order must be byte-identical to
-// the winnowing reference (DisablePackedSel), at every worker count —
-// including a faulted run, where quarantined workers, degraded rungs
-// and poisoned cache entries must not perturb the selection either.
+// the winnowing reference (an engine whose workers' schedulers have
+// packed selection switched off), at every worker count — including a
+// faulted run, where quarantined workers, degraded rungs and poisoned
+// cache entries must not perturb the selection either.
 func TestPackedSelMatchesWinnow(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := adaptiveCorpus(t)
-	ref, err := New(Config{Workers: 4, Model: m, KeepOrders: true, DisablePackedSel: true})
+	ref, err := New(Config{Workers: 4, Model: m, KeepOrders: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, w := range ref.workers {
+		w.sc.DisablePacked = true
 	}
 	want, err := ref.Run(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Stats.PackedSelBlocks != 0 {
-		t.Fatalf("DisablePackedSel run reports %d packed blocks", want.Stats.PackedSelBlocks)
+		t.Fatalf("winnowing reference reports %d packed blocks", want.Stats.PackedSelBlocks)
 	}
 	configs := []struct {
 		name string
@@ -70,8 +74,7 @@ func TestPackedSelMatchesWinnow(t *testing.T) {
 }
 
 // TestPackedSelStats pins the PackedSelBlocks accounting: all blocks on
-// a healthy default run, zero under DisablePackedSel, and cache hits
-// don't double-count.
+// a healthy default run, and cache hits don't double-count.
 func TestPackedSelStats(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := testBlocks(t, 10)

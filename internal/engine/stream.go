@@ -495,8 +495,7 @@ func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}) {
 //
 // The sink runs on a dedicated goroutine, serially and in order; the
 // outcome's Order slice (and nothing else) is valid only during the
-// call. A nil sink discards outcomes. Config.CollectDAGStats has no
-// streaming form: BlockOutcome carries no DAG statistics.
+// call. A nil sink discards outcomes.
 // Cancellation mirrors RunCtx: a stream still waiting for a worker
 // returns at once, workers stop claiming at the next block boundary,
 // the sink sees a dense prefix of the stream, and ctx's error is

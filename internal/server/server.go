@@ -539,8 +539,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	defer finish()
 	body, err := readBody(w, r, s.cfg.MaxBody)
 	if err != nil {
+		// Only the size cap is a 413; a truncated or aborted upload is
+		// the client's malformed request.
 		s.badRequests.Add(1)
-		s.jsonError(w, http.StatusRequestEntityTooLarge, err.Error(), nil)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.jsonError(w, code, err.Error(), nil)
 		return
 	}
 	blocks, err := scanBlocks(ctx, body)
@@ -579,14 +586,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Results:     make([]blockResult, len(blocks)),
 	}
 	for i, b := range blocks {
-		br := blockResult{Name: b.Name, Cycles: res.Cycles[i], Arcs: res.Arcs[i]}
-		if len(res.Rungs) > i {
-			br.Rung = res.Rungs[i].String()
-			s.rungs[res.Rungs[i]].Add(1)
-		} else {
-			br.Rung = engine.RungPrimary.String()
-			s.rungs[engine.RungPrimary].Add(1)
-		}
+		br := blockResult{Name: b.Name, Cycles: res.Cycles[i], Arcs: res.Arcs[i], Rung: res.Rungs[i].String()}
+		s.rungs[res.Rungs[i]].Add(1)
 		if len(res.Orders) > i {
 			br.Order = res.Orders[i]
 		}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"daginsched/internal/engine"
@@ -330,6 +331,19 @@ func TestBodyTooLarge(t *testing.T) {
 	w := post(s, "/v1/schedule", corpusAsm(20), nil)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestBodyReadError pins the other side of the 413: an upload that
+// fails mid-read (a truncated or aborted body) is a 400, not "too
+// large".
+func TestBodyReadError(t *testing.T) {
+	s := newTestServer(t, nil, nil)
+	body := io.MultiReader(strings.NewReader(corpusAsm(2)), iotest.ErrReader(io.ErrUnexpectedEOF))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", body))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
 	}
 }
 

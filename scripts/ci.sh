@@ -3,7 +3,10 @@
 # (zero-alloc, arena-lifetime, guarded-field, benchmark-hygiene,
 # lock-order, atomic-field, condvar-loop, cancellation-poll and
 # panic-safety invariants) in strict mode, which also fails on stale
-# //sched:lint-ignore suppressions; see DESIGN.md §7 — build, the full test suite under the race detector
+# //sched:lint-ignore suppressions; see DESIGN.md §7 — build, vet and
+# tests of the separate perfbench module (the root build never
+# compiles it, so an engine API change could break the benchmark
+# unnoticed), the full test suite under the race detector
 # (which exercises the batch engine's 8-worker determinism test for
 # data races between worker arenas), the cache-enabled determinism
 # test re-run under -race at count=3 (eight workers racing lookups,
@@ -55,6 +58,9 @@ go run ./cmd/schedlint -strict -stats ./...
 
 echo "== go build"
 go build ./...
+
+echo "== perfbench module (vet, test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race"
 go test -race ./...
