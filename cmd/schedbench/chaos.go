@@ -5,8 +5,8 @@
 // gate then demands what CI demands:
 //
 //   - the batch completes, with every schedule passing the engine's
-//     output gate and the independent scoreboard simulator (-verify is
-//     forced on);
+//     output gate and the independent scoreboard simulator
+//     (Config.Verify is forced on);
 //   - a meaningful share of blocks was actually faulted (the faulted
 //     set is recomputed here, outside the engine, as a pure function
 //     of the plan and each block's content fingerprint);

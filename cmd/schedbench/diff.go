@@ -1,262 +1,346 @@
-// The -diff perf-regression gate: compare a fresh engine benchmark
-// JSON against the committed BENCH_engine.json baseline, benchmark by
-// benchmark, and fail (exit 3) when the fresh run regressed outside
-// the tolerance band. Three figures gate each benchmark's warm
-// parallel run — throughput (insts/sec, must not fall below
-// base·(1−tol)) and the p50/p99 per-block latencies (must not rise
-// above base·(1+tol), with a small absolute floor so sub-microsecond
-// baselines don't flap on scheduler jitter, and extra tail headroom
-// on p99 — see p99TailHeadroom). A streaming section, when
-// both documents carry one, is gated on its throughput the same way,
-// and a serve section on its goodput and p99 request latency (with a
-// milliseconds-scale absolute floor — loopback HTTP jitter dwarfs the
-// microsecond one).
+// The -diff perf gate: compare fresh perfbench result lines against a
+// committed baseline of the same, and fail (exit 3) when an end-to-end
+// metric got worse by more than its bound.
 //
-// The tolerance is deliberately wide by default (50%): wall-clock
-// benchmarks on shared CI hardware are noisy, and the gate is meant to
-// catch the pathological regression — an accidental O(n²) fallback, a
-// lost cache, a serialized pipeline — not a two-percent drift.
+// Both files hold perfbench result lines, one per run: the JSON object
+// that is the last line of `bash perfbench/run.sh ...`. A metric's
+// figure on either side is its median over that side's lines, so one
+// noisy run moves neither; the paper timed its Tables 4 and 5 the same
+// way, over repeated runs. Which metrics are gated, which direction is
+// better and how far each may move come from BENCHMARK.json's
+// end_to_end list, which the gate only reads: a metric is gated on
+// every workload whose key names it ("cold-batch/insts_per_s" is
+// insts_per_s on cold-batch). The gate also fails when a fresh line is
+// not correct, when a fresh line failed more operations than any
+// baseline line, and when a gated baseline metric is missing from a
+// fresh line, so a renamed workload or metric cannot dodge it.
 //
-// -diffselftest proves the gate can actually fire: it doctors a copy
-// of the baseline in memory (throughput cut, latency inflated, both
-// past any tolerance), runs the comparison, and fails unless the
-// doctored copy is flagged and the undoctored copy passes.
+// -diffselftest proves the gate can fire: the baseline compared with
+// itself must pass, and every injected regression on a copy of it must
+// be flagged: each gated metric worsened just past its bound, one extra
+// failed operation, an incorrect line, and a dropped metric.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
+	"slices"
+	"sort"
+	"strings"
 )
 
-// latencyFloorMicros is the absolute slack added to the latency bound:
-// on shared hardware a sub-microsecond baseline p99 routinely spikes
-// to a few microseconds under host load, which is scheduler noise,
-// not a regression worth failing CI over. The floor is sized so the
-// gate still catches what it exists for — a lost cache or serialized
-// pipeline blows p99 by orders of magnitude, not single microseconds.
-const latencyFloorMicros = 5.0
+// boundsPath is the benchmark declaration the gate takes its metrics
+// and bounds from, relative to the checkout root.
+const boundsPath = "BENCHMARK.json"
 
-// p99TailHeadroom widens the p99 band beyond the p50 one: a single
-// run's 99th percentile of per-block latency is a tail statistic, and
-// on shared hardware it routinely spreads 3× between identical runs
-// as host neighbors come and go. The tail gate therefore only fires
-// on the order-of-magnitude blow-up a real regression produces; the
-// stable p50 keeps the tight band.
-const p99TailHeadroom = 2.5
-
-// serveLatencyFloorMillis is the same idea for the -serve section:
-// whole-request latencies through a loopback HTTP daemon carry
-// milliseconds of scheduler and network-stack jitter, so a baseline
-// p99 gets that much absolute slack on top of the relative band.
-const serveLatencyFloorMillis = 25.0
-
-// diffConfig carries the -diff flag group.
-type diffConfig struct {
-	freshPath string  // fresh JSON (-diff)
-	basePath  string  // baseline JSON (-json)
-	tolerance float64 // relative band, in [0, 1)
+// perfResult is the part of a perfbench result line the gate reads.
+type perfResult struct {
+	Correct bool                   `json:"correct"`
+	Failed  int64                  `json:"failed"`
+	Metrics map[string]metricValue `json:"metrics"`
 }
 
-// readEngineFile loads and decodes an engine JSON document.
-func readEngineFile(path string) (*engineFile, error) {
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// metricBound is one BENCHMARK.json end_to_end entry: the largest
+// relative change for the worse the gate accepts.
+type metricBound struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "higher" or "lower"
+	Bound  float64 `json:"bound"`
+}
+
+// worse reports whether fresh is worse than base by more than the
+// bound.
+func (b metricBound) worse(base, fresh float64) bool {
+	if b.Better == "higher" {
+		return fresh < base*(1-b.Bound)
+	}
+	return fresh > base*(1+b.Bound)
+}
+
+// readResults loads a file of perfbench result lines. Blank lines are
+// skipped; any other line that is not a result object is an error.
+func readResults(path string) ([]perfResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	doc := new(engineFile)
-	if err := json.Unmarshal(data, doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
-}
-
-// readEngineFileForMerge loads an engine JSON document a report
-// section will be merged into. A missing or empty file — mktemp
-// creates empty files, and CI hands those straight to -json — is a
-// fresh document, not an error; anything else malformed still is.
-func readEngineFileForMerge(path string) (*engineFile, error) {
-	doc, err := readEngineFile(path)
-	if err == nil {
-		return doc, nil
-	}
-	if os.IsNotExist(err) {
-		return &engineFile{}, nil
-	}
-	if info, statErr := os.Stat(path); statErr == nil && info.Size() == 0 {
-		return &engineFile{}, nil
-	}
-	return nil, err
-}
-
-// writeEngineFile encodes and writes an engine JSON document.
-func writeEngineFile(path string, doc *engineFile) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
-}
-
-// runDiff executes the gate; regressed reports whether any benchmark
-// fell outside the band (the caller turns that into exit code 3).
-func runDiff(cfg diffConfig) (regressed bool, err error) {
-	base, err := readEngineFile(cfg.basePath)
-	if err != nil {
-		return false, err
-	}
-	fresh, err := readEngineFile(cfg.freshPath)
-	if err != nil {
-		return false, err
-	}
-	fmt.Printf("Perf diff: %s (fresh) vs %s (baseline), tolerance %.0f%%\n\n",
-		cfg.freshPath, cfg.basePath, cfg.tolerance*100)
-	n := compareEngineFiles(base, fresh, cfg.tolerance, os.Stdout)
-	if n > 0 {
-		return true, nil
-	}
-	fmt.Println("\nno regression outside the tolerance band")
-	return false, nil
-}
-
-// compareEngineFiles prints a delta line per benchmark common to both
-// documents and returns the number of out-of-band regressions.
-func compareEngineFiles(base, fresh *engineFile, tol float64, w io.Writer) (regressions int) {
-	baseBy := make(map[string]*engineReport, len(base.Benchmarks))
-	for i := range base.Benchmarks {
-		baseBy[base.Benchmarks[i].Name] = &base.Benchmarks[i]
-	}
-	fmt.Fprintf(w, "%-12s %14s %14s %8s %10s %10s  %s\n",
-		"benchmark", "base ips", "fresh ips", "delta", "p50(us)", "p99(us)", "verdict")
-	compared := 0
-	for i := range fresh.Benchmarks {
-		fr := &fresh.Benchmarks[i]
-		ba, ok := baseBy[fr.Name]
-		if !ok {
+	var out []perfResult
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		compared++
-		var bad []string
-		if fr.Parallel.InstsPerSec < ba.Parallel.InstsPerSec*(1-tol) {
-			bad = append(bad, "throughput")
+		var r perfResult
+		if err := json.Unmarshal(line, &r); err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, i+1, err)
 		}
-		if fr.Parallel.P50Micros > ba.Parallel.P50Micros*(1+tol)+latencyFloorMicros {
-			bad = append(bad, "p50")
+		if r.Metrics == nil {
+			return nil, fmt.Errorf("%s:%d: not a perfbench result line (no metrics)", path, i+1)
 		}
-		if fr.Parallel.P99Micros > ba.Parallel.P99Micros*(1+tol)*p99TailHeadroom+latencyFloorMicros {
-			bad = append(bad, "p99")
+		out = append(out, r)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no perfbench result lines", path)
+	}
+	return out, nil
+}
+
+// readBounds loads the end_to_end list of a BENCHMARK.json.
+func readBounds(path string) ([]metricBound, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc struct {
+		EndToEnd []metricBound `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(doc.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: no end_to_end metrics", path)
+	}
+	for _, b := range doc.EndToEnd {
+		if (b.Better != "higher" && b.Better != "lower") || b.Bound <= 0 {
+			return nil, fmt.Errorf("%s: metric %q: want better higher or lower and a positive bound", path, b.Name)
 		}
-		verdict := "ok"
-		if len(bad) > 0 {
-			regressions++
-			verdict = "REGRESSED"
-			for _, b := range bad {
-				verdict += " " + b
+	}
+	return doc.EndToEnd, nil
+}
+
+// metricName is the metric a result key names: its last path element
+// ("cold-batch/insts_per_s" is insts_per_s).
+func metricName(key string) string { return key[strings.LastIndexByte(key, '/')+1:] }
+
+// boundFor finds the bound gating a metric key.
+func boundFor(bounds []metricBound, key string) (metricBound, bool) {
+	name := metricName(key)
+	for _, b := range bounds {
+		if b.Name == name {
+			return b, true
+		}
+	}
+	return metricBound{}, false
+}
+
+// gatedKeys lists, sorted, every metric key of the baseline lines that
+// an end_to_end bound gates.
+func gatedKeys(base []perfResult, bounds []metricBound) []string {
+	var keys []string
+	for _, r := range base {
+		for k := range r.Metrics {
+			if _, ok := boundFor(bounds, k); ok && !slices.Contains(keys, k) {
+				keys = append(keys, k)
 			}
 		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// median is key's median over lines; ok is false when a line lacks
+// the key.
+func median(lines []perfResult, key string) (m float64, ok bool) {
+	xs := make([]float64, 0, len(lines))
+	for _, r := range lines {
+		v, found := r.Metrics[key]
+		if !found {
+			return 0, false
+		}
+		xs = append(xs, v.Value)
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2], true
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2, true
+}
+
+// maxFailed is the most operations any line failed.
+func maxFailed(lines []perfResult) int64 {
+	var m int64
+	for _, r := range lines {
+		m = max(m, r.Failed)
+	}
+	return m
+}
+
+// comparePerf prints one row per gated metric plus the correctness
+// and failure checks, then the metric that came closest to its bound,
+// and returns the number of regressions.
+func comparePerf(base, fresh []perfResult, bounds []metricBound, w io.Writer) (regressions int) {
+	fmt.Fprintf(w, "%-28s %14s %14s %8s %6s  %s\n", "metric", "base median", "fresh median", "delta", "bound", "verdict")
+	keys := gatedKeys(base, bounds)
+	if len(keys) == 0 {
+		fmt.Fprintf(w, "%-28s REGRESSED no gated metrics in the baseline\n", "(none)")
+		return 1
+	}
+	worst, worstUsed := "", math.Inf(-1) // the metric that used most of its bound
+	for _, k := range keys {
+		b, _ := boundFor(bounds, k)
+		bv, bok := median(base, k)
+		fv, fok := median(fresh, k)
+		if !bok || !fok {
+			side := "fresh"
+			if !bok {
+				side = "baseline"
+			}
+			regressions++
+			fmt.Fprintf(w, "%-28s %14s %14s %8s %5.0f%%  REGRESSED missing from a %s line\n", k, "-", "-", "-", b.Bound*100, side)
+			continue
+		}
 		delta := 0.0
-		if ba.Parallel.InstsPerSec > 0 {
-			delta = fr.Parallel.InstsPerSec/ba.Parallel.InstsPerSec - 1
+		if bv != 0 {
+			delta = fv/bv - 1
 		}
-		fmt.Fprintf(w, "%-12s %14.0f %14.0f %+7.1f%% %10.1f %10.1f  %s\n",
-			fr.Name, ba.Parallel.InstsPerSec, fr.Parallel.InstsPerSec, delta*100,
-			fr.Parallel.P50Micros, fr.Parallel.P99Micros, verdict)
-	}
-	if base.PackedSel != nil && fresh.PackedSel != nil {
-		compared++
-		verdict := "ok"
-		if fresh.PackedSel.Packed.InstsPerSec < base.PackedSel.Packed.InstsPerSec*(1-tol) {
-			regressions++
-			verdict = "REGRESSED throughput"
+		used := delta / b.Bound
+		if b.Better == "higher" {
+			used = -used
 		}
-		fmt.Fprintf(w, "%-12s %14.0f %14.0f %+7.1f%% %10s %10s  %s\n",
-			"packedsel", base.PackedSel.Packed.InstsPerSec, fresh.PackedSel.Packed.InstsPerSec,
-			(fresh.PackedSel.Packed.InstsPerSec/base.PackedSel.Packed.InstsPerSec-1)*100,
-			"-", "-", verdict)
-	}
-	if base.Stream != nil && fresh.Stream != nil {
-		compared++
-		verdict := "ok"
-		if fresh.Stream.Stats.InstsPerSec < base.Stream.Stats.InstsPerSec*(1-tol) {
-			regressions++
-			verdict = "REGRESSED throughput"
-		}
-		fmt.Fprintf(w, "%-12s %14.0f %14.0f %+7.1f%% %10s %10s  %s\n",
-			"stream", base.Stream.Stats.InstsPerSec, fresh.Stream.Stats.InstsPerSec,
-			(fresh.Stream.Stats.InstsPerSec/base.Stream.Stats.InstsPerSec-1)*100,
-			"-", "-", verdict)
-	}
-	if base.Serve != nil && fresh.Serve != nil {
-		compared++
-		var bad []string
-		if fresh.Serve.OKPerSec < base.Serve.OKPerSec*(1-tol) {
-			bad = append(bad, "goodput")
-		}
-		if fresh.Serve.P99Millis > base.Serve.P99Millis*(1+tol)+serveLatencyFloorMillis {
-			bad = append(bad, "p99")
+		if used > worstUsed {
+			worstUsed = used
+			worst = fmt.Sprintf("%s, %+.1f%% against a %.0f%% bound", k, delta*100, b.Bound*100)
 		}
 		verdict := "ok"
-		if len(bad) > 0 {
+		if b.worse(bv, fv) {
 			regressions++
 			verdict = "REGRESSED"
-			for _, b := range bad {
-				verdict += " " + b
-			}
 		}
-		delta := 0.0
-		if base.Serve.OKPerSec > 0 {
-			delta = fresh.Serve.OKPerSec/base.Serve.OKPerSec - 1
-		}
-		fmt.Fprintf(w, "%-12s %14.0f %14.0f %+7.1f%% %10s %10.1f  %s\n",
-			"serve", base.Serve.OKPerSec, fresh.Serve.OKPerSec, delta*100,
-			"-", fresh.Serve.P99Millis, verdict)
+		fmt.Fprintf(w, "%-28s %14.4g %14.4g %+7.1f%% %5.0f%%  %s\n", k, bv, fv, delta*100, b.Bound*100, verdict)
 	}
-	if compared == 0 {
-		// No overlap means the gate silently checked nothing; surface
-		// that as a regression so a renamed benchmark can't dodge it.
-		fmt.Fprintf(w, "%-12s %14s %14s %8s %10s %10s  REGRESSED no common benchmarks\n",
-			"(none)", "-", "-", "-", "-", "-")
+	for i, r := range fresh {
+		if !r.Correct {
+			regressions++
+			fmt.Fprintf(w, "%-28s REGRESSED fresh line %d failed the oracle\n", "correct", i+1)
+		}
+	}
+	if bf, ff := maxFailed(base), maxFailed(fresh); ff > bf {
 		regressions++
+		fmt.Fprintf(w, "%-28s %14d %14d %8s %6s  REGRESSED more failed operations\n", "failed", bf, ff, "-", "-")
+	}
+	if worst != "" {
+		fmt.Fprintf(w, "\nclosest to its bound: %s\n", worst)
 	}
 	return regressions
 }
 
-// runDiffSelfTest proves the gate fires: an undoctored copy of the
-// baseline must pass, and copies with an injected throughput collapse
-// or latency blow-up must each be flagged.
-func runDiffSelfTest(basePath string, tol float64) error {
-	base, err := readEngineFile(basePath)
+// runDiff gates the fresh result lines against the baseline's;
+// regressed reports whether any check failed (the caller turns that
+// into exit code 3).
+func runDiff(freshPath, basePath string) (regressed bool, err error) {
+	bounds, err := readBounds(boundsPath)
+	if err != nil {
+		return false, err
+	}
+	base, err := readResults(basePath)
+	if err != nil {
+		return false, err
+	}
+	fresh, err := readResults(freshPath)
+	if err != nil {
+		return false, err
+	}
+	fmt.Printf("Perf diff: median of %d fresh lines (%s) vs median of %d baseline lines (%s), bounds from %s\n\n",
+		len(fresh), freshPath, len(base), basePath, boundsPath)
+	if comparePerf(base, fresh, bounds, os.Stdout) > 0 {
+		return true, nil
+	}
+	fmt.Println("no regression past a bound")
+	return false, nil
+}
+
+// runDiffSelfTest proves the gate fires on every injection class and
+// passes the baseline against itself.
+func runDiffSelfTest(basePath string) error {
+	bounds, err := readBounds(boundsPath)
 	if err != nil {
 		return err
 	}
-	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("%s: no benchmarks to self-test against", basePath)
+	base, err := readResults(basePath)
+	if err != nil {
+		return err
 	}
-	if n := compareEngineFiles(base, cloneEngineFile(base), tol, io.Discard); n != 0 {
-		return fmt.Errorf("gate flagged %d regressions comparing the baseline with itself", n)
+	if err := diffSelfTest(base, bounds, os.Stdout); err != nil {
+		return err
 	}
-	slow := cloneEngineFile(base)
-	// Scale past any tolerance band so the self-test is meaningful at
-	// whatever -tolerance the caller gates with.
-	slow.Benchmarks[0].Parallel.InstsPerSec *= (1 - tol) / 2
-	if n := compareEngineFiles(base, slow, tol, io.Discard); n == 0 {
-		return fmt.Errorf("gate missed an injected throughput collapse on %q", slow.Benchmarks[0].Name)
-	}
-	lat := cloneEngineFile(base)
-	lat.Benchmarks[0].Parallel.P99Micros = lat.Benchmarks[0].Parallel.P99Micros*(1+tol)*p99TailHeadroom*2 + 2*latencyFloorMicros
-	if n := compareEngineFiles(base, lat, tol, io.Discard); n == 0 {
-		return fmt.Errorf("gate missed an injected p99 blow-up on %q", lat.Benchmarks[0].Name)
-	}
-	fmt.Printf("diff gate self-test ok: baseline passes, injected throughput and latency regressions are caught (tolerance %.0f%%)\n", tol*100)
+	fmt.Println("diff gate self-test ok: the baseline passes against itself and every injected regression is caught")
 	return nil
 }
 
-// cloneEngineFile deep-copies the parts of the document the self-test
-// doctors (the benchmark slice; Fixed/Bins stay shared — never written).
-func cloneEngineFile(doc *engineFile) *engineFile {
-	cp := *doc
-	cp.Benchmarks = append([]engineReport(nil), doc.Benchmarks...)
-	return &cp
+// diffSelfTest runs the injections against base, printing each one it
+// caught, and returns an error naming the first it missed.
+func diffSelfTest(base []perfResult, bounds []metricBound, w io.Writer) error {
+	if n := comparePerf(base, cloneResults(base), bounds, io.Discard); n != 0 {
+		return fmt.Errorf("gate flagged %d regressions comparing the baseline with itself", n)
+	}
+	type injection struct {
+		name   string
+		doctor func([]perfResult)
+	}
+	keys := gatedKeys(base, bounds)
+	for _, b := range bounds {
+		if !slices.ContainsFunc(keys, func(k string) bool { return metricName(k) == b.Name }) {
+			return fmt.Errorf("the baseline carries no %s metric to inject into", b.Name)
+		}
+	}
+	var injections []injection
+	for _, k := range keys {
+		b, _ := boundFor(bounds, k)
+		// Just past the bound, so a gate that applies it loosely fails.
+		f := 1 + b.Bound + 0.02
+		if b.Better == "higher" {
+			f = 1 - b.Bound - 0.02
+		}
+		injections = append(injections, injection{
+			fmt.Sprintf("%s %+.0f%%", k, (f-1)*100),
+			func(rs []perfResult) { scaleMetric(rs, k, f) },
+		})
+	}
+	injections = append(injections,
+		injection{"one extra failed operation", func(rs []perfResult) { rs[0].Failed = maxFailed(rs) + 1 }},
+		injection{"correct: false", func(rs []perfResult) { rs[0].Correct = false }},
+		injection{"dropped metric " + keys[0], func(rs []perfResult) {
+			for i := range rs {
+				delete(rs[i].Metrics, keys[0])
+			}
+		}},
+	)
+	for _, inj := range injections {
+		doctored := cloneResults(base)
+		inj.doctor(doctored)
+		if n := comparePerf(base, doctored, bounds, io.Discard); n == 0 {
+			return fmt.Errorf("gate missed an injected regression: %s", inj.name)
+		}
+		fmt.Fprintf(w, "caught: %s\n", inj.name)
+	}
+	return nil
+}
+
+// scaleMetric multiplies key by f on every line.
+func scaleMetric(rs []perfResult, key string, f float64) {
+	for i := range rs {
+		v := rs[i].Metrics[key]
+		v.Value *= f
+		rs[i].Metrics[key] = v
+	}
+}
+
+// cloneResults deep-copies result lines so a doctored copy leaves the
+// original untouched.
+func cloneResults(rs []perfResult) []perfResult {
+	out := make([]perfResult, len(rs))
+	for i, r := range rs {
+		out[i] = r
+		out[i].Metrics = maps.Clone(r.Metrics)
+	}
+	return out
 }

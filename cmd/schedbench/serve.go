@@ -1,7 +1,6 @@
 // The -serve load-generator mode: drive a running schedd daemon with
 // open-loop traffic and report the service-level picture — p50/p99
-// request latency, achieved throughput, and the shed rate — merged
-// into BENCH_engine.json under the existing -diff regression gate.
+// request latency, achieved throughput, and the shed rate.
 //
 // Open-loop means arrivals are scheduled by a clock, not by
 // completions: a daemon that slows down does not slow the generator
@@ -43,22 +42,19 @@ import (
 // serveUnitBlocks is how many basic blocks one request body carries.
 const serveUnitBlocks = 32
 
-// serveReport is the -serve section of BENCH_engine.json.
+// serveReport is the -serve run's outcome.
 type serveReport struct {
-	RatePerSec  float64 `json:"rate_per_sec"` // offered arrival rate
-	DurationSec float64 `json:"duration_sec"` // load window
-	Tenants     int     `json:"tenants"`      // distinct X-Tenant identities
-	Requests    int64   `json:"requests"`     // sent
-	OK          int64   `json:"ok"`           // 200s
-	Shed        int64   `json:"shed"`         // 429/503 refusals
-	Errors      int64   `json:"errors"`       // everything else
-	OKPerSec    float64 `json:"ok_per_sec"`   // achieved goodput
-	ShedRate    float64 `json:"shed_rate"`    // Shed / Requests
-	P50Millis   float64 `json:"p50_millis"`   // OK-request latency
-	P99Millis   float64 `json:"p99_millis"`   //
-	HitRate     float64 `json:"hit_rate"`     // daemon cache hit rate over the window
-	DiskHits    int64   `json:"disk_hits"`    // blocks served from the persistent tier
-	Checked     int64   `json:"checked"`      // responses proven byte-identical (-servecheck)
+	Requests  int64   // sent
+	OK        int64   // 200s
+	Shed      int64   // 429/503 refusals
+	Errors    int64   // everything else
+	OKPerSec  float64 // achieved goodput
+	ShedRate  float64 // Shed / Requests
+	P50Millis float64 // OK-request latency
+	P99Millis float64 //
+	HitRate   float64 // daemon cache hit rate over the window
+	DiskHits  int64   // blocks served from the persistent tier
+	Checked   int64   // responses proven byte-identical (-servecheck)
 }
 
 // serveConfig carries the -serve flag group.
@@ -292,10 +288,10 @@ func percentileMillis(sorted []time.Duration, p float64) float64 {
 	return float64(sorted[idx]) / float64(time.Millisecond)
 }
 
-// runServe fires the open-loop load at the daemon and merges the SLO
-// report into the engine JSON. Gate failures (identity mismatch, warm
-// floor miss) come back as errors for the exit-1 path.
-func runServe(sets []tables.BenchmarkSet, m *machine.Model, cfg serveConfig, jsonPath string) error {
+// runServe fires the open-loop load at the daemon and prints the SLO
+// report. Gate failures (identity mismatch, warm floor miss) come back
+// as errors for the exit-1 path.
+func runServe(sets []tables.BenchmarkSet, m *machine.Model, cfg serveConfig) error {
 	if cfg.rate <= 0 {
 		return fmt.Errorf("-serverate must be positive, got %v", cfg.rate)
 	}
@@ -385,30 +381,23 @@ loop:
 			return fmt.Errorf("warm gate: no block was served from the persistent tier")
 		}
 	}
-	if err := mergeServeReport(jsonPath, rep); err != nil {
-		return err
-	}
-	fmt.Printf("  serve section merged into %s\n", jsonPath)
 	return nil
 }
 
 // buildServeReport folds the tally and the daemon's before/after
-// engine counters into the JSON section.
+// engine counters into the report.
 func buildServeReport(cfg serveConfig, tally *serveTally, before, after *server.Snapshot) *serveReport {
 	tally.mu.Lock()
 	defer tally.mu.Unlock()
 	sort.Slice(tally.latencies, func(i, j int) bool { return tally.latencies[i] < tally.latencies[j] })
 	rep := &serveReport{
-		RatePerSec:  cfg.rate,
-		DurationSec: cfg.duration.Seconds(),
-		Tenants:     cfg.tenants,
-		Requests:    tally.requests,
-		OK:          tally.ok,
-		Shed:        tally.shed,
-		Errors:      tally.errors,
-		Checked:     tally.checked,
-		P50Millis:   percentileMillis(tally.latencies, 0.50),
-		P99Millis:   percentileMillis(tally.latencies, 0.99),
+		Requests:  tally.requests,
+		OK:        tally.ok,
+		Shed:      tally.shed,
+		Errors:    tally.errors,
+		Checked:   tally.checked,
+		P50Millis: percentileMillis(tally.latencies, 0.50),
+		P99Millis: percentileMillis(tally.latencies, 0.99),
 	}
 	if cfg.duration > 0 {
 		rep.OKPerSec = float64(tally.ok) / cfg.duration.Seconds()
@@ -423,15 +412,4 @@ func buildServeReport(cfg serveConfig, tally *serveTally, before, after *server.
 	}
 	rep.DiskHits = after.Engine.DiskHits - before.Engine.DiskHits
 	return rep
-}
-
-// mergeServeReport writes the serve section into the engine JSON,
-// preserving every other section.
-func mergeServeReport(jsonPath string, rep *serveReport) error {
-	doc, err := readEngineFileForMerge(jsonPath)
-	if err != nil {
-		return err
-	}
-	doc.Serve = rep
-	return writeEngineFile(jsonPath, doc)
 }

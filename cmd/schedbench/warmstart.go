@@ -22,30 +22,9 @@ import (
 	"daginsched/internal/tables"
 )
 
-// warmstartReport is the -cachefile section of BENCH_engine.json.
-type warmstartReport struct {
-	Blocks int   `json:"blocks"`
-	Insts  int64 `json:"insts"`
-	// FirstPass is the first engine's run: cold on a fresh file, warm
-	// when an earlier process populated it (the -warmexpect case).
-	FirstPass engine.Stats `json:"first_pass"`
-	// Warm is a fresh engine's run after reopening the populated file —
-	// the warm-start measurement proper.
-	Warm engine.Stats `json:"warm"`
-	// WarmSpeedup is warm insts/s over first-pass insts/s: how much a
-	// restart gains from the persistent tier when the first pass was
-	// cold.
-	WarmSpeedup float64 `json:"warm_speedup"`
-	// DeltaP50Micros/DeltaP99Micros are first-pass minus warm per-block
-	// latency percentiles (positive = warm is faster).
-	DeltaP50Micros float64 `json:"delta_p50_micros"`
-	DeltaP99Micros float64 `json:"delta_p99_micros"`
-	WarmHitRate    float64 `json:"warm_hit_rate"`
-}
-
 // runWarmstart executes the warm-start benchmark over the pooled mixed
-// corpus and merges the report into the engine JSON at jsonPath.
-func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string, cfg parallelConfig, cachePath string, warmExpect float64, jsonPath string) error {
+// corpus and prints the report.
+func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string, workers int, cachePath string, warmExpect float64) error {
 	var mixed []*block.Block
 	for _, set := range sets {
 		mixed = append(mixed, set.Blocks...)
@@ -59,18 +38,12 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 	// included), so first-pass vs warm is a like-for-like comparison.
 	mk := func(path string) (*engine.Engine, error) {
 		return engine.New(engine.Config{
-			Workers: cfg.workers, Model: m, Verify: cfg.verify,
-			Cache: cfg.cache, CachePath: path, Crossover: cfg.crossoverFor(!cfg.adaptive),
-			KeepOrders: true,
+			Workers: workers, Model: m, Cache: true, CachePath: path, KeepOrders: true,
 		})
 	}
 
 	// The identity yardstick: the same pipeline with no cache at all.
-	refEngine, err := engine.New(engine.Config{
-		Workers: cfg.workers, Model: m, Verify: cfg.verify,
-		Cache: false, Crossover: cfg.crossoverFor(!cfg.adaptive),
-		KeepOrders: true,
-	})
+	refEngine, err := engine.New(engine.Config{Workers: workers, Model: m, KeepOrders: true})
 	if err != nil {
 		return err
 	}
@@ -131,19 +104,10 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 		}
 	}
 
-	rep := warmstartReport{
-		Blocks:         len(mixed),
-		Insts:          insts,
-		FirstPass:      fres.Stats,
-		Warm:           wres.Stats,
-		DeltaP50Micros: fres.Stats.P50Micros - wres.Stats.P50Micros,
-		DeltaP99Micros: fres.Stats.P99Micros - wres.Stats.P99Micros,
-		WarmHitRate:    wres.Stats.CacheHitRate,
-	}
+	var speedup float64
 	if fres.Stats.InstsPerSec > 0 {
-		rep.WarmSpeedup = wres.Stats.InstsPerSec / fres.Stats.InstsPerSec
+		speedup = wres.Stats.InstsPerSec / fres.Stats.InstsPerSec
 	}
-
 	fmt.Printf("  first pass %12.0f insts/s, p50 %6.1fus p99 %8.1fus, hit %5.1f%% (%d disk hits)\n",
 		fres.Stats.InstsPerSec, fres.Stats.P50Micros, fres.Stats.P99Micros,
 		fres.Stats.CacheHitRate*100, fres.Stats.DiskHits)
@@ -151,22 +115,6 @@ func runWarmstart(sets []tables.BenchmarkSet, m *machine.Model, modelName string
 		wres.Stats.InstsPerSec, wres.Stats.P50Micros, wres.Stats.P99Micros,
 		wres.Stats.CacheHitRate*100, wres.Stats.DiskHits)
 	fmt.Printf("  warm/first %11.2fx insts/s, p50 delta %+.1fus, p99 delta %+.1fus, schedules byte-identical to the cache-disabled reference\n",
-		rep.WarmSpeedup, rep.DeltaP50Micros, rep.DeltaP99Micros)
-
-	return mergeWarmstartReport(jsonPath, &rep)
-}
-
-// mergeWarmstartReport writes rep into the Warmstart slot of the
-// engine JSON document, preserving every other section.
-func mergeWarmstartReport(jsonPath string, rep *warmstartReport) error {
-	doc, err := readEngineFileForMerge(jsonPath)
-	if err != nil {
-		return err
-	}
-	doc.Warmstart = rep
-	if err := writeEngineFile(jsonPath, doc); err != nil {
-		return err
-	}
-	fmt.Printf("\nwarm-start statistics merged into %s\n", jsonPath)
+		speedup, fres.Stats.P50Micros-wres.Stats.P50Micros, fres.Stats.P99Micros-wres.Stats.P99Micros)
 	return nil
 }

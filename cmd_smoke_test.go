@@ -6,6 +6,7 @@ package daginsched_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -246,121 +247,67 @@ func TestSmokeSchedbench(t *testing.T) {
 	if !strings.Contains(out, "fwd(s)") {
 		t.Errorf("schedbench -table5:\n%s", out)
 	}
-	jsonPath := filepath.Join(t.TempDir(), "engine.json")
-	out = runTool(t, "", "schedbench", "-parallel", "-workers", "2",
-		"-bench", "grep", "-verify", "-json", jsonPath)
-	if !strings.Contains(out, "Parallel batch engine") || !strings.Contains(out, "speedup") {
-		t.Errorf("schedbench -parallel:\n%s", out)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("engine JSON not written: %v", err)
-	}
-	var doc struct {
-		Workers    int  `json:"workers"`
-		Adaptive   bool `json:"adaptive"`
-		Benchmarks []struct {
-			Name            string  `json:"name"`
-			Speedup         float64 `json:"speedup"`
-			AdaptiveSpeedup float64 `json:"adaptive_speedup"`
-			Parallel        struct {
-				Blocks       int     `json:"blocks"`
-				BlocksPerSec float64 `json:"blocks_per_sec"`
-				Bins         []struct {
-					Blocks int64 `json:"blocks"`
-				} `json:"bins"`
-			} `json:"parallel"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("engine JSON malformed: %v\n%s", err, data)
-	}
-	// One selected set plus the pooled "mixed" corpus the adaptive
-	// report appends.
-	if doc.Workers != 2 || !doc.Adaptive || len(doc.Benchmarks) != 2 ||
-		doc.Benchmarks[0].Name != "grep" ||
-		doc.Benchmarks[1].Name != "mixed" ||
-		doc.Benchmarks[0].Parallel.Blocks != 730 ||
-		doc.Benchmarks[0].Parallel.BlocksPerSec <= 0 ||
-		doc.Benchmarks[0].AdaptiveSpeedup <= 0 ||
-		len(doc.Benchmarks[0].Parallel.Bins) == 0 {
-		t.Errorf("engine JSON contents wrong: %+v", doc)
-	}
 }
 
-// TestSmokeSchedbenchStreamAndDiff exercises the streaming benchmark
-// and the perf-regression gate end to end: a short -stream run merges
-// a stream section into the engine JSON, -diff passes a document
-// against itself, -diffselftest proves the gate catches injected
-// regressions, and a genuinely doctored document exits with the
-// distinct regression code.
-func TestSmokeSchedbenchStreamAndDiff(t *testing.T) {
+// TestSmokeSchedbenchDiff exercises the perf gate end to end against
+// the committed baseline: the baseline diffed against itself passes,
+// -diffselftest proves the gate catches every injected regression, a
+// fresh line whose throughput collapsed exits with the distinct
+// regression code, and a file of something other than result lines is
+// a runtime error.
+func TestSmokeSchedbenchDiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests skipped in -short mode")
 	}
-	jsonPath := filepath.Join(t.TempDir(), "engine.json")
-	out := runTool(t, "", "schedbench", "-parallel", "-workers", "2",
-		"-bench", "grep", "-json", jsonPath)
-	if !strings.Contains(out, "Parallel batch engine") {
-		t.Fatalf("schedbench -parallel:\n%s", out)
-	}
-	out = runTool(t, "", "schedbench", "-stream", "-insts", "2e5",
-		"-bench", "grep", "-workers", "2", "-json", jsonPath)
-	for _, want := range []string{"Streaming engine", "throughput", "RSS high-water"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("schedbench -stream missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Benchmarks []json.RawMessage `json:"benchmarks"`
-		Stream     *struct {
-			Insts int64 `json:"insts"`
-			Stats struct {
-				InstsPerSec float64 `json:"insts_per_sec"`
-			} `json:"stats"`
-		} `json:"stream"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("engine JSON malformed: %v\n%s", err, data)
-	}
-	if len(doc.Benchmarks) == 0 {
-		t.Error("-stream dropped the existing parallel benchmarks")
-	}
-	if doc.Stream == nil || doc.Stream.Insts < 2e5 || doc.Stream.Stats.InstsPerSec <= 0 {
-		t.Fatalf("stream section wrong: %+v", doc.Stream)
-	}
-
-	out = runTool(t, "", "schedbench", "-diff", jsonPath, "-json", jsonPath)
+	const baseline = "BENCH_perfbench.ndjson"
+	out := runTool(t, "", "schedbench", "-diff", baseline)
 	if !strings.Contains(out, "no regression") {
 		t.Errorf("self-diff should pass:\n%s", out)
 	}
-	out = runTool(t, "", "schedbench", "-diffselftest", "-json", jsonPath)
-	if !strings.Contains(out, "self-test ok") {
+	out = runTool(t, "", "schedbench", "-diffselftest")
+	if !strings.Contains(out, "self-test ok") || !strings.Contains(out, "caught: correct: false") {
 		t.Errorf("schedbench -diffselftest:\n%s", out)
 	}
 
-	// A document whose throughput collapsed must exit with the
-	// regression code (3) and name the offender.
-	doctored := strings.Replace(string(data), `"insts_per_sec"`, `"x_insts_per_sec"`, -1)
-	badPath := filepath.Join(t.TempDir(), "doctored.json")
-	if err := os.WriteFile(badPath, []byte(doctored), 0o644); err != nil {
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(string(data), "\n")
+	var line struct {
+		Correct   bool                       `json:"correct"`
+		Attempted int64                      `json:"attempted"`
+		Failed    int64                      `json:"failed"`
+		Metrics   map[string]json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(first), &line); err != nil {
+		t.Fatalf("baseline line malformed: %v\n%s", err, first)
+	}
+	line.Metrics["cold-batch/insts_per_s"] = json.RawMessage(`{"value":1,"unit":"inst/s"}`)
+	doctored, err := json.Marshal(&line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	badPath := filepath.Join(dir, "doctored.ndjson")
+	if err := os.WriteFile(badPath, append(doctored, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	schedbench := buildTool(t, "schedbench")
-	out2, code := runToolErr(t, "", schedbench, "-diff", badPath, "-json", jsonPath)
-	if code != 3 {
-		t.Errorf("doctored diff exit code %d, want 3\n%s", code, out2)
+	out, code := runToolErr(t, "", schedbench, "-diff", badPath)
+	if code != 3 || !strings.Contains(out, "cold-batch/insts_per_s") {
+		t.Errorf("doctored diff exit code %d, want 3 naming the metric\n%s", code, out)
 	}
 
-	out2, code = runToolErr(t, "", schedbench, "-diff", jsonPath, "-tolerance", "1.5")
-	if code != 2 {
-		t.Errorf("bad tolerance exit code %d, want 2\n%s", code, out2)
+	junkPath := filepath.Join(dir, "junk.ndjson")
+	if err := os.WriteFile(junkPath, []byte("perfbench: not a result line\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	requireDiagnostic(t, "schedbench", out2)
+	out, code = runToolErr(t, "", schedbench, "-diff", junkPath)
+	if code != 1 {
+		t.Errorf("malformed file exit code %d, want 1\n%s", code, out)
+	}
+	requireDiagnostic(t, "schedbench", out)
 }
 
 // TestSmokeSchedd boots the scheduling daemon, drives its endpoints
@@ -479,44 +426,32 @@ func TestSmokeSchedbenchCachefile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cachePath := filepath.Join(dir, "sched.cache")
-	jsonPath := filepath.Join(dir, "engine.json")
-	// An existing empty JSON file (what mktemp hands CI) must be
-	// treated as a fresh document, not a parse error.
-	if err := os.WriteFile(jsonPath, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	out := runTool(t, "", "schedbench", "-cachefile", cachePath,
-		"-bench", "grep", "-json", jsonPath)
-	for _, want := range []string{"Warm-start benchmark", "byte-identical", "warm-start statistics merged"} {
+	out := runTool(t, "", "schedbench", "-cachefile", cachePath, "-bench", "grep")
+	for _, want := range []string{"Warm-start benchmark", "byte-identical"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("schedbench -cachefile missing %q:\n%s", want, out)
 		}
 	}
 
 	// Second process over the same file: the gate demands the first
-	// pass itself be served from disk.
+	// pass itself be served from disk, and the fresh engine after it
+	// must serve the corpus from the cache.
 	out = runTool(t, "", "schedbench", "-cachefile", cachePath,
-		"-warmexpect", "0.99", "-bench", "grep", "-json", jsonPath)
+		"-warmexpect", "0.99", "-bench", "grep")
 	if !strings.Contains(out, "byte-identical") {
 		t.Errorf("schedbench -cachefile -warmexpect:\n%s", out)
 	}
-
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	var warmHit float64
+	for _, l := range strings.Split(out, "\n") {
+		if _, rest, ok := strings.Cut(l, "warm start "); ok {
+			if _, hit, ok := strings.Cut(rest, "hit "); ok {
+				fmt.Sscanf(hit, "%f%%", &warmHit)
+			}
+		}
 	}
-	var doc struct {
-		Warmstart *struct {
-			Blocks      int     `json:"blocks"`
-			WarmHitRate float64 `json:"warm_hit_rate"`
-		} `json:"warmstart"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("engine JSON malformed: %v\n%s", err, data)
-	}
-	if doc.Warmstart == nil || doc.Warmstart.Blocks == 0 || doc.Warmstart.WarmHitRate < 0.99 {
-		t.Fatalf("warmstart section wrong: %+v", doc.Warmstart)
+	if warmHit < 99 {
+		t.Errorf("warm-start hit rate %.1f%%, want at least 99%%:\n%s", warmHit, out)
 	}
 
 	schedbench := buildTool(t, "schedbench")
@@ -524,7 +459,7 @@ func TestSmokeSchedbenchCachefile(t *testing.T) {
 	// one-line diagnostic.
 	freshCache := filepath.Join(dir, "fresh.cache")
 	out2, code := runToolErr(t, "", schedbench, "-cachefile", freshCache,
-		"-warmexpect", "0.99", "-bench", "grep", "-json", jsonPath)
+		"-warmexpect", "0.99", "-bench", "grep")
 	if code != 1 {
 		t.Errorf("unpopulated -warmexpect exit code %d, want 1\n%s", code, out2)
 	}

@@ -15,6 +15,7 @@ package asm
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"strings"
@@ -27,6 +28,7 @@ import (
 // basic blocks.
 type BlockScanner struct {
 	sc   *bufio.Scanner
+	src  errReader
 	line int
 
 	pendingLabel string
@@ -43,9 +45,38 @@ type BlockScanner struct {
 // NewBlockScanner returns a scanner over r. The line buffer grows to
 // 1MiB, far beyond any plausible assembly line.
 func NewBlockScanner(r io.Reader) *BlockScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &BlockScanner{sc: sc}
+	s := &BlockScanner{src: errReader{r: r}}
+	s.sc = bufio.NewScanner(&s.src)
+	s.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	s.sc.Split(s.splitLines)
+	return s
+}
+
+// errReader remembers the first error its reader returned.
+type errReader struct {
+	r   io.Reader
+	err error
+}
+
+func (e *errReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// splitLines is bufio.ScanLines, except that an unterminated final
+// line counts only when the reader ended with a clean io.EOF. A
+// bufio.Scanner hands back the tail of a failed read (a body cut off by
+// a size cap or an aborted upload) as a last line before it reports the
+// error; that tail is a fragment, so the reader's error comes first.
+// Before end of input the only extra work per line is one branch.
+func (s *BlockScanner) splitLines(data []byte, atEOF bool) (int, []byte, error) {
+	if atEOF && s.src.err != io.EOF && bytes.IndexByte(data, '\n') < 0 {
+		return 0, nil, s.src.err
+	}
+	return bufio.ScanLines(data, atEOF)
 }
 
 // Next fills b with the next basic block, recycling b's instruction

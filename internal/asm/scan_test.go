@@ -2,8 +2,11 @@ package asm
 
 import (
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"daginsched/internal/block"
 	"daginsched/internal/testgen"
@@ -121,6 +124,30 @@ func TestScannerStickyError(t *testing.T) {
 	_, err2 := sc.Next(&b)
 	if err2 != err {
 		t.Fatalf("error not sticky: %v then %v", err, err2)
+	}
+}
+
+// TestScannerCutOffRead: when the reader fails mid-line (a body cut by
+// a size cap, an aborted upload), the fragment after the last newline
+// is not a line. The scanner reports the reader's error instead of
+// scheduling an instruction nobody sent (the cut "bne b12") or blaming
+// the fragment with a parse error (the cut "cmp %o1"). An unterminated
+// last line after a clean EOF is still a line.
+func TestScannerCutOffRead(t *testing.T) {
+	const src = "b0:\n\tadd %o0, 1, %o1\n\tcmp %o1, 0\n\tbne b12345\n"
+	for _, cut := range []string{"\tbne b12", "\tcmp %o1"} {
+		n := strings.Index(src, cut) + len(cut)
+		r := io.MultiReader(strings.NewReader(src[:n]), iotest.ErrReader(io.ErrUnexpectedEOF))
+		sc := NewBlockScanner(r)
+		var b block.Block
+		ok, err := sc.Next(&b)
+		if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut after %q: ok %v, err %v, insts %v; want the reader's error", cut, ok, err, b.Insts)
+		}
+	}
+	blocks := scanAll(t, strings.TrimSuffix(src, "\n"))
+	if len(blocks) != 1 || len(blocks[0].Insts) != 3 {
+		t.Fatalf("unterminated last line at EOF: got %d blocks", len(blocks))
 	}
 }
 

@@ -188,7 +188,7 @@ func TestEngineEmptyBatchRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.Blocks != 0 || res.Stats.Insts != 0 || res.Stats.TotalCycles != 0 ||
-		res.Stats.BlocksPerSec != 0 || len(res.Stats.Bins) != 0 {
+		res.Stats.InstsPerSec != 0 || len(res.Stats.Bins) != 0 {
 		t.Errorf("recycled empty batch stats: %+v", res.Stats)
 	}
 	if len(res.Cycles) != 0 || len(res.Arcs) != 0 || len(res.Orders) != 0 {

@@ -110,19 +110,18 @@ type Config struct {
 	StreamDepth int
 }
 
-// Stats summarizes one batch run; the JSON form is what cmd/schedbench
-// -parallel writes to BENCH_engine.json.
+// Stats summarizes one run of either entry point: the work done, its
+// throughput and per-block latency, the cache and hardening tallies,
+// and the stream's queue peaks.
 type Stats struct {
 	// Workers is the size of the crew that served the run.
-	Workers      int     `json:"workers"`
-	Blocks       int     `json:"blocks"`
-	Insts        int64   `json:"insts"`
-	Arcs         int64   `json:"arcs"`
-	TotalCycles  int64   `json:"total_cycles"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	BlocksPerSec float64 `json:"blocks_per_sec"`
-	InstsPerSec  float64 `json:"insts_per_sec"`
-	ArcsPerSec   float64 `json:"arcs_per_sec"`
+	Workers     int     `json:"workers"`
+	Blocks      int     `json:"blocks"`
+	Insts       int64   `json:"insts"`
+	Arcs        int64   `json:"arcs"`
+	TotalCycles int64   `json:"total_cycles"`
+	WallSeconds float64 `json:"wall_seconds"`
+	InstsPerSec float64 `json:"insts_per_sec"`
 	// P50Micros and P99Micros are per-block latency percentiles read
 	// from a log-scale histogram (4 sub-buckets per octave, so about 12%
 	// bucket resolution) on both entry points.
@@ -583,9 +582,7 @@ func (e *Engine) stats(c *crew, wall time.Duration, bins []BinStats) Stats {
 		}
 	}
 	if secs := wall.Seconds(); secs > 0 {
-		st.BlocksPerSec = float64(st.Blocks) / secs
 		st.InstsPerSec = float64(st.Insts) / secs
-		st.ArcsPerSec = float64(st.Arcs) / secs
 	}
 	if total := st.CacheHits + st.DiskHits + st.CacheMisses; total > 0 {
 		st.CacheHitRate = float64(st.CacheHits+st.DiskHits) / float64(total)

@@ -197,7 +197,7 @@ func TestEngineEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Blocks != 0 || res.Stats.Insts != 0 || res.Stats.BlocksPerSec != 0 {
+	if res.Stats.Blocks != 0 || res.Stats.Insts != 0 || res.Stats.InstsPerSec != 0 {
 		t.Errorf("empty batch stats: %+v", res.Stats)
 	}
 }

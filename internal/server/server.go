@@ -351,7 +351,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	}
 	if raw != "" {
 		if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
+			// Clamp before converting: a huge ms overflows Duration.
+			d = time.Duration(min(ms, s.cfg.MaxDeadline.Milliseconds())) * time.Millisecond
 		}
 	}
 	if d > s.cfg.MaxDeadline {
@@ -500,16 +501,23 @@ type scheduleResponse struct {
 	Results     []blockResult `json:"results"`
 }
 
-// badAsm answers a scanner failure: a 400 carrying the sticky parse
-// error's line when it has one.
-func (s *Server) badAsm(w http.ResponseWriter, err error) {
+// badBody answers a body that could not be read or scanned: a 413
+// when the size cap cut it off, else a 400 (a truncated or aborted
+// upload, or malformed assembly) carrying the parse error's line when
+// it has one.
+func (s *Server) badBody(w http.ResponseWriter, err error) {
 	s.badRequests.Add(1)
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	var pe *asm.ParseError
 	line := 0
 	if errors.As(err, &pe) {
 		line = pe.Line
 	}
-	s.jsonError(w, http.StatusBadRequest, err.Error(), func(b *errorBody) { b.Line = line })
+	s.jsonError(w, code, err.Error(), func(b *errorBody) { b.Line = line })
 }
 
 // runFailed classifies an engine error: the request's own deadline or
@@ -539,15 +547,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	defer finish()
 	body, err := readBody(w, r, s.cfg.MaxBody)
 	if err != nil {
-		// Only the size cap is a 413; a truncated or aborted upload is
-		// the client's malformed request.
-		s.badRequests.Add(1)
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.jsonError(w, code, err.Error(), nil)
+		s.badBody(w, err)
 		return
 	}
 	blocks, err := scanBlocks(ctx, body)
@@ -557,7 +557,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			s.jsonError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error(), nil)
 			return
 		}
-		s.badAsm(w, err)
+		s.badBody(w, err)
 		return
 	}
 	if len(blocks) == 0 {
@@ -643,7 +643,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	first := &block.Block{}
 	ok, err := sc.Next(first)
 	if err != nil {
-		s.badAsm(w, err)
+		s.badBody(w, err)
 		return
 	}
 	if !ok {

@@ -347,6 +347,50 @@ func TestBodyReadError(t *testing.T) {
 	}
 }
 
+// TestStreamBodyCap pins /v1/stream's answer to a body the size cap
+// cuts off. Cut before the first block is complete, it is a 413, as on
+// /v1/schedule. Cut mid-line, the fragment is neither scheduled (a
+// record carrying the cut "bne b12") nor blamed with a parse error:
+// before the first block that is the same 413, and mid-stream the
+// trailer carries the cap's error.
+func TestStreamBodyCap(t *testing.T) {
+	const first = "b0:\n\tadd %o0, 1, %o1\n\tbne b12345\n"
+	for _, cut := range []string{"\tadd %o0, 1, %o1\n", "\tbne b12"} {
+		limit := int64(strings.Index(first, cut) + len(cut))
+		s := newTestServer(t, nil, func(c *Config) { c.MaxBody = limit })
+		w := post(s, "/v1/stream", first+corpusAsm(3), nil)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("cut after %q: status %d, want 413: %s", cut, w.Code, w.Body.String())
+		}
+	}
+
+	body := corpusAsm(3) + "b3:\n\tcmp %o1, 0\n\tbne b3\n"
+	limit := int64(strings.LastIndex(body, "\tcmp %o1") + len("\tcmp %o1"))
+	s := newTestServer(t, nil, func(c *Config) { c.MaxBody = limit })
+	w := post(s, "/v1/stream", body, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 with an error trailer: %s", w.Code, w.Body.String())
+	}
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	var tr streamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Done || tr.Blocks != 3 || !strings.Contains(tr.Error, "request body too large") || tr.Line != 0 {
+		t.Fatalf("trailer %+v, want 3 blocks and the size cap's error", tr)
+	}
+}
+
+// TestDeadlineOverflow pins the clamp on client deadlines: one too
+// large for a time.Duration is MaxDeadline, not an overflow into a
+// deadline already past.
+func TestDeadlineOverflow(t *testing.T) {
+	s := newTestServer(t, nil, nil)
+	const huge = "10000000000000"
+	decodeSchedule(t, post(s, "/v1/schedule?deadline_ms="+huge, corpusAsm(3), nil))
+	decodeSchedule(t, post(s, "/v1/schedule", corpusAsm(3), map[string]string{"X-Deadline-Ms": huge}))
+}
+
 // TestDeadlineDegradesToIdentity pins the deadline→ladder mapping: a
 // fault plan stalling every block against a tiny BlockTimeout must
 // still answer 200 — every block served, degraded down the ladder —

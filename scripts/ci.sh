@@ -39,10 +39,12 @@
 # same cache file that must serve warm — hit rate ≥ 0.9 straight from
 # the persistent tier — and still byte-identical, and a SIGTERM that
 # must drain and exit 0; see DESIGN.md §13),
-# the perf-regression gate (a fresh -parallel + -stream + -serve
-# measurement diffed against the committed BENCH_engine.json inside a
-# tolerance band, with a self-test first proving the gate catches
-# injected regressions), a short native-fuzz smoke over the
+# the perf gate (perfbench run three times over all three workloads,
+# the per-metric medians compared against the committed
+# BENCH_perfbench.ndjson baseline under BENCHMARK.json's end-to-end
+# bounds, with a self-test first proving the gate catches a metric
+# worsened past its bound, an extra failed operation, an incorrect
+# result and a dropped metric), a short native-fuzz smoke over the
 # build→schedule→gate pipeline, and one-iteration benchmark smoke runs
 # over the engine, DAG-builder and heuristic benchmarks that check the
 # zero-allocation steady state.
@@ -74,9 +76,15 @@ go test -race -run '^TestAdaptiveMatchesFixed$' ./internal/engine
 echo "== packed-selection identity (workers=8, -race)"
 go test -race -run '^TestPackedSelMatchesWinnow$' ./internal/engine
 
+# schedbench is built once and reused by the chaos, cache-file,
+# service and perf gates.
+SBENCH_BIN="$(mktemp -u)"
+trap 'rm -f "${SBENCH_BIN:-}" "${CACHE_FILE:-}" "${SCHEDD_BIN:-}" "${SERVE_CACHE:-}" "${SCHEDD_LOG:-}" "${PERF_LINES:-}"; [ -n "${SCHEDD_PID:-}" ] && kill -9 "$SCHEDD_PID" 2> /dev/null || true' EXIT
+go build -o "$SBENCH_BIN" ./cmd/schedbench
+
 echo "== chaos gate (workers=8, -race)"
 go test -race -run '^TestEngineChaosLadder$|^TestEngineChaosDeterminism$' ./internal/engine
-go run ./cmd/schedbench -chaos -bench grep -workers 8
+"$SBENCH_BIN" -chaos -bench grep -workers 8
 
 echo "== streaming gates (-race)"
 go test -race -run '^TestRunStream|^TestStreamHistogram' ./internal/engine
@@ -88,24 +96,19 @@ echo "== persistent cache gates (workers=8, -race)"
 go test -race ./internal/diskcache
 go test -race -run '^TestDisk' ./internal/engine
 CACHE_FILE="$(mktemp -u).schedcache"
-CACHE_JSON="$(mktemp)"
-trap 'rm -f "${CACHE_FILE:-}" "${CACHE_JSON:-}" "${FRESH_JSON:-}" "${SCHEDD_BIN:-}" "${SBENCH_BIN:-}" "${SERVE_CACHE:-}" "${SCHEDD_LOG:-}"; [ -n "${SCHEDD_PID:-}" ] && kill -9 "$SCHEDD_PID" 2> /dev/null || true' EXIT
 # Process 1 populates the file cold; process 2 must warm-start from it.
-go run ./cmd/schedbench -cachefile "$CACHE_FILE" -workers 8 -json "$CACHE_JSON" > /dev/null
-go run ./cmd/schedbench -cachefile "$CACHE_FILE" -workers 8 -warmexpect 0.99 -json "$CACHE_JSON" > /dev/null
+"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 > /dev/null
+"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 -warmexpect 0.99 > /dev/null
 # Corrupt-file smoke: garbage where the cache was must not break a run.
 dd if=/dev/urandom of="$CACHE_FILE" bs=4096 count=4 conv=notrunc 2> /dev/null
-go run ./cmd/schedbench -cachefile "$CACHE_FILE" -workers 8 -json "$CACHE_JSON" > /dev/null
-rm -f "$CACHE_FILE" "$CACHE_JSON"
+"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 > /dev/null
+rm -f "$CACHE_FILE"
 
 echo "== service gates (schedd: identity, kill -9 warm restart, drain)"
-FRESH_JSON="$(mktemp)"
 SCHEDD_BIN="$(mktemp -u)"
-SBENCH_BIN="$(mktemp -u)"
 SERVE_CACHE="$(mktemp -u).schedcache"
 SCHEDD_LOG="$(mktemp)"
 go build -o "$SCHEDD_BIN" ./cmd/schedd
-go build -o "$SBENCH_BIN" ./cmd/schedbench
 # schedd_url: wait for the daemon's listen line and echo its URL.
 schedd_url() {
     for _ in $(seq 100); do
@@ -122,12 +125,12 @@ schedd_url() {
 SCHEDD_PID=$!
 SCHEDD_URL="$(schedd_url "$SCHEDD_LOG")"
 "$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 2s \
-    -servecheck -json "$FRESH_JSON" > /dev/null
+    -servecheck > /dev/null
 sleep 1 # let the disk tier's background flusher drain
 # Phase 2: kill -9 with requests in flight. The interrupted generator
 # is expected to fail; what matters is the daemon dies mid-load.
 "$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 5s \
-    -json /dev/null > /dev/null 2>&1 &
+    > /dev/null 2>&1 &
 LOAD_PID=$!
 sleep 1
 kill -9 "$SCHEDD_PID"
@@ -139,18 +142,32 @@ wait "$LOAD_PID" 2> /dev/null || true
 SCHEDD_PID=$!
 SCHEDD_URL="$(schedd_url "$SCHEDD_LOG")"
 "$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 2s \
-    -servewarm 0.9 -servecheck -json "$FRESH_JSON" > /dev/null
+    -servewarm 0.9 -servecheck > /dev/null
 # Phase 4: SIGTERM must drain gracefully and exit 0.
 kill -TERM "$SCHEDD_PID"
 wait "$SCHEDD_PID"
 SCHEDD_PID=""
-rm -f "$SCHEDD_BIN" "$SBENCH_BIN" "$SERVE_CACHE" "$SCHEDD_LOG"
+rm -f "$SCHEDD_BIN" "$SERVE_CACHE" "$SCHEDD_LOG"
 
-echo "== perf-regression gate"
-go run ./cmd/schedbench -diffselftest
-go run ./cmd/schedbench -parallel -json "$FRESH_JSON" > /dev/null
-go run ./cmd/schedbench -stream -insts 2e6 -json "$FRESH_JSON" > /dev/null
-go run ./cmd/schedbench -diff "$FRESH_JSON"
+echo "== perf gate (perfbench, median of 3 runs vs BENCH_perfbench.ndjson)"
+# The invocation here and the one that recorded the baseline must match
+# (README, "Benchmarks").
+"$SBENCH_BIN" -diffselftest
+# CPU steal is time the hypervisor gave other guests. The baseline is
+# a fixed record, so a failure under heavy steal may be the host's
+# load rather than the code: rerun, or compare with the parent commit.
+steal() { awk '/^cpu /{print $9}' /proc/stat; }
+PERF_T0=$(date +%s)
+PERF_S0=$(steal)
+PERF_LINES="$(mktemp)"
+for _ in 1 2 3; do
+    out="$(bash perfbench/run.sh --workload all --seed 1 --seconds 4 --trace 0)"
+    printf '%s\n' "$out" | tail -n 1 >> "$PERF_LINES"
+done
+PERF_T=$(($(date +%s) - PERF_T0))
+echo "perf runs: ${PERF_T}s, CPU steal $(( ($(steal) - PERF_S0) * 100 / (PERF_T * $(getconf CLK_TCK) * $(nproc)) ))%"
+"$SBENCH_BIN" -diff "$PERF_LINES"
+rm -f "$PERF_LINES"
 
 echo "== fuzz smoke (30s)"
 go test -fuzz '^FuzzBuildSchedule$' -fuzztime 30s -run '^$' ./internal/engine
