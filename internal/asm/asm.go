@@ -17,6 +17,7 @@
 package asm
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -36,206 +37,318 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("asm: line %d: %s (%q)", e.Line, e.Msg, e.Text)
 }
 
+// newParseError renders a line's failure, copying the line out of the
+// buffer the next line reuses. Parsing a line allocates nowhere else
+// but for a name it has not seen.
+func newParseError(line int, raw []byte, err error) *ParseError {
+	//sched:lint-ignore noalloc error path: a malformed line ends the parse
+	return &ParseError{Line: line, Text: string(raw), Msg: err.Error()}
+}
+
 // Parse assembles a program. Labels attach to the following
 // instruction; directives (lines starting with '.') and comments are
 // skipped.
 func Parse(src string) ([]isa.Inst, error) {
 	var out []isa.Inst
-	pendingLabel := ""
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '!'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Leading label(s).
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t,[") {
-				break
-			}
-			pendingLabel = line[:i]
-			line = strings.TrimSpace(line[i+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ".") && !strings.HasPrefix(line, ".L") {
-			continue // assembler directive
-		}
-		in, err := parseInst(line)
+	var p parser
+	text := []byte(src)
+	for ln := 1; ; ln++ {
+		raw, rest, more := bytes.Cut(text, []byte{'\n'})
+		var in isa.Inst
+		ok, err := p.line(raw, &in)
 		if err != nil {
-			return nil, &ParseError{Line: ln + 1, Text: raw, Msg: err.Error()}
+			return nil, newParseError(ln, raw, err)
 		}
-		in.Label = pendingLabel
-		pendingLabel = ""
-		in.Index = len(out)
-		out = append(out, in)
+		if ok {
+			in.Index = len(out)
+			out = append(out, in)
+		}
+		if !more {
+			return out, nil
+		}
+		text = rest
 	}
-	return out, nil
 }
 
-// parseInst assembles one instruction line (no label, no comment).
-func parseInst(line string) (isa.Inst, error) {
+// maxOperands is the most operands any format takes. A line with more
+// is still counted, for the "wants N operands, got M" error.
+const maxOperands = 3
+
+// parser holds the state the line rules carry from line to line — the
+// pending label — and the scratch the instruction parser reuses, so
+// that parsing a line allocates nothing but the names it has not seen.
+// Operands and terms are subslices of the line; the parser keeps none
+// of them past the line.
+type parser struct {
+	label string // defined by the last label, for the next instruction
+	ops   [maxOperands][]byte
+	nops  int // operands on the line, including any past maxOperands
+	names map[string]string
+	fault fault
+}
+
+// maxNames bounds the name table: when it is full it starts over, so
+// a stream of unique labels holds at most this many names.
+const maxNames = 1024
+
+// name returns b as a string, sharing one copy per distinct name. A
+// hit allocates nothing: a map index by a converted byte slice does
+// not copy it.
+func (p *parser) name(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	//sched:lint-ignore noalloc a map index by string(b) does not copy b
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	if len(p.names) >= maxNames {
+		clear(p.names) // keeps the buckets: the table stops growing
+	}
+	if p.names == nil {
+		//sched:lint-ignore noalloc miss: made once per parser
+		p.names = make(map[string]string)
+	}
+	//sched:lint-ignore noalloc miss: the one copy a new name costs
+	s := string(b)
+	//sched:lint-ignore noalloc miss: grows only until the table first fills
+	p.names[s] = s
+	return s
+}
+
+// fault is why a line failed to parse, kept unrendered: format takes
+// text, then want and got for an operand count. text aliases the line
+// buffer, so a fault must be rendered before the next line is read.
+type fault struct {
+	format    string
+	text      []byte
+	want, got int
+}
+
+func (f *fault) Error() string {
+	if f.format == wantOperands {
+		return fmt.Sprintf(f.format, f.text, f.want, f.got)
+	}
+	return fmt.Sprintf(f.format, f.text)
+}
+
+const wantOperands = "%s wants %d operands, got %d"
+
+// fail records a failure of the current line and returns it.
+func (p *parser) fail(format string, text []byte) error {
+	p.fault = fault{format: format, text: text}
+	return &p.fault
+}
+
+// line parses one source line: it strips a '!' comment, takes any
+// leading labels (the last one is kept for the next instruction),
+// skips directives, and parses what is left into in. It reports
+// whether the line held an instruction.
+//
+//sched:noalloc
+func (p *parser) line(raw []byte, in *isa.Inst) (bool, error) {
+	line := raw
+	if i := bytes.IndexByte(line, '!'); i >= 0 {
+		line = line[:i]
+	}
+	line = bytes.TrimSpace(line)
+	for len(line) > 0 {
+		i := bytes.IndexByte(line, ':')
+		if i < 0 || bytes.ContainsAny(line[:i], " \t,[") {
+			break
+		}
+		p.label = p.name(line[:i])
+		line = bytes.TrimSpace(line[i+1:])
+	}
+	if len(line) == 0 {
+		return false, nil
+	}
+	if line[0] == '.' && !bytes.HasPrefix(line, dotL) {
+		return false, nil // assembler directive
+	}
+	if err := p.inst(line, in); err != nil {
+		return false, err
+	}
+	in.Label = p.label
+	p.label = ""
+	return true, nil
+}
+
+var dotL = []byte(".L")
+
+// inst assembles one instruction line (no label, no comment) into in.
+func (p *parser) inst(line []byte, in *isa.Inst) error {
 	mnem := line
-	rest := ""
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mnem, rest = line[:i], strings.TrimSpace(line[i+1:])
+	var rest []byte
+	if i := bytes.IndexAny(line, " \t"); i >= 0 {
+		mnem, rest = line[:i], bytes.TrimSpace(line[i+1:])
 	}
 	annul := false
-	if strings.HasSuffix(mnem, ",a") {
+	if n := len(mnem); n >= 2 && mnem[n-2] == ',' && mnem[n-1] == 'a' {
 		annul = true
-		mnem = strings.TrimSuffix(mnem, ",a")
+		mnem = mnem[:n-2]
 	}
 	op, ok := isa.OpcodeByName(mnem)
 	if !ok {
-		return isa.Inst{}, fmt.Errorf("unknown mnemonic %q", mnem)
+		return p.fail("unknown mnemonic %q", mnem)
 	}
-	ops := splitOperands(rest)
-	in := isa.Inst{Op: op, RS1: isa.RegNone, RS2: isa.RegNone, RD: isa.RegNone,
+	p.split(rest)
+	*in = isa.Inst{Op: op, RS1: isa.RegNone, RS2: isa.RegNone, RD: isa.RegNone,
 		Mem: isa.NoMem, Annul: annul}
 	if annul && !op.IsBranch() {
-		return in, fmt.Errorf("%q cannot be annulled", mnem)
+		return p.fail("%q cannot be annulled", mnem)
 	}
-
+	ops := &p.ops
 	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mnem, n, len(ops))
+		if p.nops != n {
+			p.fault = fault{format: wantOperands, text: mnem, want: n, got: p.nops}
+			return &p.fault
 		}
 		return nil
 	}
 	switch op.Format() {
 	case isa.FmtNone:
-		return in, need(0)
+		return need(0)
 	case isa.Fmt3:
 		switch op {
 		case isa.MOV: // mov rs2|imm, rd
 			if err := need(2); err != nil {
-				return in, err
+				return err
 			}
 			in.RS1 = isa.G0
-			if err := parseRegOrImm(ops[0], &in); err != nil {
-				return in, err
+			if err := p.regOrImm(ops[0], in); err != nil {
+				return err
 			}
-			return in, parseRegInto(ops[1], &in.RD)
+			return p.reg(ops[1], &in.RD)
 		case isa.CMP: // cmp rs1, rs2|imm
 			if err := need(2); err != nil {
-				return in, err
+				return err
 			}
 			in.RD = isa.G0
-			if err := parseRegInto(ops[0], &in.RS1); err != nil {
-				return in, err
+			if err := p.reg(ops[0], &in.RS1); err != nil {
+				return err
 			}
-			return in, parseRegOrImm(ops[1], &in)
+			return p.regOrImm(ops[1], in)
 		}
-		if op == isa.RESTORE && len(ops) == 0 { // bare restore
+		if op == isa.RESTORE && p.nops == 0 { // bare restore
 			in.RS1, in.RS2, in.RD = isa.G0, isa.G0, isa.G0
-			return in, nil
+			return nil
 		}
 		if err := need(3); err != nil {
-			return in, err
+			return err
 		}
-		if err := parseRegInto(ops[0], &in.RS1); err != nil {
-			return in, err
+		if err := p.reg(ops[0], &in.RS1); err != nil {
+			return err
 		}
-		if err := parseRegOrImm(ops[1], &in); err != nil {
-			return in, err
+		if err := p.regOrImm(ops[1], in); err != nil {
+			return err
 		}
-		return in, parseRegInto(ops[2], &in.RD)
+		return p.reg(ops[2], &in.RD)
 	case isa.FmtLoad:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		mem, err := parseMem(ops[0])
-		if err != nil {
-			return in, err
+		if err := p.mem(ops[0], &in.Mem); err != nil {
+			return err
 		}
-		in.Mem = mem
-		return in, parseRegInto(ops[1], &in.RD)
+		return p.reg(ops[1], &in.RD)
 	case isa.FmtStore:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		if err := parseRegInto(ops[0], &in.RD); err != nil {
-			return in, err
+		if err := p.reg(ops[0], &in.RD); err != nil {
+			return err
 		}
-		mem, err := parseMem(ops[1])
-		in.Mem = mem
-		return in, err
+		return p.mem(ops[1], &in.Mem)
 	case isa.FmtBranch, isa.FmtCall:
 		if err := need(1); err != nil {
-			return in, err
+			return err
 		}
-		in.Target = ops[0]
-		return in, nil
+		in.Target = p.name(ops[0])
+		return nil
 	case isa.FmtSethi:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		v, err := parseHi(ops[0])
-		if err != nil {
-			return in, err
+		s := ops[0]
+		if bytes.HasPrefix(s, hiOpen) && s[len(s)-1] == ')' {
+			s = s[len(hiOpen) : len(s)-1]
+		}
+		v, ok := parseInt32(s)
+		if !ok {
+			return p.fail("bad sethi operand %q", s)
 		}
 		in.Imm, in.HasImm = v, true
-		return in, parseRegInto(ops[1], &in.RD)
+		return p.reg(ops[1], &in.RD)
 	case isa.FmtFp2:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		if err := parseRegInto(ops[0], &in.RS2); err != nil {
-			return in, err
+		if err := p.reg(ops[0], &in.RS2); err != nil {
+			return err
 		}
-		return in, parseRegInto(ops[1], &in.RD)
+		return p.reg(ops[1], &in.RD)
 	case isa.FmtFp3:
 		if err := need(3); err != nil {
-			return in, err
+			return err
 		}
-		if err := parseRegInto(ops[0], &in.RS1); err != nil {
-			return in, err
+		if err := p.reg(ops[0], &in.RS1); err != nil {
+			return err
 		}
-		if err := parseRegInto(ops[1], &in.RS2); err != nil {
-			return in, err
+		if err := p.reg(ops[1], &in.RS2); err != nil {
+			return err
 		}
-		return in, parseRegInto(ops[2], &in.RD)
+		return p.reg(ops[2], &in.RD)
 	case isa.FmtFcmp:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		if err := parseRegInto(ops[0], &in.RS1); err != nil {
-			return in, err
+		if err := p.reg(ops[0], &in.RS1); err != nil {
+			return err
 		}
-		return in, parseRegInto(ops[1], &in.RS2)
-	case isa.FmtJmpl:
+		return p.reg(ops[1], &in.RS2)
+	case isa.FmtJmpl: // jmpl rs1[+-off], rd
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		base, off, err := parseBasePlusOffset(ops[0])
-		if err != nil {
-			return in, err
+		s := ops[0]
+		i := bytes.IndexAny(s, "+-")
+		if i < 0 {
+			i = len(s)
 		}
-		in.RS1, in.Imm, in.HasImm = base, off, true
-		return in, parseRegInto(ops[1], &in.RD)
+		if err := p.reg(s[:i], &in.RS1); err != nil {
+			return err
+		}
+		in.Imm, in.HasImm = 0, true
+		if i < len(s) {
+			v, ok := parseInt32(s[i:])
+			if !ok {
+				return p.fail("bad offset %q", s[i:])
+			}
+			in.Imm = v
+		}
+		return p.reg(ops[1], &in.RD)
 	case isa.FmtRdY:
 		if err := need(2); err != nil {
-			return in, err
+			return err
 		}
-		if ops[0] != "%y" {
-			return in, fmt.Errorf("rd reads %%y, got %q", ops[0])
+		if r, ok := isa.RegByName(ops[0]); !ok || r != isa.Y {
+			return p.fail("rd reads %%y, got %q", ops[0])
 		}
-		return in, parseRegInto(ops[1], &in.RD)
+		return p.reg(ops[1], &in.RD)
 	}
-	return in, fmt.Errorf("unhandled format for %q", mnem)
+	return p.fail("unhandled format for %q", mnem)
 }
 
-// splitOperands splits on commas outside brackets.
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
+var hiOpen = []byte("%hi(")
+
+// split splits an operand list on the commas outside brackets into
+// p.ops, counting all of them in p.nops.
+func (p *parser) split(s []byte) {
+	p.nops = 0
+	if len(s) == 0 {
+		return
 	}
-	var out []string
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -246,139 +359,154 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				p.addOp(s[start:i])
 				start = i + 1
 			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	p.addOp(s[start:])
 }
 
-func parseRegInto(s string, dst *isa.Reg) error {
-	r, err := isa.ParseReg(s)
-	if err != nil {
-		return err
+func (p *parser) addOp(op []byte) {
+	if p.nops < len(p.ops) {
+		p.ops[p.nops] = bytes.TrimSpace(op)
+	}
+	p.nops++
+}
+
+func (p *parser) reg(s []byte, dst *isa.Reg) error {
+	r, ok := isa.RegByName(s)
+	if !ok {
+		return p.fail("isa: unknown register %q", s)
 	}
 	*dst = r
 	return nil
 }
 
-// parseRegOrImm fills RS2 or Imm from the second ALU operand.
-func parseRegOrImm(s string, in *isa.Inst) error {
-	if strings.HasPrefix(s, "%") {
-		return parseRegInto(s, &in.RS2)
+// regOrImm fills RS2 or Imm from the second ALU operand.
+func (p *parser) regOrImm(s []byte, in *isa.Inst) error {
+	if len(s) > 0 && s[0] == '%' {
+		return p.reg(s, &in.RS2)
 	}
-	v, err := strconv.ParseInt(s, 0, 32)
-	if err != nil {
-		return fmt.Errorf("bad immediate %q", s)
+	v, ok := parseInt32(s)
+	if !ok {
+		return p.fail("bad immediate %q", s)
 	}
-	in.Imm, in.HasImm = int32(v), true
+	in.Imm, in.HasImm = v, true
 	return nil
 }
 
-// parseHi parses "%hi(123)" or a bare integer.
-func parseHi(s string) (int32, error) {
-	if strings.HasPrefix(s, "%hi(") && strings.HasSuffix(s, ")") {
-		s = s[4 : len(s)-1]
+// parseInt32 parses a 32-bit integer with strconv.ParseInt's base-0
+// syntax. Plain decimal short enough not to overflow is parsed in
+// place; anything else (hex, octal, underscores, malformed text) goes
+// through strconv.
+func parseInt32(s []byte) (int32, bool) {
+	digits := s
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
 	}
-	v, err := strconv.ParseInt(s, 0, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad sethi operand %q", s)
+	if n := len(digits); n > 0 && n <= 9 && (digits[0] != '0' || n == 1) {
+		v := int32(0)
+		for _, c := range digits {
+			if c < '0' || c > '9' {
+				return parseInt32Slow(s)
+			}
+			v = v*10 + int32(c-'0')
+		}
+		if s[0] == '-' {
+			v = -v
+		}
+		return v, true
 	}
-	return int32(v), nil
+	return parseInt32Slow(s)
 }
 
-// parseBasePlusOffset parses "%i7+8".
-func parseBasePlusOffset(s string) (isa.Reg, int32, error) {
-	i := strings.IndexAny(s, "+-")
-	if i < 0 {
-		r, err := isa.ParseReg(s)
-		return r, 0, err
-	}
-	r, err := isa.ParseReg(s[:i])
-	if err != nil {
-		return isa.RegNone, 0, err
-	}
-	v, err := strconv.ParseInt(s[i:], 0, 32)
-	if err != nil {
-		return isa.RegNone, 0, fmt.Errorf("bad offset %q", s[i:])
-	}
-	return r, int32(v), nil
+func parseInt32Slow(s []byte) (int32, bool) {
+	//sched:lint-ignore noalloc rare: only literals that are not short plain decimal reach strconv
+	v, err := strconv.ParseInt(string(s), 0, 32)
+	return int32(v), err == nil
 }
 
-// parseMem parses "[%fp-8]", "[%o0+%o1]", "[_sym]", "[_sym+%g1+4]".
-func parseMem(s string) (isa.MemExpr, error) {
-	m := isa.NoMem
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return m, fmt.Errorf("bad memory operand %q", s)
+// mem parses "[%fp-8]", "[%o0+%o1]", "[_sym]", "[_sym+%g1+4]" into m.
+func (p *parser) mem(s []byte, m *isa.MemExpr) error {
+	*m = isa.NoMem
+	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
+		return p.fail("bad memory operand %q", s)
 	}
 	body := s[1 : len(s)-1]
-	// Split into +/- separated terms, keeping signs on numbers.
-	terms := splitTerms(body)
-	if len(terms) == 0 {
-		return m, fmt.Errorf("empty memory operand %q", s)
-	}
-	for _, term := range terms {
+	// Walk the +/- separated terms, keeping signs on numbers: a '+'
+	// or '-' after the first byte ends a term, and the byte after it
+	// cannot end one.
+	terms := 0
+	start := 0
+	for i := 1; ; {
+		var term []byte
+		last := i >= len(body)
 		switch {
-		case strings.HasPrefix(term, "%"):
-			r, err := isa.ParseReg(term)
-			if err != nil {
-				return m, err
+		case last:
+			term = body[start:]
+		case body[i] == '+' || body[i] == '-':
+			term = body[start:i]
+			start = i
+			if body[i] == '+' {
+				start++
 			}
-			if m.Base == isa.RegNone {
-				m.Base = r
-			} else if m.Index == isa.RegNone {
-				m.Index = r
-			} else {
-				return m, fmt.Errorf("too many registers in %q", s)
-			}
-		case term[0] == '+' || term[0] == '-' || (term[0] >= '0' && term[0] <= '9'):
-			v, err := strconv.ParseInt(term, 0, 32)
-			if err != nil {
-				return m, fmt.Errorf("bad displacement %q", term)
-			}
-			m.Offset += int32(v)
+			i += 2
 		default:
-			if m.Sym != "" {
-				return m, fmt.Errorf("two symbols in %q", s)
+			i++
+			continue
+		}
+		term = bytes.TrimSpace(term)
+		if len(term) > 0 && !(len(term) == 1 && term[0] == '+') {
+			terms++
+			if err := p.memTerm(s, term, m); err != nil {
+				return err
 			}
-			m.Sym = term
+		}
+		if last {
+			break
 		}
 	}
+	if terms == 0 {
+		return p.fail("empty memory operand %q", s)
+	}
 	if m.Sym == "" && m.Base == isa.RegNone {
-		return m, fmt.Errorf("memory operand %q has no base or symbol", s)
+		return p.fail("memory operand %q has no base or symbol", s)
 	}
 	if m.Sym != "" && m.Base == isa.RegNone {
 		m.Base = isa.G0
 	}
-	return m, nil
+	return nil
 }
 
-// splitTerms splits "a+%g1-8" into ["a", "%g1", "-8"].
-func splitTerms(s string) []string {
-	var out []string
-	start := 0
-	for i := 1; i < len(s); i++ {
-		if s[i] == '+' || s[i] == '-' {
-			out = append(out, strings.TrimSpace(s[start:i]))
-			if s[i] == '+' {
-				start = i + 1
-			} else {
-				start = i
-			}
-			i++ // skip sign character in next scan step
+// memTerm adds one term of the memory operand s to m.
+func (p *parser) memTerm(s, term []byte, m *isa.MemExpr) error {
+	switch c := term[0]; {
+	case c == '%':
+		var r isa.Reg
+		if err := p.reg(term, &r); err != nil {
+			return err
 		}
-	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	// Drop empties (leading '+').
-	var clean []string
-	for _, t := range out {
-		if t != "" && t != "+" {
-			clean = append(clean, t)
+		if m.Base == isa.RegNone {
+			m.Base = r
+		} else if m.Index == isa.RegNone {
+			m.Index = r
+		} else {
+			return p.fail("too many registers in %q", s)
 		}
+	case c == '+' || c == '-' || (c >= '0' && c <= '9'):
+		v, ok := parseInt32(term)
+		if !ok {
+			return p.fail("bad displacement %q", term)
+		}
+		m.Offset += v
+	default:
+		if m.Sym != "" {
+			return p.fail("two symbols in %q", s)
+		}
+		m.Sym = p.name(term)
 	}
-	return clean
+	return nil
 }
 
 // Print renders a program back to assembly text, one instruction per

@@ -6,11 +6,14 @@
 // and recycles caller-provided block storage, so scanning a gigabyte
 // of assembly occupies one block at a time.
 //
-// The scanner replicates Parse's line handling (comments, shared-line
-// and stacked labels, directive skipping) and Partition's boundary
-// rules (a label starts a block, a block-ending opcode ends one,
-// synthesized ".bb<n>" names for unlabeled blocks) exactly: the block
-// sequence is identical to block.Partition(Parse(src)) on any input.
+// The scanner parses each line with Parse's own line function
+// (comments, shared-line and stacked labels, directive skipping) and
+// replicates Partition's boundary rules (a label starts a block, a
+// block-ending opcode ends one, synthesized ".bb<n>" names for
+// unlabeled blocks) exactly: the block sequence is identical to
+// block.Partition(Parse(src)) on any input. Lines are scanned as bytes
+// and parsed in place, so a line whose names the scanner has seen
+// before costs no allocation.
 package asm
 
 import (
@@ -18,7 +21,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"strings"
 
 	"daginsched/internal/block"
 	"daginsched/internal/isa"
@@ -31,7 +33,8 @@ type BlockScanner struct {
 	src  errReader
 	line int
 
-	pendingLabel string
+	p parser // the pending label and the line parser's scratch
+
 	// pendingInst is an already-parsed instruction whose label closed
 	// the previous block; it leads the next one.
 	pendingInst isa.Inst
@@ -83,6 +86,13 @@ func (s *BlockScanner) splitLines(data []byte, atEOF bool) (int, []byte, error) 
 // storage, and reports whether a block was produced. It returns false
 // with a nil error at end of input and false with the error (sticky)
 // on a malformed line or reader failure.
+//
+// In steady state — b's storage grown to the largest block, every name
+// on the line seen before — Next allocates nothing. A new label, branch
+// target or symbol costs one copy, a block without a label one
+// synthesized name.
+//
+//sched:noalloc
 func (s *BlockScanner) Next(b *block.Block) (bool, error) {
 	if s.err != nil {
 		return false, s.err
@@ -97,7 +107,7 @@ func (s *BlockScanner) Next(b *block.Block) (bool, error) {
 			in, s.hasPending = s.pendingInst, false
 		} else {
 			var ok bool
-			in, ok, s.err = s.scanInst()
+			ok, s.err = s.scanInst(&in)
 			if s.err != nil {
 				return false, s.err
 			}
@@ -122,6 +132,7 @@ func (s *BlockScanner) Next(b *block.Block) (bool, error) {
 			b.Start = s.index
 		}
 		in.Index = len(b.Insts)
+		//sched:lint-ignore noalloc amortized: callers recycle b, whose capacity is kept across blocks
 		b.Insts = append(b.Insts, in)
 		s.index++
 		if in.Op.EndsBlock() {
@@ -133,42 +144,19 @@ func (s *BlockScanner) Next(b *block.Block) (bool, error) {
 
 // scanInst parses forward to the next instruction, carrying labels
 // across blank, comment and directive lines exactly as Parse does.
-func (s *BlockScanner) scanInst() (isa.Inst, bool, error) {
+func (s *BlockScanner) scanInst(in *isa.Inst) (bool, error) {
 	for s.sc.Scan() {
 		s.line++
-		raw := s.sc.Text()
-		line := raw
-		if i := strings.IndexByte(line, '!'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Leading label(s).
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t,[") {
-				break
-			}
-			s.pendingLabel = line[:i]
-			line = strings.TrimSpace(line[i+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ".") && !strings.HasPrefix(line, ".L") {
-			continue // assembler directive
-		}
-		in, err := parseInst(line)
+		raw := s.sc.Bytes()
+		ok, err := s.p.line(raw, in)
 		if err != nil {
-			return isa.Inst{}, false, &ParseError{Line: s.line, Text: raw, Msg: err.Error()}
+			return false, newParseError(s.line, raw, err)
 		}
-		in.Label = s.pendingLabel
-		s.pendingLabel = ""
-		return in, true, nil
+		if ok {
+			return true, nil
+		}
 	}
-	return isa.Inst{}, false, s.sc.Err()
+	return false, s.sc.Err()
 }
 
 // StreamBlocks scans r and sends each basic block onto out, recycling

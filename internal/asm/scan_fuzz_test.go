@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,10 +47,20 @@ func fuzzScanAll(src string) ([]*block.Block, error) {
 	}
 }
 
+// manyLabels is n one-instruction blocks under distinct labels, each
+// branching to another.
+func manyLabels(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "L%d:\tbne L%d\n", i, (i*7+3)%n)
+	}
+	return sb.String()
+}
+
 // FuzzBlockScanner drives the scanner with hostile inputs and checks
 // it against Parse + Partition. The differential is skipped when the
 // two paths legitimately diverge: carriage returns (bufio.ScanLines
-// strips a trailing \r, Parse's strings.Split does not) and lines past
+// strips a trailing \r, Parse splits on \n alone) and lines past
 // the scanner's 1MiB buffer (Parse has no line cap).
 func FuzzBlockScanner(f *testing.F) {
 	f.Add("top:\n\tld [%fp-8], %o0\n\tadd %o0, %o1, %o2\n\tbne top\n")
@@ -62,6 +73,12 @@ func FuzzBlockScanner(f *testing.F) {
 	f.Add(strings.Repeat("\tnop\n", 300))
 	f.Add("\tbne a\n\tbne b\nc:\n\tcmp %o0, 1\n")
 	f.Add("!: ,[\n::\n\t.L:\n")
+	f.Add("\tfaddd %f0, %f2, %f4\n\tmov %r17, %r31\n\tfcmps %f31, %f9\n")         // FP and %r registers
+	f.Add("\tmov %f01, %o0\n\tadd %f+1, %r32, %g8\n\tmov %F1, %o8\n")             // non-canonical spellings
+	f.Add("\tld [_tab+%g1+4], %o0\n\tst %o0, [%o1+%o2+%o3]\n\tld [_a+_b], %o0\n") // 3-term memory operands
+	f.Add("\tadd %o0, %o1, %o2, %o3, %o4\n")                                      // 5 operands
+	f.Add("top:\r\n\tadd %o0, 1, %o1\r\n\tbne top\r\n")                           // CRLF
+	f.Add(manyLabels(maxNames + 100))                                             // overflows the name table
 
 	f.Fuzz(func(t *testing.T, src string) {
 		got, scanErr := fuzzScanAll(src)

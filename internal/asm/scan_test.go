@@ -3,6 +3,7 @@ package asm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -196,5 +197,74 @@ func TestStreamBlocksCancellation(t *testing.T) {
 	_, _, err := StreamBlocks(ctx, strings.NewReader(trickySource), src, nil)
 	if err != context.Canceled {
 		t.Fatalf("error %v, want context.Canceled", err)
+	}
+}
+
+// loopReader yields text over and over, without allocating.
+type loopReader struct {
+	text []byte
+	off  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.text[r.off:])
+	r.off = (r.off + n) % len(r.text)
+	return n, nil
+}
+
+// TestScannerNoAlloc: once the name table has seen every label, branch
+// target and symbol, and the recycled block has grown to the largest
+// block, Next allocates nothing.
+func TestScannerNoAlloc(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "L%d:\n", i)
+		sb.WriteString(Print(testgen.Block(int64(300+i), 1+i%17)))
+		fmt.Fprintf(&sb, "\tld [_tab+%%g1+%d], %%f%d\n\tfadds %%f1, %%f2, %%f3\n\tbne,a L%d\n", 4*i, i%32, (i+7)%40)
+	}
+	text := sb.String()
+	blocks := len(scanAll(t, text))
+	sc := NewBlockScanner(&loopReader{text: []byte(text)})
+	var b block.Block
+	next := func() {
+		if ok, err := sc.Next(&b); !ok || err != nil {
+			t.Fatalf("Next: %v, %v", ok, err)
+		}
+	}
+	for i := 0; i < blocks; i++ {
+		next()
+	}
+	if n := testing.AllocsPerRun(5*blocks, next); n != 0 {
+		t.Fatalf("Next allocates %v times per block in steady state", n)
+	}
+}
+
+// TestScannerNamesBounded: a stream of unique labels keeps the name
+// table at its bound, and every label still comes out right.
+func TestScannerNamesBounded(t *testing.T) {
+	var sb strings.Builder
+	const n = 3*maxNames + 5
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "L%d:\n\tadd %%o0, 1, %%o1\n\tbne L%d\n", i, n-1-i)
+	}
+	sc := NewBlockScanner(strings.NewReader(sb.String()))
+	var b block.Block
+	for i := 0; ; i++ {
+		ok, err := sc.Next(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != n {
+				t.Fatalf("%d blocks, want %d", i, n)
+			}
+			break
+		}
+		if want := fmt.Sprintf("L%d", i); b.Name != want || b.Insts[1].Target != fmt.Sprintf("L%d", n-1-i) {
+			t.Fatalf("block %d: name %q target %q", i, b.Name, b.Insts[1].Target)
+		}
+		if len(sc.p.names) > maxNames {
+			t.Fatalf("name table holds %d names, bound %d", len(sc.p.names), maxNames)
+		}
 	}
 }

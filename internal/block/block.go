@@ -92,6 +92,7 @@ func SynthName(n int) string {
 		buf[i] = byte('0' + v%10)
 	}
 	copy(buf[3:], buf[i:])
+	//sched:lint-ignore noalloc the name is the one allocation an unlabeled block costs
 	return string(buf[:3+len(buf)-i])
 }
 

@@ -18,7 +18,10 @@
 // interning lives in package resource.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names an architectural register. Integer registers occupy 0..31
 // (%g0..%g7, %o0..%o7, %l0..%l7, %i0..%i7), floating-point registers
@@ -115,59 +118,108 @@ func (r Reg) FPNum() int {
 	return int(r - 32)
 }
 
-var intRegNames = [32]string{
+// regNames holds the assembly name of every nameable register, indexed
+// by Reg: the integer file, the FP file, then %icc, %fcc and %y.
+var regNames = [Y + 1]string{
 	"%g0", "%g1", "%g2", "%g3", "%g4", "%g5", "%g6", "%g7",
 	"%o0", "%o1", "%o2", "%o3", "%o4", "%o5", "%sp", "%o7",
 	"%l0", "%l1", "%l2", "%l3", "%l4", "%l5", "%l6", "%l7",
 	"%i0", "%i1", "%i2", "%i3", "%i4", "%i5", "%fp", "%i7",
+	"%f0", "%f1", "%f2", "%f3", "%f4", "%f5", "%f6", "%f7",
+	"%f8", "%f9", "%f10", "%f11", "%f12", "%f13", "%f14", "%f15",
+	"%f16", "%f17", "%f18", "%f19", "%f20", "%f21", "%f22", "%f23",
+	"%f24", "%f25", "%f26", "%f27", "%f28", "%f29", "%f30", "%f31",
+	"%icc", "%fcc", "%y",
 }
 
 // String returns the assembly name of the register.
 func (r Reg) String() string {
 	switch {
-	case r < 32:
-		return intRegNames[r]
-	case r.IsFP():
-		return fmt.Sprintf("%%f%d", r-32)
-	case r == ICC:
-		return "%icc"
-	case r == FCC:
-		return "%fcc"
-	case r == Y:
-		return "%y"
+	case r <= Y:
+		return regNames[r]
 	case r == RegNone:
 		return "%none"
 	}
-	return fmt.Sprintf("%%r?%d", uint8(r))
+	return "%r?" + strconv.Itoa(int(r))
 }
 
 // ParseReg parses an assembly register name ("%o3", "%f12", "%sp"...).
 func ParseReg(s string) (Reg, error) {
-	for i, n := range intRegNames {
-		if s == n {
-			return Reg(i), nil
-		}
-	}
-	switch s {
-	case "%o6":
-		return SP, nil
-	case "%i6":
-		return FP, nil
-	case "%icc":
-		return ICC, nil
-	case "%fcc":
-		return FCC, nil
-	case "%y":
-		return Y, nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%%f%d", &n); err == nil && n >= 0 && n < 32 && fmt.Sprintf("%%f%d", n) == s {
-		return F(n), nil
-	}
-	if _, err := fmt.Sscanf(s, "%%r%d", &n); err == nil && n >= 0 && n < 32 && fmt.Sprintf("%%r%d", n) == s {
-		return R(n), nil
+	if r, ok := RegByName(s); ok {
+		return r, nil
 	}
 	return RegNone, fmt.Errorf("isa: unknown register %q", s)
+}
+
+// RegByName is ParseReg without the error, for a name held in a string
+// or a byte slice; it does not allocate. The names are the canonical
+// ones String returns, the aliases %o6 (%sp) and %i6 (%fp), and the
+// flat integer numbering %r0..%r31. Numbers are plain decimal: %f01,
+// %f+1 and %f 1 are not registers.
+func RegByName[T string | []byte](s T) (Reg, bool) {
+	if len(s) < 2 || s[0] != '%' {
+		return RegNone, false
+	}
+	switch len(s) {
+	case 2:
+		if s[1] == 'y' {
+			return Y, true
+		}
+	case 3:
+		if s[2] == 'p' {
+			switch s[1] {
+			case 's':
+				return SP, true
+			case 'f':
+				return FP, true
+			}
+			return RegNone, false
+		}
+		d := Reg(s[2] - '0')
+		if d > 9 {
+			return RegNone, false
+		}
+		bank := RegNone
+		switch s[1] {
+		case 'f':
+			return F0 + d, true
+		case 'r':
+			return d, true
+		case 'g':
+			bank = G0
+		case 'o':
+			bank = O0
+		case 'l':
+			bank = L0
+		case 'i':
+			bank = I0
+		}
+		if bank != RegNone && d < 8 {
+			return bank + d, true
+		}
+	case 4:
+		if s[2] == 'c' && s[3] == 'c' {
+			switch s[1] {
+			case 'i':
+				return ICC, true
+			case 'f':
+				return FCC, true
+			}
+			return RegNone, false
+		}
+		hi, lo := s[2]-'0', s[3]-'0'
+		if hi < 1 || hi > 3 || lo > 9 || hi == 3 && lo > 1 {
+			return RegNone, false
+		}
+		n := Reg(hi*10 + lo)
+		switch s[1] {
+		case 'f':
+			return F0 + n, true
+		case 'r':
+			return n, true
+		}
+	}
+	return RegNone, false
 }
 
 // Class is a coarse instruction class. It drives function-unit

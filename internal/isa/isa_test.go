@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,108 @@ func TestParseRegRoundTripQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestParseRegCanonical pins ParseReg's accept set: every register's
+// String round-trips, the aliases parse, non-canonical spellings are
+// rejected, and over every short string of register-shaped bytes it
+// agrees with the fmt round trip (parse "%f%d", print it back, compare)
+// that first defined the set.
+func TestParseRegCanonical(t *testing.T) {
+	for r := G0; r <= Y; r++ {
+		if got, err := ParseReg(r.String()); err != nil || got != r {
+			t.Errorf("ParseReg(%q) = %v, %v; want %v", r.String(), got, err, r)
+		}
+	}
+	aliases := map[string]Reg{"%sp": SP, "%o6": SP, "%fp": FP, "%i6": FP,
+		"%icc": ICC, "%fcc": FCC, "%y": Y, "%r0": G0, "%r14": SP, "%r31": I7}
+	for s, want := range aliases {
+		if got, err := ParseReg(s); err != nil || got != want {
+			t.Errorf("ParseReg(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"%f01", "%f032", "%f+1", "%f 1", "%f32", "%r32",
+		"%g8", "%o8", "%F1", "%", "", "f1", "%f-0", "%r00", "%xcc", "%y0", "%f1 "} {
+		r, err := ParseReg(s)
+		if err == nil {
+			t.Errorf("ParseReg(%q) = %v, want an error", s, r)
+		} else if want := fmt.Sprintf("isa: unknown register %q", s); err.Error() != want {
+			t.Errorf("ParseReg(%q) error %q, want %q", s, err, want)
+		}
+	}
+
+	const alphabet = "%fgrilosp0123456789ycx+- "
+	var buf [4]byte
+	var walk func(n int)
+	checked := 0
+	walk = func(n int) {
+		s := string(buf[:n])
+		want, wantOK := parseRegRoundTrip(s)
+		got, err := ParseReg(s)
+		if (err == nil) != wantOK || got != want {
+			t.Fatalf("ParseReg(%q) = %v, %v; the fmt round trip gives %v, %v", s, got, err, want, wantOK)
+		}
+		checked++
+		if n == len(buf) {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			buf[n] = alphabet[i]
+			walk(n + 1)
+		}
+	}
+	walk(0)
+	if checked != 406901 {
+		t.Fatalf("checked %d strings, want 406901", checked)
+	}
+}
+
+// TestRegByNameBytes: the byte-slice form of RegByName, which the
+// assembler calls on its line buffer, agrees with the string form and
+// does not allocate.
+func TestRegByNameBytes(t *testing.T) {
+	names := []string{"%f01", "%f31", "%r7", "%sp", "%o6", "%icc", "%y", "%", "%g8", "%i7"}
+	for _, s := range names {
+		want, wantOK := RegByName(s)
+		if got, ok := RegByName([]byte(s)); got != want || ok != wantOK {
+			t.Errorf("RegByName([]byte %q) = %v, %v; string form %v, %v", s, got, ok, want, wantOK)
+		}
+	}
+	b := []byte("%f17")
+	if n := testing.AllocsPerRun(100, func() { RegByName(b) }); n != 0 {
+		t.Errorf("RegByName allocates %v times per call", n)
+	}
+}
+
+// parseRegRoundTrip is the accept set ParseReg was first written with:
+// an exact integer name or alias, or %f<n> / %r<n> whose fmt.Sscanf
+// parse prints back to the same text.
+func parseRegRoundTrip(s string) (Reg, bool) {
+	for i := G0; i <= I7; i++ {
+		if s == i.String() {
+			return i, true
+		}
+	}
+	switch s {
+	case "%o6":
+		return SP, true
+	case "%i6":
+		return FP, true
+	case "%icc":
+		return ICC, true
+	case "%fcc":
+		return FCC, true
+	case "%y":
+		return Y, true
+	}
+	var n int
+	if _, err := fmt.Sscanf(s, "%%f%d", &n); err == nil && n >= 0 && n < 32 && fmt.Sprintf("%%f%d", n) == s {
+		return F(n), true
+	}
+	if _, err := fmt.Sscanf(s, "%%r%d", &n); err == nil && n >= 0 && n < 32 && fmt.Sprintf("%%r%d", n) == s {
+		return R(n), true
+	}
+	return RegNone, false
 }
 
 func TestRegPredicates(t *testing.T) {

@@ -328,8 +328,10 @@ var opByName = func() map[string]Opcode {
 	return m
 }()
 
-// OpcodeByName returns the opcode for an assembly mnemonic.
-func OpcodeByName(name string) (Opcode, bool) {
-	op, ok := opByName[name]
+// OpcodeByName returns the opcode for an assembly mnemonic held in a
+// string or a byte slice. It does not allocate: a map index by a
+// converted byte slice does not copy it.
+func OpcodeByName[T string | []byte](name T) (Opcode, bool) {
+	op, ok := opByName[string(name)]
 	return op, ok
 }

@@ -44,10 +44,11 @@
 # BENCH_perfbench.ndjson baseline under BENCHMARK.json's end-to-end
 # bounds, with a self-test first proving the gate catches a metric
 # worsened past its bound, an extra failed operation, an incorrect
-# result and a dropped metric), a short native-fuzz smoke over the
-# build→schedule→gate pipeline, and one-iteration benchmark smoke runs
-# over the engine, DAG-builder and heuristic benchmarks that check the
-# zero-allocation steady state.
+# result and a dropped metric), short native-fuzz smokes over the
+# build→schedule→gate pipeline and over the assembly scanner (checked
+# block for block against Parse + Partition), and one-iteration
+# benchmark smoke runs over the engine, DAG-builder, heuristic and
+# scanner benchmarks that check the zero-allocation steady state.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -172,8 +173,11 @@ rm -f "$PERF_LINES"
 echo "== fuzz smoke (30s)"
 go test -fuzz '^FuzzBuildSchedule$' -fuzztime 30s -run '^$' ./internal/engine
 
+echo "== scanner fuzz smoke (20s)"
+go test -fuzz '^FuzzBlockScanner$' -fuzztime 20s -run '^$' ./internal/asm
+
 echo "== engine bench smoke"
 go test -run '^$' -bench Engine -benchmem -benchtime 1x .
 
-echo "== dag/heur/sched bench smoke"
-go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/dag ./internal/heur ./internal/sched
+echo "== dag/heur/sched/asm bench smoke"
+go test -run '^$' -bench . -benchmem -benchtime 1x ./internal/dag ./internal/heur ./internal/sched ./internal/asm
