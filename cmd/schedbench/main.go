@@ -7,12 +7,6 @@
 //
 //	schedbench [-table3] [-table4] [-table5] [-fig1] [-all]
 //	           [-model pipe1|fpu|asym|super2] [-runs 5] [-bench name]
-//	schedbench -chaos [-seed N] [-faultrate r] [-workers N]
-//	           [-bench name]
-//	schedbench -cachefile sched.cache [-warmexpect 0.99] [-workers N]
-//	schedbench -serve http://127.0.0.1:7077 [-serverate 50]
-//	           [-serveduration 3s] [-servetenants 3] [-servewarm 0.9]
-//	           [-servecheck]
 //	schedbench -diff fresh.ndjson [-json BENCH_perfbench.ndjson]
 //	schedbench -diffselftest [-json BENCH_perfbench.ndjson]
 //
@@ -21,35 +15,16 @@
 // requirements" are the point being demonstrated, and the instruction
 // window caps them.
 //
-// -chaos runs the fault-injection gate (see chaos.go): a seeded
-// fault.Plan is fired at the engine over the selected benchmark
-// corpus and the run must recover every faulted block through the
-// degradation ladder while staying byte-identical to a fault-free run.
-//
-// -cachefile runs the warm-start benchmark (see warmstart.go): one
-// engine populates (or is served from) the persistent schedule-cache
-// file, a fresh engine reopens it, and the report states the
-// cold→warm latency and throughput deltas after proving the warm
-// schedules byte-identical to a cache-disabled reference. -warmexpect
-// turns the first pass into CI's cross-process persistence gate.
-//
-// -serve runs the service load benchmark (see serve.go): open-loop
-// arrival at a fixed rate against a running schedd daemon, a
-// round-robin multi-tenant request mix, p50/p99 latency and the shed
-// rate. -servecheck proves every 200 response byte-identical to a
-// local cache-disabled reference; -servewarm gates the daemon's cache
-// hit rate over the window (CI's kill-proof warm-restart gate).
-//
 // -diff and -diffselftest are the perf gate (see diff.go): the median
 // of fresh perfbench result lines is compared against the committed
 // baseline's under BENCHMARK.json's per-metric bounds, exiting 3 on
 // regression; the self-test proves the gate fires on injected
 // regressions.
 //
-// Exit codes are distinct by failure class: 0 success, 1 runtime or
-// chaos-gate failure, 2 usage error (bad flag or flag value), 3
-// performance regression flagged by -diff, 4 internal error (a panic
-// caught at the top-level guard).
+// Exit codes are distinct by failure class: 0 success, 1 runtime
+// failure, 2 usage error (bad flag or flag value), 3 performance
+// regression flagged by -diff, 4 internal error (a panic caught at the
+// top-level guard).
 package main
 
 import (
@@ -57,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"daginsched/internal/machine"
 	"daginsched/internal/tables"
@@ -99,45 +73,18 @@ func run() (code int) {
 		model    = flag.String("model", "pipe1", "machine model (pipe1, fpu, asym, super2)")
 		runs     = flag.Int("runs", 5, "timing runs to average (the paper used five)")
 		bench    = flag.String("bench", "", "restrict to one benchmark (prefix match)")
-		workers  = flag.Int("workers", 0, "engine worker-pool size for -chaos and -cachefile (0 = the mode's default)")
 		jsonOut  = flag.String("json", "BENCH_perfbench.ndjson", "baseline perfbench result lines for -diff and -diffselftest")
-		chaos    = flag.Bool("chaos", false, "run the fault-injection chaos gate against the engine")
-		seed     = flag.Uint64("seed", 1, "fault-plan seed for -chaos")
-		rate     = flag.Float64("faultrate", 0.08, "per-point injection rate for -chaos, in [0, 1]")
-		cacheFn  = flag.String("cachefile", "", "persistent schedule-cache file: run the warm-start benchmark against it (populate, reopen in a fresh engine, compare)")
-		warmExp  = flag.Float64("warmexpect", 0, "fail unless -cachefile's first pass is served from the file with at least this hit rate (0 disables; CI's cross-process gate)")
-		serveURL = flag.String("serve", "", "schedd base URL: fire the open-loop service load benchmark at it (e.g. http://127.0.0.1:7077)")
-		srvRate  = flag.Float64("serverate", 50, "offered arrival rate for -serve, requests/sec")
-		srvDur   = flag.Duration("serveduration", 3*time.Second, "load window for -serve")
-		srvTen   = flag.Int("servetenants", 3, "distinct X-Tenant identities for -serve")
-		srvWarm  = flag.Float64("servewarm", 0, "fail unless the daemon's cache hit rate over the -serve window is at least this (0 disables; CI's warm-restart gate)")
-		srvCheck = flag.Bool("servecheck", false, "verify every -serve 200 response byte-identical to a local cache-disabled reference engine")
 		diffPath = flag.String("diff", "", "fresh perfbench result lines to gate against the -json baseline; exit 3 on perf regression")
 		selftest = flag.Bool("diffselftest", false, "verify the -diff gate catches injected regressions against the -json baseline")
 	)
 	flag.Parse()
 	if !*t3 && !*t4 && !*t5 && !*fig1 && !*quality && !*optim && !*winners && !*scaling && !*ablate &&
-		!*chaos && *cacheFn == "" && *serveURL == "" && *diffPath == "" && !*selftest {
+		*diffPath == "" && !*selftest {
 		*all = true
-	}
-	if *srvWarm < 0 || *srvWarm > 1 {
-		return fail(exitUsage, "-servewarm %v outside [0, 1]", *srvWarm)
-	}
-	if *srvWarm > 0 && *serveURL == "" {
-		return fail(exitUsage, "-servewarm needs -serve")
-	}
-	if *warmExp < 0 || *warmExp > 1 {
-		return fail(exitUsage, "-warmexpect %v outside [0, 1]", *warmExp)
-	}
-	if *warmExp > 0 && *cacheFn == "" {
-		return fail(exitUsage, "-warmexpect needs -cachefile")
 	}
 	m, ok := machine.ByName(*model)
 	if !ok {
 		return fail(exitUsage, "unknown machine model %q", *model)
-	}
-	if *rate < 0 || *rate > 1 {
-		return fail(exitUsage, "-faultrate %v outside [0, 1]", *rate)
 	}
 
 	// The diff gate is a standalone mode: it reads result lines that
@@ -236,25 +183,6 @@ func run() (code int) {
 			wsets = append(wsets, s)
 		}
 		fmt.Println(tables.WinnersBySize(wsets, m))
-	}
-	if *cacheFn != "" {
-		if err := runWarmstart(sets, m, *model, *workers, *cacheFn, *warmExp); err != nil {
-			return fail(exitRuntime, "warm start: %v", err)
-		}
-	}
-	if *serveURL != "" {
-		scfg := serveConfig{
-			url: *serveURL, rate: *srvRate, duration: *srvDur,
-			tenants: *srvTen, warmExpect: *srvWarm, check: *srvCheck,
-		}
-		if err := runServe(sets, m, scfg); err != nil {
-			return fail(exitRuntime, "serve: %v", err)
-		}
-	}
-	if *chaos {
-		if err := runChaos(sets, m, chaosConfig{seed: *seed, rate: *rate, workers: *workers}); err != nil {
-			return fail(exitRuntime, "chaos gate: %v", err)
-		}
 	}
 	return exitOK
 }

@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"daginsched/internal/isa"
 )
@@ -512,15 +511,12 @@ func (p *parser) memTerm(s, term []byte, m *isa.MemExpr) error {
 // Print renders a program back to assembly text, one instruction per
 // line with labels on their own lines.
 func Print(insts []isa.Inst) string {
-	var b strings.Builder
+	b := make([]byte, 0, 24*len(insts))
 	for i := range insts {
 		if insts[i].Label != "" {
-			b.WriteString(insts[i].Label)
-			b.WriteString(":\n")
+			b = append(append(b, insts[i].Label...), ":\n"...)
 		}
-		b.WriteString("\t")
-		b.WriteString(insts[i].String())
-		b.WriteString("\n")
+		b = append(insts[i].AppendTo(append(b, '\t')), '\n')
 	}
-	return b.String()
+	return string(b)
 }

@@ -276,9 +276,9 @@ func modelKey(m *machine.Model) uint64 {
 // BlockKey returns the engine's content fingerprint for an
 // instruction sequence — the same 64-bit key the schedule cache and
 // the fault injector derive internally. It is exported so chaos tests
-// and schedbench -chaos can recompute which blocks a fault.Plan
-// selects (fault.Injector.Should / Any over this key) without running
-// an engine.
+// can recompute which blocks a fault.Plan selects
+// (fault.Injector.Should / Any over this key) without running an
+// engine.
 func BlockKey(insts []isa.Inst) uint64 {
 	return fnv1a64(appendBlockKey(nil, insts))
 }

@@ -42,7 +42,6 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 //     dag.N2MaskCap is clamped to it.
 //   - CachePath: implies Cache.
 //   - BlockTimeout: negative is rejected; 0 disables deadlines.
-//   - StreamDepth: negative is rejected; 0 means the 256-block default.
 //   - FaultPlan: rates must lie in [0, 1] and SlowDelay must be
 //     non-negative (see fault.Plan.Validate).
 func (cfg *Config) validate() error {
@@ -66,12 +65,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.BlockTimeout < 0 {
 		return &ConfigError{Field: "BlockTimeout", Value: cfg.BlockTimeout, Reason: "negative soft deadline (0 disables deadlines)"}
-	}
-	if cfg.StreamDepth < 0 {
-		return &ConfigError{Field: "StreamDepth", Value: cfg.StreamDepth, Reason: "negative stream queue depth (0 means the default)"}
-	}
-	if cfg.StreamDepth == 0 {
-		cfg.StreamDepth = defaultStreamDepth
 	}
 	if err := cfg.FaultPlan.Validate(); err != nil {
 		return &ConfigError{Field: "FaultPlan", Value: cfg.FaultPlan, Reason: err.Error()}

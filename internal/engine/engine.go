@@ -102,12 +102,6 @@ type Config struct {
 	// identical across worker counts and interleavings. Nil (or an
 	// all-zero plan) compiles every injection point to a nil check.
 	FaultPlan *fault.Plan
-	// StreamDepth bounds RunStream's ingest queues (in blocks): a full
-	// pipeline backpressures the producer instead of buffering, which is
-	// what makes streamed memory independent of stream length. 0 means a
-	// 256-block default; negative is rejected. Batch entry points ignore
-	// it.
-	StreamDepth int
 }
 
 // Stats summarizes one run of either entry point: the work done, its
@@ -158,12 +152,11 @@ type Stats struct {
 	GateFailures   int64 `json:"gate_failures,omitempty"`
 	FaultsInjected int64 `json:"faults_injected,omitempty"`
 	DegradedBlocks int64 `json:"degraded_blocks,omitempty"`
-	// Streaming fields, set by RunStream only: StreamDepth echoes the
-	// queue bound in effect; BigQueuePeak and SmallQueuePeak are the two
-	// ingest queues' occupancy high-water marks (blocks and chunks
-	// respectively); PendingPeak is the reorder ring's high-water mark —
-	// the most outcomes that were ever scheduled-but-unemitted at once.
-	StreamDepth    int `json:"stream_depth,omitempty"`
+	// Streaming fields, set by RunStream only: BigQueuePeak and
+	// SmallQueuePeak are the two ingest queues' occupancy high-water
+	// marks (blocks and chunks respectively); PendingPeak is the reorder
+	// ring's high-water mark — the most outcomes that were ever
+	// scheduled-but-unemitted at once.
 	BigQueuePeak   int `json:"big_queue_peak,omitempty"`
 	SmallQueuePeak int `json:"small_queue_peak,omitempty"`
 	PendingPeak    int `json:"pending_peak,omitempty"`
@@ -355,8 +348,11 @@ type Engine struct {
 	crossover int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
-	inj       *fault.Injector
-	closeOnce sync.Once // Close releases the disk tier once
+	inj *fault.Injector
+	// streamDepth is RunStream's queue depth: the package constant,
+	// which tests shrink to force backpressure.
+	streamDepth int
+	closeOnce   sync.Once // Close releases the disk tier once
 }
 
 // crew is one run's workers, lead first, plus the per-run state
@@ -417,7 +413,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, &ConfigError{Field: "FaultPlan", Value: cfg.FaultPlan, Reason: err.Error()}
 	}
 	n := cfg.Workers
-	e := &Engine{cfg: cfg, workers: make([]*worker, n), free: make(chan *worker, n), crews: make(chan *crew, n), inj: inj}
+	e := &Engine{cfg: cfg, workers: make([]*worker, n), free: make(chan *worker, n), crews: make(chan *crew, n), inj: inj, streamDepth: streamDepth}
 	for i := range e.workers {
 		e.workers[i] = newWorker(cfg.Model)
 		e.workers[i].e, e.workers[i].inj = e, inj

@@ -10,6 +10,7 @@ import (
 	"daginsched/internal/block"
 	"daginsched/internal/fault"
 	"daginsched/internal/machine"
+	"daginsched/internal/tables"
 	"daginsched/internal/testgen"
 )
 
@@ -36,31 +37,68 @@ func chaosCorpus(distinct, repeats int) []*block.Block {
 	return blocks
 }
 
+// grepBlocks returns Table 3's grep benchmark set.
+func grepBlocks(t *testing.T) []*block.Block {
+	t.Helper()
+	for _, set := range tables.Table3Sets() {
+		if set.Name == "grep" {
+			return set.Blocks
+		}
+	}
+	t.Fatal("Table 3 has no grep set")
+	return nil
+}
+
 // TestEngineChaosLadder is the chaos gate: a seeded fault plan fires
 // panics, arc corruptions, cache bitflips and stalls across a corpus
 // on an 8-worker pool, and the run must (a) complete every block with
 // a schedule the independent simulator co-signs, (b) degrade only
-// faulted blocks, and (c) — because every non-identity rung is
-// byte-identical to the primary pipeline and no deadline is armed —
-// produce exactly the fault-free run's output for every block.
+// faulted blocks, (c) fault at least 5% of blocks, (d) — because every
+// non-identity rung is byte-identical to the primary pipeline and no
+// deadline is armed — produce exactly the fault-free run's output for
+// every block, and (e) show every hardening tally nonzero. It runs over
+// the synthetic chaos corpus on Super2 at a fixed crossover, and over
+// Table 3's grep set on Pipe1 at the crossover New calibrates.
 func TestEngineChaosLadder(t *testing.T) {
-	m := machine.Super2()
-	blocks := chaosCorpus(48, 5)
-	plan := &fault.Plan{
-		Seed:         42,
-		PanicBuilder: 0.08,
-		CorruptArc:   0.08,
-		CacheBitflip: 0.30,
-		SlowBlock:    0.05,
-		SlowDelay:    50 * time.Microsecond,
+	cases := []struct {
+		name      string
+		model     *machine.Model
+		blocks    []*block.Block
+		crossover int
+		plan      *fault.Plan
+	}{
+		{"synthetic", machine.Super2(), chaosCorpus(48, 5), 16, &fault.Plan{
+			Seed:         42,
+			PanicBuilder: 0.08,
+			CorruptArc:   0.08,
+			CacheBitflip: 0.30,
+			SlowBlock:    0.05,
+			SlowDelay:    50 * time.Microsecond,
+		}},
+		{"grep", machine.Pipe1(), grepBlocks(t), 0, &fault.Plan{
+			Seed:         1,
+			PanicBuilder: 0.08,
+			CorruptArc:   0.08,
+			CacheBitflip: 0.32,
+			SlowBlock:    0.04,
+			SlowDelay:    100 * time.Microsecond,
+		}},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			requireChaosRecovers(t, tc.model, tc.blocks, tc.crossover, tc.plan)
+		})
+	}
+}
+
+func requireChaosRecovers(t *testing.T, m *machine.Model, blocks []*block.Block, crossover int, plan *fault.Plan) {
 	base := Config{
 		Workers:    8,
 		Model:      m,
 		KeepOrders: true,
 		Verify:     true,
 		Cache:      true,
-		Crossover:  16,
+		Crossover:  crossover,
 	}
 
 	clean, err := New(base)
@@ -83,8 +121,8 @@ func TestEngineChaosLadder(t *testing.T) {
 		t.Fatalf("chaos run failed: %v", err)
 	}
 
-	// Recompute the faulted set the way schedbench -chaos does: pure
-	// function of (plan, block content), independent of the engine.
+	// Recompute the faulted set outside the engine: a pure function of
+	// (plan, block content).
 	inj, err := fault.NewInjector(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +136,8 @@ func TestEngineChaosLadder(t *testing.T) {
 			t.Errorf("block %d: degraded to %v without any injected fault", i, got.Rungs[i])
 		}
 	}
-	if min := len(blocks) / 20; faulted < min {
-		t.Fatalf("plan faults %d/%d blocks, want at least 5%% (%d)", faulted, len(blocks), min)
+	if 100*faulted < 5*len(blocks) {
+		t.Fatalf("plan faults %d/%d blocks, want at least 5%%", faulted, len(blocks))
 	}
 
 	// No deadline is armed, so every ladder rung in play (table after a

@@ -51,9 +51,10 @@ import (
 	"daginsched/internal/buf"
 )
 
-// defaultStreamDepth is the bounded-queue depth (in blocks) when
-// Config.StreamDepth is unset.
-const defaultStreamDepth = 256
+// streamDepth bounds RunStream's ingest queues (in blocks): a full
+// pipeline backpressures the producer instead of buffering, which is
+// what makes streamed memory independent of stream length.
+const streamDepth = 256
 
 // BlockOutcome is one streamed block's result, delivered to the
 // RunStream sink in sequence order. Seq numbers blocks in arrival
@@ -489,7 +490,7 @@ func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}) {
 // per block in sequence (arrival) order, and returns the run's Stats
 // once src closes and the pipeline drains. Ingestion, scheduling and
 // emission overlap through bounded queues, so memory is proportional
-// to Config.StreamDepth — never to the stream's length — and schedules
+// to the queue depth — never to the stream's length — and schedules
 // are byte-identical to Run over the same corpus (including under a
 // FaultPlan: the faulted set is content-keyed, not position-keyed).
 //
@@ -517,7 +518,7 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 		return Stats{}, fmt.Errorf("engine: stream cancelled: %w", ctx.Err())
 	}
 	defer e.release(c)
-	depth := e.cfg.StreamDepth
+	depth := e.streamDepth
 	nw := len(c.workers)
 
 	// Ring sizing: the dispatcher's reserve call caps the in-flight
@@ -570,7 +571,6 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	wall := time.Since(start)
 
 	st := e.stats(c, wall, nil)
-	st.StreamDepth = depth
 	st.BigQueuePeak = s.bigPeak
 	st.SmallQueuePeak = s.smallPeak
 	s.mu.Lock()

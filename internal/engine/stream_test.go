@@ -101,11 +101,11 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
-		cfg.StreamDepth = 16
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.streamDepth = 16
 		// Two passes through the same engine: the second runs with warm
 		// arenas and a populated cache, like a long stream's steady
 		// state.
@@ -161,11 +161,11 @@ func TestRunStreamFaultedMatchesRun(t *testing.T) {
 
 	scfg := cfg
 	scfg.Workers = 4
-	scfg.StreamDepth = 16
 	e, err := New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.streamDepth = 16
 	got, st, err := collectStream(t, e, blocks)
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +186,9 @@ func TestRunStreamFaultedMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		dcfg := cfg
 		dcfg.Workers = workers
-		dcfg.StreamDepth = 16
 		runEng := newOnPopulatedCache(t, dcfg, distinct)
 		streamEng := newOnPopulatedCache(t, dcfg, distinct)
+		streamEng.streamDepth = 16
 		for pass := 0; pass < 2; pass++ {
 			res, err := runEng.Run(distinct)
 			if err != nil {
@@ -293,10 +293,11 @@ func requireSameCounters(t *testing.T, what string, run, stream Stats) {
 func TestRunStreamCancellation(t *testing.T) {
 	m := machine.Super2()
 	blocks := testBlocks(t, 10)
-	e, err := New(Config{Workers: 4, Model: m, StreamDepth: 8})
+	e, err := New(Config{Workers: 4, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.streamDepth = 8
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -358,10 +359,11 @@ func TestRunStreamBoundedMemory(t *testing.T) {
 		t.Skip("streams 1.5M instructions")
 	}
 	m := machine.Super2()
-	e, err := New(Config{Workers: 2, Model: m, Cache: false, StreamDepth: 8})
+	e, err := New(Config{Workers: 2, Model: m, Cache: false})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.streamDepth = 8
 	profiles := synth.Profiles()
 	runStream := func(minInsts int64) {
 		src := make(chan *block.Block, 8)
@@ -399,10 +401,11 @@ func TestRunStreamBoundedMemory(t *testing.T) {
 // and nil-block tolerance.
 func TestRunStreamEdgeCases(t *testing.T) {
 	m := machine.Super2()
-	e, err := New(Config{Workers: 2, Model: m, StreamDepth: 4})
+	e, err := New(Config{Workers: 2, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.streamDepth = 4
 
 	if _, err := e.RunStream(context.Background(), nil, nil); err == nil {
 		t.Fatal("nil source accepted")

@@ -2,7 +2,7 @@ package isa
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // MemExpr is a symbolic memory address expression as it appears in a
@@ -25,36 +25,37 @@ type MemExpr struct {
 func (m MemExpr) HasIndex() bool { return m.Index != RegNone }
 
 // String renders the expression in assembly syntax.
-func (m MemExpr) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
+func (m MemExpr) String() string { return string(m.appendTo(make([]byte, 0, 24))) }
+
+// appendTo appends the expression in assembly syntax to b.
+func (m MemExpr) appendTo(b []byte) []byte {
+	b = append(b, '[')
 	wrote := false
 	if m.Sym != "" {
-		b.WriteString(m.Sym)
+		b = append(b, m.Sym...)
 		wrote = true
 	}
 	if m.Base != RegNone && m.Base != G0 {
 		if wrote {
-			b.WriteByte('+')
+			b = append(b, '+')
 		}
-		b.WriteString(m.Base.String())
+		b = append(b, m.Base.String()...)
 		wrote = true
 	}
 	if m.Index != RegNone {
 		if wrote {
-			b.WriteByte('+')
+			b = append(b, '+')
 		}
-		b.WriteString(m.Index.String())
+		b = append(b, m.Index.String()...)
 		wrote = true
 	}
 	if m.Offset != 0 || !wrote {
 		if m.Offset >= 0 && wrote {
-			b.WriteByte('+')
+			b = append(b, '+')
 		}
-		fmt.Fprintf(&b, "%d", m.Offset)
+		b = strconv.AppendInt(b, int64(m.Offset), 10)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(b, ']')
 }
 
 // Key returns a canonical string identifying the symbolic expression.
@@ -95,53 +96,69 @@ type Inst struct {
 func (in *Inst) Class() Class { return in.Op.Class() }
 
 // String renders the instruction in assembly syntax (without its label).
-func (in *Inst) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
+func (in *Inst) String() string { return string(in.AppendTo(make([]byte, 0, 48))) }
+
+// AppendTo appends the instruction in assembly syntax (without its
+// label) to b.
+func (in *Inst) AppendTo(b []byte) []byte {
+	b = append(b, in.Op.String()...)
 	if in.Op.IsBranch() && in.Annul {
-		b.WriteString(",a")
+		b = append(b, ",a"...)
 	}
-	switch in.Op.Format() {
-	case FmtNone:
-		// nothing
+	f := in.Op.Format()
+	if f == FmtNone {
+		return b
+	}
+	b = append(b, ' ')
+	switch f {
 	case Fmt3:
 		switch in.Op {
 		case MOV: // synthetic: or %g0, src2, rd
-			fmt.Fprintf(&b, " %s, %s", in.src2(), in.RD)
+			b = appendNextReg(in.appendSrc2(b), in.RD)
 		case CMP: // synthetic: subcc rs1, src2, %g0
-			fmt.Fprintf(&b, " %s, %s", in.RS1, in.src2())
+			b = append(b, in.RS1.String()...)
+			b = in.appendSrc2(append(b, ", "...))
 		default:
-			fmt.Fprintf(&b, " %s, %s, %s", in.RS1, in.src2(), in.RD)
+			b = append(b, in.RS1.String()...)
+			b = appendNextReg(in.appendSrc2(append(b, ", "...)), in.RD)
 		}
 	case FmtLoad:
-		fmt.Fprintf(&b, " %s, %s", in.Mem, in.RD)
+		b = appendNextReg(in.Mem.appendTo(b), in.RD)
 	case FmtStore:
-		fmt.Fprintf(&b, " %s, %s", in.RD, in.Mem)
-	case FmtBranch:
-		fmt.Fprintf(&b, " %s", in.Target)
-	case FmtCall:
-		fmt.Fprintf(&b, " %s", in.Target)
+		b = append(b, in.RD.String()...)
+		b = in.Mem.appendTo(append(b, ", "...))
+	case FmtBranch, FmtCall:
+		b = append(b, in.Target...)
 	case FmtSethi:
-		fmt.Fprintf(&b, " %%hi(%d), %s", in.Imm, in.RD)
+		b = strconv.AppendInt(append(b, "%hi("...), int64(in.Imm), 10)
+		b = appendNextReg(append(b, ')'), in.RD)
 	case FmtFp2:
-		fmt.Fprintf(&b, " %s, %s", in.RS2, in.RD)
+		b = appendNextReg(append(b, in.RS2.String()...), in.RD)
 	case FmtFp3:
-		fmt.Fprintf(&b, " %s, %s, %s", in.RS1, in.RS2, in.RD)
+		b = append(b, in.RS1.String()...)
+		b = appendNextReg(appendNextReg(b, in.RS2), in.RD)
 	case FmtFcmp:
-		fmt.Fprintf(&b, " %s, %s", in.RS1, in.RS2)
+		b = appendNextReg(append(b, in.RS1.String()...), in.RS2)
 	case FmtJmpl:
-		fmt.Fprintf(&b, " %s+%d, %s", in.RS1, in.Imm, in.RD)
+		b = append(append(b, in.RS1.String()...), '+')
+		b = appendNextReg(strconv.AppendInt(b, int64(in.Imm), 10), in.RD)
 	case FmtRdY:
-		fmt.Fprintf(&b, " %%y, %s", in.RD)
+		b = appendNextReg(append(b, "%y"...), in.RD)
 	}
-	return b.String()
+	return b
 }
 
-func (in *Inst) src2() string {
+// appendSrc2 appends the second ALU operand: the immediate or RS2.
+func (in *Inst) appendSrc2(b []byte) []byte {
 	if in.HasImm {
-		return fmt.Sprintf("%d", in.Imm)
+		return strconv.AppendInt(b, int64(in.Imm), 10)
 	}
-	return in.RS2.String()
+	return append(b, in.RS2.String()...)
+}
+
+// appendNextReg appends ", " and r's name.
+func appendNextReg(b []byte, r Reg) []byte {
+	return append(append(b, ", "...), r.String()...)
 }
 
 // ResKind classifies a resource reference.

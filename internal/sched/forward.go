@@ -25,22 +25,9 @@ func Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result 
 		var h readyHeap
 		forwardLoopPacked(s, prio, forced, &h, make([]int32, 0, 4))
 	} else {
-		startBlock(sel, s)
 		forwardLoop(s, sel, forced, make([]int32, 0, 16), nil)
 	}
 	return s.result()
-}
-
-// blockStarter is implemented by selectors that precompute per-block
-// state (PooledWinnow's static-prefix packing). The scheduling loops
-// call it once per block before the first pick.
-type blockStarter interface{ StartBlock(s *State) }
-
-//sched:noalloc
-func startBlock(sel Selector, s *State) {
-	if bs, ok := sel.(blockStarter); ok {
-		bs.StartBlock(s)
-	}
 }
 
 // packedPrioFor reports whether the selector's ranking can be served by
@@ -218,11 +205,10 @@ type Scratch struct {
 	heap        readyHeap
 	res         Result
 
-	// DisablePacked restores the plain winnowing rescan: neither the
-	// packed-priority heap nor the selector's packed static prefix is
-	// engaged, so runs reproduce the pre-packing selection loop exactly
-	// — the engine's escape hatch and the identity gate's (and the
-	// packedsel benchmark's) reference configuration.
+	// DisablePacked restores the plain winnowing rescan in place of the
+	// packed-priority heap, so runs reproduce the pre-packing selection
+	// loop exactly: the reference configuration of the packed-selection
+	// identity tests and of BenchmarkForwardPackedSel's winnow arm.
 	DisablePacked bool
 	usedPacked    bool
 }
@@ -249,7 +235,6 @@ func (sc *Scratch) Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Sele
 			s.finish(&sc.res)
 			return &sc.res
 		}
-		startBlock(sel, s)
 	}
 	if cap(sc.cands) == 0 {
 		sc.cands = make([]int32, 0, 16)
@@ -354,7 +339,6 @@ func (s *State) finish(r *Result) {
 // forward placement pass so Result carries real issue cycles.
 func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	s := newState(d, m, a)
-	startBlock(sel, s)
 	n := int32(d.Len())
 	rev := make([]int32, 0, n)
 	picked := make([]bool, n)

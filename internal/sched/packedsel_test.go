@@ -11,10 +11,9 @@ import (
 	"daginsched/internal/testgen"
 )
 
-// noFastPath hides a selector's ranking (Keys() == nil) and implements
-// no block-start hook, so every fast path — the packed-priority heap,
-// the static-prefix pre-winnow — is suppressed and picks run the plain
-// winnowing rescan. It is the reference arm of the differential tests.
+// noFastPath hides a selector's ranking (Keys() == nil), so the
+// packed-priority heap is suppressed and picks run the plain winnowing
+// rescan. It is the reference arm of the differential tests.
 type noFastPath struct{ sel Selector }
 
 func (n noFastPath) Pick(s *State, cands []int32) int32 { return n.sel.Pick(s, cands) }
@@ -54,16 +53,11 @@ func sameSchedule(t *testing.T, ctx string, got, want *Result) {
 
 // TestPackedSelMatchesWinnowSection6 is the tentpole identity property:
 // on the engine's default Section 6 ranking, the packed-priority heap
-// pick loop and the static-prefix pre-winnow both produce schedules
-// byte-identical to the plain winnowing rescan, across block sizes,
-// machine models and pinned-tail shapes.
+// pick loop produces schedules byte-identical to the plain winnowing
+// rescan, across block sizes, machine models and pinned-tail shapes.
 func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 	models := []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Asym(), machine.Super2()}
-	// Section 6 plus a fourth static key: eligible for the packed static
-	// prefix but not the heap (the ranking no longer matches the packed
-	// priority word), so the prefix arm is exercised in isolation.
-	prefixRanked := append(Section6Ranked(), RankedKey{Key: heur.ExecTime})
-	var heapSc, prefixSc Scratch
+	var heapSc Scratch
 	for seed := int64(0); seed < 12; seed++ {
 		for _, n := range []int{1, 2, 7, 40, 150} {
 			insts := packedSelInsts(seed, n)
@@ -81,12 +75,6 @@ func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 					t.Fatalf("seed %d n %d %s: heap path not taken", seed, n, m.Name)
 				}
 				sameSchedule(t, "heap vs winnow", hr, ref)
-				prefRef := Forward(d, m, a, noFastPath{Winnow(prefixRanked)})
-				pr := prefixSc.Forward(d, m, a, NewPooledWinnow(prefixRanked))
-				if prefixSc.UsedPacked() {
-					t.Fatal("prefix-only ranking took the heap path")
-				}
-				sameSchedule(t, "prefix vs winnow", pr, prefRef)
 				// The package-level Forward must auto-select the heap path
 				// and still match.
 				sameSchedule(t, "auto vs winnow", Forward(d, m, a, Winnow(Section6Ranked())), ref)
@@ -96,8 +84,8 @@ func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 }
 
 // TestPackedSelMatchesWinnowTable2 runs every Table 2 ranking in its
-// published direction, comparing the pooled fast paths (static-prefix
-// pre-winnow, memoized state) against the plain winnowing rescan.
+// published direction, comparing the pooled selector (persistent
+// buffers, memoized state) against the plain winnowing rescan.
 func TestPackedSelMatchesWinnowTable2(t *testing.T) {
 	m := machine.Pipe1()
 	for _, al := range Table2() {
@@ -220,8 +208,7 @@ func TestReadyHeapProperty(t *testing.T) {
 }
 
 // TestScratchForwardPackedZeroAlloc pins the steady-state guarantee on
-// the heap pick loop, and TestScratchForwardPrefixZeroAlloc the same
-// for the static-prefix winnow.
+// the heap pick loop.
 func TestScratchForwardPackedZeroAlloc(t *testing.T) {
 	m := machine.Pipe1()
 	d := buildDAG(t, dag.TableBackward{}, m, packedSelInsts(4, 120))
@@ -238,27 +225,6 @@ func TestScratchForwardPackedZeroAlloc(t *testing.T) {
 		sc.Forward(d, m, a, sel)
 	}); allocs != 0 {
 		t.Errorf("packed Forward allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestScratchForwardPrefixZeroAlloc(t *testing.T) {
-	m := machine.Pipe1()
-	d := buildDAG(t, dag.TableBackward{}, m, packedSelInsts(4, 120))
-	d.Freeze()
-	a := heur.New(d, m)
-	a.ComputeFusedCSR()
-	var sc Scratch
-	// Four static keys: prefix-eligible, heap-ineligible (see the
-	// Section 6 identity test).
-	sel := NewPooledWinnow(append(Section6Ranked(), RankedKey{Key: heur.ExecTime}))
-	sc.Forward(d, m, a, sel)
-	if sc.UsedPacked() {
-		t.Fatal("prefix-only ranking took the heap path")
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		sc.Forward(d, m, a, sel)
-	}); allocs != 0 {
-		t.Errorf("prefix Forward allocates %.1f/op, want 0", allocs)
 	}
 }
 

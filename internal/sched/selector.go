@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"daginsched/internal/buf"
 	"daginsched/internal/heur"
 )
 
@@ -125,13 +124,7 @@ func (w Winnow) Pick(s *State, cands []int32) int32 {
 // and PooledWinnow (persistent buffers). bufs holds the two survivor
 // double buffers; their grown capacity is retained via the pointer so
 // pooled callers allocate nothing in steady state.
-func winnowPick(s *State, ranked []RankedKey, cands []int32, bufs *[2][]int32) int32 {
-	return winnowTail(s, ranked, cands, bufs, 0)
-}
-
-// winnowTail winnows live through ranked starting at buffer parity par
-// (so a caller that already filled bufs[0] can continue in bufs[1]).
-func winnowTail(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32, par int) int32 {
+func winnowPick(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32) int32 {
 	for ki, rk := range ranked {
 		if len(live) == 1 {
 			break
@@ -142,13 +135,13 @@ func winnowTail(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32, pa
 				best = v
 			}
 		}
-		dst := bufs[(ki+par)%2][:0]
+		dst := bufs[ki%2][:0]
 		for _, c := range live {
 			if adjusted(s, rk, c) == best {
 				dst = append(dst, c)
 			}
 		}
-		bufs[(ki+par)%2] = dst
+		bufs[ki%2] = dst
 		live = dst
 	}
 	return minIndex(live)
@@ -158,111 +151,22 @@ func winnowTail(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32, pa
 // identical, but the double buffers grow once to the largest candidate
 // list and are then recycled, keeping the batch engine's selection loop
 // allocation-free. Not safe for concurrent use — one per worker.
-//
-// When the ranking opens with two or more static keys, PooledWinnow
-// additionally packs that prefix into one per-node word at block start
-// (StartBlock) and replaces the prefix's winnowing stages with a single
-// packed-word filter pass. The packing uses exact (unclamped) fields —
-// a block whose values overflow simply skips the fast path — so the
-// surviving set after the filter is identical to winnowing the prefix
-// keys one by one, and picks never change.
 type PooledWinnow struct {
 	ranked []RankedKey
 	bufs   [2][]int32
-
-	prefixN     int      // leading static keys foldable into one word (0 = none)
-	prefixKey   []uint64 // per-node packed prefix word for the current block
-	prefixOK    bool     // packing exact for the current block
-	prefixState *State   // state the prefix was packed against...
-	prefixEpoch uint64   // ...and its reset epoch, so recycled state can't serve stale words
 }
-
-// prefixMaxKeys bounds the packed prefix: four 15-bit biased fields
-// fill an int64-comparable word the same way Priority packs.
-const prefixMaxKeys = 64 / fieldBits
 
 // NewPooledWinnow returns a pooled selector over the given ranked keys.
 func NewPooledWinnow(ranked []RankedKey) *PooledWinnow {
-	p := &PooledWinnow{ranked: ranked}
-	n := 0
-	for _, rk := range ranked {
-		if n == prefixMaxKeys || !staticKey(rk.Key) {
-			break
-		}
-		n++
-	}
-	if n >= 2 {
-		// A one-key prefix saves nothing: it is one filter stage either way.
-		p.prefixN = n
-	}
-	return p
+	return &PooledWinnow{ranked: ranked}
 }
 
 // Keys implements Selector.
 func (p *PooledWinnow) Keys() []RankedKey { return p.ranked }
 
-// StartBlock packs the static prefix for the block s was reset to. The
-// scheduling loops call it before the first pick; a block whose values
-// don't fit the exact fields leaves prefixOK false and every pick runs
-// the plain winnow. (Steady-state allocation freedom is pinned by
-// TestScratchForwardPrefixZeroAlloc rather than a noalloc annotation:
-// the static call graph reaches State.Value's unknown-key panic
-// formatting, which never executes for a well-formed ranking.)
-func (p *PooledWinnow) StartBlock(s *State) {
-	p.prefixOK = false
-	if p.prefixN == 0 {
-		return
-	}
-	n := s.D.Len()
-	p.prefixKey = buf.Uint64(p.prefixKey, n)
-	const half = int64(1) << (fieldBits - 1)
-	for i := 0; i < n; i++ {
-		var w uint64
-		for _, rk := range p.ranked[:p.prefixN] {
-			f := adjusted(s, rk, int32(i)) + half
-			if f < 0 || f >= 1<<fieldBits {
-				return // inexact: keep the plain winnow for this block
-			}
-			w = w<<fieldBits | uint64(f)
-		}
-		p.prefixKey[i] = w
-	}
-	p.prefixOK, p.prefixState, p.prefixEpoch = true, s, s.epoch
-}
-
 // Pick implements Selector.
 func (p *PooledWinnow) Pick(s *State, cands []int32) int32 {
-	if p.prefixOK && p.prefixState == s && p.prefixEpoch == s.epoch && len(cands) > 1 {
-		best := p.prefixKey[cands[0]]
-		for _, c := range cands[1:] {
-			if k := p.prefixKey[c]; k > best {
-				best = k
-			}
-		}
-		dst := p.bufs[0][:0]
-		for _, c := range cands {
-			if p.prefixKey[c] == best {
-				dst = append(dst, c)
-			}
-		}
-		p.bufs[0] = dst
-		return winnowTail(s, p.ranked[p.prefixN:], dst, &p.bufs, 1)
-	}
 	return winnowPick(s, p.ranked, cands, &p.bufs)
-}
-
-// staticKey reports whether a heuristic key reads only the DAG and its
-// static annotations — i.e. its value cannot change while a block is
-// being scheduled. The dynamic ("v") keys of Table 1 consult the live
-// State and are excluded.
-func staticKey(k heur.Key) bool {
-	switch k {
-	case heur.InterlockWithPrev, heur.EarliestExecTime, heur.AlternateType,
-		heur.FPUBusy, heur.NumSingleParent, heur.DelaysSingleP,
-		heur.NumUncovered, heur.Birthing:
-		return false
-	}
-	return true
 }
 
 // Section6Ranked returns the heuristic ranking of the paper's Section 6

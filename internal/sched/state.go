@@ -89,11 +89,6 @@ type State struct {
 	ufFree   []int32 // per class: cached earliest-free cycle
 	ufIdx    []int32 // per class: cached free-unit index
 	ufStamp  []int32 // per class: generation of the cached pair
-
-	// epoch counts resets. Selector-side per-block caches (PooledWinnow's
-	// static prefix) key on (state, epoch) so a recycled State — or a
-	// recycled DAG at the same address — can never serve stale values.
-	epoch uint64
 }
 
 func newState(d *dag.DAG, m *machine.Model, a *heur.Annot) *State {
@@ -121,7 +116,6 @@ func (s *State) reset(d *dag.DAG, m *machine.Model, a *heur.Annot) {
 	}
 	s.last = -1
 	s.time, s.usedSlots, s.usedGroups = 0, 0, 0
-	s.epoch++
 	s.memoGen = 1
 	s.effMemo = buf.Int32(s.effMemo, n)
 	s.effStamp = buf.Int32(s.effStamp, n)

@@ -18,8 +18,9 @@
 # rescan at 1/4/8 workers including a faulted run, under -race; see
 # DESIGN.md §12), the chaos gate (a seeded fault plan firing builder
 # panics, arc corruptions, cache bitflips and stalls at an 8-worker
-# pool under -race, with every block required to come back
-# byte-identical to a fault-free run; see DESIGN.md §9), the streaming
+# pool under -race, over a synthetic corpus and Table 3's grep set,
+# with every block required to come back byte-identical to a
+# fault-free run; see DESIGN.md §9), the streaming
 # gates (RunStream byte-identity to batch at several worker counts,
 # cancellation, faulted streams and the bounded-memory test, all under
 # -race, the concurrent-caller hammer — Run, cancelled RunCtx and
@@ -27,18 +28,16 @@
 # then Close — at count=10, plus producer/scanner equivalence tests;
 # see DESIGN.md §6 and §10),
 # the persistent-cache gates (the diskcache crash-recovery/corruption
-# suite and the engine's two-tier tests at eight workers under -race,
-# a two-process warm-start proof — one schedbench populates a cache
-# file, a second must serve ≥99% of the corpus from it with schedules
-# byte-identical to a cache-disabled reference — and a corrupt-file
-# smoke that overwrites the file with garbage and requires the next
-# run to recover by rebuilding it; see DESIGN.md §11),
-# the service gates (a schedd daemon under schedbench -serve load:
-# every response proven byte-identical to a local cache-disabled
-# reference, then kill -9 with requests in flight, a restart on the
-# same cache file that must serve warm — hit rate ≥ 0.9 straight from
-# the persistent tier — and still byte-identical, and a SIGTERM that
-# must drain and exit 0; see DESIGN.md §13),
+# suite and the engine's two-tier tests at eight workers under -race;
+# see DESIGN.md §11),
+# the service gate (TestSmokeScheddWarmRestart: a schedd daemon over
+# the Table 3 corpus with every response byte-identical to a local
+# cache-disabled reference, then kill -9 with requests in flight, a
+# restart on the same cache file that must serve warm — hit rate ≥ 0.9,
+# some straight from the persistent tier — a SIGTERM that must drain
+# and exit 0, a second restart that must serve ≥ 0.99, and a restart
+# over a garbage-filled file that must still answer every request;
+# see DESIGN.md §11 and §13),
 # the perf gate (perfbench run three times over all three workloads,
 # the per-metric medians compared against the committed
 # BENCH_perfbench.ndjson baseline under BENCHMARK.json's end-to-end
@@ -77,15 +76,8 @@ go test -race -run '^TestAdaptiveMatchesFixed$' ./internal/engine
 echo "== packed-selection identity (workers=8, -race)"
 go test -race -run '^TestPackedSelMatchesWinnow$' ./internal/engine
 
-# schedbench is built once and reused by the chaos, cache-file,
-# service and perf gates.
-SBENCH_BIN="$(mktemp -u)"
-trap 'rm -f "${SBENCH_BIN:-}" "${CACHE_FILE:-}" "${SCHEDD_BIN:-}" "${SERVE_CACHE:-}" "${SCHEDD_LOG:-}" "${PERF_LINES:-}"; [ -n "${SCHEDD_PID:-}" ] && kill -9 "$SCHEDD_PID" 2> /dev/null || true' EXIT
-go build -o "$SBENCH_BIN" ./cmd/schedbench
-
 echo "== chaos gate (workers=8, -race)"
 go test -race -run '^TestEngineChaosLadder$|^TestEngineChaosDeterminism$' ./internal/engine
-"$SBENCH_BIN" -chaos -bench grep -workers 8
 
 echo "== streaming gates (-race)"
 go test -race -run '^TestRunStream|^TestStreamHistogram' ./internal/engine
@@ -96,61 +88,14 @@ go test -race -run '^TestScanner|^TestStreamBlocks' ./internal/asm
 echo "== persistent cache gates (workers=8, -race)"
 go test -race ./internal/diskcache
 go test -race -run '^TestDisk' ./internal/engine
-CACHE_FILE="$(mktemp -u).schedcache"
-# Process 1 populates the file cold; process 2 must warm-start from it.
-"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 > /dev/null
-"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 -warmexpect 0.99 > /dev/null
-# Corrupt-file smoke: garbage where the cache was must not break a run.
-dd if=/dev/urandom of="$CACHE_FILE" bs=4096 count=4 conv=notrunc 2> /dev/null
-"$SBENCH_BIN" -cachefile "$CACHE_FILE" -workers 8 > /dev/null
-rm -f "$CACHE_FILE"
 
-echo "== service gates (schedd: identity, kill -9 warm restart, drain)"
-SCHEDD_BIN="$(mktemp -u)"
-SERVE_CACHE="$(mktemp -u).schedcache"
-SCHEDD_LOG="$(mktemp)"
-go build -o "$SCHEDD_BIN" ./cmd/schedd
-# schedd_url: wait for the daemon's listen line and echo its URL.
-schedd_url() {
-    for _ in $(seq 100); do
-        addr="$(sed -n 's/^schedd: listening on //p' "$1" | head -n 1)"
-        if [ -n "$addr" ]; then echo "http://$addr"; return 0; fi
-        sleep 0.1
-    done
-    echo "schedd never printed its listen line" >&2
-    return 1
-}
-# Phase 1: a cold daemon populates the cache file while every response
-# is proven byte-identical to a local cache-disabled reference engine.
-"$SCHEDD_BIN" -addr 127.0.0.1:0 -cachefile "$SERVE_CACHE" > "$SCHEDD_LOG" 2>&1 &
-SCHEDD_PID=$!
-SCHEDD_URL="$(schedd_url "$SCHEDD_LOG")"
-"$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 2s \
-    -servecheck > /dev/null
-sleep 1 # let the disk tier's background flusher drain
-# Phase 2: kill -9 with requests in flight. The interrupted generator
-# is expected to fail; what matters is the daemon dies mid-load.
-"$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 5s \
-    > /dev/null 2>&1 &
-LOAD_PID=$!
-sleep 1
-kill -9 "$SCHEDD_PID"
-wait "$LOAD_PID" 2> /dev/null || true
-# Phase 3: a restart on the same file must serve warm — hit rate ≥ 0.9
-# with blocks straight from the persistent tier — and byte-identical.
-: > "$SCHEDD_LOG"
-"$SCHEDD_BIN" -addr 127.0.0.1:0 -cachefile "$SERVE_CACHE" > "$SCHEDD_LOG" 2>&1 &
-SCHEDD_PID=$!
-SCHEDD_URL="$(schedd_url "$SCHEDD_LOG")"
-"$SBENCH_BIN" -serve "$SCHEDD_URL" -model super2 -serverate 60 -serveduration 2s \
-    -servewarm 0.9 -servecheck > /dev/null
-# Phase 4: SIGTERM must drain gracefully and exit 0.
-kill -TERM "$SCHEDD_PID"
-wait "$SCHEDD_PID"
-SCHEDD_PID=""
-rm -f "$SCHEDD_BIN" "$SERVE_CACHE" "$SCHEDD_LOG"
+echo "== service gates (schedd: identity, kill -9 warm restart, drain, corrupt file)"
+go test -race -run '^TestSmokeScheddWarmRestart$' .
 
 echo "== perf gate (perfbench, median of 3 runs vs BENCH_perfbench.ndjson)"
+SBENCH_BIN="$(mktemp -u)"
+trap 'rm -f "${SBENCH_BIN:-}" "${PERF_LINES:-}"' EXIT
+go build -o "$SBENCH_BIN" ./cmd/schedbench
 # The invocation here and the one that recorded the baseline must match
 # (README, "Benchmarks").
 "$SBENCH_BIN" -diffselftest
