@@ -535,6 +535,17 @@ func postAllUnits(t *testing.T, client *http.Client, base string, units []schedd
 			t.Fatalf("unit %d diverged from the cache-disabled reference: %s", i, diff)
 		}
 	}
+	ec := getStats(t, client, base).Engine
+	hits := ec.CacheHits + ec.DiskHits
+	if hits+ec.CacheMisses == 0 {
+		return 0, 0
+	}
+	return float64(hits) / float64(hits+ec.CacheMisses), ec.DiskHits
+}
+
+// getStats reads the daemon's /stats snapshot.
+func getStats(t *testing.T, client *http.Client, base string) server.Snapshot {
+	t.Helper()
 	resp, err := client.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -544,12 +555,24 @@ func postAllUnits(t *testing.T, client *http.Client, base string, units []schedd
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("/stats: %v", err)
 	}
-	ec := snap.Engine
-	hits := ec.CacheHits + ec.DiskHits
-	if hits+ec.CacheMisses == 0 {
-		return 0, 0
+	return snap
+}
+
+// waitDiskFlushed polls /stats until the daemon's write-behind flusher
+// has put every schedule it computed into the cache file.
+func waitDiskFlushed(t *testing.T, client *http.Client, base string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		p := getStats(t, client, base).Engine.DiskPending
+		if p == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d schedules still unwritten to the cache file after 30 s", p)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	return float64(hits) / float64(hits+ec.CacheMisses), ec.DiskHits
 }
 
 // TestSmokeScheddWarmRestart is the daemon's warm-restart gate over the
@@ -576,8 +599,7 @@ func TestSmokeScheddWarmRestart(t *testing.T) {
 	// Phase 1: a cold daemon populates the file.
 	cmd, base := startSchedd(t, schedd, flags...)
 	postAllUnits(t, client, base, units)
-	// Let the write-behind flusher reach the file.
-	time.Sleep(time.Second)
+	waitDiskFlushed(t, client, base)
 
 	// Phase 2: SIGKILL with requests in flight. Four clients post every
 	// unit between them; the eighth answer triggers the kill, and what

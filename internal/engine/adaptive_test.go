@@ -34,8 +34,8 @@ func adaptiveCorpus(t testing.TB) []*block.Block {
 }
 
 // TestAdaptiveMatchesFixed is the identity gate of adaptive dispatch:
-// with the n² pipeline enabled — at the calibrated crossover and at
-// the forced maximum — every block's cycle count, arc count and
+// with the n² pipeline enabled — at the default crossover and at the
+// forced maximum — every block's cycle count, arc count and
 // scheduled order must be byte-identical to the table-only pipeline's
 // (Crossover -1: no block is routed to the n² builder).
 func TestAdaptiveMatchesFixed(t *testing.T) {
@@ -49,7 +49,7 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cross := range []int{0, 64} { // 0 = use the calibrated crossover
+	for _, cross := range []int{0, 64} { // 0 = use the default crossover
 		ad, err := New(Config{Workers: 8, Model: m, KeepOrders: true, Crossover: cross})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 }
 
 // TestAdaptiveConfig pins the crossover resolution rules: clamping,
-// the never-n² negative sentinel and calibration bounds.
+// the never-n² negative sentinel and the default.
 func TestAdaptiveConfig(t *testing.T) {
 	m := machine.Pipe1()
 	mk := func(cfg Config) *Engine {
@@ -111,8 +111,8 @@ func TestAdaptiveConfig(t *testing.T) {
 	if c := mk(Config{Crossover: 7}).Crossover(); c != 7 {
 		t.Errorf("Crossover 7 resolved to %d", c)
 	}
-	if c := mk(Config{}).Crossover(); c < 0 || c > 64 {
-		t.Errorf("calibrated crossover %d outside [0, 64]", c)
+	if c := mk(Config{}).Crossover(); c != defaultCrossover {
+		t.Errorf("Crossover 0 resolved to %d, want the default %d", c, defaultCrossover)
 	}
 }
 

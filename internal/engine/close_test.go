@@ -33,7 +33,7 @@ func TestCloseDuringRunStreamBusy(t *testing.T) {
 		_, err := e.RunStream(context.Background(), src, nil)
 		streamDone <- err
 	}()
-	src <- blocks[0] // the dispatcher took it, so the stream holds its crew
+	src <- blocks[0] // a claiming worker took it, so the stream holds its crew
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- e.Close() }()

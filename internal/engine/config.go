@@ -36,10 +36,10 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 //   - Model: required.
 //   - Workers: 0 means GOMAXPROCS (filled in here); negative is
 //     rejected rather than silently treated as a default.
-//   - CacheCap/Crossover: 0 means "default/calibrate"; a negative
-//     CacheCap is rejected (a negative Crossover is a documented "never
-//     route to n²" setting and stays legal); Crossover above
-//     dag.N2MaskCap is clamped to it.
+//   - CacheCap/Crossover: 0 means the default (a 65536-entry cache, a
+//     crossover of 4); a negative CacheCap is rejected (a negative
+//     Crossover is a documented "never route to n²" setting and stays
+//     legal); Crossover above dag.N2MaskCap is clamped to it.
 //   - CachePath: implies Cache.
 //   - BlockTimeout: negative is rejected; 0 disables deadlines.
 //   - FaultPlan: rates must lie in [0, 1] and SlowDelay must be

@@ -32,6 +32,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"daginsched/internal/diskcache"
 )
@@ -49,6 +50,10 @@ type diskTier struct {
 	c     *diskcache.Cache
 	model uint64 // modelKey of the engine's machine, folded into every fingerprint
 	wg    sync.WaitGroup
+	// unwritten counts records enqueued but not yet appended to the
+	// file, a batch the flusher has swapped out included. It belongs to
+	// the Engine, which outlives the tier (Engine.DiskPending).
+	unwritten *atomic.Int64
 
 	mu      sync.Mutex         //sched:lock-rank 30
 	pending []diskcache.Record //sched:guarded-by mu
@@ -57,13 +62,14 @@ type diskTier struct {
 }
 
 // newDiskTier opens the cache file for an engine whose machine model
-// fingerprints to model, and starts the flusher.
-func newDiskTier(path string, model uint64) (*diskTier, error) {
+// fingerprints to model, and starts the flusher; unwritten is where it
+// counts its backlog.
+func newDiskTier(path string, model uint64, unwritten *atomic.Int64) (*diskTier, error) {
 	c, err := diskcache.Open(path, diskcache.Options{})
 	if err != nil {
 		return nil, err
 	}
-	t := &diskTier{c: c, model: model, kick: make(chan struct{}, 1)}
+	t := &diskTier{c: c, model: model, unwritten: unwritten, kick: make(chan struct{}, 1)}
 	t.wg.Add(1)
 	go t.flusher()
 	return t, nil
@@ -84,6 +90,7 @@ func (t *diskTier) flusher() {
 		t.mu.Unlock()
 		if len(batch) > 0 {
 			t.c.AppendBatch(batch) // an ErrFull here only costs future recomputes
+			t.unwritten.Add(-int64(len(batch)))
 		}
 		spare = batch
 		if len(batch) > 0 {
@@ -105,11 +112,16 @@ func (t *diskTier) enqueue(h uint64, ent *cacheEntry) {
 	// The entry's slices are immutable after the L1 insert, so the
 	// record may alias them; the flusher only reads.
 	rec := diskcache.Record{Fp: h ^ t.model, Key: ent.key, Order: ent.order, Issue: ent.issue, Cycles: ent.cycles, Arcs: ent.arcs}
+	t.unwritten.Add(1) // before the append, so the count is never short
 	t.mu.Lock()
-	if !t.closed {
+	closed := t.closed
+	if !closed {
 		t.pending = append(t.pending, rec)
 	}
 	t.mu.Unlock()
+	if closed {
+		t.unwritten.Add(-1)
+	}
 	select {
 	case t.kick <- struct{}{}:
 	default:
@@ -156,6 +168,13 @@ func (e *Engine) Close() error {
 	})
 	return err
 }
+
+// DiskPending reports how many schedules the engine has handed to the
+// persistent tier's write-behind flusher that the flusher has not
+// appended yet. Zero means it has caught up: every schedule computed so
+// far is in the file, unless the file was full (or the engine has no
+// disk tier).
+func (e *Engine) DiskPending() int64 { return e.diskPending.Load() }
 
 // probeDisk is the L2 lookup: it runs only after an L1 miss and
 // decodes into the worker's recycled scratch. Zero allocations once

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"daginsched/internal/block"
 	"daginsched/internal/fault"
@@ -108,6 +109,48 @@ func TestDiskWarmStart(t *testing.T) {
 		t.Errorf("second warm run: %d disk hits, want 0 after promotion", wres2.Stats.DiskHits)
 	}
 	requireSameOrders(t, want, wres2)
+}
+
+// TestDiskPendingDrains requires the write-behind backlog DiskPending
+// reports to return to zero after a cold run, and zero to mean what it
+// says: every schedule the run computed is in the file by then.
+func TestDiskPendingDrains(t *testing.T) {
+	blocks := testBlocks(t, 120)
+	e, err := New(Config{Workers: 1, Model: machine.Super2(), CachePath: diskPath(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeEngine(t, e)
+	res, err := e.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := e.DiskPending(); p < 0 || p > res.Stats.CacheMisses {
+		t.Fatalf("DiskPending %d after a run with %d misses", p, res.Stats.CacheMisses)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.DiskPending() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("DiskPending still %d after 10 s", e.DiskPending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := e.disk.c.Len(); int64(n) != res.Stats.CacheMisses {
+		t.Fatalf("DiskPending reads 0 with %d of %d computed schedules in the file", n, res.Stats.CacheMisses)
+	}
+	if res.Stats.CacheMisses != int64(distinctBlocks(blocks)) {
+		t.Fatalf("%d misses, want one per distinct block (%d)", res.Stats.CacheMisses, distinctBlocks(blocks))
+	}
+	mem, err := New(Config{Model: machine.Super2(), Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Run(blocks); err != nil {
+		t.Fatal(err)
+	}
+	if p := mem.DiskPending(); p != 0 {
+		t.Fatalf("an engine without a disk tier reports %d pending", p)
+	}
 }
 
 // requireSameOrders compares cycles, arcs and full scheduled orders.

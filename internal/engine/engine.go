@@ -9,7 +9,7 @@
 // The pipeline is fixed: backward table building with every heuristic
 // computed in the same reverse walk (the paper's third approach,
 // Section 6), and n² construction instead for blocks at or below a
-// calibrated crossover (the Tables 4–5 regime result; see adaptive.go).
+// small crossover size (the Tables 4–5 regime result; see adaptive.go).
 // Forward table building and the Table 3 DAG statistics are reproduced
 // by internal/tables, which calls the dag builders directly.
 //
@@ -19,18 +19,20 @@
 // a lone caller gets all of it.
 //
 // Both entry points share one per-block function (worker.run) and one
-// claim loop over two queues, big blocks one per slot and small blocks
-// in chunks (see stream.go). Run prefills the queues from its slice,
-// largest block first; RunStream routes into them online. Each result
-// lands in its block's slot (Run) or its sequence number's ring slot
-// (RunStream), so the output is byte-identical to a serial run of the
-// same pipeline regardless of worker count or interleaving.
+// claim loop, which asks a work source for its next run of blocks (see
+// stream.go): Run's workers claim from the batch, largest block first,
+// by atomic cursors; RunStream's receive from the source channel
+// themselves, under a claim lock. Each result lands in its block's
+// slot (Run) or its sequence number's ring slot (RunStream), so the
+// output is byte-identical to a serial run of the same pipeline
+// regardless of worker count or interleaving.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"daginsched/internal/block"
@@ -84,10 +86,9 @@ type Config struct {
 	// most this many instructions is attempted on the n²-direct
 	// pipeline (compare-against-all construction, no table reset, no
 	// CSR freeze), falling back to table building for that block alone
-	// when the n² DAG is not transitive-free. Zero means measure the
-	// crossover with a one-time calibration probe inside New; a
-	// negative value keeps bin statistics but never routes a block to
-	// the n² builder: every block takes the table pipeline. Values
+	// when the n² DAG is not transitive-free. Zero means the default,
+	// 4; a negative value keeps bin statistics but never routes a block
+	// to the n² builder: every block takes the table pipeline. Values
 	// beyond dag.N2MaskCap are clamped to it.
 	Crossover int
 	// BlockTimeout is the per-block soft deadline: a block whose
@@ -106,7 +107,7 @@ type Config struct {
 
 // Stats summarizes one run of either entry point: the work done, its
 // throughput and per-block latency, the cache and hardening tallies,
-// and the stream's queue peaks.
+// and the stream's reorder peak.
 type Stats struct {
 	// Workers is the size of the crew that served the run.
 	Workers     int     `json:"workers"`
@@ -152,14 +153,16 @@ type Stats struct {
 	GateFailures   int64 `json:"gate_failures,omitempty"`
 	FaultsInjected int64 `json:"faults_injected,omitempty"`
 	DegradedBlocks int64 `json:"degraded_blocks,omitempty"`
-	// Streaming fields, set by RunStream only: BigQueuePeak and
-	// SmallQueuePeak are the two ingest queues' occupancy high-water
-	// marks (blocks and chunks respectively); PendingPeak is the reorder
-	// ring's high-water mark — the most outcomes that were ever
-	// scheduled-but-unemitted at once.
+	// BigQueuePeak and SmallQueuePeak are always zero.
+	//
+	// Deprecated: RunStream's workers claim straight from its source,
+	// so there are no ingest queues to measure.
 	BigQueuePeak   int `json:"big_queue_peak,omitempty"`
 	SmallQueuePeak int `json:"small_queue_peak,omitempty"`
-	PendingPeak    int `json:"pending_peak,omitempty"`
+	// PendingPeak, set by RunStream only, is the reorder ring's
+	// high-water mark: the most outcomes that were ever
+	// scheduled-but-unemitted at once.
+	PendingPeak int `json:"pending_peak,omitempty"`
 }
 
 // BatchResult is the outcome of one Run, indexed by block position.
@@ -343,13 +346,16 @@ type Engine struct {
 	// disk is the persistent second tier behind cache (nil unless
 	// Config.CachePath); see disk.go. Cleared by Engine.Close.
 	disk *diskTier
+	// diskPending is the disk tier's write-behind backlog; it lives
+	// here so DiskPending can read it while Close clears disk.
+	diskPending atomic.Int64
 	// crossover is the effective adaptive-dispatch n² size threshold,
 	// resolved once in New.
 	crossover int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
 	inj *fault.Injector
-	// streamDepth is RunStream's queue depth: the package constant,
+	// streamDepth is RunStream's reorder slack: the package constant,
 	// which tests shrink to force backpressure.
 	streamDepth int
 	closeOnce   sync.Once // Close releases the disk tier once
@@ -359,7 +365,12 @@ type Engine struct {
 // recycled beside them (a quarantine overwrites a whole worker).
 type crew struct {
 	workers []*worker
-	q       claimQueues // Run's claim queues (see prefill)
+	// batch is Run's work source (see prefill); chunks holds each
+	// worker's stream claims, by crew position; slots is RunStream's
+	// reorder ring.
+	batch  batchSource
+	chunks [][chunkSize]streamItem
+	slots  []streamSlot
 	// wg joins the spawned workers: a field, not a local of work, which
 	// the goroutines' closure would move to the heap.
 	wg sync.WaitGroup
@@ -418,7 +429,7 @@ func New(cfg Config) (*Engine, error) {
 		e.workers[i] = newWorker(cfg.Model)
 		e.workers[i].e, e.workers[i].inj = e, inj
 		e.free <- e.workers[i]
-		e.crews <- &crew{workers: make([]*worker, 0, n)}
+		e.crews <- &crew{workers: make([]*worker, 0, n), chunks: make([][chunkSize]streamItem, n)}
 	}
 	if cfg.Cache {
 		e.cache = newSchedCache(cfg.CacheCap)
@@ -426,7 +437,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CachePath != "" {
 		// A damaged or unopenable file is a runtime failure, not a
 		// ConfigError: the Config itself is fine.
-		disk, err := newDiskTier(cfg.CachePath, modelKey(cfg.Model))
+		disk, err := newDiskTier(cfg.CachePath, modelKey(cfg.Model), &e.diskPending)
 		if err != nil {
 			return nil, fmt.Errorf("engine: opening cache file %s: %w", cfg.CachePath, err)
 		}
@@ -438,13 +449,13 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Crossover > 0:
 		e.crossover = cfg.Crossover // validate clamped it to dag.N2MaskCap
 	default:
-		e.crossover = calibrateCrossover(e.workers[0], cfg.Model)
+		e.crossover = defaultCrossover
 	}
 	return e, nil
 }
 
 // Crossover returns the effective adaptive-dispatch threshold — the
-// configured one after clamping, or the calibrated one when
+// configured one after clamping, or defaultCrossover when
 // Config.Crossover was zero. It is zero when Config.Crossover is
 // negative.
 func (e *Engine) Crossover() int { return e.crossover }
@@ -521,7 +532,7 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	start := time.Now()
 	if nb > 0 {
 		c.work(c.prefill(blocks), res, ctx.Done())
-		clear(c.q.items) // the crew outlives the run: drop its blocks
+		clear(c.batch.items) // the crew outlives the run: drop its blocks
 	}
 	wall := time.Since(start)
 	if err := ctx.Err(); err != nil {

@@ -79,8 +79,8 @@ func requireSameBatch(t *testing.T, wantOrders [][]int32, wantCycles, wantArcs [
 // TestEngineMatchesSerialReference requires the batch engine to be
 // byte-identical to the plain serial pipeline, with the scoreboard
 // simulator co-signing every schedule. It runs table-only (Crossover
-// -1), at the calibrated crossover and at the n² maximum (64), so both
-// pipelines are covered whatever this machine calibrates to.
+// -1), at the default crossover (0) and at the n² maximum (64), so
+// both pipelines are covered.
 func TestEngineMatchesSerialReference(t *testing.T) {
 	for _, m := range []*machine.Model{machine.Pipe1(), machine.Super2()} {
 		blocks := testBlocks(t, 40)

@@ -58,7 +58,7 @@ func grepBlocks(t *testing.T) []*block.Block {
 // deadline is armed — produce exactly the fault-free run's output for
 // every block, and (e) show every hardening tally nonzero. It runs over
 // the synthetic chaos corpus on Super2 at a fixed crossover, and over
-// Table 3's grep set on Pipe1 at the crossover New calibrates.
+// Table 3's grep set on Pipe1 at the default crossover.
 func TestEngineChaosLadder(t *testing.T) {
 	cases := []struct {
 		name      string

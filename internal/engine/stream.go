@@ -3,21 +3,18 @@
 // peak memory grows linearly with corpus size and ingestion is fully
 // serialized with scheduling. RunStream overlaps the three phases —
 // ingestion, scheduling, emission — so a 100M-instruction run needs
-// memory proportional to the configured queue depth, never to the
-// corpus:
+// memory proportional to the reorder window, never to the corpus:
 //
-//		src ─► dispatcher ─► bigQ (1 block/slot)  ─► workers ─► reorder ring ─► emitter ─► sink
-//		                └──► smallQ (chunk/slot)  ─┘
+//	src ─► claiming worker ─► reorder ring ─► emitter ─► sink
 //
-//	  - The dispatcher assigns each block a dense sequence number and
-//	    routes it online by size: blocks above smallCutoff go to bigQ one
-//	    per slot, the small tail is batched into chunks of chunkSize.
-//	    Run fills the same two queues up front instead (prefill), big
-//	    blocks largest first; the stream keeps the LPT spirit online — a
-//	    worker always prefers the big-block queue, and tiny blocks are
-//	    claimed in chunks to amortize contention. Both stream queues are
-//	    bounded, so a slow consumer backpressures the producer through
-//	    src.
+//	  - Workers claim straight from a work source (workSource). Run's is
+//	    its slice in LPT order, claimed through atomic cursors (see
+//	    prefill). RunStream's is src itself: a worker takes the claim
+//	    lock, receives blocks, numbers them densely, and stops at
+//	    chunkSize small blocks, at a block above smallCutoff, or when src
+//	    closes. Then it drops the lock and runs the chunk. Nothing sits
+//	    between src and the workers, so a slow consumer backpressures
+//	    the producer through src.
 //	  - Workers run the one claim loop (claim) and the one per-block
 //	    function (worker.run) of both entry points: the same cache
 //	    lookup, the same adaptive n²/table dispatch, the same degradation
@@ -25,14 +22,12 @@
 //	    its instruction bytes once the engine is configured, so streamed
 //	    schedules are byte-identical to batch schedules regardless of
 //	    arrival order or interleaving.
-//	  - Finished blocks are deposited into a reorder ring sized to the
-//	    maximum number of in-flight sequence numbers; a dedicated emitter
-//	    drains it in sequence order and invokes the sink serially. The
-//	    sizing makes deposits wait-free in the healthy case: every
-//	    assigned-but-unemitted block occupies a queue slot, a worker, or
-//	    a ring slot, and the ring has room for all of them. The
-//	    dispatcher, the ring and the emitter are all the stream adds to
-//	    Run's path.
+//	  - Finished blocks are deposited into a reorder ring; a dedicated
+//	    emitter drains it in sequence order and invokes the sink
+//	    serially. A claimer admits a sequence number only once its slot
+//	    is free of unemitted predecessors (reserve), so deposits never
+//	    wait on another worker. The claim lock, the ring and the emitter
+//	    are all the stream adds to Run's path.
 //
 // Per-block latency percentiles, batch and streaming alike, come from a
 // fixed log-scale histogram (4 sub-buckets per octave, ~12% resolution)
@@ -51,9 +46,10 @@ import (
 	"daginsched/internal/buf"
 )
 
-// streamDepth bounds RunStream's ingest queues (in blocks): a full
-// pipeline backpressures the producer instead of buffering, which is
-// what makes streamed memory independent of stream length.
+// streamDepth is RunStream's reorder slack, in blocks: how far past
+// the oldest unemitted block the claimers may run ahead. A full window
+// backpressures the producer instead of buffering, which is what makes
+// streamed memory independent of stream length.
 const streamDepth = 256
 
 // BlockOutcome is one streamed block's result, delivered to the
@@ -77,23 +73,18 @@ type BlockOutcome struct {
 }
 
 // streamItem is one claimable block: its sequence number (RunStream's
-// arrival number, or Run's slice index) and the block. The zero value
-// ends a queue.
+// arrival number, or Run's slice index) and the block.
 type streamItem struct {
 	seq int64
 	b   *block.Block
 }
 
-// claimQueues is the work source of the claim loop: big blocks one per
-// slot, small blocks in chunks.
-type claimQueues struct {
-	bigQ   chan streamItem
-	smallQ chan []streamItem
-	// chunkPool recycles RunStream's chunk storage; nil for Run, whose
-	// chunks slice items.
-	chunkPool chan []streamItem
-	// items backs Run's prefilled chunks.
-	items []streamItem
+// workSource hands the claim loop its work. next returns the claiming
+// worker's next run of items — possibly appended to chunk, the
+// worker's empty buffer of capacity chunkSize — or none once the source
+// is exhausted or done has closed.
+type workSource interface {
+	next(chunk []streamItem, done <-chan struct{}) []streamItem
 }
 
 // outcomeSink consumes claimed blocks' outcomes: a *BatchResult writes
@@ -102,67 +93,41 @@ type outcomeSink interface {
 	put(it streamItem, o outcome)
 }
 
-// work runs the claim loop of every crew worker over q, delivering
+// work runs the claim loop of every crew worker over src, delivering
 // outcomes to out, and returns once all of them have stopped. The
 // calling goroutine serves as the lead worker, so a one-worker crew
 // starts no goroutine at all.
-func (c *crew) work(q *claimQueues, out outcomeSink, done <-chan struct{}) {
-	for _, w := range c.workers[1:] {
+func (c *crew) work(src workSource, out outcomeSink, done <-chan struct{}) {
+	for i, w := range c.workers[1:] {
 		c.wg.Add(1)
-		go func(w *worker) {
+		go func(w *worker, chunk []streamItem) {
 			defer c.wg.Done()
-			w.claim(q, out, done)
-		}(w)
+			w.claim(src, chunk, out, done)
+		}(w, c.chunks[i+1][:0])
 	}
-	c.workers[0].claim(q, out, done)
+	c.workers[0].claim(src, c.chunks[0][:0], out, done)
 	c.wg.Wait()
+	for i := range c.workers {
+		clear(c.chunks[i][:]) // the crew outlives the run: drop its blocks
+	}
 }
 
-// claim is the claim loop: it takes blocks off q and runs each through
-// the per-block function, handing the outcome to out, until it has
-// seen the end of both queues or the context is cancelled. The
-// big-block queue is always preferred (the LPT spirit: a giant block
-// starts as soon as any worker frees up), falling back to a fair
-// select over both. A queue ends at its zero value: the receive of a
-// closed channel, or one of Run's end markers. A claimed block is
-// always finished — cancellation is observed at claim boundaries (and
-// between a chunk's blocks), never mid-block.
-func (w *worker) claim(q *claimQueues, out outcomeSink, done <-chan struct{}) {
-	big, small := q.bigQ, q.smallQ
-	for big != nil || small != nil {
-		if cancelled(done) {
+// claim is the claim loop: it takes runs of items from src and runs
+// each block through the per-block function, handing the outcome to
+// out, until src is exhausted or the context is cancelled. A claimed
+// block is always finished — cancellation is observed at claim
+// boundaries (and between a run's blocks), never mid-block.
+func (w *worker) claim(src workSource, chunk []streamItem, out outcomeSink, done <-chan struct{}) {
+	for !cancelled(done) {
+		items := src.next(chunk, done)
+		if len(items) == 0 {
 			return
 		}
-		// A finished queue is nil, which a select never picks.
-		var it streamItem
-		var chunk []streamItem
-		fromSmall := false
-		select {
-		case it = <-big:
-		default:
-			select {
-			case it = <-big:
-			case chunk = <-small:
-				fromSmall = true
+		for i, it := range items {
+			if i > 0 && cancelled(done) {
+				return
 			}
-		}
-		switch {
-		case !fromSmall && it.b == nil:
-			big = nil
-		case !fromSmall:
 			out.put(it, w.run(it.b))
-		case chunk == nil:
-			small = nil
-		default:
-			for i, it := range chunk {
-				if i > 0 && cancelled(done) {
-					return
-				}
-				out.put(it, w.run(it.b))
-			}
-			if q.chunkPool != nil {
-				q.chunkPool <- chunk[:0]
-			}
 		}
 	}
 }
@@ -240,12 +205,28 @@ func histPercentile(h *[streamHistBuckets]int64, total, pct int64) float64 {
 	return histRepNanos(streamHistBuckets - 1)
 }
 
-// streamRun is one RunStream invocation's shared state.
+// streamRun is one RunStream invocation's shared state: the work
+// source the claimers share and the reorder ring they deposit into.
 type streamRun struct {
+	src        <-chan *block.Block
 	sink       func(BlockOutcome)
 	keepOrders bool
 	window     int64
-	slots      []streamSlot
+	slots      []streamSlot // the crew's recycled ring
+
+	// claimMu is the claim lock: one claimer at a time receives from
+	// src and numbers what it receives. It is held across the receive on
+	// purpose — that is what makes sequence numbers follow arrival
+	// order — and the receive also selects on done, so a cancelled run
+	// still lets go of it. A claimer calls reserve while holding it, so
+	// it ranks before mu.
+	claimMu sync.Mutex //sched:lock-rank 5
+	// seq is the next sequence number to assign; baseFloor is a stale
+	// (never ahead) copy of base, so claims far from the window's edge
+	// never touch mu; srcClosed records that src has closed.
+	seq       int64 //sched:guarded-by claimMu
+	baseFloor int64 //sched:guarded-by claimMu
+	srcClosed bool  //sched:guarded-by claimMu
 
 	mu   sync.Mutex //sched:lock-rank 10
 	cond *sync.Cond
@@ -264,36 +245,71 @@ type streamRun struct {
 	firstErr    error //sched:guarded-by mu
 	errSeq      int64 //sched:guarded-by mu
 	// ringWaiters counts goroutines blocked on ring state other than a
-	// ready base slot: the dispatcher waiting in reserve for the
-	// in-flight span to shrink, or a depositor waiting out a slot the
-	// emitter is still sinking. The emitter only broadcasts after
-	// freeing slots when one is actually waiting.
+	// ready base slot: a claimer waiting in reserve for the in-flight
+	// span to shrink, or a depositor waiting out a slot the emitter is
+	// still sinking. The emitter only broadcasts after freeing slots
+	// when one is actually waiting.
 	//
 	//sched:signals cond
 	ringWaiters int //sched:guarded-by mu
 
-	claimQueues
-
-	// Queue occupancy high-water marks, written by the dispatcher only.
-	bigPeak, smallPeak int
+	emitted sync.WaitGroup // joins the emitter
 }
 
-// reserve admits one sequence number into the reorder window: the
-// dispatcher calls it before routing seq, blocking while seq's slot
-// could still collide with an unemitted predecessor (seq-window not
-// yet delivered). This is the invariant the whole ring rests on —
-// every assigned-but-unemitted sequence number has its own slot, so a
-// depositor can at worst wait out a slot the emitter is actively
-// sinking, never circularly on another worker. Without it, workers
-// preferring the big-block queue can run sequence numbers arbitrarily
-// far past a small chunk still parked in smallQ, and once deposits
-// span the window every worker blocks with the parked chunk
-// unclaimable. It returns the refreshed base so the dispatcher can
-// skip the lock while far from the bound; a finished (cancelled)
-// stream unblocks immediately.
-func (s *streamRun) reserve(seq int64) int64 {
+// next is the stream's work source: under the claim lock it receives
+// from src, skipping nil blocks and numbering the rest densely, until
+// it holds chunkSize blocks, has taken one above smallCutoff, or sees
+// src close. Two invariants keep the reorder ring deadlock-free:
+//
+//   - A claimer never waits in reserve while holding a sequence number
+//     it has not run: the emitter may be waiting for exactly that
+//     number, and the wait would be circular. A non-empty chunk that
+//     reaches the window's edge ends there instead.
+//   - A claimer waiting in reserve wakes on cancellation (wake). No
+//     other goroutine would: the crew it belongs to is what RunStream
+//     waits for before flagging the stream finished.
+func (s *streamRun) next(chunk []streamItem, done <-chan struct{}) []streamItem {
+	s.claimMu.Lock()
+	defer s.claimMu.Unlock()
+	for !s.srcClosed && len(chunk) < chunkSize {
+		if s.seq-s.baseFloor >= s.window {
+			s.baseFloor = s.reserve(s.seq, len(chunk) == 0, done)
+			if s.seq-s.baseFloor >= s.window {
+				break // at the edge with a chunk to run, or cancelled
+			}
+		}
+		var b *block.Block
+		var ok bool
+		select {
+		case <-done:
+			return nil
+		case b, ok = <-s.src:
+		}
+		if !ok {
+			s.srcClosed = true
+			break
+		}
+		if b == nil {
+			continue
+		}
+		chunk = append(chunk, streamItem{seq: s.seq, b: b})
+		s.seq++
+		if b.Len() > smallCutoff {
+			break
+		}
+	}
+	return chunk
+}
+
+// reserve returns the emitter's base, first waiting — when wait is set
+// — until seq fits the reorder window (seq-base < window) or done
+// closes. That admission rule is the invariant the whole ring rests
+// on: every assigned-but-unemitted sequence number has its own slot,
+// so a depositor can at worst wait out a slot the emitter is actively
+// sinking, never circularly on another worker.
+func (s *streamRun) reserve(seq int64, wait bool, done <-chan struct{}) int64 {
 	s.mu.Lock()
-	for seq-s.base >= s.window && !s.finished {
+	for wait && seq-s.base >= s.window && !cancelled(done) {
 		s.ringWaiters++
 		s.cond.Wait()
 		s.ringWaiters--
@@ -301,6 +317,15 @@ func (s *streamRun) reserve(seq int64) int64 {
 	base := s.base
 	s.mu.Unlock()
 	return base
+}
+
+// wake rouses every ring waiter to re-check its predicate; RunStream
+// runs it on cancellation, for a claimer waiting in reserve. A late
+// call on a finished stream wakes nobody.
+func (s *streamRun) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // put deposits a claimed block's outcome into the reorder-ring slot of
@@ -366,8 +391,8 @@ func (s *streamRun) put(it streamItem, o outcome) {
 // always sees a dense prefix of the stream.
 //
 //sched:noalloc
-func (s *streamRun) emitLoop(done chan struct{}) {
-	defer close(done)
+func (s *streamRun) emitLoop() {
+	defer s.emitted.Done()
 	for {
 		s.mu.Lock()
 		slot := &s.slots[s.base%s.window]
@@ -402,7 +427,7 @@ func (s *streamRun) emitLoop(done chan struct{}) {
 			s.slots[(start+i)%s.window].state = slotFree
 		}
 		// One broadcast serves both waiter kinds: depositors see their
-		// slot freed, and the dispatcher's reserve sees base advanced
+		// slot freed, and a claimer's reserve sees base advanced
 		// (base moved in the claim phase, but the free phase of the same
 		// burst always follows, so deferring the wakeup here loses no
 		// progress).
@@ -413,86 +438,14 @@ func (s *streamRun) emitLoop(done chan struct{}) {
 	}
 }
 
-// dispatch routes src into the size-binned queues, assigning dense
-// sequence numbers: big blocks one per bigQ slot, small blocks batched
-// into recycled chunks. Both queues are bounded, so a full pipeline
-// backpressures here — and through src to the producer. On
-// cancellation the deferred closes run immediately; sequence numbers
-// already assigned but never deposited become the gap the emitter
-// stops at.
-func (s *streamRun) dispatch(src <-chan *block.Block, done <-chan struct{}) {
-	defer close(s.bigQ)
-	defer close(s.smallQ)
-	cur := <-s.chunkPool
-	seq := int64(0)
-	// baseFloor is a stale (never ahead) copy of the emitter's base:
-	// while seq-baseFloor is inside the window the true span is too, so
-	// the steady state routes without touching the ring lock; only near
-	// the bound does reserve refresh it (and block until emissions make
-	// room).
-	baseFloor := int64(0)
-	for {
-		var b *block.Block
-		var ok bool
-		select {
-		case <-done:
-			return
-		case b, ok = <-src:
-		}
-		if !ok {
-			if len(cur) > 0 {
-				select {
-				case s.smallQ <- cur:
-				case <-done:
-				}
-			}
-			return
-		}
-		if b == nil {
-			continue
-		}
-		if seq-baseFloor >= s.window {
-			baseFloor = s.reserve(seq)
-		}
-		it := streamItem{seq: seq, b: b}
-		seq++
-		if b.Len() > smallCutoff {
-			select {
-			case s.bigQ <- it:
-				if n := len(s.bigQ); n > s.bigPeak {
-					s.bigPeak = n
-				}
-			case <-done:
-				return
-			}
-			continue
-		}
-		cur = append(cur, it)
-		if len(cur) == chunkSize {
-			select {
-			case s.smallQ <- cur:
-				if n := len(s.smallQ); n > s.smallPeak {
-					s.smallPeak = n
-				}
-			case <-done:
-				return
-			}
-			select {
-			case cur = <-s.chunkPool:
-			case <-done:
-				return
-			}
-		}
-	}
-}
-
 // RunStream schedules blocks as they arrive on src, invoking sink once
 // per block in sequence (arrival) order, and returns the run's Stats
-// once src closes and the pipeline drains. Ingestion, scheduling and
-// emission overlap through bounded queues, so memory is proportional
-// to the queue depth — never to the stream's length — and schedules
-// are byte-identical to Run over the same corpus (including under a
-// FaultPlan: the faulted set is content-keyed, not position-keyed).
+// once src closes and the pipeline drains. Workers receive from src
+// themselves, and the reorder window bounds how far they run ahead of
+// the sink, so memory is proportional to the window — never to the
+// stream's length — and schedules are byte-identical to Run over the
+// same corpus (including under a FaultPlan: the faulted set is
+// content-keyed, not position-keyed).
 //
 // The sink runs on a dedicated goroutine, serially and in order; the
 // outcome's Order slice (and nothing else) is valid only during the
@@ -518,65 +471,51 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 		return Stats{}, fmt.Errorf("engine: stream cancelled: %w", ctx.Err())
 	}
 	defer e.release(c)
-	depth := e.streamDepth
-	nw := len(c.workers)
 
-	// Ring sizing: the dispatcher's reserve call caps the in-flight
-	// sequence span at the window, so correctness needs only window >=
-	// 1. This formula instead sizes the ring so reserve is not the
-	// binding constraint on a healthy pipeline: it has a slot for every
-	// sequence number the bounded queues and workers could hold at once
-	// — bigQ (<= depth), smallQ (<= smallCap chunks), the dispatcher's
-	// partial chunk (< chunkSize), one chunk or big block per worker —
-	// plus one, so the queues fill before the window does and
-	// backpressure lands on src, not on the ring lock.
-	smallCap := max(depth/chunkSize, 1)
-	window := int64(depth + smallCap*chunkSize + chunkSize + nw*chunkSize + nw + 1)
-
+	// Ring sizing: reserve caps the in-flight sequence span at the
+	// window, so correctness needs only window >= 1. One slot per worker
+	// lets every worker hold a block at once, and streamDepth more let
+	// the crew run that far past a slow block before reserve holds it.
+	window := e.streamDepth + len(c.workers)
+	if cap(c.slots) < window {
+		c.slots = make([]streamSlot, window)
+	}
 	s := &streamRun{
+		src:        src,
 		sink:       sink,
 		keepOrders: e.cfg.KeepOrders,
-		window:     window,
-		slots:      make([]streamSlot, window),
-		claimQueues: claimQueues{
-			bigQ:      make(chan streamItem, depth),
-			smallQ:    make(chan []streamItem, smallCap),
-			chunkPool: make(chan []streamItem, smallCap+nw+2),
-		},
+		window:     int64(window),
+		slots:      c.slots[:window],
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < cap(s.chunkPool); i++ {
-		s.chunkPool <- make([]streamItem, 0, chunkSize)
-	}
 
 	done := ctx.Done()
+	if done != nil {
+		stop := context.AfterFunc(ctx, s.wake)
+		defer stop()
+	}
 	start := time.Now()
-	// The dispatcher is joined explicitly: on a cancelled stream it can
-	// outlive the workers (work only joins them), and it writes the
-	// queue peaks this function reads after the pipeline drains.
-	dispDone := make(chan struct{})
-	go func() {
-		defer close(dispDone)
-		s.dispatch(src, done)
-	}()
-	emitDone := make(chan struct{})
-	go s.emitLoop(emitDone)
-	c.work(&s.claimQueues, s, done)
+	s.emitted.Add(1)
+	go s.emitLoop()
+	c.work(s, s, done)
 	s.mu.Lock()
 	s.finished = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-emitDone
-	<-dispDone
+	s.emitted.Wait()
 	wall := time.Since(start)
 
 	st := e.stats(c, wall, nil)
-	st.BigQueuePeak = s.bigPeak
-	st.SmallQueuePeak = s.smallPeak
 	s.mu.Lock()
 	st.PendingPeak = int(s.pendingPeak)
 	firstErr, errSeq := s.firstErr, s.errSeq
 	s.mu.Unlock()
+	// The crew outlives the run: free every slot a cancelled run left
+	// ready, and drop the producer's blocks.
+	for i := range s.slots {
+		s.slots[i].state = slotFree
+		s.slots[i].out = BlockOutcome{}
+	}
 
 	if err := ctx.Err(); err != nil {
 		return st, fmt.Errorf("engine: stream cancelled: %w", err)

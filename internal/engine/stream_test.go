@@ -82,8 +82,10 @@ func requireStreamMatchesBatch(t *testing.T, got []streamOutcome, want *BatchRes
 
 // TestRunStreamMatchesRun requires streamed schedules to be
 // byte-identical to batch Run over the same corpus at every worker
-// count, through a deliberately tiny queue depth so backpressure and
-// the reorder ring actually engage.
+// count, through a deliberately tiny reorder window so backpressure and
+// the reorder ring actually engage. A depth of 1 makes the window
+// smaller than a chunk, which would deadlock a claimer that waited for
+// room while holding sequence numbers it has not run.
 func TestRunStreamMatchesRun(t *testing.T) {
 	m := machine.Super2()
 	blocks := testBlocks(t, 200)
@@ -98,33 +100,76 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		cfg := base
-		cfg.Workers = workers
-		e, err := New(cfg)
+	for _, depth := range []int{16, 1} {
+		for _, workers := range []int{1, 4, 8} {
+			cfg := base
+			cfg.Workers = workers
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.streamDepth = depth
+			// Two passes through the same engine: the second runs with warm
+			// arenas and a populated cache, like a long stream's steady
+			// state.
+			for pass := 0; pass < 2; pass++ {
+				got, st, err := collectStream(t, e, blocks)
+				if err != nil {
+					t.Fatalf("depth=%d workers=%d pass=%d: %v", depth, workers, pass, err)
+				}
+				requireStreamMatchesBatch(t, got, want)
+				if st.Blocks != len(blocks) {
+					t.Fatalf("depth=%d workers=%d: stats counted %d blocks, want %d", depth, workers, st.Blocks, len(blocks))
+				}
+				if st.Insts != want.Stats.Insts {
+					t.Fatalf("depth=%d workers=%d: stats counted %d insts, want %d", depth, workers, st.Insts, want.Stats.Insts)
+				}
+				if pass == 1 && st.CacheHits == 0 {
+					t.Fatalf("depth=%d workers=%d: second pass over one corpus saw no cache hits", depth, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestRunStreamWarmBytesConstant requires a warm 32-block RunStream on
+// a reused engine to allocate the same bytes per call whatever the
+// reorder window: the ring is recycled with the crew, so only O(1)
+// per-call bookkeeping is left.
+func TestRunStreamWarmBytesConstant(t *testing.T) {
+	blocks := testBlocks(t, 32)
+	perCall := func(depth int) uint64 {
+		e, err := New(Config{Workers: 2, Model: machine.Super2(), Cache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.streamDepth = 16
-		// Two passes through the same engine: the second runs with warm
-		// arenas and a populated cache, like a long stream's steady
-		// state.
-		for pass := 0; pass < 2; pass++ {
-			got, st, err := collectStream(t, e, blocks)
-			if err != nil {
-				t.Fatalf("workers=%d pass=%d: %v", workers, pass, err)
+		e.streamDepth = depth
+		run := func() {
+			src := make(chan *block.Block, len(blocks))
+			for _, b := range blocks {
+				src <- b
 			}
-			requireStreamMatchesBatch(t, got, want)
-			if st.Blocks != len(blocks) {
-				t.Fatalf("workers=%d: stats counted %d blocks, want %d", workers, st.Blocks, len(blocks))
-			}
-			if st.Insts != want.Stats.Insts {
-				t.Fatalf("workers=%d: stats counted %d insts, want %d", workers, st.Insts, want.Stats.Insts)
-			}
-			if pass == 1 && st.CacheHits == 0 {
-				t.Fatalf("workers=%d: second pass over one corpus saw no cache hits", workers)
+			close(src)
+			if _, err := e.RunStream(context.Background(), src, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
+		for range 8 { // grow every crew's ring and worker's scratch
+			run()
+		}
+		const calls = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	small, large := perCall(16), perCall(4096)
+	t.Logf("bytes per warm call: %d at depth 16, %d at depth 4096", small, large)
+	if large > small+1024 {
+		t.Fatalf("a warm call allocates %d bytes at depth 4096 but %d at depth 16: the reorder ring is not recycled", large, small)
 	}
 }
 
@@ -349,11 +394,11 @@ func TestRunStreamCancellation(t *testing.T) {
 }
 
 // TestRunStreamBoundedMemory streams >1M instructions of fresh content
-// through a tiny queue and requires the live heap to stay flat: the
-// measurement compares the post-GC heap after a short priming stream
-// against the post-GC heap after a stream four times longer on the
-// same engine. Growth proportional to stream length would fail; queue-
-// and arena-proportional state does not.
+// through a tiny reorder window and requires the live heap to stay
+// flat: the measurement compares the post-GC heap after a short priming
+// stream against the post-GC heap after a stream four times longer on
+// the same engine. Growth proportional to stream length would fail;
+// window- and arena-proportional state does not.
 func TestRunStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 1.5M instructions")

@@ -99,7 +99,10 @@ type ShedCounts struct {
 }
 
 // EngineCounts is the cumulative sum of engine.Stats hardening and
-// cache tallies over every run the daemon has served.
+// cache tallies over every run the daemon has served, plus the
+// persistent cache tier's write-behind backlog: DiskPending schedules
+// computed but not yet in the cache file (zero once the flusher has
+// caught up).
 type EngineCounts struct {
 	CacheHits      int64 `json:"cache_hits"`
 	DiskHits       int64 `json:"disk_hits"`
@@ -109,6 +112,7 @@ type EngineCounts struct {
 	GateFailures   int64 `json:"gate_failures"`
 	FaultsInjected int64 `json:"faults_injected"`
 	DegradedBlocks int64 `json:"degraded_blocks"`
+	DiskPending    int64 `json:"disk_pending"`
 }
 
 // Snapshot is the /stats payload.
@@ -828,6 +832,7 @@ func (s *Server) Stats() Snapshot {
 			GateFailures:   s.gateFails.Load(),
 			FaultsInjected: s.faults.Load(),
 			DegradedBlocks: s.degraded.Load(),
+			DiskPending:    s.eng.DiskPending(),
 		},
 		Tenants: make(map[string]TenantCounts),
 	}

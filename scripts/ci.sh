@@ -6,40 +6,30 @@
 # //sched:lint-ignore suppressions; see DESIGN.md §7 — build, vet and
 # tests of the separate perfbench module (the root build never
 # compiles it, so an engine API change could break the benchmark
-# unnoticed), the full test suite under the race detector
-# (which exercises the batch engine's 8-worker determinism test for
-# data races between worker arenas), the cache-enabled determinism
-# test re-run under -race at count=3 (eight workers racing lookups,
-# first-wins inserts and shard resets against a shared schedule
-# cache), the adaptive-dispatch identity gate (byte-identical
-# schedules from the adaptive and fixed pipelines at eight workers,
-# under -race), the packed-selection identity gate (byte-identical
-# schedules from the packed-priority heap engine and the winnowing
-# rescan at 1/4/8 workers including a faulted run, under -race; see
-# DESIGN.md §12), the chaos gate (a seeded fault plan firing builder
-# panics, arc corruptions, cache bitflips and stalls at an 8-worker
-# pool under -race, over a synthetic corpus and Table 3's grep set,
-# with every block required to come back byte-identical to a
-# fault-free run; see DESIGN.md §9), the streaming
-# gates (RunStream byte-identity to batch at several worker counts,
-# cancellation, faulted streams and the bounded-memory test, all under
-# -race, the concurrent-caller hammer — Run, cancelled RunCtx and
-# RunStream racing on one two-tier-cache engine at 2 and 8 workers,
-# then Close — at count=10, plus producer/scanner equivalence tests;
-# see DESIGN.md §6 and §10),
-# the persistent-cache gates (the diskcache crash-recovery/corruption
-# suite and the engine's two-tier tests at eight workers under -race;
-# see DESIGN.md §11),
-# the service gate (TestSmokeScheddWarmRestart: a schedd daemon over
-# the Table 3 corpus with every response byte-identical to a local
-# cache-disabled reference, then kill -9 with requests in flight, a
-# restart on the same cache file that must serve warm — hit rate ≥ 0.9,
-# some straight from the persistent tier — a SIGTERM that must drain
-# and exit 0, a second restart that must serve ≥ 0.99, and a restart
-# over a garbage-filled file that must still answer every request;
-# see DESIGN.md §11 and §13),
-# the perf gate (perfbench run three times over all three workloads,
-# the per-metric medians compared against the committed
+# unnoticed), then the full test suite under the race detector.
+#
+# Each correctness gate is a Go test, and the race step runs every one
+# of them once: the adaptive-dispatch identity gate
+# (TestAdaptiveMatchesFixed: byte-identical schedules from the adaptive
+# and fixed pipelines at eight workers), the packed-selection identity
+# gate (TestPackedSelMatchesWinnow; DESIGN.md §12), the chaos gate
+# (TestEngineChaosLadder and TestEngineChaosDeterminism: a seeded fault
+# plan at an 8-worker pool, every block byte-identical to a fault-free
+# run; DESIGN.md §9), the streaming gates (TestRunStream*,
+# TestStreamHistogram and internal/synth's and internal/asm's stream
+# and scanner equivalence tests; DESIGN.md §6 and §10), the
+# persistent-cache gates (internal/diskcache and the engine's TestDisk*;
+# DESIGN.md §11) and the service gate (TestSmokeScheddWarmRestart: a
+# schedd daemon over the Table 3 corpus, every response byte-identical
+# to a cache-disabled reference, through kill -9, SIGTERM drain and a
+# garbage-filled cache file; DESIGN.md §11 and §13). Only the stress
+# runs repeat a test: the cache-enabled determinism test at count=3
+# (eight workers racing lookups, first-wins inserts and shard resets)
+# and the concurrent-caller hammer at count=10 (Run, cancelled RunCtx
+# and RunStream racing on one two-tier-cache engine, then Close).
+#
+# Then the perf gate (perfbench run three times over all three
+# workloads, the per-metric medians compared against the committed
 # BENCH_perfbench.ndjson baseline under BENCHMARK.json's end-to-end
 # bounds, with a self-test first proving the gate catches a metric
 # worsened past its bound, an extra failed operation, an incorrect
@@ -67,30 +57,11 @@ echo "== perfbench module (vet, test)"
 echo "== go test -race"
 go test -race ./...
 
-echo "== engine cache determinism (workers=8, -race)"
+echo "== engine cache determinism stress (workers=8, -race, count=3)"
 go test -race -run '^TestEngineCacheDeterminism$' -count 3 ./internal/engine
 
-echo "== adaptive dispatch identity (workers=8, -race)"
-go test -race -run '^TestAdaptiveMatchesFixed$' ./internal/engine
-
-echo "== packed-selection identity (workers=8, -race)"
-go test -race -run '^TestPackedSelMatchesWinnow$' ./internal/engine
-
-echo "== chaos gate (workers=8, -race)"
-go test -race -run '^TestEngineChaosLadder$|^TestEngineChaosDeterminism$' ./internal/engine
-
-echo "== streaming gates (-race)"
-go test -race -run '^TestRunStream|^TestStreamHistogram' ./internal/engine
+echo "== concurrent-caller stress (-race, count=10)"
 go test -race -run '^TestEngineConcurrentCallers$|^TestCloseDuringRunStreamBusy$|^TestCloseDuringRunBusy$' -count 10 ./internal/engine
-go test -race -run '^TestStream|^TestGeneratePass|^TestCorpusDeterminismPin' ./internal/synth
-go test -race -run '^TestScanner|^TestStreamBlocks' ./internal/asm
-
-echo "== persistent cache gates (workers=8, -race)"
-go test -race ./internal/diskcache
-go test -race -run '^TestDisk' ./internal/engine
-
-echo "== service gates (schedd: identity, kill -9 warm restart, drain, corrupt file)"
-go test -race -run '^TestSmokeScheddWarmRestart$' .
 
 echo "== perf gate (perfbench, median of 3 runs vs BENCH_perfbench.ndjson)"
 SBENCH_BIN="$(mktemp -u)"
