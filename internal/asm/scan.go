@@ -1,5 +1,5 @@
-// Streaming assembly reading: the constant-memory file-fed producer
-// side of the engine's RunStream pipeline. Parse + block.Partition
+// Streaming assembly reading: the constant-memory source of the
+// engine's RunSource pipeline. Parse + block.Partition
 // materialize the whole program before the first block is available;
 // BlockScanner reads line by line and emits each basic block as soon
 // as its boundary is seen, holding only the current block in memory —
@@ -19,7 +19,6 @@ package asm
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"io"
 
 	"daginsched/internal/block"
@@ -27,11 +26,13 @@ import (
 )
 
 // BlockScanner incrementally partitions a textual assembly stream into
-// basic blocks.
+// basic blocks. Its Next makes it an engine.BlockSource.
 type BlockScanner struct {
-	sc   *bufio.Scanner
-	src  errReader
-	line int
+	sc    bufio.Scanner
+	buf   []byte          // the line buffer, kept across Reset
+	split bufio.SplitFunc // splitLines, bound once
+	src   errReader
+	line  int
 
 	p parser // the pending label and the line parser's scratch
 
@@ -48,12 +49,33 @@ type BlockScanner struct {
 // NewBlockScanner returns a scanner over r. The line buffer grows to
 // 1MiB, far beyond any plausible assembly line.
 func NewBlockScanner(r io.Reader) *BlockScanner {
-	s := &BlockScanner{src: errReader{r: r}}
-	s.sc = bufio.NewScanner(&s.src)
-	s.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	s.sc.Split(s.splitLines)
+	s := new(BlockScanner)
+	s.Reset(r)
 	return s
 }
+
+// Reset makes s scan r from its start, as a new scanner would: block
+// names (.bb<n> included), Block.Start and line numbers restart from
+// zero and a sticky error is forgotten. The 64 KiB line buffer and the
+// bounded name table are kept, so a pooled scanner costs a request
+// nothing to set up. Reset(nil) drops the last reader; Next must not be
+// called until the next Reset.
+func (s *BlockScanner) Reset(r io.Reader) {
+	if s.buf == nil {
+		s.buf, s.split = make([]byte, 0, 64*1024), s.splitLines
+	}
+	s.src = errReader{r: r}
+	s.sc = *bufio.NewScanner(&s.src)
+	s.sc.Buffer(s.buf, 1<<20)
+	s.sc.Split(s.split)
+	s.line, s.index, s.blocks, s.err = 0, 0, 0, nil
+	s.pendingInst, s.hasPending = isa.Inst{}, false
+	s.p.label = ""
+}
+
+// Err returns the error that stopped the scan: nil while it runs and
+// after a clean end of input.
+func (s *BlockScanner) Err() error { return s.err }
 
 // errReader remembers the first error its reader returned.
 type errReader struct {
@@ -157,41 +179,4 @@ func (s *BlockScanner) scanInst(in *isa.Inst) (bool, error) {
 		}
 	}
 	return false, s.sc.Err()
-}
-
-// StreamBlocks scans r and sends each basic block onto out, recycling
-// storage from the free list (non-blocking receives; nil if the caller
-// does not recycle) — the assembly-fed twin of synth.StreamCorpus. out
-// is closed on return. A cancelled ctx stops the stream at the next
-// block boundary and returns ctx's error with the tallies so far.
-func StreamBlocks(ctx context.Context, r io.Reader, out chan<- *block.Block, free <-chan *block.Block) (blocks, insts int64, err error) {
-	defer close(out)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	done := ctx.Done()
-	sc := NewBlockScanner(r)
-	for {
-		var b *block.Block
-		select {
-		case b = <-free:
-		default:
-			b = &block.Block{}
-		}
-		ok, err := sc.Next(b)
-		if err != nil {
-			return blocks, insts, err
-		}
-		if !ok {
-			return blocks, insts, nil
-		}
-		n := int64(b.Len())
-		select {
-		case out <- b:
-		case <-done:
-			return blocks, insts, ctx.Err()
-		}
-		blocks++
-		insts += n
-	}
 }

@@ -21,8 +21,8 @@ import (
 )
 
 // fuzzScanAll drains a BlockScanner into deep-copied blocks, reusing one
-// recycled block for every Next call the way StreamBlocks' free list
-// does, so the fuzz also exercises storage recycling.
+// recycled block for every Next call the way the engine's RunSource
+// reuses its block storage, so the fuzz also exercises recycling.
 func fuzzScanAll(src string) ([]*block.Block, error) {
 	sc := NewBlockScanner(strings.NewReader(src))
 	var out []*block.Block

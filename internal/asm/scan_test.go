@@ -1,10 +1,10 @@
 package asm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -152,51 +152,51 @@ func TestScannerCutOffRead(t *testing.T) {
 	}
 }
 
-// TestStreamBlocksMatchesPartition: the channel-producer wrapper emits
-// the same sequence as the scanner, recycles freelist storage, and
-// reports correct tallies.
-func TestStreamBlocksMatchesPartition(t *testing.T) {
-	src := make(chan *block.Block, 2)
-	free := make(chan *block.Block, 2)
-	free <- &block.Block{}
-	var blocks, insts int64
-	var serr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		blocks, insts, serr = StreamBlocks(context.Background(), strings.NewReader(trickySource), src, free)
-	}()
-	var got []*block.Block
-	var n int64
-	for b := range src {
-		cp := &block.Block{Name: b.Name, Start: b.Start}
-		cp.Insts = append(cp.Insts, b.Insts...)
-		got = append(got, cp)
-		n += int64(b.Len())
-		select {
-		case free <- b:
-		default:
+// TestScannerResetMatchesFresh: one scanner Reset over several inputs
+// in a row, one of them malformed, gives exactly what a fresh scanner
+// gives on each — synthesized .bb<n> names, Block.Start and the parse
+// error's line number all restart from zero — and its line buffer is
+// the same one throughout.
+func TestScannerResetMatchesFresh(t *testing.T) {
+	inputs := []string{
+		trickySource,
+		"\tadd %o0, 1, %o1\n\tbogus %q9\n",
+		"\tnop\n" + trickySource,
+		"\tsub %o0, 1, %o1\n\tbne .L9\n\tnop\n",
+		"b0:\n\tadd %o0, 1, %o1\n\tst %o1, [%fp-8]\n\tnop\n",
+	}
+	drain := func(sc *BlockScanner) (got []block.Block, err error) {
+		var b block.Block
+		for {
+			ok, err := sc.Next(&b)
+			if !ok {
+				return got, err
+			}
+			got = append(got, block.Block{Name: b.Name, Start: b.Start, Insts: slices.Clone(b.Insts)})
 		}
 	}
-	<-done
-	if serr != nil {
-		t.Fatal(serr)
+	reused := NewBlockScanner(strings.NewReader(""))
+	buf := &reused.buf[:1][0]
+	for round := range 2 {
+		for i, src := range inputs {
+			want, wantErr := drain(NewBlockScanner(strings.NewReader(src)))
+			reused.Reset(strings.NewReader(src))
+			got, err := drain(reused)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("round %d input %d: error %v, fresh scanner %v", round, i, err, wantErr)
+			}
+			if !slices.EqualFunc(got, want, func(x, y block.Block) bool {
+				return x.Name == y.Name && x.Start == y.Start && slices.Equal(x.Insts, y.Insts)
+			}) {
+				t.Fatalf("round %d input %d: blocks %v, fresh scanner %v", round, i, got, want)
+			}
+			if reused.Err() != err {
+				t.Fatalf("round %d input %d: Err() %v, Next returned %v", round, i, reused.Err(), err)
+			}
+		}
 	}
-	requireSameBlocks(t, trickySource, got)
-	if blocks != int64(len(got)) || insts != n {
-		t.Fatalf("tallies %d blocks / %d insts, saw %d / %d", blocks, insts, len(got), n)
-	}
-}
-
-// TestStreamBlocksCancellation: a cancelled context stops the stream
-// with the context error.
-func TestStreamBlocksCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	src := make(chan *block.Block) // unbuffered: first send must block
-	_, _, err := StreamBlocks(ctx, strings.NewReader(trickySource), src, nil)
-	if err != context.Canceled {
-		t.Fatalf("error %v, want context.Canceled", err)
+	if &reused.buf[:1][0] != buf {
+		t.Fatal("Reset replaced the line buffer")
 	}
 }
 

@@ -1,20 +1,22 @@
 // The streaming constant-memory pipeline and the claim loop both entry
 // points share. Run materializes a whole corpus before scheduling, so
 // peak memory grows linearly with corpus size and ingestion is fully
-// serialized with scheduling. RunStream overlaps the three phases —
-// ingestion, scheduling, emission — so a 100M-instruction run needs
-// memory proportional to the reorder window, never to the corpus:
+// serialized with scheduling. RunSource (and RunStream, its channel-fed
+// adapter) overlaps the three phases — ingestion, scheduling, emission
+// — so a 100M-instruction run needs memory proportional to the reorder
+// window, never to the corpus:
 //
 //	src ─► claiming worker ─► reorder ring ─► emitter ─► sink
 //
 //	  - Workers claim straight from a work source (workSource). Run's is
 //	    its slice in LPT order, claimed through atomic cursors (see
-//	    prefill). RunStream's is src itself: a worker takes the claim
-//	    lock, receives blocks, numbers them densely, and stops at
-//	    chunkSize small blocks, at a block above smallCutoff, or when src
-//	    closes. Then it drops the lock and runs the chunk. Nothing sits
-//	    between src and the workers, so a slow consumer backpressures
-//	    the producer through src.
+//	    prefill). A stream's is src itself: a worker takes the claim
+//	    lock, pulls blocks (RunSource scans each into its ring slot's
+//	    block storage; RunStream receives the producer's pointer),
+//	    numbers them densely, and stops at chunkSize small blocks, at a
+//	    block above smallCutoff, or at the end of src. Then it drops the
+//	    lock and runs the chunk. Nothing sits between src and the
+//	    workers, so a slow consumer backpressures the producer.
 //	  - Workers run the one claim loop (claim) and the one per-block
 //	    function (worker.run) of both entry points: the same cache
 //	    lookup, the same adaptive n²/table dispatch, the same degradation
@@ -24,10 +26,11 @@
 //	    arrival order or interleaving.
 //	  - Finished blocks are deposited into a reorder ring; a dedicated
 //	    emitter drains it in sequence order and invokes the sink
-//	    serially. A claimer admits a sequence number only once its slot
-//	    is free of unemitted predecessors (reserve), so deposits never
-//	    wait on another worker. The claim lock, the ring and the emitter
-//	    are all the stream adds to Run's path.
+//	    serially, marking the last outcome of each ready burst. A
+//	    claimer admits a sequence number only once its slot's previous
+//	    occupant has been sinked and freed (reserve), so deposits never
+//	    wait at all. The claim lock, the ring and the emitter are all the
+//	    stream adds to Run's path.
 //
 // Per-block latency percentiles, batch and streaming alike, come from a
 // fixed log-scale histogram (4 sub-buckets per octave, ~12% resolution)
@@ -52,13 +55,22 @@ import (
 // streamed memory independent of stream length.
 const streamDepth = 256
 
+// slotKeepInsts caps the block storage a ring slot keeps from one run
+// to the next. 256 instructions (22 KiB) cover serve-sized blocks and
+// nearly every Table 3 block, and bound a crew's ring near 6 MiB;
+// keeping whatever passed through would let a stream of giants pin one
+// in every slot.
+const slotKeepInsts = 256
+
 // BlockOutcome is one streamed block's result, delivered to the
-// RunStream sink in sequence order. Seq numbers blocks in arrival
-// order starting at 0. Order (present only under Config.KeepOrders)
-// aliases a recycled ring buffer and is valid only for the duration of
-// the sink call — a sink that retains it must copy. Block is the
-// producer's pointer, handed back so a freelist-driven producer can
-// recycle its storage once the sink call returns.
+// stream's sink in sequence order. Seq numbers blocks in arrival order
+// starting at 0. Order (present only under Config.KeepOrders) aliases a
+// recycled ring buffer and is valid only for the duration of the sink
+// call — a sink that retains it must copy. Block is the block itself:
+// under RunStream the producer's pointer, handed back so a
+// freelist-driven producer can recycle its storage once the sink call
+// returns; under RunSource the engine's own storage, likewise valid
+// only during the call.
 type BlockOutcome struct {
 	Seq    int64
 	Block  *block.Block
@@ -67,9 +79,22 @@ type BlockOutcome struct {
 	Rung   Rung
 	Order  []int32
 	// Err is this block's simulator cross-check failure (Config.Verify
-	// only); the stream keeps running and RunStream returns the first
-	// such error after the drain.
+	// only); the stream keeps running and returns the first such error
+	// after the drain.
 	Err error
+	// BurstEnd marks the last outcome of a burst: when the emitter
+	// delivered it, no later outcome was ready yet. A sink that buffers
+	// its output can write it out here, once per burst, and never hold
+	// back an outcome the stream has finished.
+	BurstEnd bool
+}
+
+// BlockSource is RunSource's pull source. Next fills b with the next
+// block, recycling b's storage, and reports whether there was one: false
+// with a nil error at the end of the source, false with the error when
+// it fails. *asm.BlockScanner is one.
+type BlockSource interface {
+	Next(b *block.Block) (bool, error)
 }
 
 // streamItem is one claimable block: its sequence number (RunStream's
@@ -132,23 +157,16 @@ func (w *worker) claim(src workSource, chunk []streamItem, out outcomeSink, done
 	}
 }
 
-// Reorder-ring slot states: free (writable by the next depositor of
-// the slot's sequence residue), ready (deposited, awaiting emission),
-// sinking (the emitter is inside the sink call; the slot's storage may
-// not be reused yet).
-const (
-	slotFree uint8 = iota
-	slotReady
-	slotSinking
-)
-
-// streamSlot is one reorder-ring entry. The order slice is the
+// streamSlot is one reorder-ring entry: ready once its outcome is
+// deposited, until the emitter has sinked it. The order slice is the
 // recycled backing for BlockOutcome.Order, grown once per slot to the
-// stream's largest block and reused thereafter.
+// stream's largest block and reused thereafter; blk is the storage
+// RunSource scans the slot's block into, recycled the same way.
 type streamSlot struct {
-	state uint8
+	ready bool
 	out   BlockOutcome
 	order []int32
+	blk   block.Block
 }
 
 // Latency histogram: 16 exact buckets for durations under 16ns, then 4
@@ -205,34 +223,40 @@ func histPercentile(h *[streamHistBuckets]int64, total, pct int64) float64 {
 	return histRepNanos(streamHistBuckets - 1)
 }
 
-// streamRun is one RunStream invocation's shared state: the work
-// source the claimers share and the reorder ring they deposit into.
+// streamRun is one stream's shared state: the work source the
+// claimers share and the reorder ring they deposit into. Exactly one
+// of src (RunSource) and ch (RunStream) is set.
 type streamRun struct {
-	src        <-chan *block.Block
+	src        BlockSource
+	ch         <-chan *block.Block
 	sink       func(BlockOutcome)
 	keepOrders bool
 	window     int64
 	slots      []streamSlot // the crew's recycled ring
 
-	// claimMu is the claim lock: one claimer at a time receives from
-	// src and numbers what it receives. It is held across the receive on
+	// claimMu is the claim lock: one claimer at a time pulls from the
+	// source and numbers what it pulls. It is held across the pull on
 	// purpose — that is what makes sequence numbers follow arrival
-	// order — and the receive also selects on done, so a cancelled run
-	// still lets go of it. A claimer calls reserve while holding it, so
-	// it ranks before mu.
+	// order. RunStream's receive also selects on done, so a cancelled
+	// run still lets go of it; a BlockSource that can block must watch
+	// the run's context itself. A claimer calls reserve while holding
+	// it, so it ranks before mu.
 	claimMu sync.Mutex //sched:lock-rank 5
 	// seq is the next sequence number to assign; baseFloor is a stale
 	// (never ahead) copy of base, so claims far from the window's edge
-	// never touch mu; srcClosed records that src has closed.
+	// never touch mu; srcClosed records the end of the source, and
+	// srcErr the error that ended it.
 	seq       int64 //sched:guarded-by claimMu
 	baseFloor int64 //sched:guarded-by claimMu
 	srcClosed bool  //sched:guarded-by claimMu
+	srcErr    error //sched:guarded-by claimMu
 
 	mu   sync.Mutex //sched:lock-rank 10
 	cond *sync.Cond
 	// base is the next sequence number the emitter will deliver; every
-	// seq below it has been sinked (or abandoned to cancellation). Slot
-	// states, the fields below and the ring all share this lock.
+	// seq below it has been sinked and its slot freed (or abandoned to
+	// cancellation). Slot states, the fields below and the ring all
+	// share this lock.
 	//
 	//sched:signals cond
 	base int64 //sched:guarded-by mu
@@ -244,10 +268,8 @@ type streamRun struct {
 	pendingPeak int64 //sched:guarded-by mu
 	firstErr    error //sched:guarded-by mu
 	errSeq      int64 //sched:guarded-by mu
-	// ringWaiters counts goroutines blocked on ring state other than a
-	// ready base slot: a claimer waiting in reserve for the in-flight
-	// span to shrink, or a depositor waiting out a slot the emitter is
-	// still sinking. The emitter only broadcasts after freeing slots
+	// ringWaiters counts claimers waiting in reserve for the in-flight
+	// span to shrink. The emitter only broadcasts after freeing slots
 	// when one is actually waiting.
 	//
 	//sched:signals cond
@@ -256,10 +278,12 @@ type streamRun struct {
 	emitted sync.WaitGroup // joins the emitter
 }
 
-// next is the stream's work source: under the claim lock it receives
-// from src, skipping nil blocks and numbering the rest densely, until
-// it holds chunkSize blocks, has taken one above smallCutoff, or sees
-// src close. Two invariants keep the reorder ring deadlock-free:
+// next is the stream's work source: under the claim lock it pulls from
+// the source — scanning into the next sequence number's slot storage,
+// or receiving from ch and skipping nil blocks — and numbers what it
+// pulls densely, until it holds chunkSize blocks, has taken one above
+// smallCutoff, or reaches the end of the source. Two invariants keep
+// the reorder ring deadlock-free:
 //
 //   - A claimer never waits in reserve while holding a sequence number
 //     it has not run: the emitter may be waiting for exactly that
@@ -280,10 +304,19 @@ func (s *streamRun) next(chunk []streamItem, done <-chan struct{}) []streamItem 
 		}
 		var b *block.Block
 		var ok bool
-		select {
-		case <-done:
-			return nil
-		case b, ok = <-s.src:
+		if s.src != nil {
+			// reserve freed this slot: its last occupant was sinked.
+			b = &s.slots[s.seq%s.window].blk
+			ok, s.srcErr = s.src.Next(b)
+			if cancelled(done) {
+				return nil // as a cancelled receive: the chunk is abandoned
+			}
+		} else {
+			select {
+			case <-done:
+				return nil
+			case b, ok = <-s.ch:
+			}
 		}
 		if !ok {
 			s.srcClosed = true
@@ -304,9 +337,10 @@ func (s *streamRun) next(chunk []streamItem, done <-chan struct{}) []streamItem 
 // reserve returns the emitter's base, first waiting — when wait is set
 // — until seq fits the reorder window (seq-base < window) or done
 // closes. That admission rule is the invariant the whole ring rests
-// on: every assigned-but-unemitted sequence number has its own slot,
-// so a depositor can at worst wait out a slot the emitter is actively
-// sinking, never circularly on another worker.
+// on: base only passes a slot once its sink call has returned, so every
+// assigned-but-unemitted sequence number has a free slot of its own,
+// and neither a depositor nor RunSource's scan into the slot's block
+// ever waits.
 func (s *streamRun) reserve(seq int64, wait bool, done <-chan struct{}) int64 {
 	s.mu.Lock()
 	for wait && seq-s.base >= s.window && !cancelled(done) {
@@ -330,25 +364,14 @@ func (s *streamRun) wake() {
 
 // put deposits a claimed block's outcome into the reorder-ring slot of
 // its sequence number. reserve guarantees the slot's previous occupant
-// was already emitted, so the wait loop only ever rides out the
-// emitter's sink call on that occupant (slotSinking); it cannot block
-// on another worker. The slot
-// fill happens outside the lock — the depositor owns the slot
-// exclusively between the free check and the ready flip, and the
-// lock's release/acquire pair orders the fill against the emitter's
-// read.
+// was already sinked and freed, so the depositor owns the slot until it
+// flips it ready: the fill happens outside the lock, and the lock's
+// release/acquire pair orders it against the emitter's read.
 //
 //sched:noalloc
 func (s *streamRun) put(it streamItem, o outcome) {
 	seq := it.seq
 	slot := &s.slots[seq%s.window]
-	s.mu.Lock()
-	for slot.state != slotFree {
-		s.ringWaiters++
-		s.cond.Wait()
-		s.ringWaiters--
-	}
-	s.mu.Unlock()
 	if s.keepOrders && o.order != nil {
 		slot.order = buf.Int32(slot.order, len(o.order))
 		copy(slot.order, o.order)
@@ -363,7 +386,7 @@ func (s *streamRun) put(it streamItem, o outcome) {
 	slot.out.Rung = o.rung
 	slot.out.Err = o.err
 	s.mu.Lock()
-	slot.state = slotReady
+	slot.ready = true
 	if o.err != nil && s.firstErr == nil {
 		s.firstErr = o.err
 		s.errSeq = seq
@@ -373,20 +396,21 @@ func (s *streamRun) put(it streamItem, o outcome) {
 	}
 	// The emitter only ever waits on the slot at base; an out-of-order
 	// deposit cannot be what it is waiting for, so skip the wakeup.
-	if seq == s.base || s.ringWaiters > 0 {
+	if seq == s.base {
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }
 
 // emitLoop drains the reorder ring in sequence order, invoking the
-// sink serially outside the lock. Each wakeup claims the whole
+// sink serially outside the lock. Each wakeup takes the whole
 // contiguous run of ready slots at base in one critical section, sinks
-// them all, then frees them in a second — two lock acquisitions per
-// burst instead of two per block, which is what keeps the emitter off
-// the profile on small-block streams. It exits once finished is set
-// and the slot at base is not ready — on a clean run that means every
-// deposited outcome was emitted; on a cancelled run the first gap (a
+// them all — the last one marked BurstEnd — then frees them and
+// advances base past them in a second: two lock acquisitions per burst
+// instead of two per block, which is what keeps the emitter off the
+// profile on small-block streams. It exits once finished is set and the
+// slot at base is not ready — on a clean run that means every deposited
+// outcome was emitted; on a cancelled run the first gap (a
 // claimed-but-abandoned sequence number) ends emission, so the sink
 // always sees a dense prefix of the stream.
 //
@@ -395,42 +419,29 @@ func (s *streamRun) emitLoop() {
 	defer s.emitted.Done()
 	for {
 		s.mu.Lock()
-		slot := &s.slots[s.base%s.window]
-		for slot.state != slotReady && !s.finished {
+		for !s.slots[s.base%s.window].ready && !s.finished {
 			s.cond.Wait()
-			slot = &s.slots[s.base%s.window]
 		}
-		if slot.state != slotReady {
-			s.mu.Unlock()
+		start := s.base
+		var n int64
+		for n = 0; n < s.window && s.slots[(start+n)%s.window].ready; n++ {
+		}
+		s.mu.Unlock()
+		if n == 0 {
 			return
 		}
-		// Claim the whole ready run. Advancing base past slotSinking
-		// slots is safe: depositors wait on slotFree, not on base.
-		start := s.base
-		n := int64(0)
-		//sched:lint-ignore cancelpoll bounded by the ring: each iteration flips one ready slot to sinking, at most window slots
-		for {
-			sl := &s.slots[(start+n)%s.window]
-			if sl.state != slotReady {
-				break
-			}
-			sl.state = slotSinking
-			n++
-		}
-		s.base = start + n
-		s.mu.Unlock()
 		for i := int64(0); i < n; i++ {
-			s.sink(s.slots[(start+i)%s.window].out)
+			o := s.slots[(start+i)%s.window].out
+			o.BurstEnd = i == n-1
+			s.sink(o)
 		}
 		s.mu.Lock()
 		for i := int64(0); i < n; i++ {
-			s.slots[(start+i)%s.window].state = slotFree
+			s.slots[(start+i)%s.window].ready = false
 		}
-		// One broadcast serves both waiter kinds: depositors see their
-		// slot freed, and a claimer's reserve sees base advanced
-		// (base moved in the claim phase, but the free phase of the same
-		// burst always follows, so deferring the wakeup here loses no
-		// progress).
+		s.base = start + n
+		// Base only moves here, after the burst's sink calls: a claimer
+		// waiting in reserve for room is what this wakes.
 		if s.ringWaiters > 0 {
 			s.cond.Broadcast()
 		}
@@ -438,28 +449,54 @@ func (s *streamRun) emitLoop() {
 	}
 }
 
-// RunStream schedules blocks as they arrive on src, invoking sink once
+// RunSource schedules the blocks it pulls from src, invoking sink once
 // per block in sequence (arrival) order, and returns the run's Stats
-// once src closes and the pipeline drains. Workers receive from src
-// themselves, and the reorder window bounds how far they run ahead of
-// the sink, so memory is proportional to the window — never to the
-// stream's length — and schedules are byte-identical to Run over the
-// same corpus (including under a FaultPlan: the faulted set is
-// content-keyed, not position-keyed).
+// once src is exhausted and the pipeline drains. The claiming worker
+// calls src.Next itself, under the claim lock, into block storage the
+// engine recycles after that block's sink call, so a warm run allocates
+// no block storage at all. The reorder window bounds how far workers
+// run ahead of the sink, so memory is proportional to the window —
+// never to the stream's length — and schedules are byte-identical to
+// Run over the same corpus (including under a FaultPlan: the faulted
+// set is content-keyed, not position-keyed).
 //
 // The sink runs on a dedicated goroutine, serially and in order; the
-// outcome's Order slice (and nothing else) is valid only during the
-// call. A nil sink discards outcomes.
-// Cancellation mirrors RunCtx: a stream still waiting for a worker
-// returns at once, workers stop claiming at the next block boundary,
-// the sink sees a dense prefix of the stream, and ctx's error is
-// returned with the partial Stats.
+// outcome's Order and Block are valid only during the call. A nil sink
+// discards outcomes. An error from src ends the stream like its end:
+// the blocks pulled before it are scheduled and sinked, and RunSource
+// returns the error. Cancellation mirrors RunCtx: a stream still
+// waiting for a worker returns at once, workers stop claiming at the
+// next block boundary, the sink sees a dense prefix of the stream, and
+// ctx's error is returned with the partial Stats. A src.Next blocked
+// in a read is not interrupted: a source that can stall must watch ctx
+// itself.
+//
+//sched:cancellable
+func (e *Engine) RunSource(ctx context.Context, src BlockSource, sink func(BlockOutcome)) (Stats, error) {
+	if src == nil {
+		return Stats{}, &ConfigError{Field: "src", Value: nil, Reason: "RunSource needs a block source"}
+	}
+	return e.stream(ctx, &streamRun{src: src}, sink)
+}
+
+// RunStream is RunSource fed from a channel: the claiming worker
+// receives each block from src (skipping nil ones), the outcome hands
+// the producer's own pointer back in BlockOutcome.Block, and the stream
+// ends when src closes. A cancelled run stops waiting on src at once.
 //
 //sched:cancellable
 func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink func(BlockOutcome)) (Stats, error) {
 	if src == nil {
 		return Stats{}, &ConfigError{Field: "src", Value: nil, Reason: "RunStream needs a source channel"}
 	}
+	return e.stream(ctx, &streamRun{ch: src}, sink)
+}
+
+// stream runs s, whose source is set, on a crew: the body RunSource and
+// RunStream share.
+//
+//sched:cancellable
+func (e *Engine) stream(ctx context.Context, s *streamRun, sink func(BlockOutcome)) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -480,13 +517,8 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	if cap(c.slots) < window {
 		c.slots = make([]streamSlot, window)
 	}
-	s := &streamRun{
-		src:        src,
-		sink:       sink,
-		keepOrders: e.cfg.KeepOrders,
-		window:     int64(window),
-		slots:      c.slots[:window],
-	}
+	s.sink, s.keepOrders = sink, e.cfg.KeepOrders
+	s.window, s.slots = int64(window), c.slots[:window]
 	s.cond = sync.NewCond(&s.mu)
 
 	done := ctx.Done()
@@ -510,15 +542,27 @@ func (e *Engine) RunStream(ctx context.Context, src <-chan *block.Block, sink fu
 	st.PendingPeak = int(s.pendingPeak)
 	firstErr, errSeq := s.firstErr, s.errSeq
 	s.mu.Unlock()
+	s.claimMu.Lock()
+	// A failed or exhausted pull may have left storage in the slot of
+	// the number it did not get.
+	used, srcErr := min(s.seq+1, s.window), s.srcErr
+	s.claimMu.Unlock()
 	// The crew outlives the run: free every slot a cancelled run left
-	// ready, and drop the producer's blocks.
-	for i := range s.slots {
-		s.slots[i].state = slotFree
-		s.slots[i].out = BlockOutcome{}
+	// ready, drop the producer's blocks, and let go of outsized block
+	// storage (slotKeepInsts).
+	for i := range s.slots[:used] {
+		sl := &s.slots[i]
+		sl.ready, sl.out = false, BlockOutcome{}
+		if cap(sl.blk.Insts) > slotKeepInsts {
+			sl.blk.Insts = nil
+		}
 	}
 
 	if err := ctx.Err(); err != nil {
 		return st, fmt.Errorf("engine: stream cancelled: %w", err)
+	}
+	if srcErr != nil {
+		return st, fmt.Errorf("engine: stream source: %w", srcErr)
 	}
 	if firstErr != nil {
 		return st, fmt.Errorf("engine: stream block %d: %w", errSeq, firstErr)

@@ -173,6 +173,136 @@ func TestRunStreamWarmBytesConstant(t *testing.T) {
 	}
 }
 
+// sliceSource is a BlockSource over blocks, copying each into the
+// engine's storage; past failAt blocks (when failAt > 0) it fails.
+type sliceSource struct {
+	blocks []*block.Block
+	next   int
+	failAt int
+}
+
+var errSource = errors.New("source failed")
+
+func (s *sliceSource) Next(b *block.Block) (bool, error) {
+	if s.failAt > 0 && s.next == s.failAt {
+		return false, errSource
+	}
+	if s.next == len(s.blocks) {
+		return false, nil
+	}
+	src := s.blocks[s.next]
+	s.next++
+	b.Name, b.Start = src.Name, src.Start
+	b.Insts = append(b.Insts[:0], src.Insts...)
+	return true, nil
+}
+
+// TestRunSourceMatchesRun requires RunSource's schedules to be
+// byte-identical to Run's, through the same tiny windows as
+// TestRunStreamMatchesRun, with every outcome carrying the block it
+// scheduled and the run's last outcome closing a burst.
+func TestRunSourceMatchesRun(t *testing.T) {
+	blocks := testBlocks(t, 200)
+	base := Config{Model: machine.Super2(), KeepOrders: true, Cache: true, Crossover: 16}
+	ref, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{16, 1} {
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Workers = workers
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.streamDepth = depth
+			for pass := 0; pass < 2; pass++ {
+				var got []streamOutcome
+				lastEnds := false
+				sink := func(o BlockOutcome) {
+					if b := blocks[o.Seq]; o.Block.Len() != b.Len() || (b.Len() > 0 && o.Block.Insts[0] != b.Insts[0]) {
+						t.Errorf("outcome %d carries the wrong block", o.Seq)
+					}
+					got = append(got, streamOutcome{seq: o.Seq, cycles: o.Cycles, arcs: o.Arcs, rung: o.Rung, order: append([]int32(nil), o.Order...)})
+					lastEnds = o.BurstEnd
+				}
+				st, err := e.RunSource(context.Background(), &sliceSource{blocks: blocks}, sink)
+				if err != nil {
+					t.Fatalf("depth=%d workers=%d pass=%d: %v", depth, workers, pass, err)
+				}
+				requireStreamMatchesBatch(t, got, want)
+				if !lastEnds {
+					t.Fatalf("depth=%d workers=%d: the last outcome does not end a burst", depth, workers)
+				}
+				if st.Blocks != len(blocks) || st.Insts != want.Stats.Insts || st.TotalCycles != want.Stats.TotalCycles {
+					t.Fatalf("depth=%d workers=%d: stats %d blocks / %d insts / %d cycles, want %d / %d / %d",
+						depth, workers, st.Blocks, st.Insts, st.TotalCycles, len(blocks), want.Stats.Insts, want.Stats.TotalCycles)
+				}
+			}
+		}
+	}
+}
+
+// TestRunSourceError: a failing source ends the stream like its end —
+// the blocks pulled before the failure are scheduled and sinked as a
+// dense prefix — and RunSource returns the source's error.
+func TestRunSourceError(t *testing.T) {
+	e, err := New(Config{Workers: 2, Model: machine.Super2()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunSource(context.Background(), nil, nil); err == nil {
+		t.Fatal("nil source accepted")
+	}
+	var seqs []int64
+	st, err := e.RunSource(context.Background(), &sliceSource{blocks: testBlocks(t, 20), failAt: 7}, func(o BlockOutcome) { seqs = append(seqs, o.Seq) })
+	if !errors.Is(err, errSource) {
+		t.Fatalf("error %v, want the source's", err)
+	}
+	if len(seqs) != 7 || st.Blocks != 7 {
+		t.Fatalf("sink saw %d outcomes, stats %d blocks; want the 7 pulled before the failure", len(seqs), st.Blocks)
+	}
+	for i, s := range seqs {
+		if s != int64(i) {
+			t.Fatalf("outcome %d has seq %d", i, s)
+		}
+	}
+}
+
+// TestRunSourceWarmNoBlockAlloc: a warm RunSource scans into storage
+// the crew recycles, so a 32-block run allocates no more than a 1-block
+// run — only the per-call bookkeeping, none of it block storage.
+func TestRunSourceWarmNoBlockAlloc(t *testing.T) {
+	blocks := testBlocks(t, 32)
+	e, err := New(Config{Workers: 2, Model: machine.Super2(), Cache: true, KeepOrders: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		src := &sliceSource{blocks: blocks[:n]}
+		run := func() {
+			src.next = 0
+			if _, err := e.RunSource(context.Background(), src, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 8 { // grow every crew's ring, block storage and scratch
+			run()
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	one, many := allocs(1), allocs(len(blocks))
+	t.Logf("allocations per warm RunSource: %v for 1 block, %v for %d", one, many, len(blocks))
+	if many > one {
+		t.Fatalf("a warm %d-block RunSource allocates %v times, a 1-block one %v: block storage is not recycled", len(blocks), many, one)
+	}
+}
+
 // TestRunStreamFaultedMatchesRun streams under an aggressive fault
 // plan and requires the outcomes — including which ladder rung served
 // each block — to match a batch run under the same plan. Faults are

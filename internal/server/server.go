@@ -11,7 +11,8 @@
 //     the share of the engine's workers free when it starts.
 //   - Deadlines: every request runs under a context deadline
 //     (?deadline_ms= or X-Deadline-Ms, clamped to a maximum), mapped
-//     onto Engine.RunCtx/RunStream cancellation; the engine's
+//     onto Engine.RunSource cancellation, and a stalled upload cannot
+//     outlive it; the engine's
 //     Config.BlockTimeout independently bounds any single block, so an
 //     overrun degrades to the ladder's identity rung instead of
 //     hanging a worker.
@@ -29,7 +30,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"daginsched/internal/asm"
-	"daginsched/internal/block"
 	"daginsched/internal/engine"
 )
 
@@ -190,6 +189,9 @@ type Server struct {
 	cacheHits, diskHits, cacheMisses          atomic.Int64
 	quarantines, demotions, gateFails, faults atomic.Int64
 	degraded                                  atomic.Int64
+
+	// states pools request state (reqState) across requests.
+	states sync.Pool
 }
 
 // New validates cfg, fills its defaults, and builds the handler tree.
@@ -232,8 +234,15 @@ func New(cfg Config) (*Server, error) {
 		tenants: newTenantSet(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants),
 	}
 	s.life, s.stop = context.WithCancel(context.Background())
-	s.mux.HandleFunc("/v1/schedule", s.guard(s.handleSchedule))
-	s.mux.HandleFunc("/v1/stream", s.guard(s.handleStream))
+	s.states.New = func() any {
+		q := &reqState{srv: s, body: bodyReader{res: make(chan readResult, 1)}}
+		q.sinkFn = q.sink
+		return q
+	}
+	// /v1/schedule answers a unit as one JSON document; /v1/stream one
+	// NDJSON line per block as the body arrives, then a {"done":…} line.
+	s.mux.HandleFunc("/v1/schedule", s.guard(func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, false) }))
+	s.mux.HandleFunc("/v1/stream", s.guard(func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, true) }))
 	s.mux.HandleFunc("/healthz", s.guard(s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.guard(s.handleReadyz))
 	s.mux.HandleFunc("/stats", s.guard(s.handleStats))
@@ -263,7 +272,7 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) recoverPanic(w http.ResponseWriter) {
 	if p := recover(); p != nil {
 		s.panics.Add(1)
-		s.jsonError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p), nil)
+		s.jsonError(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("internal error: %v", p)})
 	}
 }
 
@@ -274,13 +283,8 @@ type errorBody struct {
 	Rungs map[string]int64 `json:"rungs,omitempty"` // attached to 5xx engine faults
 }
 
-// jsonError writes one errorBody. extra, when non-nil, is mutated onto
-// the body before encoding.
-func (s *Server) jsonError(w http.ResponseWriter, status int, msg string, mutate func(*errorBody)) {
-	b := errorBody{Error: msg}
-	if mutate != nil {
-		mutate(&b)
-	}
+// jsonError writes one errorBody.
+func (s *Server) jsonError(w http.ResponseWriter, status int, b errorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Encoding a flat struct cannot fail; the write may (client gone),
@@ -385,7 +389,7 @@ func (s *Server) shedRateLimited(w http.ResponseWriter, retry time.Duration, msg
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.jsonError(w, http.StatusTooManyRequests, msg, nil)
+	s.jsonError(w, http.StatusTooManyRequests, errorBody{Error: msg})
 }
 
 // takeBuckets runs the global then tenant bucket in order, shedding
@@ -408,16 +412,18 @@ func (s *Server) takeBuckets(w http.ResponseWriter, t *tenant) bool {
 }
 
 // admit is the scheduling endpoints' admission prologue: POST only,
-// the drain gate, the rate buckets and the in-flight byte reservation.
-// A refusal is answered here; on success the caller calls finish.
+// the drain gate, the rate buckets, the in-flight byte reservation and
+// the engine queue, whose occupancy (queued: running, or waiting for a
+// free worker) sheds past MaxQueue. A refusal is answered here; on
+// success the caller calls finish.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (t *tenant, ctx context.Context, finish func(), ok bool) {
 	if r.Method != http.MethodPost {
-		s.jsonError(w, http.StatusMethodNotAllowed, "POST only", nil)
+		s.jsonError(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return nil, nil, nil, false
 	}
 	if !s.admitRequest() {
 		s.shedDrain.Add(1)
-		s.jsonError(w, http.StatusServiceUnavailable, "draining", nil)
+		s.jsonError(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 		return nil, nil, nil, false
 	}
 	t, reserve := s.tenantFor(r), s.bodyReserve(r)
@@ -431,21 +437,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (t *tenant, ctx c
 		s.wg.Done()
 		return nil, nil, nil, false
 	}
-	ctx, cancel := s.requestCtx(r)
-	return t, ctx, func() { cancel(); s.releaseBytes(reserve); s.wg.Done() }, true
-}
-
-// acquireEngine counts the request into the engine queue, refusing
-// with a 429 (already written) past MaxQueue occupants. The caller
-// leaves the queue with s.queued.Add(-1) once its run returns.
-func (s *Server) acquireEngine(w http.ResponseWriter) bool {
 	if n := s.queued.Add(1); n > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
 		s.shedQueue.Add(1)
 		s.shedRateLimited(w, time.Second, "engine queue saturated")
-		return false
+		s.releaseBytes(reserve)
+		s.wg.Done()
+		return nil, nil, nil, false
 	}
-	return true
+	ctx, cancel := s.requestCtx(r)
+	return t, ctx, func() { cancel(); s.queued.Add(-1); s.releaseBytes(reserve); s.wg.Done() }, true
 }
 
 // tallyRun folds one run's engine.Stats into the daemon's cumulative
@@ -463,48 +464,6 @@ func (s *Server) tallyRun(st *engine.Stats) {
 	s.insts.Add(st.Insts)
 }
 
-// scanBlocks partitions an assembly body into basic blocks with the
-// streaming scanner (same boundary rules as Parse+Partition, but the
-// error is the scanner's sticky line-numbered one), polling ctx
-// between blocks so a dead request stops burning the parser.
-func scanBlocks(ctx context.Context, body []byte) ([]*block.Block, error) {
-	sc := asm.NewBlockScanner(bytes.NewReader(body))
-	var blocks []*block.Block
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b := &block.Block{}
-		ok, err := sc.Next(b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return blocks, nil
-		}
-		blocks = append(blocks, b)
-	}
-}
-
-// blockResult is one block's row in the /v1/schedule response.
-type blockResult struct {
-	Name   string  `json:"name"`
-	Cycles int32   `json:"cycles"`
-	Arcs   int32   `json:"arcs"`
-	Rung   string  `json:"rung"`
-	Order  []int32 `json:"order,omitempty"`
-}
-
-// scheduleResponse is the /v1/schedule 200 payload.
-type scheduleResponse struct {
-	Blocks      int           `json:"blocks"`
-	Insts       int64         `json:"insts"`
-	TotalCycles int64         `json:"total_cycles"`
-	CacheHits   int64         `json:"cache_hits"`
-	DiskHits    int64         `json:"disk_hits"`
-	Results     []blockResult `json:"results"`
-}
-
 // badBody answers a body that could not be read or scanned: a 413
 // when the size cap cut it off, else a 400 (a truncated or aborted
 // upload, or malformed assembly) carrying the parse error's line when
@@ -516,12 +475,17 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
+	s.jsonError(w, code, errorBody{Error: err.Error(), Line: parseLine(err)})
+}
+
+// parseLine is a scan error's line number, 0 when it is not a parse
+// error.
+func parseLine(err error) int {
 	var pe *asm.ParseError
-	line := 0
 	if errors.As(err, &pe) {
-		line = pe.Line
+		return pe.Line
 	}
-	s.jsonError(w, code, err.Error(), func(b *errorBody) { b.Line = line })
+	return 0
 }
 
 // runFailed classifies an engine error: the request's own deadline or
@@ -530,244 +494,201 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 func (s *Server) runFailed(w http.ResponseWriter, ctx context.Context, err error) {
 	if ctx.Err() != nil {
 		s.deadlineHits.Add(1)
-		s.jsonError(w, http.StatusGatewayTimeout, "deadline exceeded: "+ctx.Err().Error(), nil)
+		s.jsonError(w, http.StatusGatewayTimeout, errorBody{Error: "deadline exceeded: " + ctx.Err().Error()})
 		return
 	}
 	s.engineFailures.Add(1)
-	hist := s.rungHistogram()
-	s.jsonError(w, http.StatusInternalServerError, "engine: "+err.Error(), func(b *errorBody) { b.Rungs = hist })
+	s.jsonError(w, http.StatusInternalServerError, errorBody{Error: "engine: " + err.Error(), Rungs: s.rungHistogram()})
 }
 
-// handleSchedule is the batch endpoint: the whole body is one assembly
-// unit, scheduled in one engine run, answered as JSON with every
-// block's schedule.
+// serve is both scheduling endpoints' one path: a pooled reqState feeds
+// the body to Engine.RunSource, whose claiming worker scans each block
+// itself, and the sink renders the outcomes. Nothing is written before
+// the first record (/v1/stream) or the end of the run (/v1/schedule),
+// so until then any failure — a malformed, cut-off or empty body, a
+// deadline spent waiting for a worker or in a stalled upload — gets its
+// own status (400 with the parse line, 413, 504, 500) and no results;
+// after it, /v1/stream's trailer carries the failure in-band.
 //
 //sched:cancellable
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, stream bool) {
 	t, ctx, finish, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer finish()
-	body, err := readBody(w, r, s.cfg.MaxBody)
-	if err != nil {
-		s.badBody(w, err)
-		return
-	}
-	blocks, err := scanBlocks(ctx, body)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.deadlineHits.Add(1)
-			s.jsonError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error(), nil)
+	// Records go out while the body is still being read, and an HTTP/1.1
+	// server not told so discards up to 256 KiB of unread body with the
+	// header. A ResponseRecorder answers ErrNotSupported: it discards none.
+	if stream {
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			s.jsonError(w, http.StatusInternalServerError, errorBody{Error: "cannot stream: " + err.Error()})
 			return
 		}
-		s.badBody(w, err)
-		return
 	}
-	if len(blocks) == 0 {
-		s.badRequests.Add(1)
-		s.jsonError(w, http.StatusBadRequest, "no basic blocks in request body", nil)
-		return
-	}
-
-	if !s.acquireEngine(w) {
-		return
-	}
-	res, err := s.eng.RunCtx(ctx, blocks)
-	s.queued.Add(-1)
-	if err != nil {
-		s.runFailed(w, ctx, err)
-		return
-	}
-
-	s.tallyRun(&res.Stats)
-	resp := scheduleResponse{
-		Blocks:      res.Stats.Blocks,
-		Insts:       res.Stats.Insts,
-		TotalCycles: res.Stats.TotalCycles,
-		CacheHits:   res.Stats.CacheHits,
-		DiskHits:    res.Stats.DiskHits,
-		Results:     make([]blockResult, len(blocks)),
-	}
-	for i, b := range blocks {
-		br := blockResult{Name: b.Name, Cycles: res.Cycles[i], Arcs: res.Arcs[i], Rung: res.Rungs[i].String()}
-		s.rungs[res.Rungs[i]].Add(1)
-		if len(res.Orders) > i {
-			br.Order = res.Orders[i]
-		}
-		resp.Results[i] = br
-	}
-	s.served.Add(1)
-	t.served.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&resp)
-}
-
-// streamRecord is one block's NDJSON line on /v1/stream.
-type streamRecord struct {
-	Seq    int64   `json:"seq"`
-	Name   string  `json:"name"`
-	Cycles int32   `json:"cycles"`
-	Arcs   int32   `json:"arcs"`
-	Rung   string  `json:"rung"`
-	Order  []int32 `json:"order,omitempty"`
-}
-
-// streamTrailer is the terminal NDJSON line: the stream's tallies,
-// plus the scan error when the body went malformed mid-stream (the
-// status line is long gone by then, so the taxonomy rides in-band).
-type streamTrailer struct {
-	Done     bool   `json:"done"`
-	Blocks   int    `json:"blocks"`
-	Insts    int64  `json:"insts"`
-	Degraded int64  `json:"degraded"`
-	Error    string `json:"error,omitempty"`
-	Line     int    `json:"line,omitempty"`
-}
-
-// handleStream is the streaming endpoint: blocks are scheduled as the
-// body arrives and answered one NDJSON line each, in arrival order,
-// through Engine.RunStream's bounded pipeline — constant memory in the
-// stream's length. The first block is scanned before the run so a body
-// that is malformed from the start still gets a clean 400, and the
-// status line waits for the first record, so a run that fails before
-// one (a deadline spent waiting for a worker) gets the same 504 or 500
-// as /v1/schedule; a mid-stream scan error terminates the stream with
-// an in-band error trailer instead.
-//
-//sched:cancellable
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	t, ctx, finish, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer finish()
-
-	sc := asm.NewBlockScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	first := &block.Block{}
-	ok, err := sc.Next(first)
-	if err != nil {
-		s.badBody(w, err)
-		return
-	}
-	if !ok {
-		s.badRequests.Add(1)
-		s.jsonError(w, http.StatusBadRequest, "no basic blocks in request body", nil)
-		return
-	}
-
-	if !s.acquireEngine(w) {
-		return
-	}
-	defer s.queued.Add(-1)
-
-	// Records are flushed while the body is still being read. An
-	// HTTP/1.1 server that is not told so discards up to 256 KiB of the
-	// unread body when the header goes out, truncating or misparsing
-	// the stream. Writers without the switch, such as a ResponseRecorder,
-	// answer ErrNotSupported; they discard nothing, so that is fine.
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
-		s.jsonError(w, http.StatusInternalServerError, "cannot stream: "+err.Error(), nil)
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	started := false // the status line waits for the first record
-
-	src := make(chan *block.Block)
-	scanErrCh := make(chan error, 1)
-	go s.produceBlocks(ctx, sc, first, src, scanErrCh)
-
-	// The sink runs serially on RunStream's emitter goroutine, which
-	// RunStream joins before returning — enc and started are never used
-	// from two goroutines at once.
-	sink := func(o engine.BlockOutcome) {
-		if !started {
-			started = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		s.rungs[o.Rung].Add(1)
-		rec := streamRecord{Seq: o.Seq, Cycles: o.Cycles, Arcs: o.Arcs, Rung: o.Rung.String(), Order: o.Order}
-		if o.Block != nil {
-			rec.Name = o.Block.Name
-		}
-		_ = enc.Encode(&rec)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	st, runErr := s.eng.RunStream(ctx, src, sink)
-	var scanErr error
-	select {
-	case scanErr = <-scanErrCh:
-	default:
-	}
-
+	q := s.states.Get().(*reqState)
+	q.reset(ctx, w, r.Body, s.cfg.MaxBody, stream)
+	st, err := s.eng.RunSource(ctx, &q.sc, q.sinkFn)
 	s.tallyRun(&st)
-	if !started && runErr != nil {
-		s.runFailed(w, ctx, runErr)
+	s.answer(ctx, t, q, &st, err)
+	q.release(&s.states)
+}
+
+// answer finishes a request once its run has returned: the trailer of
+// a stream whose status line is out, else a status of its own. A read
+// the deadline cut short is the deadline's failure, not the body's.
+func (s *Server) answer(ctx context.Context, t *tenant, q *reqState, st *engine.Stats, runErr error) {
+	scanErr := q.sc.Err()
+	if ctx.Err() != nil {
+		scanErr = nil
+	}
+	if q.started {
+		err := scanErr
+		switch {
+		case err != nil:
+			s.badRequests.Add(1)
+		case runErr != nil && ctx.Err() != nil:
+			err = runErr
+			s.deadlineHits.Add(1)
+		case runErr != nil:
+			err = runErr
+			s.engineFailures.Add(1)
+		default:
+			s.served.Add(1)
+			t.served.Add(1)
+		}
+		q.out = appendTrailer(q.out, st, err)
+		q.flush()
 		return
 	}
-	trailer := streamTrailer{Done: true, Blocks: st.Blocks, Insts: st.Insts, Degraded: st.DegradedBlocks}
 	switch {
 	case scanErr != nil:
-		s.badRequests.Add(1)
-		trailer.Done = false
-		trailer.Error = scanErr.Error()
-		var pe *asm.ParseError
-		if errors.As(scanErr, &pe) {
-			trailer.Line = pe.Line
-		}
+		s.badBody(q.w, scanErr)
 	case runErr != nil:
-		trailer.Done = false
-		trailer.Error = runErr.Error()
-		if ctx.Err() != nil {
-			s.deadlineHits.Add(1)
-		} else {
-			s.engineFailures.Add(1)
-		}
-	default:
+		s.runFailed(q.w, ctx, runErr)
+	case st.Blocks == 0:
+		s.badRequests.Add(1)
+		s.jsonError(q.w, http.StatusBadRequest, errorBody{Error: "no basic blocks in request body"})
+	default: // /v1/schedule: a stream with blocks has started
 		s.served.Add(1)
 		t.served.Add(1)
-	}
-	_ = enc.Encode(&trailer)
-	if flusher != nil {
-		flusher.Flush()
+		q.doc = appendScheduleHead(q.doc[:0], st)
+		q.doc = append(append(q.doc, q.out...), "]}\n"...)
+		q.w.Header().Set("Content-Type", "application/json")
+		_, _ = q.w.Write(q.doc)
 	}
 }
 
-// produceBlocks feeds the scanner's remaining blocks (first leading)
-// onto src for RunStream, closing src at end of body or on the scan
-// error it parks in errCh. The send before close ordering is what
-// lets the handler read errCh race-free after RunStream returns.
-//
-//sched:cancellable
-func (s *Server) produceBlocks(ctx context.Context, sc *asm.BlockScanner, first *block.Block, src chan<- *block.Block, errCh chan<- error) {
-	defer close(src)
-	done := ctx.Done()
-	select {
-	case src <- first:
-	case <-done:
+// reqState is one scheduling request's state, pooled across requests:
+// the scanner with its line buffer and name table, the body reader, and
+// the output: a stream's burst, or a schedule's rows (out) and document.
+type reqState struct {
+	srv     *Server
+	sc      asm.BlockScanner
+	body    bodyReader
+	sinkFn  func(engine.BlockOutcome) // sink, bound once per state
+	w       http.ResponseWriter
+	stream  bool
+	started bool // the stream's status line is out
+	out     []byte
+	doc     []byte
+}
+
+// maxPooledOut caps the output buffers a pooled state keeps: one
+// outsized response does not pin its buffer for every later request.
+const maxPooledOut = 64 << 10
+
+// reset readies q for one request: the body is read through the
+// request's deadline and then the size cap.
+func (q *reqState) reset(ctx context.Context, w http.ResponseWriter, body io.Reader, maxBody int64, stream bool) {
+	q.body.r, q.body.ctx = body, ctx
+	q.sc.Reset(http.MaxBytesReader(w, &q.body, maxBody))
+	q.w, q.stream, q.started = w, stream, false
+	q.out, q.doc = q.out[:0], q.doc[:0]
+}
+
+// release returns q to pool, dropping what its request referenced. A
+// state whose body read was abandoned is never pooled again: that read
+// may still write into the scanner's line buffer.
+func (q *reqState) release(pool *sync.Pool) {
+	if q.body.abandoned {
 		return
 	}
-	for {
-		b := &block.Block{}
-		ok, err := sc.Next(b)
-		if err != nil {
-			errCh <- err
-			return
+	q.sc.Reset(nil)
+	q.body.r, q.body.ctx, q.w = nil, nil, nil
+	if cap(q.out) > maxPooledOut || cap(q.doc) > maxPooledOut {
+		q.out, q.doc = nil, nil
+	}
+	pool.Put(q)
+}
+
+// sink renders one outcome on the engine's emitter goroutine, which
+// RunSource joins before it returns. /v1/stream writes each burst out
+// as it ends; /v1/schedule collects its rows for one write at the end.
+func (q *reqState) sink(o engine.BlockOutcome) {
+	q.srv.rungs[o.Rung].Add(1)
+	if q.stream {
+		q.out = append(appendRecord(q.out, &o, true), '\n')
+		if o.BurstEnd {
+			q.flush()
 		}
-		if !ok {
-			return
-		}
-		select {
-		case src <- b:
-		case <-done:
-			return
-		}
+		return
+	}
+	if len(q.out) > 0 {
+		q.out = append(q.out, ',')
+	}
+	q.out = appendRecord(q.out, &o, false)
+}
+
+// flush writes the stream's rendered lines out, after the status line
+// the first time.
+func (q *reqState) flush() {
+	if !q.started {
+		q.started = true
+		q.w.Header().Set("Content-Type", "application/x-ndjson")
+		q.w.WriteHeader(http.StatusOK)
+	}
+	_, _ = q.w.Write(q.out)
+	if f, ok := q.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	q.out = q.out[:0]
+}
+
+// bodyReader reads the request body on a goroutine of its own, one per
+// Read, so the request's deadline or a forced drain interrupts a
+// stalled upload: Read then returns ctx's error and abandons the read,
+// which keeps the buffer it was given until the body yields or closes.
+type bodyReader struct {
+	r         io.Reader
+	ctx       context.Context
+	res       chan readResult // capacity 1: an abandoned read never blocks
+	abandoned bool
+}
+
+type readResult struct {
+	n   int
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	go b.fill(p)
+	select {
+	case r := <-b.res:
+		return r.n, r.err
+	case <-b.ctx.Done():
+		b.abandoned = true
+		return 0, b.ctx.Err()
 	}
 }
+
+func (b *bodyReader) fill(p []byte) {
+	n, err := b.r.Read(p)
+	b.res <- readResult{n, err}
+}
+
+// Close is a no-op: net/http closes the request body itself.
+func (b *bodyReader) Close() error { return nil }
 
 // handleHealthz is process liveness: a daemon that can answer at all
 // answers 200, draining or not.
@@ -783,7 +704,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	draining := s.draining
 	s.reqMu.Unlock()
 	if draining {
-		s.jsonError(w, http.StatusServiceUnavailable, "draining", nil)
+		s.jsonError(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -875,11 +796,4 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 	rep.Served = s.served.Load()
 	rep.Shed = s.totalShed()
 	return rep
-}
-
-// readBody reads the request body through the per-request size cap.
-func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
-	lr := http.MaxBytesReader(w, r.Body, maxBody)
-	defer lr.Close()
-	return io.ReadAll(lr)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,14 +11,78 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
 
+	"daginsched/internal/asm"
+	"daginsched/internal/block"
 	"daginsched/internal/engine"
 	"daginsched/internal/fault"
 	"daginsched/internal/machine"
 )
+
+// blockResult is one block's row in the /v1/schedule response.
+type blockResult struct {
+	Name   string  `json:"name"`
+	Cycles int32   `json:"cycles"`
+	Arcs   int32   `json:"arcs"`
+	Rung   string  `json:"rung"`
+	Order  []int32 `json:"order,omitempty"`
+}
+
+// scheduleResponse is the /v1/schedule 200 payload.
+type scheduleResponse struct {
+	Blocks      int           `json:"blocks"`
+	Insts       int64         `json:"insts"`
+	TotalCycles int64         `json:"total_cycles"`
+	CacheHits   int64         `json:"cache_hits"`
+	DiskHits    int64         `json:"disk_hits"`
+	Results     []blockResult `json:"results"`
+}
+
+// streamRecord is one block's NDJSON line on /v1/stream.
+type streamRecord struct {
+	Seq    int64   `json:"seq"`
+	Name   string  `json:"name"`
+	Cycles int32   `json:"cycles"`
+	Arcs   int32   `json:"arcs"`
+	Rung   string  `json:"rung"`
+	Order  []int32 `json:"order,omitempty"`
+}
+
+// streamTrailer is the terminal NDJSON line: the stream's tallies,
+// plus the scan error when the body went malformed mid-stream.
+type streamTrailer struct {
+	Done     bool   `json:"done"`
+	Blocks   int    `json:"blocks"`
+	Insts    int64  `json:"insts"`
+	Degraded int64  `json:"degraded"`
+	Error    string `json:"error,omitempty"`
+	Line     int    `json:"line,omitempty"`
+}
+
+// scanBlocks partitions an assembly body into basic blocks with the
+// streaming scanner, as the daemon does.
+func scanBlocks(ctx context.Context, body []byte) ([]*block.Block, error) {
+	sc := asm.NewBlockScanner(bytes.NewReader(body))
+	var blocks []*block.Block
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b := &block.Block{}
+		ok, err := sc.Next(b)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return blocks, nil
+		}
+		blocks = append(blocks, b)
+	}
+}
 
 // corpusAsm renders n labeled basic blocks of valid assembly, varied
 // by index so the corpus has distinct block fingerprints (with repeats
@@ -764,4 +829,170 @@ func TestTenantOverflow(t *testing.T) {
 	if got := ts.get("a"); got != a {
 		t.Fatal("existing tenant lost its identity")
 	}
+}
+
+// stalledPost starts a request whose body sends prefix and then stalls,
+// held open until the returned writer is closed; the request's recorder
+// arrives on the channel once its handler returns.
+func stalledPost(s *Server, path, prefix string) (*io.PipeWriter, <-chan *httptest.ResponseRecorder) {
+	pr, pw := io.Pipe()
+	served := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, pr))
+		served <- w
+	}()
+	go func() { _, _ = io.WriteString(pw, prefix) }()
+	return pw, served
+}
+
+// TestStalledBodyDeadline: a body that stalls mid-upload cannot outlive
+// the request's deadline on either endpoint — the handler answers 504,
+// not a 400 for the cut-off read, well within a second.
+func TestStalledBodyDeadline(t *testing.T) {
+	for _, path := range []string{"/v1/schedule", "/v1/stream"} {
+		t.Run(path, func(t *testing.T) {
+			s := newTestServer(t, nil, nil)
+			start := time.Now()
+			pw, served := stalledPost(s, path+"?deadline_ms=50", "b0:\n\tadd %o0, 1, %o1\n")
+			defer pw.Close()
+			select {
+			case w := <-served:
+				if w.Code != http.StatusGatewayTimeout {
+					t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("a stalled body held its handler %v past a 50ms deadline", time.Since(start))
+			}
+			if n := s.Stats().DeadlineHits; n != 1 {
+				t.Fatalf("deadline_hits = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestDrainForcedStalledSchedule: a forced drain with a stalled
+// /v1/schedule upload in flight returns within its budget. The upload
+// is read inside the engine run, which Engine.Close waits for, so the
+// drain's cancellation must reach the stalled read.
+func TestDrainForcedStalledSchedule(t *testing.T) {
+	s := newTestServer(t, func(c *engine.Config) { c.CachePath = filepath.Join(t.TempDir(), "sched.cache") }, nil)
+	pw, served := stalledPost(s, "/v1/schedule", corpusAsm(3))
+	defer pw.Close()
+	for s.Stats().QueueDepth == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // into the stalled read
+
+	const budget = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	rep := s.Drain(ctx)
+	if took := time.Since(start); took > budget+time.Second {
+		t.Fatalf("forced drain took %v on a %v budget", took, budget)
+	}
+	if !rep.Forced || rep.CloseErr != nil {
+		t.Fatalf("drain report %+v, want forced with a clean close", rep)
+	}
+	if w := <-served; w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("stalled upload answered %d, want 504: %s", w.Code, w.Body.String())
+	}
+}
+
+// reusedWriter is a ResponseWriter that keeps its buffers across
+// requests, so a request's allocations are the handler's own.
+type reusedWriter struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (w *reusedWriter) Header() http.Header         { return w.h }
+func (w *reusedWriter) WriteHeader(code int)        { w.code = code }
+func (w *reusedWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// TestWarmRequestAllocsBounded: a warm request allocates a constant
+// number of times — the same bound for a 32-block and a 128-block unit,
+// on both endpoints — since the scanner, its block storage and the
+// rendered output are all recycled.
+func TestWarmRequestAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const bound = 40
+	s := newTestServer(t, nil, nil)
+	for _, path := range []string{"/v1/schedule", "/v1/stream"} {
+		for _, n := range []int{32, 128} {
+			body := corpusAsm(n)
+			rd := strings.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, path, rd)
+			w := &reusedWriter{h: http.Header{}}
+			serve := func() {
+				rd.Reset(body)
+				w.code = http.StatusOK
+				w.body.Reset()
+				s.ServeHTTP(w, req)
+				if w.code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", path, w.code, w.body.String())
+				}
+			}
+			for range 4 {
+				serve()
+			}
+			allocs := testing.AllocsPerRun(50, serve)
+			t.Logf("%s, %d blocks: %v allocations per warm request", path, n, allocs)
+			if allocs > bound {
+				t.Fatalf("%s: a warm %d-block request allocates %v times, bound %d", path, n, allocs, bound)
+			}
+		}
+	}
+}
+
+// TestCancelledStatesNotReused cancels 16 stalled requests, then lets
+// every abandoned body read complete — each writes into the buffer it
+// was handed — while fresh requests with the same body are served. A
+// request state pooled while its read could still write would corrupt
+// a fresh request's scan (and trip the race detector).
+func TestCancelledStatesNotReused(t *testing.T) {
+	s := newTestServer(t, nil, nil)
+	body := corpusAsm(40)
+	want := referenceOrders(t, body)
+	half := len(body) / 2
+	paths := []string{"/v1/schedule", "/v1/stream"}
+	var stalled []*io.PipeWriter
+	for i := range 16 {
+		pw, served := stalledPost(s, paths[i%2]+"?deadline_ms=20", body[:half])
+		if w := <-served; w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("stalled request %d: status %d, want 504: %s", i, w.Code, w.Body.String())
+		}
+		stalled = append(stalled, pw)
+	}
+	var wg sync.WaitGroup
+	for _, pw := range stalled {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = io.WriteString(pw, body[half:])
+			pw.Close()
+		}()
+	}
+	for i := range 16 {
+		if i%2 == 0 {
+			requireOrders(t, decodeSchedule(t, post(s, "/v1/schedule", body, nil)).Results, want)
+			continue
+		}
+		w := post(s, "/v1/stream", body, nil)
+		lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+		var got []blockResult
+		for _, line := range lines[:len(lines)-1] {
+			var rec streamRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, blockResult{Order: rec.Order})
+		}
+		requireOrders(t, got, want)
+	}
+	wg.Wait()
 }

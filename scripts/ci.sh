@@ -34,8 +34,10 @@
 # bounds, with a self-test first proving the gate catches a metric
 # worsened past its bound, an extra failed operation, an incorrect
 # result and a dropped metric), short native-fuzz smokes over the
-# build→schedule→gate pipeline and over the assembly scanner (checked
-# block for block against Parse + Partition), and one-iteration
+# build→schedule→gate pipeline, over the assembly scanner (checked
+# block for block against Parse + Partition) and over the daemon's
+# response renderer (checked byte for byte against encoding/json), and
+# one-iteration
 # benchmark smoke runs over the engine, DAG-builder, heuristic and
 # scanner benchmarks that check the zero-allocation steady state.
 set -eu
@@ -91,6 +93,9 @@ go test -fuzz '^FuzzBuildSchedule$' -fuzztime 30s -run '^$' ./internal/engine
 
 echo "== scanner fuzz smoke (20s)"
 go test -fuzz '^FuzzBlockScanner$' -fuzztime 20s -run '^$' ./internal/asm
+
+echo "== response renderer fuzz smoke (10s)"
+go test -fuzz '^FuzzRenderMatchesJSON$' -fuzztime 10s -run '^$' ./internal/server
 
 echo "== engine bench smoke"
 go test -run '^$' -bench Engine -benchmem -benchtime 1x .
