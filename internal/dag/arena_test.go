@@ -2,12 +2,14 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"daginsched/internal/bitset"
 	"daginsched/internal/block"
 	"daginsched/internal/machine"
 	"daginsched/internal/resource"
+	"daginsched/internal/synth"
 	"daginsched/internal/testgen"
 )
 
@@ -85,6 +87,45 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 				if err := warm.Validate(); err != nil {
 					t.Fatalf("block %d: %v", bi, err)
 				}
+			}
+		})
+	}
+}
+
+// TestBuildIntoGiantTinyGiant runs fpppp's 11,750-instruction block,
+// then a tiny block, then the giant again (and the tiny again) through
+// one arena and one resource table, as a worker sees them. The table
+// state's reset clears only the slots the previous block grew to, so
+// every build must still equal a fresh arena's, and the state must
+// span exactly the current block's resources.
+func TestBuildIntoGiantTinyGiant(t *testing.T) {
+	m := machine.Pipe1()
+	p, _ := synth.ByName("fpppp")
+	giant := slices.MaxFunc(p.Generate(), func(x, y *block.Block) int { return x.Len() - y.Len() })
+	tiny := &block.Block{Name: "tiny", Insts: testgen.Block(5, 12)}
+	for i := range tiny.Insts {
+		tiny.Insts[i].Index = i
+	}
+	for _, bld := range []ReuseBuilder{TableForward{}, TableBackward{}} {
+		t.Run(bld.Name(), func(t *testing.T) {
+			var ar BuildArena
+			rt := resource.NewTable(resource.MemExprModel)
+			for _, b := range []*block.Block{giant, tiny, giant, tiny} {
+				rtCold := resource.NewTable(resource.MemExprModel)
+				rtCold.PrepareBlock(b.Insts)
+				cold := bld.Build(b, m, rtCold)
+
+				rt.PrepareBlock(b.Insts)
+				warm := bld.BuildInto(&ar, b, m, rt)
+				requireSameDAG(t, cold, warm)
+				if ar.ts.hi != rt.NumResources() {
+					t.Fatalf("%s: table state spans %d resources, the block has %d",
+						b.Name, ar.ts.hi, rt.NumResources())
+				}
+			}
+			if len(ar.ts.lastDef) <= rt.NumResources() {
+				t.Fatalf("the giant grew the table to %d slots, no more than the tiny block's %d; the test proves nothing",
+					len(ar.ts.lastDef), rt.NumResources())
 			}
 		})
 	}

@@ -21,6 +21,11 @@ type tableState struct {
 	lastDef    []int32 // node index + 1; 0 means empty
 	defPairOdd []bool  // last definition was the odd half of a pair
 	useList    [][]use
+	// hi is the resource count the current block has grown the table
+	// to. Slots at and above it are clean, so reset clears only
+	// [0, hi): a tiny block after a giant one pays for its own
+	// resources, not for the largest count the arrays ever held.
+	hi int
 }
 
 func (ts *tableState) grow(n int) {
@@ -29,17 +34,21 @@ func (ts *tableState) grow(n int) {
 		ts.defPairOdd = append(ts.defPairOdd, false)
 		ts.useList = append(ts.useList, nil)
 	}
+	if n > ts.hi {
+		ts.hi = n
+	}
 }
 
 // reset empties the table for a new block while keeping every
 // allocated array — including each resource's use-list capacity — so
 // recycled state performs no steady-state allocations.
 func (ts *tableState) reset() {
-	for i := range ts.lastDef {
-		ts.lastDef[i] = 0
-		ts.defPairOdd[i] = false
-		ts.useList[i] = ts.useList[i][:0]
+	clear(ts.lastDef[:ts.hi])
+	clear(ts.defPairOdd[:ts.hi])
+	for i, ul := range ts.useList[:ts.hi] {
+		ts.useList[i] = ul[:0]
 	}
+	ts.hi = 0
 }
 
 // TableForward is forward-pass table building (Krishnamurthy-like).

@@ -2,14 +2,16 @@
 //
 // The paper's Tables 4–5 regime result is that no single construction
 // approach wins at every block size: compare-against-all (n²) has the
-// lowest constant factors on tiny blocks — no per-resource table state
-// to reset, no CSR freeze — while table building's O(n) arc discovery
-// wins as blocks grow. The engine exploits that per block: sizes at or
-// below a crossover threshold take the n²-direct pipeline (falling
-// back to table building when the n² DAG is not transitive-free, which
-// is what guarantees byte-identical schedules), everything else takes
-// the fixed table+CSR pipeline. The crossover is defaultCrossover
-// unless Config.Crossover sets it.
+// lowest constant factors on tiny blocks — no CSR freeze, and no
+// per-resource table, which the table builders clear over the block's
+// whole resource ID space (every register ID plus the block's memory
+// resources) however few instructions it has — while table building's
+// O(n) arc discovery wins as blocks grow. The engine exploits that per
+// block: sizes at or below a crossover threshold take the n²-direct
+// pipeline (falling back to table building when the n² DAG is not
+// transitive-free, which is what guarantees byte-identical schedules),
+// everything else takes the fixed table+CSR pipeline. The crossover is
+// defaultCrossover unless Config.Crossover sets it.
 //
 // Work distribution is size-binned too: blocks above smallCutoff are
 // claimed one at a time and the small tail in chunks of chunkSize,

@@ -295,14 +295,15 @@ func (w *worker) finish(d *dag.DAG, m *machine.Model) (*sched.Result, *dag.DAG) 
 
 // scheduleN2 is the n²-direct pipeline of adaptive dispatch: build the
 // block with compare-against-all construction (no per-resource table
-// state to reset) and, when the DAG comes out transitive-free, skip
-// the CSR freeze and schedule straight off the per-node arc lists. A
-// transitive-free n² arc set is identical — same pairs, same deduped
-// delays — to the table builder's, so the schedule is byte-identical
-// to the fixed pipeline's (see dag.N2Forward.BuildCleanInto). Dirty
-// blocks fall back to the fixed pipeline; the resource table is
-// already prepared and interned IDs are stable, so only construction
-// restarts. usedN2 reports which pipeline produced the result.
+// to clear over the register IDs) and, when the DAG comes out
+// transitive-free, skip the CSR freeze and schedule straight off the
+// per-node arc lists. A transitive-free n² arc set is identical — same
+// pairs, same deduped delays — to the table builder's, so the schedule
+// is byte-identical to the fixed pipeline's (see
+// dag.N2Forward.BuildCleanInto). Dirty blocks fall back to the fixed
+// pipeline; the resource table is already prepared and interned IDs
+// are stable, so only construction restarts. usedN2 reports which
+// pipeline produced the result.
 func (w *worker) scheduleN2(b *block.Block, m *machine.Model) (r *sched.Result, d *dag.DAG, usedN2 bool) {
 	w.rt.PrepareBlock(b.Insts)
 	nd, clean := dag.N2Forward{}.BuildCleanInto(&w.ar, b, m, w.rt)

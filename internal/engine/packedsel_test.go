@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
+	"daginsched/internal/block"
 	"daginsched/internal/fault"
 	"daginsched/internal/machine"
+	"daginsched/internal/pipe"
+	"daginsched/internal/resource"
+	"daginsched/internal/synth"
+	"daginsched/internal/testgen"
 )
 
 // TestPackedSelMatchesWinnow is the packed-selection identity gate:
@@ -124,5 +130,78 @@ func TestEnginePackedSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state packed batch run allocates %.1f/batch, want 0", allocs)
+	}
+}
+
+// giantBlockCorpus is fpppp's unwindowed 11,750-instruction block —
+// the one Table 3 block adaptiveCorpus leaves out, and the only one
+// whose priority fields outgrow 14 bits — with a few tiny blocks
+// after it, so a worker schedules small blocks on state the giant
+// grew.
+func giantBlockCorpus(t testing.TB) []*block.Block {
+	t.Helper()
+	p, _ := synth.ByName("fpppp")
+	giant := slices.MaxFunc(p.Generate(), func(x, y *block.Block) int { return x.Len() - y.Len() })
+	if giant.Len() != 11750 {
+		t.Fatalf("fpppp's largest block has %d instructions, want 11750", giant.Len())
+	}
+	blocks := []*block.Block{giant}
+	for i, n := range []int{3, 17, 64} {
+		b := &block.Block{Name: "tiny", Insts: testgen.Block(int64(7100+i), n)}
+		for k := range b.Insts {
+			b.Insts[k].Index = k
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+// TestPackedSelGiantBlock puts fpppp's giant block under the
+// packed-selection identity gate: it must take the packed heap, its
+// cycles and order must match the winnowing reference, and the
+// scoreboard simulator — which times the order from raw def/use
+// information, sharing no DAG or heuristic code with the engine —
+// must agree with its cycle count.
+func TestPackedSelGiantBlock(t *testing.T) {
+	m := machine.Pipe1()
+	blocks := giantBlockCorpus(t)
+	ref, err := New(Config{Workers: 1, Model: m, KeepOrders: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ref.workers {
+		w.sc.DisablePacked = true
+	}
+	want, err := ref.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		e, err := New(Config{Workers: workers, Model: m, KeepOrders: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Run(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.PackedSelBlocks != int64(len(blocks)) {
+			t.Errorf("w%d: %d of %d blocks took the packed path", workers, got.Stats.PackedSelBlocks, len(blocks))
+		}
+		for i, b := range blocks {
+			if got.Cycles[i] != want.Cycles[i] {
+				t.Fatalf("w%d block %d (%d insts): %d cycles, winnow %d",
+					workers, i, b.Len(), got.Cycles[i], want.Cycles[i])
+			}
+			if !slices.Equal(got.Orders[i], want.Orders[i]) {
+				t.Fatalf("w%d block %d (%d insts): order differs from winnow", workers, i, b.Len())
+			}
+			rt := resource.NewTable(resource.MemExprModel)
+			rt.PrepareBlock(b.Insts)
+			if sim := pipe.Simulate(b.Insts, got.Orders[i], m, rt).Cycles; sim != got.Cycles[i] {
+				t.Fatalf("w%d block %d (%d insts): simulator completes in %d cycles, engine says %d",
+					workers, i, b.Len(), sim, got.Cycles[i])
+			}
+		}
 	}
 }

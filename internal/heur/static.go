@@ -52,7 +52,8 @@ type Annot struct {
 	// min-node-index tiebreak. Valid only while PrioExact is true;
 	// every Compute pass that rewrites one of its inputs clears
 	// PrioExact, and PackSection6Prio (run by ComputeFusedCSR) sets it
-	// when every field fits its bit budget.
+	// when no field is negative and the block's field widths fit 64
+	// bits.
 	PackedPrio []uint64
 	PrioExact  bool
 }
