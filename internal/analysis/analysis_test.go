@@ -154,3 +154,22 @@ func TestSelfHostClean(t *testing.T) {
 		t.Errorf("self-host finding: %s", d)
 	}
 }
+
+// TestAuditNarrowPattern lints one package that imports suppressed
+// code: the audit must judge only the named package's suppressions,
+// since the dependencies' own roots never run and their suppressions
+// would all look cold.
+func TestAuditNarrowPattern(t *testing.T) {
+	ctx, err := Load(".", []string{"./internal/heur"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Audit = true
+	diags, err := ctx.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("narrow-pattern finding: %s", d)
+	}
+}

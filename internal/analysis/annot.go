@@ -137,10 +137,14 @@ type supKey struct {
 // supEntry is one well-formed suppression. used is set by covers when
 // a diagnostic of the suppressed pass actually lands on a covered
 // line; the unused-suppression audit reports entries that stay cold.
+// named marks a suppression in a package named on the command line:
+// only those are audited, because a dependency's own roots are not
+// analysed and its suppressions cannot be known to be cold.
 type supEntry struct {
-	pass string
-	pos  token.Pos
-	used bool
+	pass  string
+	pos   token.Pos
+	used  bool
+	named bool
 }
 
 // suppressions scans every file the loader parsed (including test
@@ -148,6 +152,10 @@ type supEntry struct {
 // lint-ignore comments.
 func (ctx *Context) suppressions() *suppressionIndex {
 	idx := &suppressionIndex{byLine: make(map[supKey][]*supEntry)}
+	named := make(map[*Package]bool, len(ctx.Pkgs))
+	for _, pkg := range ctx.Pkgs {
+		named[pkg] = true
+	}
 	for _, pkg := range ctx.Loader.pkgs {
 		if pkg == nil {
 			continue
@@ -156,7 +164,7 @@ func (ctx *Context) suppressions() *suppressionIndex {
 			for _, f := range files {
 				for _, g := range f.Comments {
 					for _, c := range g.List {
-						idx.add(ctx, c)
+						idx.add(ctx, c, named[pkg])
 					}
 				}
 			}
@@ -165,7 +173,7 @@ func (ctx *Context) suppressions() *suppressionIndex {
 	return idx
 }
 
-func (idx *suppressionIndex) add(ctx *Context, c *ast.Comment) {
+func (idx *suppressionIndex) add(ctx *Context, c *ast.Comment, named bool) {
 	if c.Text != dirIgnore && !strings.HasPrefix(c.Text, dirIgnore+" ") {
 		return
 	}
@@ -198,7 +206,7 @@ func (idx *suppressionIndex) add(ctx *Context, c *ast.Comment) {
 		file = filepath.ToSlash(rel)
 	}
 	key := supKey{file, pos.Line}
-	idx.byLine[key] = append(idx.byLine[key], &supEntry{pass: pass, pos: c.Pos()})
+	idx.byLine[key] = append(idx.byLine[key], &supEntry{pass: pass, pos: c.Pos(), named: named})
 }
 
 // covers reports whether d is suppressed: a matching lint-ignore on
@@ -221,12 +229,13 @@ func (idx *suppressionIndex) covers(d Diag) bool {
 // invocation but never fired on a covered line — a stale suppression
 // that would otherwise rot silently. Suppressions for passes that did
 // not run are left alone: a -passes subset must not condemn the
-// other passes' suppressions.
+// other passes' suppressions. So are those outside the named
+// packages: a narrow pattern must not condemn its dependencies'.
 func (idx *suppressionIndex) unused(ctx *Context, ran map[string]bool) []Diag {
 	var diags []Diag
 	for _, entries := range idx.byLine {
 		for _, e := range entries {
-			if e.used || !ran[e.pass] {
+			if e.used || !e.named || !ran[e.pass] {
 				continue
 			}
 			diags = append(diags, ctx.diag(e.pos, "lint-ignore",

@@ -1,6 +1,6 @@
 // The arenalife pass. The reuse-aware construction path hands out
 // storage that is recycled on the arena's next ResetFor/BuildInto:
-// dag.BuildArena's DAGs, the frozen CSR views and their flat arc
+// dag.BuildArena's DAGs, the frozen CSR views and their packed arc
 // arrays, package buf's zeroing-resize slices, and bitset.Slab's
 // carved sets. Such values are only safe while the current block is
 // being processed. This pass flags the two ways they can outlive that
@@ -35,7 +35,7 @@ var arenaSourceMethods = map[string]map[string]bool{
 	"internal/buf": {"*": true},
 	"internal/dag": {
 		"ResetFor": true, "BuildInto": true, "Freeze": true, "FrozenCSR": true,
-		"Succs": true, "Preds": true, "SuccArcs": true, "PredArcs": true,
+		"PackedSuccArcs": true, "PackedPredArcs": true,
 	},
 	"internal/bitset": {"Carve": true},
 	// diskcache's i32s is an unsafe.Slice view straight into the mmap

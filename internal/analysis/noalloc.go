@@ -17,7 +17,7 @@
 //
 // One idiom is exempt: an allocation lexically inside an if statement
 // whose condition reads cap(...) is the growth arm of a reuse helper
-// (buf.Int32, bitset.Reuse, growArcs) — the steady-state path takes
+// (buf.Int32, bitset.Reuse, growPacked) — the steady-state path takes
 // the other branch, which is exactly the discipline the annotation
 // documents. Everything else needs a //sched:lint-ignore noalloc with
 // a reason.

@@ -4,9 +4,14 @@
 // an exported boundary.
 package arenalife
 
-import "daginsched/internal/buf"
+import (
+	"daginsched/internal/buf"
+	"daginsched/internal/dag"
+)
 
 var global []int32
+
+var keptArcs []dag.PackedArc
 
 var registry struct{ keep []int32 }
 
@@ -40,6 +45,13 @@ func Expose(n int) []int32 {
 // ExposeDirect returns the source call itself.
 func ExposeDirect(n int) []int32 {
 	return buf.Int32(nil, n) // want [arenalife] arena-backed value returned across the exported boundary
+}
+
+// KeepPacked stores a frozen view's packed records, which the arena
+// refills on its next Freeze. The view arrives untainted as a
+// parameter, so only the accessor itself marks the result.
+func KeepPacked(c *dag.CSR) {
+	keptArcs = c.PackedSuccArcs() // want [arenalife] arena-backed value stored in package-level keptArcs
 }
 
 // internal is unexported: handing arena storage to a same-package

@@ -3,13 +3,14 @@ package dag
 import "daginsched/internal/buf"
 
 // CSR is the frozen compressed-sparse-row view of a built DAG: every
-// successor arc in one flat array grouped by source node, every
-// predecessor arc in a second flat array grouped by target node, with
-// n+1 offset arrays delimiting each node's span. The per-node spans
-// preserve the mirror slices' insertion order exactly, so any consumer
-// that walks Succs/Preds produces bit-identical results walking the
-// CSR view — only the memory layout changes: the hot heuristic and
-// ready-list loops touch two contiguous arrays instead of chasing n
+// successor arc as one packed 8-byte record (see packed.go) in a flat
+// array grouped by source node, every predecessor arc in a second flat
+// array grouped by target node, with n+1 offset arrays delimiting each
+// node's span. The per-node spans preserve the mirror slices'
+// insertion order exactly, so any consumer that walks Succs/Preds
+// produces bit-identical results walking the CSR view — only the
+// memory layout changes: the hot heuristic and ready-list loops stream
+// two contiguous arrays of half-size records instead of chasing n
 // scattered slice headers.
 //
 // A CSR is built once per DAG by Freeze after construction completes
@@ -18,31 +19,20 @@ import "daginsched/internal/buf"
 // recycle the CSR arrays too: ResetFor drops the frozen view and the
 // next Freeze refills the same backing arrays.
 type CSR struct {
-	succArcs []Arc
-	predArcs []Arc
-	succOff  []int32 // len n+1; succArcs[succOff[i]:succOff[i+1]] = node i's Succs
-	predOff  []int32 // len n+1; predArcs[predOff[i]:predOff[i+1]] = node i's Preds
-	frozen   bool
+	succOff []int32 // len n+1; node i's successors are succPacked[succOff[i]:succOff[i+1]]
+	predOff []int32 // len n+1; node i's predecessors are predPacked[predOff[i]:predOff[i+1]]
 
-	// Packed 8-byte twins of succArcs/predArcs (see packed.go), filled
-	// by freeze unless the block exceeds the packed limits. spill holds
-	// the rare delays too wide for the packed record's 16-bit field.
 	succPacked []PackedArc
 	predPacked []PackedArc
-	spill      []int32
-	packed     bool
-}
+	// spill holds the rare delays too wide for the packed record's
+	// 16-bit field.
+	spill []int32
 
-// Succs returns node i's successor arcs, in the same order as
-// Nodes[i].Succs.
-func (c *CSR) Succs(i int32) []Arc {
-	return c.succArcs[c.succOff[i]:c.succOff[i+1]]
-}
-
-// Preds returns node i's predecessor arcs, in the same order as
-// Nodes[i].Preds.
-func (c *CSR) Preds(i int32) []Arc {
-	return c.predArcs[c.predOff[i]:c.predOff[i+1]]
+	// frozen records that freeze ran for the current block; packed
+	// that it succeeded. A block past the packed limits is frozen but
+	// not packed: it has no view, and a repeat Freeze does not retry.
+	frozen bool
+	packed bool
 }
 
 // NumSuccs returns node i's successor count without touching the arc
@@ -54,70 +44,80 @@ func (c *CSR) NumSuccs(i int32) int32 { return c.succOff[i+1] - c.succOff[i] }
 func (c *CSR) NumPreds(i int32) int32 { return c.predOff[i+1] - c.predOff[i] }
 
 // SuccSpan returns the half-open [lo, hi) range of node i's successors
-// inside SuccArcs, for callers that walk the flat array directly.
+// inside PackedSuccArcs.
 func (c *CSR) SuccSpan(i int32) (lo, hi int32) { return c.succOff[i], c.succOff[i+1] }
 
-// SuccArcs returns the whole flat successor-arc array (all arcs,
-// grouped by From in ascending node order). A reverse topological
-// heuristic pass is a single backward walk over this array.
-func (c *CSR) SuccArcs() []Arc { return c.succArcs }
+// PredSpan returns the half-open [lo, hi) range of node i's
+// predecessors inside PackedPredArcs.
+func (c *CSR) PredSpan(i int32) (lo, hi int32) { return c.predOff[i], c.predOff[i+1] }
 
-// PredArcs returns the whole flat predecessor-arc array (all arcs,
-// grouped by To in ascending node order).
-func (c *CSR) PredArcs() []Arc { return c.predArcs }
-
-// growArcs returns an empty []Arc with capacity for at least n arcs,
-// reusing s's backing array when possible.
-func growArcs(s []Arc, n int) []Arc {
-	if cap(s) < n {
-		return make([]Arc, 0, n)
-	}
-	return s[:0]
-}
-
-// freeze fills c from d's mirror slices: one O(n + m) concatenation
-// per direction. No sorting is needed — nodes are visited in index
-// order and each node's arcs are appended in their insertion order,
-// which is exactly the grouping CSR requires.
+// freeze packs d's mirror slices into c: one O(n + m) pass over the
+// nodes in index order, appending each node's arcs in their insertion
+// order, which is exactly the grouping CSR requires. A block past the
+// packed limits — more than PackedMaxNodes nodes, or more oversize
+// delays than the spill index can address — leaves c unpacked rather
+// than partial.
+//
+//sched:noalloc
 func (c *CSR) freeze(d *DAG) {
+	c.frozen, c.packed = true, false
+	c.spill = c.spill[:0]
 	n := len(d.Nodes)
+	if n > PackedMaxNodes {
+		return
+	}
 	c.succOff = buf.Int32(c.succOff, n+1)
 	c.predOff = buf.Int32(c.predOff, n+1)
-	c.succArcs = growArcs(c.succArcs, d.NumArcs)
-	c.predArcs = growArcs(c.predArcs, d.NumArcs)
-	for i := 0; i < n; i++ {
-		c.succOff[i] = int32(len(c.succArcs))
-		//sched:lint-ignore noalloc growArcs reserved capacity for all NumArcs arcs above
-		c.succArcs = append(c.succArcs, d.Nodes[i].Succs...)
-		c.predOff[i] = int32(len(c.predArcs))
-		//sched:lint-ignore noalloc growArcs reserved capacity for all NumArcs arcs above
-		c.predArcs = append(c.predArcs, d.Nodes[i].Preds...)
+	c.succPacked = growPacked(c.succPacked, d.NumArcs)
+	c.predPacked = growPacked(c.predPacked, d.NumArcs)
+	for i := range d.Nodes {
+		nd := &d.Nodes[i]
+		c.succOff[i] = int32(len(c.succPacked))
+		for _, arc := range nd.Succs {
+			p, ok := c.pack(arc.To, arc.Kind, arc.Delay)
+			if !ok {
+				return
+			}
+			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
+			c.succPacked = append(c.succPacked, p)
+		}
+		c.predOff[i] = int32(len(c.predPacked))
+		for _, arc := range nd.Preds {
+			p, ok := c.pack(arc.From, arc.Kind, arc.Delay)
+			if !ok {
+				return
+			}
+			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
+			c.predPacked = append(c.predPacked, p)
+		}
 	}
-	c.succOff[n] = int32(len(c.succArcs))
-	c.predOff[n] = int32(len(c.predArcs))
-	c.packFreeze(n)
-	c.frozen = true
+	c.succOff[n] = int32(len(c.succPacked))
+	c.predOff[n] = int32(len(c.predPacked))
+	c.packed = true
 }
 
-// Freeze builds the DAG's CSR view (a no-op if already frozen) and
-// returns it. Freeze may only be called after construction completes;
-// the view is immutable and shares the DAG's lifetime — for
-// arena-owned DAGs it is invalidated by the arena's next
-// ResetFor/BuildInto, which also recycles the CSR's storage.
+// Freeze builds the DAG's CSR view (once per block) and returns it,
+// or nil when the block is past the packed limits; such a block is
+// read through its Succs/Preds mirrors. Freeze may only be called
+// after construction completes; the view is immutable and shares the
+// DAG's lifetime — for arena-owned DAGs it is invalidated by the
+// arena's next ResetFor/BuildInto, which also recycles the CSR's
+// storage.
 //
 //sched:noalloc
 func (d *DAG) Freeze() *CSR {
 	if !d.csr.frozen {
 		d.csr.freeze(d)
 	}
-	return &d.csr
+	return d.FrozenCSR()
 }
 
-// FrozenCSR returns the CSR view if Freeze has run, else nil. Hot-path
-// consumers use it to pick the flat layout when available without
-// forcing a freeze on callers that never asked for one.
+// FrozenCSR returns the CSR view if Freeze has run and packed the
+// block, else nil. Hot-path consumers use it to pick the packed layout
+// when available without forcing a freeze on callers that never asked
+// for one.
 func (d *DAG) FrozenCSR() *CSR {
-	if d.csr.frozen {
+	if d.csr.frozen && d.csr.packed {
 		return &d.csr
 	}
 	return nil

@@ -17,53 +17,6 @@ func csrTestBlock(seed int64, n int) *block.Block {
 	return b
 }
 
-// TestFreezeMatchesMirrors freezes DAGs from every builder and checks
-// the CSR view against the Succs/Preds mirrors, both through Validate
-// (which cross-checks spans arc-for-arc) and by walking the accessors.
-func TestFreezeMatchesMirrors(t *testing.T) {
-	m := machine.Pipe1()
-	for _, bld := range AllBuilders() {
-		rt := resource.NewTable(resource.MemExprModel)
-		b := csrTestBlock(77, 60)
-		rt.PrepareBlock(b.Insts)
-		d := bld.Build(b, m, rt)
-		if d.FrozenCSR() != nil {
-			t.Fatalf("%s: DAG frozen before Freeze", bld.Name())
-		}
-		c := d.Freeze()
-		if c2 := d.Freeze(); c2 != c {
-			t.Fatalf("%s: second Freeze returned a different view", bld.Name())
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("%s: Validate after Freeze: %v", bld.Name(), err)
-		}
-		if len(c.SuccArcs()) != d.NumArcs || len(c.PredArcs()) != d.NumArcs {
-			t.Fatalf("%s: flat arrays hold %d/%d arcs, want %d",
-				bld.Name(), len(c.SuccArcs()), len(c.PredArcs()), d.NumArcs)
-		}
-		for i := int32(0); int(i) < d.Len(); i++ {
-			if int(c.NumSuccs(i)) != len(d.Nodes[i].Succs) ||
-				int(c.NumPreds(i)) != len(d.Nodes[i].Preds) {
-				t.Fatalf("%s: node %d span counts diverge", bld.Name(), i)
-			}
-			for k, arc := range c.Succs(i) {
-				if arc != d.Nodes[i].Succs[k] {
-					t.Fatalf("%s: node %d succ %d diverges", bld.Name(), i, k)
-				}
-			}
-			for k, arc := range c.Preds(i) {
-				if arc != d.Nodes[i].Preds[k] {
-					t.Fatalf("%s: node %d pred %d diverges", bld.Name(), i, k)
-				}
-			}
-			lo, hi := c.SuccSpan(i)
-			if int(hi-lo) != len(d.Nodes[i].Succs) {
-				t.Fatalf("%s: node %d SuccSpan [%d,%d) wrong width", bld.Name(), i, lo, hi)
-			}
-		}
-	}
-}
-
 // TestCSRReuseAcrossResetFor drives one arena through blocks of
 // shrinking and growing sizes, freezing each build, and demands the
 // recycled CSR storage never leaks arcs from a previous block.
@@ -114,15 +67,22 @@ func TestValidateCatchesCSRDivergence(t *testing.T) {
 	}
 
 	d := build()
-	d.csr.succArcs[0].Delay++
+	d.csr.succPacked[0] += 1 << packedNodeBits // delay + 1
 	if err := d.Validate(); err == nil {
-		t.Error("Validate accepted a diverged succ arc")
+		t.Error("Validate accepted a diverged succ record")
 	}
 
 	d = build()
-	d.csr.predArcs[len(d.csr.predArcs)-1].Kind = WAW + 1
+	last := len(d.csr.predPacked) - 1
+	d.csr.predPacked[last] ^= 1 << packedKindShift // flip the kind
 	if err := d.Validate(); err == nil {
-		t.Error("Validate accepted a diverged pred arc")
+		t.Error("Validate accepted a diverged pred record")
+	}
+
+	d = build()
+	d.csr.predPacked[0] ^= 1 // another peer
+	if err := d.Validate(); err == nil {
+		t.Error("Validate accepted a pred record naming the wrong parent")
 	}
 
 	d = build()
@@ -132,8 +92,20 @@ func TestValidateCatchesCSRDivergence(t *testing.T) {
 	}
 
 	d = build()
-	d.csr.succArcs = d.csr.succArcs[:len(d.csr.succArcs)-1]
+	d.csr.predOff[1], d.csr.predOff[2] = d.csr.predOff[2]+1, d.csr.predOff[1]
 	if err := d.Validate(); err == nil {
-		t.Error("Validate accepted a truncated flat arc array")
+		t.Error("Validate accepted non-monotone offsets")
+	}
+
+	d = build()
+	d.csr.succPacked = d.csr.succPacked[:len(d.csr.succPacked)-1]
+	if err := d.Validate(); err == nil {
+		t.Error("Validate accepted a truncated packed array")
+	}
+
+	d = build()
+	d.csr.succPacked[0] |= packedSpillBit
+	if err := d.Validate(); err == nil {
+		t.Error("Validate accepted a record naming an empty spill table")
 	}
 }

@@ -256,7 +256,7 @@ func (d *DAG) Validate() error {
 		return fmt.Errorf("arc accounting: succ %d, pred %d, NumArcs %d",
 			succTotal, predTotal, d.NumArcs)
 	}
-	if d.csr.frozen {
+	if d.FrozenCSR() != nil {
 		if err := d.validateCSR(); err != nil {
 			return err
 		}
@@ -265,70 +265,55 @@ func (d *DAG) Validate() error {
 }
 
 // validateCSR cross-checks the frozen CSR view against the Succs/Preds
-// mirrors: offsets must be monotone and span the full arc arrays, the
-// flat arc counts must equal NumArcs, and every node's span must match
-// its mirror slice element-for-element (catching any divergence after
-// ResetFor reuse of the CSR's recycled storage).
+// mirrors in both directions (catching any divergence after ResetFor
+// reuse of the CSR's recycled storage).
 func (d *DAG) validateCSR() error {
 	c := &d.csr
+	if err := c.checkSpans(d, "succ", c.succOff, c.succPacked); err != nil {
+		return err
+	}
+	return c.checkSpans(d, "pred", c.predOff, c.predPacked)
+}
+
+// checkSpans validates one direction of the CSR: the offsets must start
+// at 0, be monotone and end at NumArcs over exactly NumArcs records,
+// and every node's span must decode to its mirror slice element for
+// element.
+func (c *CSR) checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) error {
 	n := len(d.Nodes)
-	if len(c.succOff) != n+1 || len(c.predOff) != n+1 {
-		return fmt.Errorf("csr: offset arrays cover %d/%d nodes, DAG has %d",
-			len(c.succOff)-1, len(c.predOff)-1, n)
+	if len(off) != n+1 {
+		return fmt.Errorf("csr: %s offsets cover %d nodes, DAG has %d", dir, len(off)-1, n)
 	}
-	if c.succOff[0] != 0 || c.predOff[0] != 0 {
-		return fmt.Errorf("csr: offsets start at %d/%d, want 0", c.succOff[0], c.predOff[0])
-	}
-	if len(c.succArcs) != d.NumArcs || len(c.predArcs) != d.NumArcs {
-		return fmt.Errorf("csr: %d succ / %d pred arcs, NumArcs %d",
-			len(c.succArcs), len(c.predArcs), d.NumArcs)
-	}
-	if int(c.succOff[n]) != d.NumArcs || int(c.predOff[n]) != d.NumArcs {
-		return fmt.Errorf("csr: final offsets %d/%d, NumArcs %d",
-			c.succOff[n], c.predOff[n], d.NumArcs)
+	if off[0] != 0 || int(off[n]) != d.NumArcs || len(recs) != d.NumArcs {
+		return fmt.Errorf("csr: %s offsets span [%d,%d) over %d records, NumArcs %d",
+			dir, off[0], off[n], len(recs), d.NumArcs)
 	}
 	for i := 0; i < n; i++ {
-		if c.succOff[i] > c.succOff[i+1] || c.predOff[i] > c.predOff[i+1] {
-			return fmt.Errorf("csr: offsets not monotone at node %d", i)
-		}
-		succs := c.succArcs[c.succOff[i]:c.succOff[i+1]]
-		if len(succs) != len(d.Nodes[i].Succs) {
-			return fmt.Errorf("csr: node %d has %d succs, mirror has %d",
-				i, len(succs), len(d.Nodes[i].Succs))
-		}
-		for k, arc := range succs {
-			if arc != d.Nodes[i].Succs[k] {
-				return fmt.Errorf("csr: node %d succ %d diverges from mirror", i, k)
-			}
-		}
-		preds := c.predArcs[c.predOff[i]:c.predOff[i+1]]
-		if len(preds) != len(d.Nodes[i].Preds) {
-			return fmt.Errorf("csr: node %d has %d preds, mirror has %d",
-				i, len(preds), len(d.Nodes[i].Preds))
-		}
-		for k, arc := range preds {
-			if arc != d.Nodes[i].Preds[k] {
-				return fmt.Errorf("csr: node %d pred %d diverges from mirror", i, k)
-			}
+		if off[i] > off[i+1] {
+			return fmt.Errorf("csr: %s offsets not monotone at node %d", dir, i)
 		}
 	}
-	if c.packed {
-		if len(c.succPacked) != d.NumArcs || len(c.predPacked) != d.NumArcs {
-			return fmt.Errorf("csr: %d packed succ / %d packed pred arcs, NumArcs %d",
-				len(c.succPacked), len(c.predPacked), d.NumArcs)
+	for i := range d.Nodes {
+		mirror := d.Nodes[i].Succs
+		if dir == "pred" {
+			mirror = d.Nodes[i].Preds
 		}
-		for k, arc := range c.succArcs {
-			p := c.succPacked[k]
-			if p.Node() != arc.To || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
-				return fmt.Errorf("csr: packed succ record %d decodes to (%d,%v,%d), arc is (%d,%v,%d)",
-					k, p.Node(), p.Kind(), c.Delay(p), arc.To, arc.Kind, arc.Delay)
+		span := recs[off[i]:off[i+1]]
+		if len(span) != len(mirror) {
+			return fmt.Errorf("csr: node %d has %d %s records, mirror has %d",
+				i, len(span), dir, len(mirror))
+		}
+		for k, arc := range mirror {
+			p, peer := span[k], arc.To
+			if dir == "pred" {
+				peer = arc.From
 			}
-		}
-		for k, arc := range c.predArcs {
-			p := c.predPacked[k]
-			if p.Node() != arc.From || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
-				return fmt.Errorf("csr: packed pred record %d decodes to (%d,%v,%d), arc is (%d,%v,%d)",
-					k, p.Node(), p.Kind(), c.Delay(p), arc.From, arc.Kind, arc.Delay)
+			if p&packedSpillBit != 0 && int(p>>packedNodeBits&packedDelayMask) >= len(c.spill) {
+				return fmt.Errorf("csr: node %d %s record %d names spill slot past the table", i, dir, k)
+			}
+			if p.Node() != peer || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
+				return fmt.Errorf("csr: node %d %s record %d decodes to (%d,%v,%d), mirror arc is (%d,%v,%d)",
+					i, dir, k, p.Node(), p.Kind(), c.Delay(p), peer, arc.Kind, arc.Delay)
 			}
 		}
 	}

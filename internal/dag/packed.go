@@ -1,14 +1,13 @@
 package dag
 
-// Packed CSR arc records. The frozen CSR's two flat arc arrays are the
-// hottest memory in the repo — the scheduler's place() successor walk
-// and the fused reverse heuristic sweep stream them once per block —
-// and a dag.Arc is 16 bytes (From, To, Delay int32 plus a padded
-// DepKind). Inside a CSR span one of the endpoints is implicit: the
-// successor array is grouped by From and the predecessor array by To,
-// so each record only needs the *other* endpoint. Packing that
-// endpoint, the delay and the kind into a single uint64 halves the
-// bytes the hot loops pull through the cache hierarchy.
+// Packed CSR arc records: the frozen CSR's only arc layout. Its two
+// flat arc arrays are the hottest memory in the repo — the scheduler's
+// place() successor walk and the fused reverse heuristic sweep stream
+// them once per block. Inside a CSR span one of the endpoints is
+// implicit: the successor array is grouped by From and the predecessor
+// array by To, so each record only needs the *other* endpoint. Packing
+// that endpoint, the delay and the kind into a single uint64 halves the
+// bytes of a 16-byte dag.Arc.
 //
 // Record layout (low bit first):
 //
@@ -20,10 +19,10 @@ package dag
 //
 // Delays on real machine models are single-digit cycles, so the spill
 // table is almost always empty; it exists so the packed view never has
-// to lie about a pathological arc. Packing is skipped entirely — the
-// accessors report it absent and consumers fall back to the 16-byte
-// records — when the block has more than PackedMaxNodes instructions
-// or more oversize delays than the 16-bit spill index can address.
+// to lie about a pathological arc. A block with more than
+// PackedMaxNodes instructions, or with more oversize delays than the
+// 16-bit spill index can address, is not frozen at all: Freeze returns
+// nil and consumers read the Succs/Preds mirrors.
 type PackedArc uint64
 
 const (
@@ -36,7 +35,7 @@ const (
 	packedDelayMask = 1<<packedDelayBits - 1
 
 	// PackedMaxNodes is the largest node count the packed record's peer
-	// field can address; bigger blocks keep the 16-byte arc layout.
+	// field can address; bigger blocks are not frozen.
 	PackedMaxNodes = 1 << packedNodeBits
 
 	// packedMaxSpills bounds the spill table: the delay field doubles as
@@ -44,17 +43,23 @@ const (
 	packedMaxSpills = 1 << packedDelayBits
 )
 
-// packArc encodes one arc endpoint. spilled reports that the delay was
-// routed to the side table (the caller must have appended it at index
-// spillIdx).
+// pack encodes one arc for its owner's span: peer is the other
+// endpoint. An oversize delay is appended to the spill table; ok is
+// false once the table's 16-bit index is exhausted.
 //
 //sched:noalloc
-func packArc(peer int32, kind DepKind, delay int32, spillIdx int) (p PackedArc, spilled bool) {
+func (c *CSR) pack(peer int32, kind DepKind, delay int32) (p PackedArc, ok bool) {
 	p = PackedArc(uint64(peer) | uint64(kind)<<packedKindShift)
 	if uint32(delay) <= packedDelayMask {
-		return p | PackedArc(uint64(delay)<<packedNodeBits), false
+		return p | PackedArc(uint64(delay)<<packedNodeBits), true
 	}
-	return p | packedSpillBit | PackedArc(uint64(spillIdx)<<packedNodeBits), true
+	if len(c.spill) == packedMaxSpills {
+		return 0, false
+	}
+	p |= packedSpillBit | PackedArc(uint64(len(c.spill))<<packedNodeBits)
+	//sched:lint-ignore noalloc oversize-delay spills are a pathological fault path, never the steady state
+	c.spill = append(c.spill, delay)
+	return p, true
 }
 
 // Node returns the record's explicit endpoint: the child (To) for a
@@ -68,21 +73,14 @@ func (p PackedArc) Node() int32 { return int32(p & packedNodeMask) }
 //sched:noalloc
 func (p PackedArc) Kind() DepKind { return DepKind(p >> packedKindShift & 0b11) }
 
-// HasPacked reports whether the frozen CSR carries the packed 8-byte
-// arc arrays (it does unless the block exceeded the packed limits).
-//
-//sched:noalloc
-func (c *CSR) HasPacked() bool { return c.packed }
-
-// PackedSuccArcs returns the packed successor-arc array, grouped by
-// From exactly like SuccArcs; index with SuccSpan. Empty when
-// HasPacked is false.
+// PackedSuccArcs returns the packed successor-arc array (every arc,
+// grouped by From in ascending node order); index it with SuccSpan.
 //
 //sched:noalloc
 func (c *CSR) PackedSuccArcs() []PackedArc { return c.succPacked }
 
-// PackedPredArcs returns the packed predecessor-arc array, grouped by
-// To exactly like PredArcs. Empty when HasPacked is false.
+// PackedPredArcs returns the packed predecessor-arc array (every arc,
+// grouped by To in ascending node order); index it with PredSpan.
 //
 //sched:noalloc
 func (c *CSR) PackedPredArcs() []PackedArc { return c.predPacked }
@@ -106,47 +104,4 @@ func growPacked(s []PackedArc, n int) []PackedArc {
 		return make([]PackedArc, 0, n)
 	}
 	return s[:0]
-}
-
-// packFreeze fills the packed twins of the flat arc arrays. It runs at
-// the end of freeze, so the 16-byte arrays are final; a block past the
-// packed limits leaves the packed view absent rather than partial.
-//
-//sched:noalloc
-func (c *CSR) packFreeze(n int) {
-	c.packed = false
-	c.succPacked = c.succPacked[:0]
-	c.predPacked = c.predPacked[:0]
-	c.spill = c.spill[:0]
-	if n > PackedMaxNodes {
-		return
-	}
-	m := len(c.succArcs)
-	c.succPacked = growPacked(c.succPacked, m)
-	c.predPacked = growPacked(c.predPacked, m)
-	for _, arc := range c.succArcs {
-		p, spilled := packArc(arc.To, arc.Kind, arc.Delay, len(c.spill))
-		if spilled {
-			if len(c.spill) == packedMaxSpills {
-				return // spill index exhausted: keep the 16-byte layout
-			}
-			//sched:lint-ignore noalloc oversize-delay spills are a pathological fault path, never the steady state
-			c.spill = append(c.spill, arc.Delay)
-		}
-		//sched:lint-ignore noalloc growPacked reserved capacity for all arcs above
-		c.succPacked = append(c.succPacked, p)
-	}
-	for _, arc := range c.predArcs {
-		p, spilled := packArc(arc.From, arc.Kind, arc.Delay, len(c.spill))
-		if spilled {
-			if len(c.spill) == packedMaxSpills {
-				return
-			}
-			//sched:lint-ignore noalloc oversize-delay spills are a pathological fault path, never the steady state
-			c.spill = append(c.spill, arc.Delay)
-		}
-		//sched:lint-ignore noalloc growPacked reserved capacity for all arcs above
-		c.predPacked = append(c.predPacked, p)
-	}
-	c.packed = true
 }

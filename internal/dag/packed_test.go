@@ -7,9 +7,51 @@ import (
 	"daginsched/internal/resource"
 )
 
+// TestFreezeMatchesMirrors checks the Freeze lifecycle on DAGs from
+// every builder: no view before Freeze, one view however often Freeze
+// or FrozenCSR is called, and per-node spans as wide as the
+// Succs/Preds mirrors.
+func TestFreezeMatchesMirrors(t *testing.T) {
+	m := machine.Pipe1()
+	for _, bld := range AllBuilders() {
+		rt := resource.NewTable(resource.MemExprModel)
+		b := csrTestBlock(77, 60)
+		rt.PrepareBlock(b.Insts)
+		d := bld.Build(b, m, rt)
+		if d.FrozenCSR() != nil {
+			t.Fatalf("%s: DAG frozen before Freeze", bld.Name())
+		}
+		c := d.Freeze()
+		if c == nil {
+			t.Fatalf("%s: no packed view for an ordinary block", bld.Name())
+		}
+		if c2 := d.Freeze(); c2 != c || d.FrozenCSR() != c {
+			t.Fatalf("%s: repeat Freeze/FrozenCSR returned a different view", bld.Name())
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: Validate after Freeze: %v", bld.Name(), err)
+		}
+		if len(c.PackedSuccArcs()) != d.NumArcs || len(c.PackedPredArcs()) != d.NumArcs {
+			t.Fatalf("%s: packed arrays hold %d/%d arcs, want %d",
+				bld.Name(), len(c.PackedSuccArcs()), len(c.PackedPredArcs()), d.NumArcs)
+		}
+		for i := int32(0); int(i) < d.Len(); i++ {
+			succs, preds := d.Nodes[i].Succs, d.Nodes[i].Preds
+			lo, hi := c.SuccSpan(i)
+			if int(hi-lo) != len(succs) || int(c.NumSuccs(i)) != len(succs) {
+				t.Fatalf("%s: node %d succ span [%d,%d), mirror has %d", bld.Name(), i, lo, hi, len(succs))
+			}
+			lo, hi = c.PredSpan(i)
+			if int(hi-lo) != len(preds) || int(c.NumPreds(i)) != len(preds) {
+				t.Fatalf("%s: node %d pred span [%d,%d), mirror has %d", bld.Name(), i, lo, hi, len(preds))
+			}
+		}
+	}
+}
+
 // TestPackedRoundTrip freezes DAGs from every builder and checks the
-// packed 8-byte records decode to exactly the 16-byte arcs, both via
-// Validate's cross-check and by walking the spans by hand.
+// packed records decode to exactly the Succs/Preds mirrors' arcs, both
+// through Validate's cross-check and by walking the spans by hand.
 func TestPackedRoundTrip(t *testing.T) {
 	m := machine.Pipe1()
 	for _, bld := range AllBuilders() {
@@ -18,28 +60,29 @@ func TestPackedRoundTrip(t *testing.T) {
 		rt.PrepareBlock(b.Insts)
 		d := bld.Build(b, m, rt)
 		c := d.Freeze()
-		if !c.HasPacked() {
-			t.Fatalf("%s: packed view absent for an ordinary block", bld.Name())
+		if c == nil {
+			t.Fatalf("%s: no packed view for an ordinary block", bld.Name())
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: Validate: %v", bld.Name(), err)
 		}
-		sp := c.PackedSuccArcs()
-		pp := c.PackedPredArcs()
 		for i := int32(0); int(i) < d.Len(); i++ {
-			lo, hi := c.SuccSpan(i)
-			for k, arc := range c.Succs(i) {
-				p := sp[lo+int32(k)]
+			lo, _ := c.SuccSpan(i)
+			succs := d.Nodes[i].Succs
+			for k, arc := range succs {
+				p := c.PackedSuccArcs()[lo+int32(k)]
 				if p.Node() != arc.To || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
 					t.Fatalf("%s: node %d packed succ %d = (%d,%v,%d), want (%d,%v,%d)",
 						bld.Name(), i, k, p.Node(), p.Kind(), c.Delay(p), arc.To, arc.Kind, arc.Delay)
 				}
 			}
-			_ = hi
-			for k, arc := range c.Preds(i) {
-				p := pp[c.predOff[i]+int32(k)]
+			lo, _ = c.PredSpan(i)
+			preds := d.Nodes[i].Preds
+			for k, arc := range preds {
+				p := c.PackedPredArcs()[lo+int32(k)]
 				if p.Node() != arc.From || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
-					t.Fatalf("%s: node %d packed pred %d diverges", bld.Name(), i, k)
+					t.Fatalf("%s: node %d packed pred %d = (%d,%v,%d), want (%d,%v,%d)",
+						bld.Name(), i, k, p.Node(), p.Kind(), c.Delay(p), arc.From, arc.Kind, arc.Delay)
 				}
 			}
 		}
@@ -64,7 +107,7 @@ func TestPackedOverflowSpill(t *testing.T) {
 	delays := []int32{1, 70000, 3, 1 << 20, 65535, 65536}
 	d := packedTestDAG(t, delays)
 	c := d.Freeze()
-	if !c.HasPacked() {
+	if c == nil {
 		t.Fatal("packed view absent")
 	}
 	if err := d.Validate(); err != nil {
@@ -75,24 +118,57 @@ func TestPackedOverflowSpill(t *testing.T) {
 		t.Fatalf("spill table holds %d entries, want 6", len(c.spill))
 	}
 	spilled := 0
-	for k, arc := range c.SuccArcs() {
-		p := c.PackedSuccArcs()[k]
-		if c.Delay(p) != arc.Delay {
-			t.Fatalf("succ %d: packed delay %d, want %d", k, c.Delay(p), arc.Delay)
+	for i, delay := range delays {
+		lo, _ := c.SuccSpan(int32(i))
+		p := c.PackedSuccArcs()[lo]
+		if c.Delay(p) != delay || p.Node() != int32(i+1) {
+			t.Fatalf("succ of %d: packed (%d,%d), want (%d,%d)", i, p.Node(), c.Delay(p), i+1, delay)
 		}
 		if p&packedSpillBit != 0 {
 			spilled++
+		}
+		lo, _ = c.PredSpan(int32(i + 1))
+		p = c.PackedPredArcs()[lo]
+		if c.Delay(p) != delay || p.Node() != int32(i) {
+			t.Fatalf("pred of %d: packed (%d,%d), want (%d,%d)", i+1, p.Node(), c.Delay(p), i, delay)
 		}
 	}
 	if spilled != 3 {
 		t.Fatalf("%d succ records spilled, want 3", spilled)
 	}
-	for k, arc := range c.PredArcs() {
-		p := c.PackedPredArcs()[k]
-		if c.Delay(p) != arc.Delay || p.Node() != arc.From {
-			t.Fatalf("pred %d: packed (%d,%d), want (%d,%d)",
-				k, p.Node(), c.Delay(p), arc.From, arc.Delay)
+}
+
+// TestPackedSpillExhausted gives a DAG more oversize delays than the
+// 16-bit spill index can address across its two directions (each
+// direction alone fits): Freeze must leave it unfrozen, Validate must
+// still pass on the mirrors, and a repeat Freeze must not retry the
+// pack.
+func TestPackedSpillExhausted(t *testing.T) {
+	n := 0
+	for n*(n-1)/2 <= packedMaxSpills/2 {
+		n++
+	}
+	d := newDAG(csrTestBlock(3, n), "spill-exhaust")
+	for a := int32(0); int(a) < n; a++ {
+		for b := a + 1; int(b) < n; b++ {
+			d.addArc(a, b, RAW, packedDelayMask+1+a)
 		}
+	}
+	if d.NumArcs > packedMaxSpills || 2*d.NumArcs <= packedMaxSpills {
+		t.Fatalf("%d oversize arcs do not exhaust the spill index only across both directions", d.NumArcs)
+	}
+	if c := d.Freeze(); c != nil {
+		t.Fatal("Freeze packed a block whose spill index runs out")
+	}
+	if d.FrozenCSR() != nil {
+		t.Fatal("FrozenCSR reports a view for an unpackable block")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	d.csr.spill = d.csr.spill[:0]
+	if d.Freeze() != nil || len(d.csr.spill) != 0 {
+		t.Fatal("repeat Freeze retried the pack")
 	}
 }
 
@@ -115,7 +191,7 @@ func TestPackedRefreezeRecyclesStorage(t *testing.T) {
 }
 
 // BenchmarkPackedDecode measures the packed successor walk (the
-// scheduler's hottest loop shape) against the 16-byte layout.
+// scheduler's hottest loop shape).
 func BenchmarkPackedDecode(b *testing.B) {
 	m := machine.Pipe1()
 	rt := resource.NewTable(resource.MemExprModel)
@@ -123,24 +199,12 @@ func BenchmarkPackedDecode(b *testing.B) {
 	rt.PrepareBlock(blk.Insts)
 	d := TableBackward{}.Build(blk, m, rt)
 	c := d.Freeze()
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, p := range c.PackedSuccArcs() {
-				sink += int64(p.Node()) + int64(c.Delay(p))
-			}
+	b.ReportAllocs()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		for _, p := range c.PackedSuccArcs() {
+			sink += int64(p.Node()) + int64(c.Delay(p))
 		}
-		_ = sink
-	})
-	b.Run("arc16", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			for _, a := range c.SuccArcs() {
-				sink += int64(a.To) + int64(a.Delay)
-			}
-		}
-		_ = sink
-	})
+	}
+	_ = sink
 }

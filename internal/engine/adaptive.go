@@ -18,8 +18,9 @@
 // cutting claim contention on corpora dominated by tiny blocks. Run
 // orders its batch largest first (prefill), so a worker never strands
 // a huge block at the tail of a run, and claims it through two atomic
-// cursors (batchSource); RunStream's claimers chunk src as it arrives
-// (stream.go).
+// cursors (batchSource); RunSource's claimers chunk src as they pull
+// it, and RunStream, its channel adapter, chunks the channel the same
+// way (stream.go).
 package engine
 
 import (

@@ -6,8 +6,12 @@ import (
 
 	"daginsched/internal/block"
 	"daginsched/internal/machine"
+	"daginsched/internal/pipe"
+	"daginsched/internal/resource"
+	"daginsched/internal/sched"
 	"daginsched/internal/tables"
 	"daginsched/internal/testgen"
+	verifier "daginsched/internal/verify"
 )
 
 // adaptiveCorpus is the mixed corpus the identity and bin tests run
@@ -37,7 +41,11 @@ func adaptiveCorpus(t testing.TB) []*block.Block {
 // with the n² pipeline enabled — at the default crossover and at the
 // forced maximum — every block's cycle count, arc count and
 // scheduled order must be byte-identical to the table-only pipeline's
-// (Crossover -1: no block is routed to the n² builder).
+// (Crossover -1: no block is routed to the n² builder). The
+// table-only reference is itself checked against two oracles that
+// share no code with the engine's pipeline: the scoreboard simulator
+// must time each order to the engine's cycle count, and verify must
+// find the order legal against an independently built DAG.
 func TestAdaptiveMatchesFixed(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := adaptiveCorpus(t)
@@ -48,6 +56,17 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 	want, err := fixed.Run(blocks)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		rt := resource.NewTable(resource.MemExprModel)
+		rt.PrepareBlock(b.Insts)
+		if sim := pipe.Simulate(b.Insts, want.Orders[i], m, rt).Cycles; sim != want.Cycles[i] {
+			t.Fatalf("block %d (%d insts): simulator completes in %d cycles, engine says %d",
+				i, b.Len(), sim, want.Cycles[i])
+		}
+		if err := verifier.Schedule(b, m, &sched.Result{Order: want.Orders[i]}, resource.MemExprModel, 0); err != nil {
+			t.Fatalf("block %d (%d insts): %v", i, b.Len(), err)
+		}
 	}
 	for _, cross := range []int{0, 64} { // 0 = use the default crossover
 		ad, err := New(Config{Workers: 8, Model: m, KeepOrders: true, Crossover: cross})

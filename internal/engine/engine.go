@@ -13,7 +13,7 @@
 // Forward table building and the Table 3 DAG statistics are reproduced
 // by internal/tables, which calls the dag builders directly.
 //
-// Every Run/RunStream call checks workers out of a free list — one,
+// Every Run/RunSource call checks workers out of a free list — one,
 // waited for, plus whatever others are free — and returns them on
 // exit, so concurrent callers each get a bounded share of the pool and
 // a lone caller gets all of it.
@@ -21,11 +21,12 @@
 // Both entry points share one per-block function (worker.run) and one
 // claim loop, which asks a work source for its next run of blocks (see
 // stream.go): Run's workers claim from the batch, largest block first,
-// by atomic cursors; RunStream's receive from the source channel
-// themselves, under a claim lock. Each result lands in its block's
-// slot (Run) or its sequence number's ring slot (RunStream), so the
-// output is byte-identical to a serial run of the same pipeline
-// regardless of worker count or interleaving.
+// by atomic cursors; RunSource's pull blocks from its BlockSource
+// themselves, under a claim lock (RunStream is RunSource's adapter
+// for a channel of blocks). Each result lands in its block's slot
+// (Run) or its sequence number's ring slot (RunSource), so the output
+// is byte-identical to a serial run of the same pipeline regardless of
+// worker count or interleaving.
 package engine
 
 import (
@@ -267,9 +268,9 @@ func newWorker(m *machine.Model) *worker {
 }
 
 // schedule runs the full per-block pipeline in worker scratch: plain
-// backward table building (the fused reverse walk over the frozen flat
-// arc array computes every heuristic the selector reads, so no
-// construction observer is needed). The returned Result and DAG are
+// backward table building (the fused reverse walk over the frozen
+// packed arc records computes every heuristic the selector reads, so
+// no construction observer is needed). The returned Result and DAG are
 // worker-owned and valid only until the worker's next block.
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
@@ -279,9 +280,11 @@ func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag
 }
 
 // finish runs the post-construction half of the table pipeline on a
-// table-built DAG: freeze it into its flat CSR view, compute every
+// table-built DAG: freeze it into its packed CSR view, compute every
 // heuristic (and pack the selector's priority words) in one fused
-// sweep over the flat arcs, then list-schedule over the same arrays.
+// sweep over the packed successor records, then list-schedule over the
+// same arrays. A block past the packed limits stays unfrozen and runs
+// the same steps over its mirrors.
 func (w *worker) finish(d *dag.DAG, m *machine.Model) (*sched.Result, *dag.DAG) {
 	d.Freeze()
 	w.a.D = d

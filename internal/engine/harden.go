@@ -166,23 +166,29 @@ func (w *worker) structuralGate(order, issue []int32, n int) bool {
 // arcGate is the latency half of the output gate: every arc must
 // satisfy issue[To] >= issue[From] + Delay (the invariant the
 // scheduler's EET propagation maintains). Both the successor and the
-// predecessor arc arrays are walked — the scheduler derives timing
-// from successor arcs alone, so a predecessor mirror that disagrees
-// with its successor twin can never hide from this check. On a frozen
-// DAG the walk streams the two flat CSR arrays; otherwise it chases
-// the per-node mirrors.
+// predecessor arcs are walked — the scheduler derives timing from
+// successor arcs alone, so a predecessor mirror that disagrees with
+// its successor twin can never hide from this check. On a frozen DAG
+// the walk streams the packed successor and predecessor spans (freeze
+// packed both from the mirrors, disagreement included); otherwise it
+// chases the per-node mirrors.
 //
 //sched:noalloc
 func arcGate(d *dag.DAG, issue []int32) bool {
-	if csr := d.FrozenCSR(); csr != nil {
-		for _, a := range csr.SuccArcs() {
-			if issue[a.To] < issue[a.From]+a.Delay {
-				return false
+	if c := d.FrozenCSR(); c != nil {
+		succs, preds := c.PackedSuccArcs(), c.PackedPredArcs()
+		for i := int32(0); int(i) < len(d.Nodes); i++ {
+			lo, hi := c.SuccSpan(i)
+			for _, p := range succs[lo:hi] { // i -> p.Node()
+				if issue[p.Node()] < issue[i]+c.Delay(p) {
+					return false
+				}
 			}
-		}
-		for _, a := range csr.PredArcs() {
-			if issue[a.To] < issue[a.From]+a.Delay {
-				return false
+			lo, hi = c.PredSpan(i)
+			for _, p := range preds[lo:hi] { // p.Node() -> i
+				if issue[i] < issue[p.Node()]+c.Delay(p) {
+					return false
+				}
 			}
 		}
 		return true

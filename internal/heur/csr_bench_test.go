@@ -16,10 +16,10 @@ import (
 //
 //	/observer fuses the heuristics into construction (PR 1's pipeline):
 //	          values propagate through the observer as arcs are added.
-//	/csr      builds plain, freezes the DAG into its flat CSR view, then
-//	          computes the same values in one reverse walk over the flat
-//	          succ arc array (the paper's "single cheap walk", now over
-//	          contiguous memory).
+//	/csr      builds plain, freezes the DAG into its packed CSR view,
+//	          then computes the same values in one reverse walk over the
+//	          packed successor records (the paper's "single cheap walk",
+//	          now over contiguous memory).
 //
 // Both are 0 allocs/op in steady state; the CSR walk wins on locality.
 func BenchmarkFusedBackward(b *testing.B) {
@@ -75,7 +75,7 @@ func BenchmarkFusedBackward(b *testing.B) {
 // BenchmarkFusedBackwardCSR is the satellite's named entry point: the
 // frozen-walk fused pass alone (build and freeze outside the timer),
 // isolating the cost of computing every backward/local heuristic from
-// the flat arc array.
+// the packed successor records.
 func BenchmarkFusedBackwardCSR(b *testing.B) {
 	m := machine.Pipe1()
 	blk := &block.Block{Name: "bench", Insts: testgen.Block(777, 200)}

@@ -24,9 +24,8 @@ func int32sEqual(a, b []int32) bool {
 
 // TestComputeFusedCSRMatchesObserver checks the CSR single-walk fused
 // pass against the construction-fused observer: every annotation both
-// fill must be identical, and the frozen flat paths of ComputeLocal /
-// ComputeForward / ComputeBackward must match their slice-walking
-// equivalents value-for-value.
+// fill must be identical, and every ComputeAll pass must give the same
+// values on the frozen DAG as on an unfrozen twin.
 func TestComputeFusedCSRMatchesObserver(t *testing.T) {
 	m := machine.Pipe1()
 	for _, n := range []int{0, 1, 13, 90, 250} {

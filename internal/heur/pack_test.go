@@ -198,13 +198,13 @@ func TestPackInvalidatedByRecompute(t *testing.T) {
 	}
 }
 
-// TestFusedCSRPackedArcsMatch runs the fused sweep over the packed and
-// the 16-byte arc layouts and checks every output annotation matches.
+// TestFusedCSRPackedArcsMatch runs the fused sweep over the packed arc
+// records and checks every output annotation matches the unfused
+// passes' walk over the mirrors.
 func TestFusedCSRPackedArcsMatch(t *testing.T) {
 	a := packTestAnnot(t, 19, 150) // packed layout (block well under limits)
 	b := packTestAnnot(t, 19, 150)
-	// Rerun b's sweep with the packed view suppressed by rebuilding the
-	// reference annotations through the unfused passes.
+	// Rebuild b's annotations through the unfused mirror passes.
 	b.ComputeBackward()
 	b.ComputeLocal()
 	for i := 0; i < a.D.Len(); i++ {

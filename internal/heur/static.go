@@ -76,10 +76,7 @@ func (a *Annot) ComputeAll() *Annot {
 
 // ComputeLocal fills the add-arc ("a") heuristics. In the paper these
 // are maintained by add_arc during construction; recomputing them from
-// the final arc lists is equivalent and keeps the builders lean. On a
-// frozen DAG both directions are single forward walks over the flat
-// CSR arc arrays (grouped by From and To respectively), so no per-node
-// slice header is touched.
+// the final arc lists is equivalent and keeps the builders lean.
 func (a *Annot) ComputeLocal() {
 	n := a.D.Len()
 	a.PrioExact = false // SumDelayChild is a packed-priority input
@@ -90,30 +87,8 @@ func (a *Annot) ComputeLocal() {
 	a.SumDelayParent = buf.Int32(a.SumDelayParent, n)
 	a.MaxDelayParent = buf.Int32(a.MaxDelayParent, n)
 	for i := 0; i < n; i++ {
-		a.ExecTime[i] = int32(a.M.Latency(a.D.Nodes[i].Inst.Op))
-	}
-	if c := a.D.FrozenCSR(); c != nil {
-		for _, arc := range c.SuccArcs() {
-			i := arc.From
-			a.SumDelayChild[i] += arc.Delay
-			if arc.Delay > a.MaxDelayChild[i] {
-				a.MaxDelayChild[i] = arc.Delay
-			}
-			if arc.Delay > 1 {
-				a.InterlockChild[i] = true
-			}
-		}
-		for _, arc := range c.PredArcs() {
-			i := arc.To
-			a.SumDelayParent[i] += arc.Delay
-			if arc.Delay > a.MaxDelayParent[i] {
-				a.MaxDelayParent[i] = arc.Delay
-			}
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
 		node := &a.D.Nodes[i]
+		a.ExecTime[i] = int32(a.M.Latency(node.Inst.Op))
 		for _, arc := range node.Succs {
 			a.SumDelayChild[i] += arc.Delay
 			if arc.Delay > a.MaxDelayChild[i] {
@@ -140,25 +115,6 @@ func (a *Annot) ComputeForward() {
 	a.EST = buf.Int32(a.EST, n)
 	a.MaxPathFromRoot = buf.Int32(a.MaxPathFromRoot, n)
 	a.MaxDelayFromRoot = buf.Int32(a.MaxDelayFromRoot, n)
-	if c := a.D.FrozenCSR(); c != nil {
-		// The flat predecessor array is grouped by To in ascending node
-		// order, so one forward sweep over it visits every node's
-		// parents after those parents are final — the same topological
-		// guarantee the per-node walk relies on.
-		for _, arc := range c.PredArcs() {
-			i, p := arc.To, arc.From
-			if est := a.EST[p] + arc.Delay; est > a.EST[i] {
-				a.EST[i] = est
-			}
-			if l := a.MaxPathFromRoot[p] + 1; l > a.MaxPathFromRoot[i] {
-				a.MaxPathFromRoot[i] = l
-			}
-			if d := a.MaxDelayFromRoot[p] + arc.Delay; d > a.MaxDelayFromRoot[i] {
-				a.MaxDelayFromRoot[i] = d
-			}
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
 		node := &a.D.Nodes[i]
 		for _, arc := range node.Preds {
@@ -188,24 +144,6 @@ func (a *Annot) ComputeBackward() {
 	a.PrioExact = false // the to-leaf passes are packed-priority inputs
 	a.MaxPathToLeaf = buf.Int32(a.MaxPathToLeaf, n)
 	a.MaxDelayToLeaf = buf.Int32(a.MaxDelayToLeaf, n)
-	if c := a.D.FrozenCSR(); c != nil {
-		// One reverse walk over the flat successor-arc array: arcs are
-		// grouped by From in ascending order, so walking the array
-		// backward visits each node's arcs after all of its children
-		// are final — no per-node slice header is ever loaded.
-		arcs := c.SuccArcs()
-		for k := len(arcs) - 1; k >= 0; k-- {
-			arc := &arcs[k]
-			i := arc.From
-			if l := a.MaxPathToLeaf[arc.To] + 1; l > a.MaxPathToLeaf[i] {
-				a.MaxPathToLeaf[i] = l
-			}
-			if d := a.MaxDelayToLeaf[arc.To] + arc.Delay; d > a.MaxDelayToLeaf[i] {
-				a.MaxDelayToLeaf[i] = d
-			}
-		}
-		return
-	}
 	for i := n - 1; i >= 0; i-- {
 		a.backwardNode(int32(i))
 	}
@@ -216,25 +154,30 @@ func (a *Annot) ComputeBackward() {
 // view — the Annot-level counterpart of the construction-fused
 // FusedBackward observer. It freezes the DAG if the builder did not.
 // The engine's CSR pipeline uses it as the whole heuristic step: the
-// paper's "single cheap walk" (Section 4), here over two flat arrays
-// (nodes, arcs) with no per-node slice headers in the loop.
+// paper's "single cheap walk" (Section 4), here over the packed 8-byte
+// successor records with no per-node slice headers in the loop. Node
+// spans are walked in descending order, so a node's span is entered
+// only after every child's is done; every accumulation is
+// order-independent.
 //
 // It fills exactly the annotations FusedBackward with ComputeLocals
 // fills (MaxPathToLeaf, MaxDelayToLeaf, ExecTime, InterlockChild,
 // SumDelayChild, MaxDelayChild), with identical values, and finishes
 // by packing the Section 6 priority words (PackSection6Prio) while the
-// freshly computed inputs are still cache-hot.
-//
-// When the frozen CSR carries the packed 8-byte arc records the sweep
-// streams those instead of the 16-byte arcs — half the memory traffic
-// on the repo's single hottest loop. The per-node span walk visits the
-// same arcs with the same finality guarantee (a node's span is only
-// entered after every span below it is done), and every accumulation
-// is order-independent, so the values are identical.
+// freshly computed inputs are still cache-hot. A block past the packed
+// limits has no CSR view; it gets the same values from the mirror
+// walks (ComputeBackward and ComputeLocal), as the n²-direct pipeline
+// does.
 //
 //sched:noalloc
 func (a *Annot) ComputeFusedCSR() {
 	c := a.D.Freeze()
+	if c == nil {
+		a.ComputeBackward()
+		a.ComputeLocal()
+		a.PackSection6Prio()
+		return
+	}
 	n := a.D.Len()
 	a.MaxPathToLeaf = buf.Int32(a.MaxPathToLeaf, n)
 	a.MaxDelayToLeaf = buf.Int32(a.MaxDelayToLeaf, n)
@@ -245,46 +188,24 @@ func (a *Annot) ComputeFusedCSR() {
 	for i := 0; i < n; i++ {
 		a.ExecTime[i] = int32(a.M.Latency(a.D.Nodes[i].Inst.Op))
 	}
-	if c.HasPacked() {
-		packed := c.PackedSuccArcs()
-		for i := int32(n) - 1; i >= 0; i-- {
-			lo, hi := c.SuccSpan(i)
-			for _, p := range packed[lo:hi] {
-				to, delay := p.Node(), c.Delay(p)
-				if l := a.MaxPathToLeaf[to] + 1; l > a.MaxPathToLeaf[i] {
-					a.MaxPathToLeaf[i] = l
-				}
-				if d := a.MaxDelayToLeaf[to] + delay; d > a.MaxDelayToLeaf[i] {
-					a.MaxDelayToLeaf[i] = d
-				}
-				a.SumDelayChild[i] += delay
-				if delay > a.MaxDelayChild[i] {
-					a.MaxDelayChild[i] = delay
-				}
-				if delay > 1 {
-					a.InterlockChild[i] = true
-				}
+	packed := c.PackedSuccArcs()
+	for i := int32(n) - 1; i >= 0; i-- {
+		lo, hi := c.SuccSpan(i)
+		for _, p := range packed[lo:hi] {
+			to, delay := p.Node(), c.Delay(p)
+			if l := a.MaxPathToLeaf[to] + 1; l > a.MaxPathToLeaf[i] {
+				a.MaxPathToLeaf[i] = l
 			}
-		}
-		a.PackSection6Prio()
-		return
-	}
-	arcs := c.SuccArcs()
-	for k := len(arcs) - 1; k >= 0; k-- {
-		arc := &arcs[k]
-		i := arc.From
-		if l := a.MaxPathToLeaf[arc.To] + 1; l > a.MaxPathToLeaf[i] {
-			a.MaxPathToLeaf[i] = l
-		}
-		if d := a.MaxDelayToLeaf[arc.To] + arc.Delay; d > a.MaxDelayToLeaf[i] {
-			a.MaxDelayToLeaf[i] = d
-		}
-		a.SumDelayChild[i] += arc.Delay
-		if arc.Delay > a.MaxDelayChild[i] {
-			a.MaxDelayChild[i] = arc.Delay
-		}
-		if arc.Delay > 1 {
-			a.InterlockChild[i] = true
+			if d := a.MaxDelayToLeaf[to] + delay; d > a.MaxDelayToLeaf[i] {
+				a.MaxDelayToLeaf[i] = d
+			}
+			a.SumDelayChild[i] += delay
+			if delay > a.MaxDelayChild[i] {
+				a.MaxDelayChild[i] = delay
+			}
+			if delay > 1 {
+				a.InterlockChild[i] = true
+			}
 		}
 	}
 	a.PackSection6Prio()

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"daginsched/internal/block"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestCSRSchedulesMatchSliceWalks freezes the DAG and re-runs every
-// Table 2 algorithm: a scheduler reading the flat CSR arc arrays must
+// Table 2 algorithm: a scheduler reading the packed CSR arc records must
 // reproduce the slice-walking schedule exactly — same order, same issue
 // cycles, same completion time.
 func TestCSRSchedulesMatchSliceWalks(t *testing.T) {
@@ -76,7 +77,7 @@ func readyListDAG(tb testing.TB, m *machine.Model, freeze bool) (*dag.DAG, *heur
 // is the successor walk that decrements unscheduled-parent counts and
 // admits newly ready nodes. BenchmarkForwardReadyList/slice chases the
 // per-node Succs/Preds slices; /csr runs the same loop over the frozen
-// flat arc arrays. Both recycle one Scratch, so steady state is 0
+// packed successor records. Both recycle one Scratch, so steady state is 0
 // allocs/op either way — the CSR variant wins on locality alone.
 func BenchmarkForwardReadyList(b *testing.B) {
 	m := machine.Pipe1()
@@ -101,5 +102,100 @@ func BenchmarkForwardReadyList(b *testing.B) {
 				b.ReportMetric(float64(b.N)*float64(d.NumArcs)/secs, "arcs/sec")
 			}
 		})
+	}
+}
+
+// spillExhaustDAG hand-builds a complete DAG over a generated block
+// with every arc delay past the packed record's 16-bit field: 257 nodes
+// give 32,896 oversize arcs, whose two directions need 65,792 spill
+// slots — more than the 16-bit spill index addresses, though either
+// direction alone would fit. It returns the arcs too, for an oracle
+// that reads no DAG code.
+func spillExhaustDAG() (*dag.DAG, []dag.Arc) {
+	const n = 257
+	b := &block.Block{Name: "spill", Insts: testgen.Block(31, n)}
+	d := &dag.DAG{Block: b, Builder: "hand", Nodes: make([]dag.Node, n)}
+	var arcs []dag.Arc
+	for i := range b.Insts {
+		b.Insts[i].Index = i
+		d.Nodes[i].Inst = &b.Insts[i]
+	}
+	for from := int32(0); from < n; from++ {
+		for to := from + 1; to < n; to++ {
+			arc := dag.Arc{From: from, To: to, Kind: dag.RAW, Delay: 1<<16 + from%7}
+			d.Nodes[from].Succs = append(d.Nodes[from].Succs, arc)
+			d.Nodes[to].Preds = append(d.Nodes[to].Preds, arc)
+			arcs = append(arcs, arc)
+		}
+	}
+	d.NumArcs = len(arcs)
+	return d, arcs
+}
+
+// TestPackedSpillExhaustedFallsBack runs the engine's frozen pipeline
+// (Freeze, ComputeFusedCSR, Scratch.Forward) on a block whose spill
+// index runs out. Freeze must leave it unfrozen, and the pipeline must
+// reproduce, on the mirrors, an unfrozen reference's annotations and
+// schedule; the to-leaf and child-delay values are also checked
+// against a longest-path pass over the raw arc list.
+func TestPackedSpillExhaustedFallsBack(t *testing.T) {
+	m := machine.Pipe1()
+	d, arcs := spillExhaustDAG()
+	if d.Freeze() != nil || d.FrozenCSR() != nil {
+		t.Fatal("Freeze packed a block whose spill index runs out")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	a := heur.New(d, m)
+	a.ComputeFusedCSR()
+	var sc Scratch
+	sel := NewPooledWinnow(Section6Ranked())
+	got := sc.Forward(d, m, a, sel)
+
+	plain, _ := spillExhaustDAG()
+	ref := heur.New(plain, m)
+	ref.ComputeBackward()
+	ref.ComputeLocal()
+	ref.PackSection6Prio()
+	var refSc Scratch
+	want := refSc.Forward(plain, m, ref, NewPooledWinnow(Section6Ranked()))
+	if plain.FrozenCSR() != nil {
+		t.Fatal("reference DAG was frozen")
+	}
+	sameSchedule(t, "spill-exhausted", got, want)
+
+	for _, pair := range [][2][]int32{
+		{a.MaxPathToLeaf, ref.MaxPathToLeaf},
+		{a.MaxDelayToLeaf, ref.MaxDelayToLeaf},
+		{a.ExecTime, ref.ExecTime},
+		{a.SumDelayChild, ref.SumDelayChild},
+		{a.MaxDelayChild, ref.MaxDelayChild},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatal("fallback annotations diverge from the unfrozen reference")
+		}
+	}
+	if !slices.Equal(a.InterlockChild, ref.InterlockChild) || a.PrioExact != ref.PrioExact ||
+		(a.PrioExact && !slices.Equal(a.PackedPrio, ref.PackedPrio)) {
+		t.Fatal("fallback interlock flags or priority words diverge from the unfrozen reference")
+	}
+
+	n := d.Len()
+	pathToLeaf, delayToLeaf := make([]int32, n), make([]int32, n)
+	sumChild, maxChild := make([]int32, n), make([]int32, n)
+	for k := len(arcs) - 1; k >= 0; k-- { // grouped by ascending From
+		arc := arcs[k]
+		pathToLeaf[arc.From] = max(pathToLeaf[arc.From], pathToLeaf[arc.To]+1)
+		delayToLeaf[arc.From] = max(delayToLeaf[arc.From], delayToLeaf[arc.To]+arc.Delay)
+		sumChild[arc.From] += arc.Delay
+		maxChild[arc.From] = max(maxChild[arc.From], arc.Delay)
+	}
+	if !slices.Equal(a.MaxPathToLeaf, pathToLeaf) || !slices.Equal(a.MaxDelayToLeaf, delayToLeaf) ||
+		!slices.Equal(a.SumDelayChild, sumChild) || !slices.Equal(a.MaxDelayChild, maxChild) {
+		t.Fatal("fallback annotations disagree with the arc-list oracle")
+	}
+	if got.Cycles < delayToLeaf[0] {
+		t.Fatalf("schedule completes in %d cycles, under the %d-cycle critical path", got.Cycles, delayToLeaf[0])
 	}
 }

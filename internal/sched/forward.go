@@ -80,7 +80,6 @@ func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap,
 	}
 	h.heapify()
 	c := s.csr
-	packed := c != nil && c.HasPacked()
 	for scheduled := int32(0); scheduled < n; scheduled++ {
 		if h.len() == 0 {
 			// Only pinned-tail nodes remain; release them.
@@ -92,7 +91,7 @@ func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap,
 		}
 		pick := h.pickMax()
 		s.place(pick)
-		if packed {
+		if c != nil {
 			lo, hi := c.SuccSpan(pick)
 			pa := c.PackedSuccArcs()
 			for _, p := range pa[lo:hi] {
@@ -287,10 +286,10 @@ func (s *State) place(pick int32) {
 	// Update children: unscheduled-parent counters and earliest
 	// execution times. On a frozen DAG this is the scheduler's hottest
 	// arc walk and runs over the packed 8-byte successor records —
-	// half the memory traffic of the 16-byte arcs. A raised EET makes a
+	// half the bytes of the mirrors' 16-byte arcs. A raised EET makes a
 	// child's cached EffectiveEET stale, so its stamp is zeroed (the
 	// dirty set is exactly the placed node's successor span).
-	if c := s.csr; c != nil && c.HasPacked() {
+	if c := s.csr; c != nil {
 		lo, hi := c.SuccSpan(pick)
 		pa := c.PackedSuccArcs()
 		for _, p := range pa[lo:hi] {

@@ -56,11 +56,11 @@ type State struct {
 	M *machine.Model
 	A *heur.Annot
 
-	// csr is the DAG's frozen flat-adjacency view when available (nil
-	// otherwise). Every arc walk in the scheduling loop — the
-	// ready-list decrement in place, the dynamic child/parent
-	// heuristics — goes through succs/preds so a frozen DAG is
-	// scheduled entirely over the two flat arc arrays.
+	// csr is the DAG's frozen CSR view when available (nil otherwise).
+	// The hot successor walks — place's ready-list decrement and the
+	// packed heap's admissions — stream its packed records; the other
+	// arc walks (the dynamic child/parent heuristics, the winnowing
+	// loop, backward scheduling) read the mirrors through succs/preds.
 	csr *dag.CSR
 
 	time           int32   // current issue cycle
@@ -147,23 +147,11 @@ func (s *State) reset(d *dag.DAG, m *machine.Model, a *heur.Annot) {
 	}
 }
 
-// succs returns node i's successor arcs, from the flat CSR view when
-// the DAG is frozen (identical order either way).
-func (s *State) succs(i int32) []dag.Arc {
-	if s.csr != nil {
-		return s.csr.Succs(i)
-	}
-	return s.D.Nodes[i].Succs
-}
+// succs returns node i's successor arcs.
+func (s *State) succs(i int32) []dag.Arc { return s.D.Nodes[i].Succs }
 
-// preds returns node i's predecessor arcs, from the flat CSR view when
-// the DAG is frozen (identical order either way).
-func (s *State) preds(i int32) []dag.Arc {
-	if s.csr != nil {
-		return s.csr.Preds(i)
-	}
-	return s.D.Nodes[i].Preds
-}
+// preds returns node i's predecessor arcs.
+func (s *State) preds(i int32) []dag.Arc { return s.D.Nodes[i].Preds }
 
 // Time returns the current issue cycle.
 func (s *State) Time() int32 { return s.time }
