@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"daginsched/internal/block"
 	"daginsched/internal/engine"
 	"daginsched/internal/machine"
 )
@@ -71,53 +70,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				b.ReportMetric(float64(res.Stats.Arcs)*float64(b.N)/secs, "arcs/sec")
 				b.ReportMetric(float64(res.Stats.Insts)*float64(b.N)/secs, "insts/sec")
 			}
-		})
-	}
-}
-
-// BenchmarkEngineAdaptive races adaptive dispatch against the fixed
-// pipeline on a mixed corpus (every non-windowed benchmark pooled, so
-// tiny spice-like blocks sit alongside large scientific ones) with an
-// 8-worker pool. The adaptive rows route mask-capable small blocks to
-// the n²-direct pipeline; the fixed row (Crossover -1) table-builds
-// every block. All rows share one claim loop, big blocks first and
-// the small tail in chunks. Schedules are byte-identical across rows
-// (TestAdaptiveMatchesFixed).
-func BenchmarkEngineAdaptive(b *testing.B) {
-	var blocks []*block.Block
-	for _, name := range []string{"grep", "cccp", "dfa", "lloops", "nasa7", "tomcatv", "fpppp-1000"} {
-		blocks = append(blocks, benchSets[name]...)
-	}
-	m := machine.Pipe1()
-	for _, row := range []struct {
-		name string
-		cfg  engine.Config
-	}{
-		{"fixed", engine.Config{Workers: 8, Model: m, Crossover: -1}},
-		{"adaptive", engine.Config{Workers: 8, Model: m}},
-		{"adaptive-max", engine.Config{Workers: 8, Model: m, Crossover: 64}},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			e, err := engine.New(row.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := new(engine.BatchResult)
-			if _, err := e.RunInto(res, blocks); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunInto(res, blocks); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)*float64(len(blocks))/secs, "blocks/sec")
-				b.ReportMetric(float64(res.Stats.Insts)*float64(b.N)/secs, "insts/sec")
-			}
-			b.ReportMetric(float64(e.Crossover()), "crossover")
 		})
 	}
 }

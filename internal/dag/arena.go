@@ -103,9 +103,8 @@ type n2Scratch struct {
 // ReuseBuilder is implemented by construction algorithms that support
 // the arena protocol: BuildInto behaves exactly like Build but draws
 // every piece of storage from the arena. The two table-building
-// algorithms implement it, and so does the n² forward builder — the
-// engine's adaptive dispatch runs it on tiny blocks, where the paper
-// shows compare-against-all has the lowest constant factors.
+// algorithms implement it, and so does the n² forward builder, which
+// the engine's RungN2 fallback runs.
 type ReuseBuilder interface {
 	Builder
 	// BuildInto constructs the DAG inside ar. The returned DAG is

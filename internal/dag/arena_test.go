@@ -87,17 +87,35 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 				if err := warm.Validate(); err != nil {
 					t.Fatalf("block %d: %v", bi, err)
 				}
+				requireResetClean(t, &ar, fmt.Sprintf("block %d", bi))
 			}
 		})
+	}
+}
+
+// requireResetClean resets the arena's table state, as the next
+// block's build would, and requires every slot the arrays hold — not
+// just the ones the last block named — to be clean: no definition, no
+// pair half, no pending use. A resource the builders wrote without
+// logging it would survive the reset here.
+func requireResetClean(t *testing.T, ar *BuildArena, what string) {
+	t.Helper()
+	ts := &ar.ts
+	ts.reset()
+	for id := range ts.lastDef {
+		if ts.lastDef[id] != 0 || ts.defPairOdd[id] || len(ts.useList[id]) != 0 {
+			t.Fatalf("%s: resource %d survives the reset (lastDef %d, pair-odd %v, %d uses)",
+				what, id, ts.lastDef[id], ts.defPairOdd[id], len(ts.useList[id]))
+		}
 	}
 }
 
 // TestBuildIntoGiantTinyGiant runs fpppp's 11,750-instruction block,
 // then a tiny block, then the giant again (and the tiny again) through
 // one arena and one resource table, as a worker sees them. The table
-// state's reset clears only the slots the previous block grew to, so
-// every build must still equal a fresh arena's, and the state must
-// span exactly the current block's resources.
+// state's reset clears only the resources the previous block wrote, so
+// every build must still equal a fresh arena's, and after each block's
+// reset every slot of the state must be clean.
 func TestBuildIntoGiantTinyGiant(t *testing.T) {
 	m := machine.Pipe1()
 	p, _ := synth.ByName("fpppp")
@@ -118,10 +136,7 @@ func TestBuildIntoGiantTinyGiant(t *testing.T) {
 				rt.PrepareBlock(b.Insts)
 				warm := bld.BuildInto(&ar, b, m, rt)
 				requireSameDAG(t, cold, warm)
-				if ar.ts.hi != rt.NumResources() {
-					t.Fatalf("%s: table state spans %d resources, the block has %d",
-						b.Name, ar.ts.hi, rt.NumResources())
-				}
+				requireResetClean(t, &ar, b.Name)
 			}
 			if len(ar.ts.lastDef) <= rt.NumResources() {
 				t.Fatalf("the giant grew the table to %d slots, no more than the tiny block's %d; the test proves nothing",

@@ -84,10 +84,9 @@ func (N2Forward) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DA
 // but the per-node interned refs live in one flat arena segment and
 // every other piece of storage — nodes, arc lists, bit maps — is
 // recycled, so the n² forward builder is a first-class zero-alloc peer
-// of the table builders. The engine's adaptive dispatch uses it for
-// tiny blocks, where the paper's Tables 4–5 show compare-against-all
-// has the lowest constant factors (no per-resource table to reset).
-// The returned DAG is arena-owned.
+// of the table builders. The engine's RungN2 fallback builds with it:
+// a construction algorithm that shares no table state with the
+// primary pipeline. The returned DAG is arena-owned.
 //
 //sched:noalloc
 func (t N2Forward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resource.Table) *DAG {
@@ -107,9 +106,8 @@ const N2MaskCap = 64
 // deduped delays — to the arc set either table builder produces (a
 // table builder only ever omits an arc that some retained path
 // covers, and an uncoverable arc is by definition non-transitive).
-// That equality is what lets the engine's adaptive dispatch substitute
-// the n² builder for table building on tiny blocks while guaranteeing
-// byte-identical schedules.
+// perfbench's layer replay is its only caller: it times n²
+// construction on tiny blocks against table building.
 //
 // Construction aborts as soon as a transitive arc is discovered
 // (returning a nil DAG and clean=false; the arena stays reusable), and

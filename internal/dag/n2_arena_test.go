@@ -60,8 +60,7 @@ func TestN2BuildIntoMatchesBuild(t *testing.T) {
 // TestN2BuildCleanInto checks the exactness guard both ways: the clean
 // verdict must agree with TransitiveArcs() == 0 computed on the plain
 // n² DAG, and on every clean block the n² arc set must equal the
-// backward table builder's — the property the engine's adaptive
-// dispatch relies on for byte-identical schedules.
+// backward table builder's — the exactness BuildCleanInto promises.
 func TestN2BuildCleanInto(t *testing.T) {
 	m := machine.Pipe1()
 	rt := resource.NewTable(resource.MemExprModel)
@@ -141,9 +140,8 @@ func TestN2BuildIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkN2BuildInto times the n² reuse path on the tiny blocks the
-// adaptive dispatch routes to it, against the backward table builder
-// on the same stream. Both are 0 allocs/op in steady state.
+// BenchmarkN2BuildInto times the n² reuse path on tiny and small
+// blocks against the backward table builder on the same stream. Both are 0 allocs/op in steady state.
 func BenchmarkN2BuildInto(b *testing.B) {
 	m := machine.Pipe1()
 	for _, n := range []int{4, 8, 16, 64} {

@@ -21,21 +21,29 @@ type tableState struct {
 	lastDef    []int32 // node index + 1; 0 means empty
 	defPairOdd []bool  // last definition was the odd half of a pair
 	useList    [][]use
-	// hi is the resource count the current block has grown the table
-	// to. Slots at and above it are clean, so reset clears only
-	// [0, hi): a tiny block after a giant one pays for its own
-	// resources, not for the largest count the arrays ever held.
-	hi int
+	// touched logs every resource the current block has written, so
+	// reset clears exactly those slots: a block pays for the resources
+	// it names, not for the register ID space or the largest count the
+	// arrays ever held.
+	touched []resource.ID
 }
 
+// grow sizes the arrays for n resources; new slots are clean.
 func (ts *tableState) grow(n int) {
 	for len(ts.lastDef) < n {
 		ts.lastDef = append(ts.lastDef, 0)
 		ts.defPairOdd = append(ts.defPairOdd, false)
 		ts.useList = append(ts.useList, nil)
 	}
-	if n > ts.hi {
-		ts.hi = n
+}
+
+// touch logs resource id before the block first writes it. A slot
+// nobody has written this block is clean (no definition, no uses), and
+// every write leaves a definition or a use behind, so "clean" is
+// exactly "not yet logged".
+func (ts *tableState) touch(id resource.ID) {
+	if ts.lastDef[id] == 0 && len(ts.useList[id]) == 0 {
+		ts.touched = append(ts.touched, id)
 	}
 }
 
@@ -43,12 +51,12 @@ func (ts *tableState) grow(n int) {
 // allocated array — including each resource's use-list capacity — so
 // recycled state performs no steady-state allocations.
 func (ts *tableState) reset() {
-	clear(ts.lastDef[:ts.hi])
-	clear(ts.defPairOdd[:ts.hi])
-	for i, ul := range ts.useList[:ts.hi] {
-		ts.useList[i] = ul[:0]
+	for _, id := range ts.touched {
+		ts.lastDef[id] = 0
+		ts.defPairOdd[id] = false
+		ts.useList[id] = ts.useList[id][:0]
 	}
-	ts.hi = 0
+	ts.touched = ts.touched[:0]
 }
 
 // TableForward is forward-pass table building (Krishnamurthy-like).
@@ -89,6 +97,7 @@ func (t TableForward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model
 		ad.begin()
 		// Process resources used.
 		for _, u := range uses {
+			ts.touch(u.id)
 			if ld := ts.lastDef[u.id]; ld != 0 {
 				parent := ld - 1
 				delay := m.RAWDelay(d.Nodes[parent].Inst, ts.defPairOdd[u.id], node.Inst, u.slot)
@@ -98,6 +107,7 @@ func (t TableForward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model
 		}
 		// Process resources defined.
 		for _, def := range defs {
+			ts.touch(def.id)
 			if ul := ts.useList[def.id]; len(ul) > 0 {
 				for _, e := range ul {
 					if e.node != i {
@@ -184,6 +194,7 @@ func (t TableBackward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Mode
 		// Process resources defined: later uses of our value take RAW
 		// arcs; with no intervening uses, the next definition takes WAW.
 		for _, def := range defs {
+			ts.touch(def.id)
 			if ld := ts.lastDef[def.id]; ld != 0 && len(ts.useList[def.id]) == 0 && ld-1 != i {
 				child := ld - 1
 				delay := m.WAWDelay(node.Inst, d.Nodes[child].Inst)
@@ -200,6 +211,7 @@ func (t TableBackward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Mode
 		}
 		// Process resources used: the next definition must wait (WAR).
 		for _, u := range uses {
+			ts.touch(u.id)
 			if ld := ts.lastDef[u.id]; ld != 0 && ld-1 != i {
 				child := ld - 1
 				delay := m.WARDelayFor(node.Inst, d.Nodes[child].Inst)

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-
-	"daginsched/internal/dag"
 )
 
 // ErrConfig is the sentinel every constructor-time validation failure
@@ -36,10 +34,9 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 //   - Model: required.
 //   - Workers: 0 means GOMAXPROCS (filled in here); negative is
 //     rejected rather than silently treated as a default.
-//   - CacheCap/Crossover: 0 means the default (a 65536-entry cache, a
-//     crossover of 4); a negative CacheCap is rejected (a negative
-//     Crossover is a documented "never route to n²" setting and stays
-//     legal); Crossover above dag.N2MaskCap is clamped to it.
+//   - CacheCap: 0 means the default, a 65536-entry cache; negative is
+//     rejected.
+//   - Crossover: deprecated and ignored, so any value is accepted.
 //   - CachePath: implies Cache.
 //   - BlockTimeout: negative is rejected; 0 disables deadlines.
 //   - FaultPlan: rates must lie in [0, 1] and SlowDelay must be
@@ -56,9 +53,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.CacheCap < 0 {
 		return &ConfigError{Field: "CacheCap", Value: cfg.CacheCap, Reason: "negative cache capacity (0 means the default)"}
-	}
-	if cfg.Crossover > dag.N2MaskCap {
-		cfg.Crossover = dag.N2MaskCap
 	}
 	if cfg.CachePath != "" {
 		cfg.Cache = true

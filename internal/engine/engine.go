@@ -6,12 +6,16 @@
 // heuristics → schedule) performs no allocations once every buffer has
 // grown to the stream's largest block.
 //
-// The pipeline is fixed: backward table building with every heuristic
-// computed in the same reverse walk (the paper's third approach,
-// Section 6), and n² construction instead for blocks at or below a
-// small crossover size (the Tables 4–5 regime result; see adaptive.go).
-// Forward table building and the Table 3 DAG statistics are reproduced
-// by internal/tables, which calls the dag builders directly.
+// The pipeline is one and fixed, for blocks of every size: prepare the
+// resource table, build the DAG by backward table building, freeze it
+// into packed arc records, compute every heuristic in one fused sweep
+// over them (the paper's third approach, Section 6), select through
+// the packed-priority heap, and gate the result. The table state's
+// reset clears only the resources the previous block wrote, so a tiny
+// block pays for its own instructions (the paper's Tables 4–5 find
+// table building linear in block size). Forward table building, the
+// n² builders and the Table 3 DAG statistics are reproduced by
+// internal/tables, which calls the dag builders directly.
 //
 // Every Run/RunSource call checks workers out of a free list — one,
 // waited for, plus whatever others are free — and returns them on
@@ -83,14 +87,10 @@ type Config struct {
 	// model as well as the block, so engines for different models can
 	// share one file without serving each other's schedules.
 	CachePath string
-	// Crossover is the adaptive-dispatch size threshold: a block of at
-	// most this many instructions is attempted on the n²-direct
-	// pipeline (compare-against-all construction, no table reset, no
-	// CSR freeze), falling back to table building for that block alone
-	// when the n² DAG is not transitive-free. Zero means the default,
-	// 4; a negative value keeps bin statistics but never routes a block
-	// to the n² builder: every block takes the table pipeline. Values
-	// beyond dag.N2MaskCap are clamped to it.
+	// Crossover is ignored: every block takes the one table pipeline.
+	//
+	// Deprecated: the engine no longer routes small blocks to an n²
+	// builder, so there is no threshold to set.
 	Crossover int
 	// BlockTimeout is the per-block soft deadline: a block whose
 	// pipeline attempt outlives it is demoted to the ladder's
@@ -133,11 +133,8 @@ type Stats struct {
 	CacheMisses  int64   `json:"cache_misses"`
 	DiskHits     int64   `json:"disk_hits,omitempty"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Crossover echoes the adaptive-dispatch threshold in effect for the
-	// run (zero under a negative Config.Crossover), and Bins breaks the
-	// run down by block-size bin.
-	Crossover int        `json:"crossover,omitempty"`
-	Bins      []BinStats `json:"bins,omitempty"`
+	// Bins breaks the run down by block-size bin.
+	Bins []BinStats `json:"bins,omitempty"`
 	// PackedSelBlocks counts blocks whose schedule was selected through
 	// the packed-priority heap (zero for blocks served from cache,
 	// degraded rungs, or whose priority packing overflowed the exact
@@ -204,7 +201,7 @@ type tally struct {
 	// Hardening tallies: quarantines, rung descents, gate rejections
 	// and injection events fired.
 	quars, demoted, gateFails, faults int64
-	// bins are the size-bin tallies under adaptive dispatch.
+	// bins are the size-bin tallies behind Stats.Bins.
 	bins [nBins]binAcc
 	// hist is the per-block wall-time histogram behind the percentiles.
 	hist [streamHistBuckets]int64
@@ -267,25 +264,20 @@ func newWorker(m *machine.Model) *worker {
 	return w
 }
 
-// schedule runs the full per-block pipeline in worker scratch: plain
-// backward table building (the fused reverse walk over the frozen
-// packed arc records computes every heuristic the selector reads, so
-// no construction observer is needed). The returned Result and DAG are
-// worker-owned and valid only until the worker's next block.
+// schedule runs the per-block pipeline in worker scratch: prepare the
+// resource table, build the DAG by plain backward table building,
+// freeze it into its packed CSR view, compute every heuristic (and
+// pack the selector's priority words) in one fused sweep over the
+// packed successor records, then list-schedule over the same arrays.
+// The fused sweep computes everything the selector reads, so no
+// construction observer is needed; a block past the packed limits
+// stays unfrozen and runs the same steps over its mirrors. The
+// returned Result and DAG are worker-owned and valid only until the
+// worker's next block.
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
 	w.buildCheckpoint(d)
-	return w.finish(d, m)
-}
-
-// finish runs the post-construction half of the table pipeline on a
-// table-built DAG: freeze it into its packed CSR view, compute every
-// heuristic (and pack the selector's priority words) in one fused
-// sweep over the packed successor records, then list-schedule over the
-// same arrays. A block past the packed limits stays unfrozen and runs
-// the same steps over its mirrors.
-func (w *worker) finish(d *dag.DAG, m *machine.Model) (*sched.Result, *dag.DAG) {
 	d.Freeze()
 	w.a.D = d
 	w.a.ComputeFusedCSR()
@@ -294,40 +286,6 @@ func (w *worker) finish(d *dag.DAG, m *machine.Model) (*sched.Result, *dag.DAG) 
 		w.packedBlocks++
 	}
 	return r, d
-}
-
-// scheduleN2 is the n²-direct pipeline of adaptive dispatch: build the
-// block with compare-against-all construction (no per-resource table
-// to clear over the register IDs) and, when the DAG comes out
-// transitive-free, skip the CSR freeze and schedule straight off the
-// per-node arc lists. A transitive-free n² arc set is identical — same
-// pairs, same deduped delays — to the table builder's, so the schedule
-// is byte-identical to the fixed pipeline's (see
-// dag.N2Forward.BuildCleanInto). Dirty blocks fall back to the fixed
-// pipeline; the resource table is already prepared and interned IDs
-// are stable, so only construction restarts. usedN2 reports which
-// pipeline produced the result.
-func (w *worker) scheduleN2(b *block.Block, m *machine.Model) (r *sched.Result, d *dag.DAG, usedN2 bool) {
-	w.rt.PrepareBlock(b.Insts)
-	nd, clean := dag.N2Forward{}.BuildCleanInto(&w.ar, b, m, w.rt)
-	if !clean {
-		td := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
-		w.buildCheckpoint(td)
-		r, d = w.finish(td, m)
-		return r, d, false
-	}
-	w.buildCheckpoint(nd)
-	w.a.D = nd
-	w.a.ComputeBackward()
-	w.a.ComputeLocal()
-	// Same ranked keys as the fused sweep, so the n²-direct pipeline
-	// packs them too and selects through the heap.
-	w.a.PackSection6Prio()
-	r = w.sc.Forward(nd, m, w.a, w.sel)
-	if w.sc.UsedPacked() {
-		w.packedBlocks++
-	}
-	return r, nd, true
 }
 
 // Engine is a reusable batch scheduler. Create one with New, then call
@@ -353,9 +311,6 @@ type Engine struct {
 	// diskPending is the disk tier's write-behind backlog; it lives
 	// here so DiskPending can read it while Close clears disk.
 	diskPending atomic.Int64
-	// crossover is the effective adaptive-dispatch n² size threshold,
-	// resolved once in New.
-	crossover int
 	// inj is the compiled fault injector; nil unless Config.FaultPlan
 	// injects something.
 	inj *fault.Injector
@@ -447,22 +402,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.disk = disk
 	}
-	switch {
-	case cfg.Crossover < 0:
-		e.crossover = 0
-	case cfg.Crossover > 0:
-		e.crossover = cfg.Crossover // validate clamped it to dag.N2MaskCap
-	default:
-		e.crossover = defaultCrossover
-	}
 	return e, nil
 }
 
-// Crossover returns the effective adaptive-dispatch threshold — the
-// configured one after clamping, or defaultCrossover when
-// Config.Crossover was zero. It is zero when Config.Crossover is
-// negative.
-func (e *Engine) Crossover() int { return e.crossover }
+// Crossover always returns 0: no block is routed to an n² builder.
+//
+// Deprecated: the engine has one pipeline for blocks of every size.
+func (e *Engine) Crossover() int { return 0 }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.workers) }
@@ -600,7 +546,6 @@ func (e *Engine) stats(c *crew, wall time.Duration, bins []BinStats) Stats {
 	}
 	st.P50Micros = histPercentile(&hist, int64(st.Blocks), 50) / 1e3
 	st.P99Micros = histPercentile(&hist, int64(st.Blocks), 99) / 1e3
-	st.Crossover = e.crossover
 	if st.Blocks > 0 {
 		st.Bins = c.collectBins(bins)
 	}
@@ -627,7 +572,7 @@ func cancelled(done <-chan struct{}) bool {
 type outcome struct {
 	cycles, arcs int32
 	rung         Rung
-	path         blockPath
+	cached       bool // served from a cache tier, no pipeline run
 	order        []int32
 	err          error // Config.Verify only: the simulator cross-check
 }
@@ -656,8 +601,8 @@ func (w *worker) run(b *block.Block) outcome {
 	}
 	o, ok := w.lookup(b, h)
 	if !ok {
-		rung, path, r, d := w.ladder(b, h)
-		o = outcome{cycles: r.Cycles, rung: rung, path: path, order: r.Order}
+		rung, r, d := w.ladder(b, h)
+		o = outcome{cycles: r.Cycles, rung: rung, order: r.Order}
 		if d != nil { // the identity rung builds no DAG
 			o.arcs = int32(d.NumArcs)
 		}
@@ -692,7 +637,7 @@ func (w *worker) run(b *block.Block) outcome {
 		w.degraded++
 	}
 	w.hist[histIndex(dur)]++
-	w.binAdd(n, dur, o.path)
+	w.binAdd(n, dur, o.cached)
 	return o
 }
 
@@ -761,7 +706,7 @@ func (w *worker) serve(b *block.Block, h uint64, order, issue []int32, cycles, a
 		}
 		return outcome{}, false
 	}
-	o := outcome{cycles: cycles, arcs: arcs, path: pathCached, order: served}
+	o := outcome{cycles: cycles, arcs: arcs, cached: true, order: served}
 	if e.cfg.Verify {
 		// The simulator needs the worker's table prepared for b.
 		w.rt.PrepareBlock(b.Insts)

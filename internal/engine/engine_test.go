@@ -78,30 +78,26 @@ func requireSameBatch(t *testing.T, wantOrders [][]int32, wantCycles, wantArcs [
 
 // TestEngineMatchesSerialReference requires the batch engine to be
 // byte-identical to the plain serial pipeline, with the scoreboard
-// simulator co-signing every schedule. It runs table-only (Crossover
-// -1), at the default crossover (0) and at the n² maximum (64), so
-// both pipelines are covered.
+// simulator co-signing every schedule.
 func TestEngineMatchesSerialReference(t *testing.T) {
 	for _, m := range []*machine.Model{machine.Pipe1(), machine.Super2()} {
 		blocks := testBlocks(t, 40)
 		wantOrders, wantCycles, wantArcs := serialReference(blocks, m)
-		for _, crossover := range []int{-1, 0, 64} {
-			for _, workers := range []int{1, 4} {
-				e, err := New(Config{
-					Workers: workers, Model: m, Crossover: crossover,
-					KeepOrders: true, Verify: true,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Run(blocks)
-				if err != nil {
-					t.Fatalf("crossover=%d workers=%d: %v", crossover, workers, err)
-				}
-				requireSameBatch(t, wantOrders, wantCycles, wantArcs, res)
-				if res.Stats.Blocks != len(blocks) || res.Stats.Workers != workers {
-					t.Errorf("stats header wrong: %+v", res.Stats)
-				}
+		for _, workers := range []int{1, 4} {
+			e, err := New(Config{
+				Workers: workers, Model: m,
+				KeepOrders: true, Verify: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(blocks)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			requireSameBatch(t, wantOrders, wantCycles, wantArcs, res)
+			if res.Stats.Blocks != len(blocks) || res.Stats.Workers != workers {
+				t.Errorf("stats header wrong: %+v", res.Stats)
 			}
 		}
 	}

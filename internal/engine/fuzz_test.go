@@ -11,11 +11,10 @@ import (
 )
 
 // The fuzz target drives arbitrary-but-well-formed instruction
-// sequences through both construction pipelines and holds them to the
-// engine's invariants: every schedule must pass the output gate, the
-// scoreboard simulator must co-sign its timing, and the n²-direct
-// pipeline must agree byte-for-byte with table building (the adaptive
-// identity the engine's dispatch rests on).
+// sequences through the engine's table pipeline and through the
+// ladder's independent n² rung, and holds both to the engine's
+// invariants: every schedule must pass the output gate, and the
+// scoreboard simulator must co-sign its order and issue cycles.
 //
 // Fuzz bytes decode 6 bytes per instruction — opcode, two sources, a
 // destination, a flag byte and an offset byte — with every register
@@ -164,21 +163,16 @@ func FuzzBuildSchedule(f *testing.F) {
 			t.Fatalf("simulator disagrees with table schedule: %v", err)
 		}
 
-		r2, d2, _ := wN2.scheduleN2(b, m)
+		// The ladder's independent rung: n² construction over the
+		// mirrors, no table state, no freeze. Its schedule may differ
+		// from the table pipeline's (its DAG keeps transitive arcs), so
+		// it answers to the gate and the simulator alone.
+		r2, d2 := wN2.scheduleN2Direct(b, m)
 		if !wN2.gate(d2, r2, n) {
-			t.Fatal("n² schedule failed the output gate")
-		}
-		if r2.Cycles != r1.Cycles {
-			t.Fatalf("n² pipeline: %d cycles, table pipeline: %d", r2.Cycles, r1.Cycles)
-		}
-		for k := range r1.Order {
-			if r2.Order[k] != r1.Order[k] {
-				t.Fatalf("position %d: n² schedules node %d, table schedules node %d",
-					k, r2.Order[k], r1.Order[k])
-			}
+			t.Fatal("n² rung schedule failed the output gate")
 		}
 		if err := verify(b, r2, m, wN2.rt); err != nil {
-			t.Fatalf("simulator disagrees with n² schedule: %v", err)
+			t.Fatalf("simulator disagrees with n² rung schedule: %v", err)
 		}
 	})
 }

@@ -1,20 +1,22 @@
 // The hardened runtime: worker fault isolation, the degradation
 // ladder, soft deadlines and the always-on output gate.
 //
-// Three scheduling pipelines (n²-direct, table+CSR, cache-served) race
-// over shared per-worker arenas, which is exactly the layered fast-path
-// design where one corrupt block or latent bug could take down a whole
-// batch. The paper's "no instruction window" result (Tables 3–5) is
-// what lets blocks of unbounded size reach the hot path, so the
-// production engine carries the failure side of that story:
+// The table pipeline, the cache tiers and the ladder's fallback
+// builders all run over shared per-worker arenas, which is exactly the
+// layered fast-path design where one corrupt block or latent bug could
+// take down a whole batch. The paper's "no instruction window" result
+// (Tables 3–5) is what lets blocks of unbounded size reach the hot
+// path, so the production engine carries the failure side of that
+// story:
 //
 //   - Every per-block pipeline attempt runs under a recover boundary
 //     (attempt, reached from the per-block function worker.run). A
 //     panicking block quarantines its worker — the arena and every
 //     structure that may alias it are discarded and fresh ones
 //     attached — and the block retries down the degradation ladder.
-//   - The ladder's rungs are RungPrimary (the normal adaptive or fixed
-//     dispatch), RungTable (forced table+CSR), RungN2 (n²-direct over
+//   - The ladder's rungs are RungPrimary (the table pipeline, or the
+//     cache), RungTable (the table pipeline again, on the fresh scratch
+//     of a quarantined worker), RungN2 (n²-direct over
 //     the per-node arc mirrors, no freeze — a structurally independent
 //     second construction algorithm), and RungIdentity (the original
 //     program order timed on the scoreboard simulator, which consults
@@ -58,14 +60,14 @@ import (
 type Rung uint8
 
 const (
-	// RungPrimary is the normal pipeline: adaptive n²/table dispatch
-	// (or the table pipeline alone when adaptive is off), including
+	// RungPrimary is the normal pipeline: backward table building,
+	// freeze, fused heuristic sweep and packed selection, including
 	// schedules served from the fingerprint cache.
 	RungPrimary Rung = iota
-	// RungTable is the first fallback: the fixed table+CSR pipeline,
-	// forced regardless of adaptive dispatch. Its schedules are
-	// byte-identical to a healthy primary run's (the n² fast path is
-	// exact or falls back to this very pipeline).
+	// RungTable is the first fallback: the same table pipeline retried
+	// on the fresh scratch of a quarantined worker, with the block's
+	// one-shot injection hooks already consumed. Its schedules are
+	// byte-identical to a healthy primary run's.
 	RungTable
 	// RungN2 is the second fallback: n²-direct construction scheduled
 	// off the per-node arc mirrors only — no table state, no CSR
@@ -243,7 +245,7 @@ func (w *worker) quarantine() {
 // DAG, when the rung builds one); a panicking attempt returns the
 // recovered failure as err — errDeadline for a cooperative deadline
 // unwind, the injected or genuine panic otherwise.
-func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG, path blockPath, err error) {
+func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG, err error) {
 	e := w.e
 	defer func() {
 		if p := recover(); p != nil {
@@ -260,23 +262,14 @@ func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG
 		}
 	}()
 	switch rung {
-	case RungPrimary:
-		if n := b.Len(); n > 0 && n <= e.crossover {
-			var usedN2 bool
-			if r, d, usedN2 = w.scheduleN2(b, e.cfg.Model); usedN2 {
-				path = pathN2
-			}
-			return r, d, path, nil
-		}
-		r, d = w.schedule(b, e.cfg.Model)
-	case RungTable:
+	case RungPrimary, RungTable:
 		r, d = w.schedule(b, e.cfg.Model)
 	case RungN2:
 		r, d = w.scheduleN2Direct(b, e.cfg.Model)
 	default: // RungIdentity
 		r = w.scheduleIdentity(b, e.cfg.Model)
 	}
-	return r, d, path, nil
+	return r, d, nil
 }
 
 // scheduleN2Direct is the RungN2 pipeline: n²-direct construction for
@@ -323,7 +316,7 @@ func (w *worker) scheduleIdentity(b *block.Block, m *machine.Model) *sched.Resul
 // reruns the pipeline clean); a panic or gate failure quarantines the
 // worker and demotes the block one rung; a deadline expiry demotes it
 // straight to the identity floor, which always succeeds.
-func (w *worker) ladder(b *block.Block, h uint64) (Rung, blockPath, *sched.Result, *dag.DAG) {
+func (w *worker) ladder(b *block.Block, h uint64) (Rung, *sched.Result, *dag.DAG) {
 	rung := RungPrimary
 	if w.inj != nil {
 		w.hookKey = h
@@ -341,10 +334,10 @@ func (w *worker) ladder(b *block.Block, h uint64) (Rung, blockPath, *sched.Resul
 	}
 	//sched:lint-ignore cancelpoll every iteration demotes the rung or returns, so the loop is bounded by the rung count
 	for {
-		r, d, path, err := w.attempt(b, rung)
+		r, d, err := w.attempt(b, rung)
 		switch {
 		case err == nil && w.gate(d, r, b.Len()):
-			return rung, path, r, d
+			return rung, r, d
 		case err == errDeadline:
 			w.demoted++
 			rung = RungIdentity

@@ -16,7 +16,7 @@ import (
 
 // chaosCorpus builds a corpus with deliberate content repeats (so the
 // schedule cache gets hits for the bitflip point to poison) and sizes
-// straddling the adaptive crossover, including the degenerate 0- and
+// from tiny to 150 instructions, including the degenerate 0- and
 // 1-instruction blocks.
 func chaosCorpus(distinct, repeats int) []*block.Block {
 	sizes := []int{40, 7, 150, 1, 64, 0, 90, 13, 33, 120, 3, 72}
@@ -57,17 +57,16 @@ func grepBlocks(t *testing.T) []*block.Block {
 // non-identity rung is byte-identical to the primary pipeline and no
 // deadline is armed — produce exactly the fault-free run's output for
 // every block, and (e) show every hardening tally nonzero. It runs over
-// the synthetic chaos corpus on Super2 at a fixed crossover, and over
-// Table 3's grep set on Pipe1 at the default crossover.
+// the synthetic chaos corpus on Super2 and over Table 3's grep set on
+// Pipe1.
 func TestEngineChaosLadder(t *testing.T) {
 	cases := []struct {
-		name      string
-		model     *machine.Model
-		blocks    []*block.Block
-		crossover int
-		plan      *fault.Plan
+		name   string
+		model  *machine.Model
+		blocks []*block.Block
+		plan   *fault.Plan
 	}{
-		{"synthetic", machine.Super2(), chaosCorpus(48, 5), 16, &fault.Plan{
+		{"synthetic", machine.Super2(), chaosCorpus(48, 5), &fault.Plan{
 			Seed:         42,
 			PanicBuilder: 0.08,
 			CorruptArc:   0.08,
@@ -75,7 +74,7 @@ func TestEngineChaosLadder(t *testing.T) {
 			SlowBlock:    0.05,
 			SlowDelay:    50 * time.Microsecond,
 		}},
-		{"grep", machine.Pipe1(), grepBlocks(t), 0, &fault.Plan{
+		{"grep", machine.Pipe1(), grepBlocks(t), &fault.Plan{
 			Seed:         1,
 			PanicBuilder: 0.08,
 			CorruptArc:   0.08,
@@ -86,19 +85,18 @@ func TestEngineChaosLadder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			requireChaosRecovers(t, tc.model, tc.blocks, tc.crossover, tc.plan)
+			requireChaosRecovers(t, tc.model, tc.blocks, tc.plan)
 		})
 	}
 }
 
-func requireChaosRecovers(t *testing.T, m *machine.Model, blocks []*block.Block, crossover int, plan *fault.Plan) {
+func requireChaosRecovers(t *testing.T, m *machine.Model, blocks []*block.Block, plan *fault.Plan) {
 	base := Config{
 		Workers:    8,
 		Model:      m,
 		KeepOrders: true,
 		Verify:     true,
 		Cache:      true,
-		Crossover:  crossover,
 	}
 
 	clean, err := New(base)
@@ -200,7 +198,7 @@ func TestEngineChaosDeterminism(t *testing.T) {
 	plan := &fault.Plan{Seed: 7, PanicBuilder: 0.15, CorruptArc: 0.15}
 	var runs [2]*BatchResult
 	for i, workers := range []int{1, 8} {
-		e, err := New(Config{Workers: workers, Model: m, FaultPlan: plan, Crossover: 16})
+		e, err := New(Config{Workers: workers, Model: m, FaultPlan: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,17 +380,14 @@ func TestEngineConfigValidation(t *testing.T) {
 		})
 	}
 
-	// Normalization, not rejection: zero workers means GOMAXPROCS, an
-	// oversized crossover clamps, a nil plan is fine.
-	e, err := New(Config{Model: m, Crossover: 10_000})
+	// Normalization, not rejection: zero workers means GOMAXPROCS, a
+	// nil plan is fine.
+	e, err := New(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Workers() < 1 {
 		t.Errorf("defaulted workers = %d", e.Workers())
-	}
-	if e.Crossover() > 64 {
-		t.Errorf("crossover %d not clamped to the n² cap", e.Crossover())
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // cache entries must not perturb the selection either.
 func TestPackedSelMatchesWinnow(t *testing.T) {
 	m := machine.Pipe1()
-	blocks := adaptiveCorpus(t)
+	blocks := oracleCorpus(t)
 	ref, err := New(Config{Workers: 4, Model: m, KeepOrders: true})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestEnginePackedSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // giantBlockCorpus is fpppp's unwindowed 11,750-instruction block —
-// the one Table 3 block adaptiveCorpus leaves out, and the only one
+// the one Table 3 block oracleCorpus leaves out, and the only one
 // whose priority fields outgrow 14 bits — with a few tiny blocks
 // after it, so a worker schedules small blocks on state the giant
 // grew.

@@ -19,7 +19,7 @@
 //	    workers, so a slow consumer backpressures the producer.
 //	  - Workers run the one claim loop (claim) and the one per-block
 //	    function (worker.run) of both entry points: the same cache
-//	    lookup, the same adaptive n²/table dispatch, the same degradation
+//	    lookup, the same table pipeline, the same degradation
 //	    ladder and output gate. A block's schedule is a pure function of
 //	    its instruction bytes once the engine is configured, so streamed
 //	    schedules are byte-identical to batch schedules regardless of

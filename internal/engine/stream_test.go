@@ -89,7 +89,7 @@ func requireStreamMatchesBatch(t *testing.T, got []streamOutcome, want *BatchRes
 func TestRunStreamMatchesRun(t *testing.T) {
 	m := machine.Super2()
 	blocks := testBlocks(t, 200)
-	base := Config{Model: m, KeepOrders: true, Cache: true, Crossover: 16}
+	base := Config{Model: m, KeepOrders: true, Cache: true}
 
 	ref, err := New(base)
 	if err != nil {
@@ -203,7 +203,7 @@ func (s *sliceSource) Next(b *block.Block) (bool, error) {
 // scheduled and the run's last outcome closing a burst.
 func TestRunSourceMatchesRun(t *testing.T) {
 	blocks := testBlocks(t, 200)
-	base := Config{Model: machine.Super2(), KeepOrders: true, Cache: true, Crossover: 16}
+	base := Config{Model: machine.Super2(), KeepOrders: true, Cache: true}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestRunStreamFaultedMatchesRun(t *testing.T) {
 	m := machine.Super2()
 	blocks := testBlocks(t, 120)
 	cfg := Config{
-		Model: m, KeepOrders: true, Cache: true, Verify: true, Crossover: 16,
+		Model: m, KeepOrders: true, Cache: true, Verify: true,
 		FaultPlan: &fault.Plan{Seed: 42, PanicBuilder: 0.1, CorruptArc: 0.1, CacheBitflip: 0.3},
 	}
 
@@ -410,7 +410,7 @@ func uniqueBlocks(blocks []*block.Block) []*block.Block {
 func newOnPopulatedCache(t *testing.T, cfg Config, blocks []*block.Block) *Engine {
 	t.Helper()
 	cfg.CachePath = diskPath(t)
-	pop, err := New(Config{Model: cfg.Model, CachePath: cfg.CachePath, Crossover: cfg.Crossover})
+	pop, err := New(Config{Model: cfg.Model, CachePath: cfg.CachePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,10 +453,10 @@ func requireSameCounters(t *testing.T, what string, run, stream Stats) {
 	}
 	for i, r := range run.Bins {
 		s := stream.Bins[i]
-		if r.Blocks != s.Blocks || r.N2Blocks != s.N2Blocks || r.TableBlocks != s.TableBlocks || r.CachedBlocks != s.CachedBlocks {
-			t.Errorf("%s bin %s: Run %d blocks (n2 %d, table %d, cached %d), RunStream %d (n2 %d, table %d, cached %d)",
-				what, r.Label, r.Blocks, r.N2Blocks, r.TableBlocks, r.CachedBlocks,
-				s.Blocks, s.N2Blocks, s.TableBlocks, s.CachedBlocks)
+		if r.Blocks != s.Blocks || r.TableBlocks != s.TableBlocks || r.CachedBlocks != s.CachedBlocks {
+			t.Errorf("%s bin %s: Run %d blocks (table %d, cached %d), RunStream %d (table %d, cached %d)",
+				what, r.Label, r.Blocks, r.TableBlocks, r.CachedBlocks,
+				s.Blocks, s.TableBlocks, s.CachedBlocks)
 		}
 	}
 }

@@ -9,9 +9,10 @@
 # unnoticed), then the full test suite under the race detector.
 #
 # Each correctness gate is a Go test, and the race step runs every one
-# of them once: the adaptive-dispatch identity gate
-# (TestAdaptiveMatchesFixed: byte-identical schedules from the adaptive
-# and fixed pipelines at eight workers), the packed-selection identity
+# of them once: the oracle gate (TestPipelineMatchesOracles: the
+# engine's schedules at eight workers checked against the scoreboard
+# simulator, verify's legality, timing and width checks, and the
+# branch-and-bound optimum on small blocks), the packed-selection identity
 # gate (TestPackedSelMatchesWinnow; DESIGN.md §12), the chaos gate
 # (TestEngineChaosLadder and TestEngineChaosDeterminism: a seeded fault
 # plan at an 8-worker pool, every block byte-identical to a fault-free
