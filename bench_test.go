@@ -132,12 +132,10 @@ func BenchmarkTable2Algorithms(b *testing.B) {
 func BenchmarkTable3Structure(b *testing.B) {
 	for _, p := range synth.Profiles() {
 		b.Run(p.Name, func(b *testing.B) {
-			rt := resource.NewTable(resource.MemExprModel)
 			for i := 0; i < b.N; i++ {
 				blocks := p.Generate()
 				s := block.Measure(blocks, func(blk *block.Block) int {
-					rt.PrepareBlock(blk.Insts)
-					return rt.UniqueMemExprs()
+					return resource.UniqueMemExprs(blk.Insts)
 				})
 				if s.Insts != p.Insts {
 					b.Fatalf("structure drifted: %d insts", s.Insts)

@@ -142,7 +142,7 @@ type Stats struct {
 
 // Measure computes Table 3's structural statistics. uniqueMem gives the
 // number of unique symbolic memory expressions in one block (usually
-// resource.Table.UniqueMemExprs after PrepareBlock).
+// resource.UniqueMemExprs over its instructions).
 func Measure(blocks []*Block, uniqueMem func(*Block) int) Stats {
 	var s Stats
 	s.Blocks = len(blocks)

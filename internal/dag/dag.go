@@ -388,11 +388,11 @@ func (sc *instScratch) extract(in *isa.Inst, rt *resource.Table, node *Node) (us
 	sc.drefs = sc.drefs[:0]
 	for _, u := range sc.uses {
 		//sched:lint-ignore noalloc amortized: the ref scratch retains its capacity across blocks
-		sc.urefs = append(sc.urefs, ref{id: rt.RefID(u), slot: u.Slot})
+		sc.urefs = append(sc.urefs, ref{id: rt.RefID(in, u), slot: u.Slot})
 	}
 	for _, dd := range sc.defs {
 		//sched:lint-ignore noalloc amortized: the ref scratch retains its capacity across blocks
-		sc.drefs = append(sc.drefs, ref{id: rt.RefID(dd), pairSecond: in.PairSecondDef(dd)})
+		sc.drefs = append(sc.drefs, ref{id: rt.RefID(in, dd), pairSecond: dd.PairSecond})
 	}
 	n := rt.NumResources()
 	if node.UseBM == nil {

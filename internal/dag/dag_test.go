@@ -236,18 +236,18 @@ func TestArcDedupeKeepsMaxDelay(t *testing.T) {
 func conflictPairs(insts []isa.Inst) [][2]int32 {
 	rt := resource.NewTable(resource.MemExprModel)
 	rt.PrepareBlock(insts)
-	ids := func(rs []isa.ResRef) map[resource.ID]bool {
+	ids := func(in *isa.Inst, rs []isa.ResRef) map[resource.ID]bool {
 		m := map[resource.ID]bool{}
 		for _, r := range rs {
-			m[rt.RefID(r)] = true
+			m[rt.RefID(in, r)] = true
 		}
 		return m
 	}
 	uses := make([]map[resource.ID]bool, len(insts))
 	defs := make([]map[resource.ID]bool, len(insts))
 	for i := range insts {
-		uses[i] = ids(insts[i].Uses())
-		defs[i] = ids(insts[i].Defs())
+		uses[i] = ids(&insts[i], insts[i].Uses())
+		defs[i] = ids(&insts[i], insts[i].Defs())
 	}
 	intersects := func(a, b map[resource.ID]bool) bool {
 		for k := range a {
@@ -329,16 +329,16 @@ func TestFullBuildersPreserveTiming(t *testing.T) {
 		lastOdd := map[resource.ID]bool{}
 		for i := range insts {
 			for _, u := range insts[i].Uses() {
-				id := rt.RefID(u)
+				id := rt.RefID(&insts[i], u)
 				if j, ok := lastDef[id]; ok {
 					dl := m.RAWDelay(&insts[j], lastOdd[id], &insts[i], u.Slot)
 					reqs = append(reqs, rawReq{j, int32(i), int32(dl)})
 				}
 			}
 			for _, def := range insts[i].Defs() {
-				id := rt.RefID(def)
+				id := rt.RefID(&insts[i], def)
 				lastDef[id] = int32(i)
-				lastOdd[id] = insts[i].PairSecondDef(def)
+				lastOdd[id] = def.PairSecond
 			}
 		}
 		for _, bld := range []Builder{N2Forward{}, TableForward{}, TableBackward{}} {

@@ -59,37 +59,20 @@ const oracleOptimalMax = 8
 //   - on blocks small enough for branch and bound, the engine can be
 //     no faster than the optimum over that forward-table DAG. The
 //     summed gap (engine cycles minus optimum) is logged.
+//
+// The first two oracles also run over the chaos corpus (repeated
+// blocks of up to 150 instructions, on a fault-free engine) and over
+// fpppp's 11,750-instruction block.
 func TestPipelineMatchesOracles(t *testing.T) {
 	for _, m := range []*machine.Model{machine.Pipe1(), machine.Super2()} {
 		t.Run(m.Name, func(t *testing.T) {
 			blocks := oracleCorpus(t)
-			e, err := New(Config{Workers: 8, Model: m, KeepOrders: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run(blocks)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runForOracles(t, m, blocks)
 			rt := resource.NewTable(resource.MemExprModel)
 			var optBlocks, gap, optCycles int64
 			var optTime time.Duration
 			for i, b := range blocks {
-				order := res.Orders[i]
-				rt.PrepareBlock(b.Insts)
-				sim := pipe.Simulate(b.Insts, order, m, rt)
-				if sim.Cycles != res.Cycles[i] {
-					t.Fatalf("block %d (%d insts): simulator completes in %d cycles, engine says %d",
-						i, b.Len(), sim.Cycles, res.Cycles[i])
-				}
-				issue := make([]int32, b.Len())
-				for pos, node := range order {
-					issue[node] = sim.Issue[pos]
-				}
-				r := &sched.Result{Order: order, Issue: issue, Cycles: res.Cycles[i]}
-				if err := verifier.Schedule(b, m, r, resource.MemExprModel, 0); err != nil {
-					t.Fatalf("block %d (%d insts): %v", i, b.Len(), err)
-				}
+				checkSimulatorAndVerify(t, rt, m, b, res, i)
 				if b.Len() > oracleOptimalMax {
 					continue
 				}
@@ -108,6 +91,61 @@ func TestPipelineMatchesOracles(t *testing.T) {
 			t.Logf("%d blocks of at most %d insts: engine %d cycles over the optimum's %d (gap %d) [branch and bound %v]",
 				optBlocks, oracleOptimalMax, optCycles+gap, optCycles, gap, optTime.Round(time.Millisecond))
 		})
+	}
+	for _, c := range []struct {
+		name   string
+		blocks []*block.Block
+		models []*machine.Model
+	}{
+		{"chaos", chaosCorpus(48, 5), []*machine.Model{machine.Pipe1(), machine.Super2()}},
+		{"giant", giantBlockCorpus(t), []*machine.Model{machine.Pipe1()}},
+	} {
+		for _, m := range c.models {
+			t.Run(c.name+"/"+m.Name, func(t *testing.T) {
+				res := runForOracles(t, m, c.blocks)
+				rt := resource.NewTable(resource.MemExprModel)
+				for i, b := range c.blocks {
+					checkSimulatorAndVerify(t, rt, m, b, res, i)
+				}
+			})
+		}
+	}
+}
+
+// runForOracles schedules blocks on an eight-worker engine that keeps
+// its orders.
+func runForOracles(t *testing.T, m *machine.Model, blocks []*block.Block) *BatchResult {
+	t.Helper()
+	e, err := New(Config{Workers: 8, Model: m, KeepOrders: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkSimulatorAndVerify checks block i's schedule in res against the
+// scoreboard simulator's timing and verify's legality, timing and
+// width checks.
+func checkSimulatorAndVerify(t *testing.T, rt *resource.Table, m *machine.Model, b *block.Block, res *BatchResult, i int) {
+	t.Helper()
+	order := res.Orders[i]
+	rt.PrepareBlock(b.Insts)
+	sim := pipe.Simulate(b.Insts, order, m, rt)
+	if sim.Cycles != res.Cycles[i] {
+		t.Fatalf("block %d (%d insts): simulator completes in %d cycles, engine says %d",
+			i, b.Len(), sim.Cycles, res.Cycles[i])
+	}
+	issue := make([]int32, b.Len())
+	for pos, node := range order {
+		issue[node] = sim.Issue[pos]
+	}
+	r := &sched.Result{Order: order, Issue: issue, Cycles: res.Cycles[i]}
+	if err := verifier.Schedule(b, m, r, resource.MemExprModel, 0); err != nil {
+		t.Fatalf("block %d (%d insts): %v", i, b.Len(), err)
 	}
 }
 

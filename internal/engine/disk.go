@@ -146,11 +146,12 @@ func (t *diskTier) close() error {
 	return t.c.Close()
 }
 
-// Close waits for in-flight Run/RunStream calls (it checks out every
-// worker), then releases the persistent cache tier: the write-behind
-// flusher drains, the file is unmapped and closed (marking a clean
-// shutdown for crash recovery). Later and concurrent calls wait for
-// the first and return nil; a RunStream sink must not call it. The
+// Close waits for in-flight Run, RunSource and RunStream calls (it
+// checks out every worker), then releases the persistent cache tier:
+// the write-behind flusher drains, the file is unmapped and closed
+// (marking a clean shutdown for crash recovery). Later and concurrent
+// calls wait for the first and return nil; a RunSource or RunStream
+// sink must not call it. The
 // engine remains usable — later runs just lose the disk tier.
 func (e *Engine) Close() error {
 	var err error

@@ -157,9 +157,9 @@ type Stats struct {
 	// so there are no ingest queues to measure.
 	BigQueuePeak   int `json:"big_queue_peak,omitempty"`
 	SmallQueuePeak int `json:"small_queue_peak,omitempty"`
-	// PendingPeak, set by RunStream only, is the reorder ring's
-	// high-water mark: the most outcomes that were ever
-	// scheduled-but-unemitted at once.
+	// PendingPeak, set by the streaming runs (RunSource and RunStream)
+	// only, is the reorder ring's high-water mark: the most outcomes
+	// that were ever scheduled-but-unemitted at once.
 	PendingPeak int `json:"pending_peak,omitempty"`
 }
 
@@ -252,16 +252,11 @@ type worker struct {
 // newWorker builds one worker's scratch for model m; New attaches the
 // engine and its fault injector.
 func newWorker(m *machine.Model) *worker {
-	w := &worker{
+	return &worker{
 		rt:  resource.NewTable(resource.MemExprModel),
 		a:   heur.New(nil, m),
 		sel: sched.NewPooledWinnow(sched.Section6Ranked()),
 	}
-	// The unique-expression count is a Table 3 reporting statistic the
-	// engine never reads; its dedup map would hash every memory
-	// reference on every block.
-	w.rt.SetUniqueCounting(false)
-	return w
 }
 
 // schedule runs the per-block pipeline in worker scratch: prepare the

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // MemExpr is a symbolic memory address expression as it appears in a
 // load or store: [base + offset] or [base + index]. The paper counts
@@ -56,13 +53,6 @@ func (m MemExpr) appendTo(b []byte) []byte {
 		b = strconv.AppendInt(b, int64(m.Offset), 10)
 	}
 	return append(b, ']')
-}
-
-// Key returns a canonical string identifying the symbolic expression.
-// Two loads/stores have the same "unique memory expression" (Table 3's
-// last column) exactly when their Keys are equal.
-func (m MemExpr) Key() string {
-	return fmt.Sprintf("%s|%d|%d|%d", m.Sym, m.Base, m.Index, m.Offset)
 }
 
 // wordAfter returns the expression one memory word (4 bytes) later —
@@ -178,22 +168,38 @@ const (
 )
 
 // ResRef is one resource use or definition extracted from an
-// instruction. Slot records the source-operand position (0-based within
-// the instruction's use list); the machine model can key RAW delays on
-// it to model asymmetric bypass paths (the paper's RS/6000 example).
+// instruction: a small pointer-free tag. A memory reference carries no
+// expression of its own; it names its instruction's Mem (Word 0) or
+// the word after it (Word 1, the second word of a double-word access),
+// and Inst.RefMem resolves it. Slot records the source-operand position
+// (0-based within the instruction's use list); the machine model can
+// key RAW delays on it to model asymmetric bypass paths (the paper's
+// RS/6000 example). PairSecond marks the odd half of a register pair,
+// whose RAW delay the machine model skews.
 type ResRef struct {
-	Kind ResKind
-	Reg  Reg     // for RReg / RFReg / RCC / RY
-	Mem  MemExpr // for RMem
-	Slot uint8
+	Kind       ResKind
+	Reg        Reg // for RReg / RFReg / RCC / RY
+	Slot       uint8
+	Word       uint8 // for RMem: memory word of the instruction's Mem
+	PairSecond bool
 }
 
-// String renders the reference for debugging.
+// String renders the reference for debugging. A memory reference
+// renders without its expression, which lives on the instruction.
 func (r ResRef) String() string {
 	if r.Kind == RMem {
-		return "mem" + r.Mem.String()
+		return "mem"
 	}
 	return r.Reg.String()
+}
+
+// RefMem returns the memory expression that r, a memory reference
+// extracted from in, names.
+func (in *Inst) RefMem(r ResRef) MemExpr {
+	if r.Word == 1 {
+		return in.Mem.wordAfter()
+	}
+	return in.Mem
 }
 
 func regRef(r Reg, slot uint8) ResRef {
@@ -219,12 +225,14 @@ func appendReg(dst []ResRef, r Reg, slot uint8) []ResRef {
 	return append(dst, regRef(r, slot))
 }
 
-// appendPair appends r and, for pair instructions, its odd partner.
-// Both halves get the same operand slot: they arrive on the same port.
+// appendPair appends r and, for pair instructions, its odd partner,
+// marked PairSecond. Both halves get the same operand slot: they arrive
+// on the same port.
 func appendPair(dst []ResRef, r Reg, pair bool, slot uint8) []ResRef {
 	dst = appendReg(dst, r, slot)
 	if pair && r != G0 && r != RegNone {
 		dst = appendReg(dst, r+1, slot)
+		dst[len(dst)-1].PairSecond = true
 	}
 	return dst
 }
@@ -251,13 +259,13 @@ func (in *Inst) AppendUses(dst []ResRef) []ResRef {
 		add(in.Mem.Base, false)
 		add(in.Mem.Index, false)
 		//sched:lint-ignore noalloc amortized: callers pass recycled dst whose capacity is retained across blocks
-		dst = append(dst, ResRef{Kind: RMem, Mem: in.Mem, Slot: slot})
+		dst = append(dst, ResRef{Kind: RMem, Slot: slot})
 		if info.pair {
 			// A double-word access touches two memory words; emitting
 			// both keeps "same base, different offset" disambiguation
 			// sound when single- and double-word accesses overlap.
 			//sched:lint-ignore noalloc amortized: callers pass recycled dst whose capacity is retained across blocks
-			dst = append(dst, ResRef{Kind: RMem, Mem: in.Mem.wordAfter(), Slot: slot})
+			dst = append(dst, ResRef{Kind: RMem, Slot: slot, Word: 1})
 		}
 		slot++
 	case FmtStore:
@@ -310,10 +318,10 @@ func (in *Inst) AppendDefs(dst []ResRef) []ResRef {
 		dst = appendPair(dst, in.RD, info.pair, 0)
 	case FmtStore:
 		//sched:lint-ignore noalloc amortized: callers pass recycled dst whose capacity is retained across blocks
-		dst = append(dst, ResRef{Kind: RMem, Mem: in.Mem})
+		dst = append(dst, ResRef{Kind: RMem})
 		if info.pair {
 			//sched:lint-ignore noalloc amortized: callers pass recycled dst whose capacity is retained across blocks
-			dst = append(dst, ResRef{Kind: RMem, Mem: in.Mem.wordAfter()})
+			dst = append(dst, ResRef{Kind: RMem, Word: 1})
 		}
 	case FmtFp2, FmtFp3:
 		dst = appendPair(dst, in.RD, info.pair, 0)
@@ -343,15 +351,3 @@ func (in *Inst) Uses() []ResRef { return in.AppendUses(nil) }
 
 // Defs returns a fresh slice of the resources written by in.
 func (in *Inst) Defs() []ResRef { return in.AppendDefs(nil) }
-
-// PairSecondDef reports whether the i'th definition returned by
-// AppendDefs is the odd (second) half of a destination register pair.
-func (in *Inst) PairSecondDef(def ResRef) bool {
-	if !opTable[in.Op].pair {
-		return false
-	}
-	if def.Kind != RReg && def.Kind != RFReg {
-		return false
-	}
-	return def.Reg == in.RD+1
-}

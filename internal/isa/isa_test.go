@@ -2,15 +2,21 @@ package isa
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func refs(rs []ResRef) []string {
+// refs renders in's references, each memory reference with the
+// expression it names.
+func refs(in *Inst, rs []ResRef) []string {
 	out := make([]string, len(rs))
 	for i, r := range rs {
 		out[i] = r.String()
+		if r.Kind == RMem {
+			out[i] += in.RefMem(r).String()
+		}
 	}
 	return out
 }
@@ -264,18 +270,18 @@ func TestEndsBlock(t *testing.T) {
 
 func TestDefUseALU(t *testing.T) {
 	in := RRR(ADD, G1, G2, G3)
-	if !eqStrings(refs(in.Uses()), []string{"%g1", "%g2"}) {
-		t.Errorf("add uses = %v", refs(in.Uses()))
+	if !eqStrings(refs(&in, in.Uses()), []string{"%g1", "%g2"}) {
+		t.Errorf("add uses = %v", refs(&in, in.Uses()))
 	}
-	if !eqStrings(refs(in.Defs()), []string{"%g3"}) {
-		t.Errorf("add defs = %v", refs(in.Defs()))
+	if !eqStrings(refs(&in, in.Defs()), []string{"%g3"}) {
+		t.Errorf("add defs = %v", refs(&in, in.Defs()))
 	}
 }
 
 func TestDefUseImmediate(t *testing.T) {
 	in := RIR(ADD, G1, 4, G3)
-	if !eqStrings(refs(in.Uses()), []string{"%g1"}) {
-		t.Errorf("add-imm uses = %v", refs(in.Uses()))
+	if !eqStrings(refs(&in, in.Uses()), []string{"%g1"}) {
+		t.Errorf("add-imm uses = %v", refs(&in, in.Uses()))
 	}
 }
 
@@ -283,121 +289,109 @@ func TestG0NeverAResource(t *testing.T) {
 	in := RRR(ADD, G0, G0, G0)
 	if len(in.Uses()) != 0 || len(in.Defs()) != 0 {
 		t.Errorf("adds through %%g0 should have no resources: uses=%v defs=%v",
-			refs(in.Uses()), refs(in.Defs()))
+			refs(&in, in.Uses()), refs(&in, in.Defs()))
 	}
 	cmp := Cmp(G1, G2) // rd is %g0 but cc is defined
-	if !eqStrings(refs(cmp.Defs()), []string{"%icc"}) {
-		t.Errorf("cmp defs = %v", refs(cmp.Defs()))
+	if !eqStrings(refs(&cmp, cmp.Defs()), []string{"%icc"}) {
+		t.Errorf("cmp defs = %v", refs(&cmp, cmp.Defs()))
 	}
 }
 
 func TestDefUseLoad(t *testing.T) {
 	in := Load(LD, FP, -8, O0)
-	uses := refs(in.Uses())
+	uses := refs(&in, in.Uses())
 	if !eqStrings(uses, []string{"%fp", "mem[%fp-8]"}) {
 		t.Errorf("ld uses = %v", uses)
 	}
-	if !eqStrings(refs(in.Defs()), []string{"%o0"}) {
-		t.Errorf("ld defs = %v", refs(in.Defs()))
+	if !eqStrings(refs(&in, in.Defs()), []string{"%o0"}) {
+		t.Errorf("ld defs = %v", refs(&in, in.Defs()))
 	}
 }
 
 func TestDefUseStore(t *testing.T) {
 	in := Store(ST, O0, FP, -8)
-	if !eqStrings(refs(in.Uses()), []string{"%o0", "%fp"}) {
-		t.Errorf("st uses = %v", refs(in.Uses()))
+	if !eqStrings(refs(&in, in.Uses()), []string{"%o0", "%fp"}) {
+		t.Errorf("st uses = %v", refs(&in, in.Uses()))
 	}
-	if !eqStrings(refs(in.Defs()), []string{"mem[%fp-8]"}) {
-		t.Errorf("st defs = %v", refs(in.Defs()))
+	if !eqStrings(refs(&in, in.Defs()), []string{"mem[%fp-8]"}) {
+		t.Errorf("st defs = %v", refs(&in, in.Defs()))
 	}
 }
 
 func TestDefUsePairLoad(t *testing.T) {
 	in := Load(LDDF, SP, 16, F(2))
-	defs := refs(in.Defs())
+	defs := refs(&in, in.Defs())
 	if !eqStrings(defs, []string{"%f2", "%f3"}) {
 		t.Errorf("lddf defs = %v; pair must define both halves", defs)
 	}
-	if !in.PairSecondDef(in.Defs()[1]) {
-		t.Error("PairSecondDef should identify f3")
+	if !in.Defs()[1].PairSecond {
+		t.Error("PairSecond should mark f3")
 	}
-	if in.PairSecondDef(in.Defs()[0]) {
-		t.Error("PairSecondDef misidentifies f2")
+	if in.Defs()[0].PairSecond {
+		t.Error("PairSecond marks f2")
 	}
 }
 
 func TestDefUsePairArith(t *testing.T) {
 	in := Fp3(FADDD, F(0), F(2), F(4))
-	uses := refs(in.Uses())
+	uses := refs(&in, in.Uses())
 	if !eqStrings(uses, []string{"%f0", "%f1", "%f2", "%f3"}) {
 		t.Errorf("faddd uses = %v", uses)
 	}
-	if !eqStrings(refs(in.Defs()), []string{"%f4", "%f5"}) {
-		t.Errorf("faddd defs = %v", refs(in.Defs()))
+	if !eqStrings(refs(&in, in.Defs()), []string{"%f4", "%f5"}) {
+		t.Errorf("faddd defs = %v", refs(&in, in.Defs()))
 	}
 	// Pair halves share an operand slot; distinct operands get distinct slots.
 	u := in.Uses()
 	if u[0].Slot != u[1].Slot || u[2].Slot != u[3].Slot || u[0].Slot == u[2].Slot {
 		t.Errorf("faddd slots = %v %v %v %v", u[0].Slot, u[1].Slot, u[2].Slot, u[3].Slot)
 	}
+	if d := in.Defs(); d[0].PairSecond || !d[1].PairSecond {
+		t.Errorf("faddd PairSecond = %v %v, want false true", d[0].PairSecond, d[1].PairSecond)
+	}
 }
 
 func TestDefUseCondCodes(t *testing.T) {
 	sub := RRR(SUBCC, O0, O1, O2)
-	if !eqStrings(refs(sub.Defs()), []string{"%o2", "%icc"}) {
-		t.Errorf("subcc defs = %v", refs(sub.Defs()))
+	if !eqStrings(refs(&sub, sub.Defs()), []string{"%o2", "%icc"}) {
+		t.Errorf("subcc defs = %v", refs(&sub, sub.Defs()))
 	}
 	br := Branch(BNE, "L1")
-	if !eqStrings(refs(br.Uses()), []string{"%icc"}) {
-		t.Errorf("bne uses = %v", refs(br.Uses()))
+	if !eqStrings(refs(&br, br.Uses()), []string{"%icc"}) {
+		t.Errorf("bne uses = %v", refs(&br, br.Uses()))
 	}
 	fc := Fcmp(FCMPD, F(0), F(2))
-	if !eqStrings(refs(fc.Defs()), []string{"%fcc"}) {
-		t.Errorf("fcmpd defs = %v", refs(fc.Defs()))
+	if !eqStrings(refs(&fc, fc.Defs()), []string{"%fcc"}) {
+		t.Errorf("fcmpd defs = %v", refs(&fc, fc.Defs()))
 	}
 	fb := Branch(FBL, "L2")
-	if !eqStrings(refs(fb.Uses()), []string{"%fcc"}) {
-		t.Errorf("fbl uses = %v", refs(fb.Uses()))
+	if !eqStrings(refs(&fb, fb.Uses()), []string{"%fcc"}) {
+		t.Errorf("fbl uses = %v", refs(&fb, fb.Uses()))
 	}
 }
 
 func TestDefUseCall(t *testing.T) {
 	c := Call("_printf")
-	if !eqStrings(refs(c.Defs()), []string{"%o7"}) {
-		t.Errorf("call defs = %v", refs(c.Defs()))
+	if !eqStrings(refs(&c, c.Defs()), []string{"%o7"}) {
+		t.Errorf("call defs = %v", refs(&c, c.Defs()))
 	}
 	r := Ret()
-	if !eqStrings(refs(r.Uses()), []string{"%i7"}) {
-		t.Errorf("ret uses = %v", refs(r.Uses()))
+	if !eqStrings(refs(&r, r.Uses()), []string{"%i7"}) {
+		t.Errorf("ret uses = %v", refs(&r, r.Uses()))
 	}
 }
 
 func TestDefUseMulY(t *testing.T) {
 	m := RRR(SMUL, O0, O1, O2)
-	if !eqStrings(refs(m.Defs()), []string{"%o2", "%y"}) {
-		t.Errorf("smul defs = %v", refs(m.Defs()))
+	if !eqStrings(refs(&m, m.Defs()), []string{"%o2", "%y"}) {
+		t.Errorf("smul defs = %v", refs(&m, m.Defs()))
 	}
 	rd := Inst{Op: RDY, RS1: RegNone, RS2: RegNone, RD: O3, Mem: NoMem}
-	if !eqStrings(refs(rd.Uses()), []string{"%y"}) {
-		t.Errorf("rd %%y uses = %v", refs(rd.Uses()))
+	if !eqStrings(refs(&rd, rd.Uses()), []string{"%y"}) {
+		t.Errorf("rd %%y uses = %v", refs(&rd, rd.Uses()))
 	}
-	if !eqStrings(refs(rd.Defs()), []string{"%o3"}) {
-		t.Errorf("rd %%y defs = %v", refs(rd.Defs()))
-	}
-}
-
-func TestMemExprKeyUniqueness(t *testing.T) {
-	a := MemExpr{Base: FP, Index: RegNone, Offset: -8}
-	b := MemExpr{Base: FP, Index: RegNone, Offset: -12}
-	c := MemExpr{Base: SP, Index: RegNone, Offset: -8}
-	d := MemExpr{Base: FP, Index: RegNone, Offset: -8, Sym: "_x"}
-	keys := map[string]bool{a.Key(): true, b.Key(): true, c.Key(): true, d.Key(): true}
-	if len(keys) != 4 {
-		t.Errorf("expected 4 distinct keys, got %d", len(keys))
-	}
-	a2 := MemExpr{Base: FP, Index: RegNone, Offset: -8}
-	if a.Key() != a2.Key() {
-		t.Error("identical expressions must share a key")
+	if !eqStrings(refs(&rd, rd.Defs()), []string{"%o3"}) {
+		t.Errorf("rd %%y defs = %v", refs(&rd, rd.Defs()))
 	}
 }
 
@@ -434,7 +428,7 @@ func TestLoadSymStringHasSym(t *testing.T) {
 		t.Errorf("Mem.String() = %q", got)
 	}
 	if len(in.Uses()) != 1 || in.Uses()[0].Kind != RMem {
-		t.Errorf("symbol load uses = %v", refs(in.Uses()))
+		t.Errorf("symbol load uses = %v", refs(&in, in.Uses()))
 	}
 }
 
@@ -523,11 +517,39 @@ func TestPairPredicate(t *testing.T) {
 	if !LDD.Pair() || !FADDD.Pair() || ADD.Pair() || LDF.Pair() {
 		t.Error("Pair() table wrong")
 	}
-	// PairSecondDef on non-register defs is false.
-	st := Store(STDF, F(4), SP, 64)
-	for _, d := range st.Defs() {
-		if st.PairSecondDef(d) {
-			t.Error("memory def misidentified as pair half")
+	// PairSecond marks exactly the destination register RD+1 of a pair
+	// instruction, and never a condition code, %y or a memory word.
+	for _, in := range []Inst{
+		Load(LDD, SP, 8, O2), Load(LDDF, SP, 16, F(2)), Load(LD, FP, -4, O0),
+		Store(STD, O0, FP, -8), Store(STDF, F(4), SP, 64), Fp3(FADDD, F(0), F(2), F(4)),
+		Fp3(FADDS, F(0), F(1), F(2)), Fcmp(FCMPD, F(0), F(2)),
+		RRR(SUBCC, O0, O1, O2), RRR(SMUL, O0, O1, O2), RRR(ADD, O0, O1, O2),
+	} {
+		for _, d := range in.Defs() {
+			isReg := d.Kind == RReg || d.Kind == RFReg
+			want := in.Op.Pair() && isReg && d.Reg == in.RD+1
+			if d.PairSecond != want {
+				t.Errorf("%v: def %v PairSecond = %v, want %v", in.String(), d, d.PairSecond, want)
+			}
+		}
+	}
+}
+
+// TestResRefPointerFree guards the reference format: every block's
+// extraction appends these by the thousand, so a ResRef stays a small
+// tag with nothing for the garbage collector to trace.
+func TestResRefPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(ResRef{})
+	if typ.Size() > 8 {
+		t.Errorf("ResRef is %d bytes, want at most 8", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("ResRef.%s is a %v; want a plain scalar", f.Name, f.Type.Kind())
 		}
 	}
 }

@@ -119,7 +119,7 @@ func Explain(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Tab
 		}
 		ubuf = in.AppendUses(ubuf[:0])
 		for _, u := range ubuf {
-			id := rt.RefID(u)
+			id := rt.RefID(in, u)
 			if d, ok := defs[id]; ok {
 				consider(d.issue+int32(m.RAWDelay(d.inst, d.pairSecond, in, u.Slot)),
 					StallRAW, d.pos)
@@ -127,7 +127,7 @@ func Explain(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Tab
 		}
 		dbuf = in.AppendDefs(dbuf[:0])
 		for _, d := range dbuf {
-			id := rt.RefID(d)
+			id := rt.RefID(in, d)
 			if r, ok := lastRead[id]; ok {
 				consider(r.issue+int32(m.WARDelayFor(nil, in)), StallWAR, r.pos)
 			}
@@ -174,15 +174,15 @@ func Explain(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Tab
 			det.Cycles = fin
 		}
 		for _, u := range ubuf {
-			id := rt.RefID(u)
+			id := rt.RefID(in, u)
 			if r, ok := lastRead[id]; !ok || at > r.issue {
 				lastRead[id] = readRec{issue: at, pos: int32(pos)}
 			}
 		}
 		for _, d := range dbuf {
-			id := rt.RefID(d)
+			id := rt.RefID(in, d)
 			defs[id] = defRec{inst: in, issue: at, pos: int32(pos),
-				pairSecond: in.PairSecondDef(d)}
+				pairSecond: d.PairSecond}
 			delete(lastRead, id)
 		}
 		if units := unitBusy[class]; len(units) > 0 {

@@ -62,7 +62,7 @@ func Simulate(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Ta
 
 		ubuf = in.AppendUses(ubuf[:0])
 		for _, u := range ubuf {
-			id := rt.RefID(u)
+			id := rt.RefID(in, u)
 			if d, ok := defs[id]; ok && d.valid {
 				if t := d.issue + int32(m.RAWDelay(d.inst, d.pairSecond, in, u.Slot)); t > at {
 					at = t
@@ -71,7 +71,7 @@ func Simulate(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Ta
 		}
 		dbuf = in.AppendDefs(dbuf[:0])
 		for _, d := range dbuf {
-			id := rt.RefID(d)
+			id := rt.RefID(in, d)
 			if r, ok := lastRead[id]; ok {
 				if t := r + int32(m.WARDelayFor(nil, in)); t > at {
 					at = t
@@ -111,14 +111,14 @@ func Simulate(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Ta
 		}
 		// Scoreboard updates.
 		for _, u := range ubuf {
-			id := rt.RefID(u)
+			id := rt.RefID(in, u)
 			if r, ok := lastRead[id]; !ok || at > r {
 				lastRead[id] = at
 			}
 		}
 		for _, d := range dbuf {
-			id := rt.RefID(d)
-			defs[id] = defRecord{inst: in, issue: at, pairSecond: in.PairSecondDef(d), valid: true}
+			id := rt.RefID(in, d)
+			defs[id] = defRecord{inst: in, issue: at, pairSecond: d.PairSecond, valid: true}
 			delete(lastRead, id)
 		}
 		if units := unitBusy[class]; len(units) > 0 {

@@ -111,9 +111,10 @@ func ClassOf(m isa.MemExpr) StorageClass {
 }
 
 // memKey is the comparable interning key of a symbolic memory
-// expression. Using a struct key instead of MemExpr.Key()'s formatted
-// string keeps the per-reference map lookups in the DAG-construction
-// hot path allocation-free (the Sym field aliases the instruction's
+// expression, and the definition of a "unique memory expression": two
+// expressions are the same exactly when their keys are equal. A struct
+// key keeps the per-reference map lookups in the DAG-construction hot
+// path allocation-free (the sym field aliases the instruction's
 // existing string; nothing is built per lookup).
 type memKey struct {
 	sym         string
@@ -140,39 +141,26 @@ type Table struct {
 	// so after one giant block grows the map, clearing it per tiny
 	// block costs the giant's capacity forever; targeted deletes keep
 	// the per-block reset proportional to what the block interned.
-	memKeys   []memKey
-	next      ID
-	dirty     [numStorageClasses]bool // class cannot be disambiguated
-	wildcard  [numStorageClasses]ID   // lazily allocated per-class serializer
-	singleID  ID                      // lazily allocated MemSingleModel resource
-	uniqueMax int                     // distinct expressions seen in PrepareBlock
+	memKeys  []memKey
+	next     ID
+	dirty    [numStorageClasses]bool // class cannot be disambiguated
+	wildcard [numStorageClasses]ID   // lazily allocated per-class serializer
+	singleID ID                      // lazily allocated MemSingleModel resource
 
-	// Reused PrepareBlock scratch: all survive across blocks so the
-	// steady-state prescan performs no allocations. seenKeys logs seen
-	// insertions for the same targeted-delete reset as memKeys.
-	seen     map[memKey]bool
-	seenKeys []memKey
-	defbuf   []isa.ResRef
-
-	skipUnique bool
+	// defbuf is PrepareBlock's reused prescan scratch: it survives
+	// across blocks so the steady-state prescan performs no allocations.
+	defbuf []isa.ResRef
 }
 
-// SetUniqueCounting toggles the unique-memory-expression count
-// (UniqueMemExprs, Table 3's last column). It is on by default; the
-// batch engine switches it off because the count is a reporting
-// statistic only, and the dedup map it requires hashes every memory
-// reference's symbolic key on every PrepareBlock — pure overhead in a
-// throughput path that never reads it. With counting off,
-// UniqueMemExprs reports 0.
-func (t *Table) SetUniqueCounting(on bool) { t.skipUnique = !on }
+// SetUniqueCounting does nothing.
+//
+// Deprecated: PrepareBlock no longer counts unique memory expressions;
+// Table 3's count is the pure function UniqueMemExprs.
+func (t *Table) SetUniqueCounting(bool) {}
 
 // NewTable returns a table using the given memory model.
 func NewTable(model MemModel) *Table {
-	t := &Table{
-		model:  model,
-		memIDs: make(map[memKey]ID),
-		seen:   make(map[memKey]bool),
-	}
+	t := &Table{model: model, memIDs: make(map[memKey]ID)}
 	t.reset()
 	return t
 }
@@ -191,16 +179,14 @@ func (t *Table) reset() {
 		t.wildcard[i] = None
 	}
 	t.singleID = None
-	t.uniqueMax = 0
 }
 
 // PrepareBlock resets per-block interning state and prescans the block:
-// it counts the block's unique memory expressions (Table 3's statistic)
-// and, under MemExprModel, marks a storage class dirty when any of its
-// references cannot be disambiguated — a register-indexed address, a
-// base register that the block itself redefines, or a missing base.
-// Dirty classes collapse to one serializing resource, which keeps the
-// per-expression model sound.
+// it finds the registers the block defines and, from them, marks a
+// storage class dirty when any of its references cannot be
+// disambiguated — a register-indexed address, a base register that the
+// block itself redefines, or a missing base. Dirty classes collapse to
+// one serializing resource, which keeps the per-expression model sound.
 func (t *Table) PrepareBlock(insts []isa.Inst) {
 	t.reset()
 	var defined [NumFixed]bool
@@ -212,22 +198,12 @@ func (t *Table) PrepareBlock(insts []isa.Inst) {
 			}
 		}
 	}
-	for _, k := range t.seenKeys {
-		delete(t.seen, k)
-	}
-	t.seenKeys = t.seenKeys[:0]
 	for i := range insts {
 		op := insts[i].Op
 		if !op.IsLoad() && !op.IsStore() {
 			continue
 		}
 		m := insts[i].Mem
-		if !t.skipUnique {
-			if k := keyOf(m); !t.seen[k] {
-				t.seen[k] = true
-				t.seenKeys = append(t.seenKeys, k)
-			}
-		}
 		c := ClassOf(m)
 		switch {
 		case m.HasIndex():
@@ -238,12 +214,20 @@ func (t *Table) PrepareBlock(insts []isa.Inst) {
 			t.dirty[c] = true
 		}
 	}
-	t.uniqueMax = len(t.seen)
 }
 
 // UniqueMemExprs returns the number of distinct symbolic memory
-// expressions found by the last PrepareBlock (Table 3, last column).
-func (t *Table) UniqueMemExprs() int { return t.uniqueMax }
+// expressions the loads and stores of insts address (Table 3, last
+// column).
+func UniqueMemExprs(insts []isa.Inst) int {
+	seen := make(map[memKey]struct{})
+	for i := range insts {
+		if op := insts[i].Op; op.IsLoad() || op.IsStore() {
+			seen[keyOf(insts[i].Mem)] = struct{}{}
+		}
+	}
+	return len(seen)
+}
 
 // NumResources returns the current size of the resource ID space. It
 // grows as memory expressions are interned.
@@ -297,10 +281,10 @@ func (t *Table) alloc() ID {
 	return id
 }
 
-// RefID resolves any resource reference to its ID.
-func (t *Table) RefID(r isa.ResRef) ID {
+// RefID resolves a resource reference extracted from in to its ID.
+func (t *Table) RefID(in *isa.Inst, r isa.ResRef) ID {
 	if r.Kind == isa.RMem {
-		return t.MemID(r.Mem)
+		return t.MemID(in.RefMem(r))
 	}
 	return RegID(r.Reg)
 }

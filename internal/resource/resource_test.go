@@ -48,8 +48,8 @@ func TestMemExprModelDistinctOffsets(t *testing.T) {
 	if a != c {
 		t.Error("identical expressions must share a resource")
 	}
-	if tb.UniqueMemExprs() != 2 {
-		t.Errorf("UniqueMemExprs = %d, want 2", tb.UniqueMemExprs())
+	if n := UniqueMemExprs(block); n != 2 {
+		t.Errorf("UniqueMemExprs = %d, want 2", n)
 	}
 	if tb.NumResources() != NumFixed+2 {
 		t.Errorf("NumResources = %d, want %d", tb.NumResources(), NumFixed+2)
@@ -158,11 +158,62 @@ func TestRefID(t *testing.T) {
 	ld := isa.Load(isa.LD, isa.FP, -8, isa.O0)
 	tb.PrepareBlock([]isa.Inst{ld})
 	uses := ld.Uses()
-	if tb.RefID(uses[0]) != RegID(isa.FP) {
+	if tb.RefID(&ld, uses[0]) != RegID(isa.FP) {
 		t.Error("register ref resolves to register ID")
 	}
-	if tb.RefID(uses[1]) < NumFixed {
+	if tb.RefID(&ld, uses[1]) < NumFixed {
 		t.Error("memory ref must resolve above the fixed space")
+	}
+
+	// A double-word access names two memory words: Word 1 is the
+	// expression 4 bytes on, its own resource under MemExprModel and
+	// the same one under the coarser models.
+	lddf := isa.Load(isa.LDDF, isa.FP, -16, isa.F(2))
+	stdf := isa.Store(isa.STDF, isa.F(4), isa.SP, 64)
+	for _, model := range []MemModel{MemExprModel, MemClassModel, MemSingleModel} {
+		for _, c := range []struct {
+			in   isa.Inst
+			refs []isa.ResRef
+		}{{lddf, lddf.Uses()}, {stdf, stdf.Defs()}} {
+			tb := NewTable(model)
+			tb.PrepareBlock([]isa.Inst{c.in})
+			var words []isa.ResRef
+			for _, r := range c.refs {
+				if r.Kind == isa.RMem {
+					words = append(words, r)
+				}
+			}
+			if len(words) != 2 || words[0].Word != 0 || words[1].Word != 1 {
+				t.Fatalf("%v: memory refs = %+v, want words 0 and 1", c.in.String(), words)
+			}
+			w0, w1 := tb.RefID(&c.in, words[0]), tb.RefID(&c.in, words[1])
+			if w0 != tb.MemID(c.in.Mem) {
+				t.Errorf("%v %v: word 0 = %d, want MemID(Mem) = %d", model, c.in.String(), w0, tb.MemID(c.in.Mem))
+			}
+			next := c.in.Mem
+			next.Offset += 4
+			if want := tb.MemID(next); w1 != want {
+				t.Errorf("%v %v: word 1 = %d, want MemID(Mem+4) = %d", model, c.in.String(), w1, want)
+			}
+			if shared := model != MemExprModel; (w0 == w1) != shared {
+				t.Errorf("%v %v: words share an ID = %v, want %v", model, c.in.String(), w0 == w1, shared)
+			}
+		}
+	}
+}
+
+func TestUniqueMemExprs(t *testing.T) {
+	a := isa.Load(isa.LD, isa.FP, -8, isa.O0)
+	b := isa.Load(isa.LD, isa.FP, -12, isa.O0)
+	c := isa.Load(isa.LD, isa.SP, -8, isa.O0)
+	d := isa.LoadSym(isa.LD, "_x", isa.FP, -8, isa.O0)
+	block := []isa.Inst{a, b, c, d}
+	if n := UniqueMemExprs(block); n != 4 {
+		t.Errorf("expected 4 distinct expressions, got %d", n)
+	}
+	a2 := isa.Store(isa.ST, isa.O1, isa.FP, -8)
+	if n := UniqueMemExprs(append(block, a2, isa.RRR(isa.ADD, isa.O0, isa.O1, isa.O2))); n != 4 {
+		t.Errorf("a repeated expression must add none: got %d", n)
 	}
 }
 

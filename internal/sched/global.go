@@ -49,7 +49,7 @@ func CarryOut(d *dag.DAG, m *machine.Model, r *Result) *Carry {
 				continue
 			}
 			lat := int32(m.Latency(in.Op))
-			if in.PairSecondDef(def) {
+			if def.PairSecond {
 				lat += int32(m.PairSkew)
 			}
 			if ready := r.Issue[i] + lat - base; ready > c.Ready[def.Reg] {

@@ -18,9 +18,10 @@ type genScratch struct {
 	positions []int
 	// seen dedups candidate expressions, keyed on the struct itself
 	// (MemExpr is comparable and every field distinguishes addresses):
-	// equivalent to keying on MemExpr.Key() but with no formatting or
-	// string allocation per draw. Its live entries always mirror exprs,
-	// which doubles as the deletion log for the next block's reset.
+	// the same identity resource.UniqueMemExprs counts by, with no
+	// formatting or string allocation per draw. Its live entries always
+	// mirror exprs, which doubles as the deletion log for the next
+	// block's reset.
 	seen map[isa.MemExpr]bool
 }
 

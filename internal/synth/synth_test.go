@@ -26,10 +26,8 @@ var table3 = map[string]struct {
 
 func measure(t *testing.T, blocks []*block.Block) block.Stats {
 	t.Helper()
-	rt := resource.NewTable(resource.MemExprModel)
 	return block.Measure(blocks, func(b *block.Block) int {
-		rt.PrepareBlock(b.Insts)
-		return rt.UniqueMemExprs()
+		return resource.UniqueMemExprs(b.Insts)
 	})
 }
 

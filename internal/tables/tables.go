@@ -205,11 +205,9 @@ func Table3(sets []BenchmarkSet) string {
 	fmt.Fprintf(&b, "%-12s %8s %8s %12s %12s %10s %10s\n",
 		"benchmark", "#blocks", "#insts", "insts/b max", "insts/b avg", "mem max", "mem avg")
 	fmt.Fprintln(&b, strings.Repeat("-", 78))
-	rt := resource.NewTable(resource.MemExprModel)
 	for _, set := range sets {
 		s := block.Measure(set.Blocks, func(bb *block.Block) int {
-			rt.PrepareBlock(bb.Insts)
-			return rt.UniqueMemExprs()
+			return resource.UniqueMemExprs(bb.Insts)
 		})
 		fmt.Fprintf(&b, "%-12s %8d %8d %12d %12.2f %10d %10.2f\n",
 			set.Name, s.Blocks, s.Insts, s.MaxBlockLen, s.AvgBlockLen,

@@ -1,9 +1,10 @@
 #!/bin/sh
-# CI gate: vet, the schedlint static-analysis suite — all nine passes
-# (zero-alloc, arena-lifetime, guarded-field, benchmark-hygiene,
-# lock-order, atomic-field, condvar-loop, cancellation-poll and
-# panic-safety invariants) in strict mode, which also fails on stale
-# //sched:lint-ignore suppressions; see DESIGN.md §7 — build, vet and
+# CI gate: formatting (gofmt -l must list no file), vet, the schedlint
+# static-analysis suite — all nine passes (zero-alloc, arena-lifetime,
+# guarded-field, benchmark-hygiene, lock-order, atomic-field,
+# condvar-loop, cancellation-poll and panic-safety invariants) in strict
+# mode, which also fails on stale //sched:lint-ignore suppressions; see
+# DESIGN.md §7 — build, vet and
 # tests of the separate perfbench module (the root build never
 # compiles it, so an engine API change could break the benchmark
 # unnoticed), then the full test suite under the race detector.
@@ -11,8 +12,9 @@
 # Each correctness gate is a Go test, and the race step runs every one
 # of them once: the oracle gate (TestPipelineMatchesOracles: the
 # engine's schedules at eight workers checked against the scoreboard
-# simulator, verify's legality, timing and width checks, and the
-# branch-and-bound optimum on small blocks), the packed-selection identity
+# simulator and verify's legality, timing and width checks over the
+# mixed, chaos and giant-block corpora, and the branch-and-bound
+# optimum on small blocks), the packed-selection identity
 # gate (TestPackedSelMatchesWinnow; DESIGN.md §12), the chaos gate
 # (TestEngineChaosLadder and TestEngineChaosDeterminism: a seeded fault
 # plan at an 8-worker pool, every block byte-identical to a fault-free
@@ -44,6 +46,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet"
 go vet ./...
