@@ -24,15 +24,9 @@ type CSR struct {
 
 	succPacked []PackedArc
 	predPacked []PackedArc
-	// spill holds the rare delays too wide for the packed record's
-	// 16-bit field.
-	spill []int32
 
-	// frozen records that freeze ran for the current block; packed
-	// that it succeeded. A block past the packed limits is frozen but
-	// not packed: it has no view, and a repeat Freeze does not retry.
+	// frozen records that freeze ran for the current block.
 	frozen bool
-	packed bool
 }
 
 // NumSuccs returns node i's successor count without touching the arc
@@ -53,19 +47,13 @@ func (c *CSR) PredSpan(i int32) (lo, hi int32) { return c.predOff[i], c.predOff[
 
 // freeze packs d's mirror slices into c: one O(n + m) pass over the
 // nodes in index order, appending each node's arcs in their insertion
-// order, which is exactly the grouping CSR requires. A block past the
-// packed limits — more than PackedMaxNodes nodes, or more oversize
-// delays than the spill index can address — leaves c unpacked rather
-// than partial.
+// order, which is exactly the grouping CSR requires. The record is
+// lossless (see packed.go), so every block packs.
 //
 //sched:noalloc
 func (c *CSR) freeze(d *DAG) {
-	c.frozen, c.packed = true, false
-	c.spill = c.spill[:0]
+	c.frozen = true
 	n := len(d.Nodes)
-	if n > PackedMaxNodes {
-		return
-	}
 	c.succOff = buf.Int32(c.succOff, n+1)
 	c.predOff = buf.Int32(c.predOff, n+1)
 	c.succPacked = growPacked(c.succPacked, d.NumArcs)
@@ -74,50 +62,38 @@ func (c *CSR) freeze(d *DAG) {
 		nd := &d.Nodes[i]
 		c.succOff[i] = int32(len(c.succPacked))
 		for _, arc := range nd.Succs {
-			p, ok := c.pack(arc.To, arc.Kind, arc.Delay)
-			if !ok {
-				return
-			}
 			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
-			c.succPacked = append(c.succPacked, p)
+			c.succPacked = append(c.succPacked, pack(arc.To, arc.Kind, arc.Delay))
 		}
 		c.predOff[i] = int32(len(c.predPacked))
 		for _, arc := range nd.Preds {
-			p, ok := c.pack(arc.From, arc.Kind, arc.Delay)
-			if !ok {
-				return
-			}
 			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
-			c.predPacked = append(c.predPacked, p)
+			c.predPacked = append(c.predPacked, pack(arc.From, arc.Kind, arc.Delay))
 		}
 	}
 	c.succOff[n] = int32(len(c.succPacked))
 	c.predOff[n] = int32(len(c.predPacked))
-	c.packed = true
 }
 
-// Freeze builds the DAG's CSR view (once per block) and returns it,
-// or nil when the block is past the packed limits; such a block is
-// read through its Succs/Preds mirrors. Freeze may only be called
-// after construction completes; the view is immutable and shares the
-// DAG's lifetime — for arena-owned DAGs it is invalidated by the
-// arena's next ResetFor/BuildInto, which also recycles the CSR's
-// storage.
+// Freeze builds the DAG's CSR view (once per block) and returns it.
+// Freeze may only be called after construction completes; the view is
+// immutable and shares the DAG's lifetime — for arena-owned DAGs it is
+// invalidated by the arena's next ResetFor/BuildInto, which also
+// recycles the CSR's storage.
 //
 //sched:noalloc
 func (d *DAG) Freeze() *CSR {
 	if !d.csr.frozen {
 		d.csr.freeze(d)
 	}
-	return d.FrozenCSR()
+	return &d.csr
 }
 
-// FrozenCSR returns the CSR view if Freeze has run and packed the
-// block, else nil. Hot-path consumers use it to pick the packed layout
-// when available without forcing a freeze on callers that never asked
-// for one.
+// FrozenCSR returns the CSR view if Freeze has run, else nil.
+// Hot-path consumers use it to pick the packed layout when available
+// without forcing a freeze on callers that never asked for one.
 func (d *DAG) FrozenCSR() *CSR {
-	if d.csr.frozen && d.csr.packed {
+	if d.csr.frozen {
 		return &d.csr
 	}
 	return nil

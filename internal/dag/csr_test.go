@@ -102,10 +102,4 @@ func TestValidateCatchesCSRDivergence(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Error("Validate accepted a truncated packed array")
 	}
-
-	d = build()
-	d.csr.succPacked[0] |= packedSpillBit
-	if err := d.Validate(); err == nil {
-		t.Error("Validate accepted a record naming an empty spill table")
-	}
 }

@@ -269,17 +269,17 @@ func (d *DAG) Validate() error {
 // reuse of the CSR's recycled storage).
 func (d *DAG) validateCSR() error {
 	c := &d.csr
-	if err := c.checkSpans(d, "succ", c.succOff, c.succPacked); err != nil {
+	if err := checkSpans(d, "succ", c.succOff, c.succPacked); err != nil {
 		return err
 	}
-	return c.checkSpans(d, "pred", c.predOff, c.predPacked)
+	return checkSpans(d, "pred", c.predOff, c.predPacked)
 }
 
 // checkSpans validates one direction of the CSR: the offsets must start
 // at 0, be monotone and end at NumArcs over exactly NumArcs records,
 // and every node's span must decode to its mirror slice element for
 // element.
-func (c *CSR) checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) error {
+func checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) error {
 	n := len(d.Nodes)
 	if len(off) != n+1 {
 		return fmt.Errorf("csr: %s offsets cover %d nodes, DAG has %d", dir, len(off)-1, n)
@@ -308,12 +308,9 @@ func (c *CSR) checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) erro
 			if dir == "pred" {
 				peer = arc.From
 			}
-			if p&packedSpillBit != 0 && int(p>>packedNodeBits&packedDelayMask) >= len(c.spill) {
-				return fmt.Errorf("csr: node %d %s record %d names spill slot past the table", i, dir, k)
-			}
-			if p.Node() != peer || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
+			if p.Node() != peer || p.Kind() != arc.Kind || p.Delay() != arc.Delay {
 				return fmt.Errorf("csr: node %d %s record %d decodes to (%d,%v,%d), mirror arc is (%d,%v,%d)",
-					i, dir, k, p.Node(), p.Kind(), c.Delay(p), peer, arc.Kind, arc.Delay)
+					i, dir, k, p.Node(), p.Kind(), p.Delay(), peer, arc.Kind, arc.Delay)
 			}
 		}
 	}

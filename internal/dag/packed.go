@@ -11,55 +11,31 @@ package dag
 //
 // Record layout (low bit first):
 //
-//	bits  0..20  peer node index (To in the succ array, From in pred)
-//	bits 21..36  arc delay, or the spill-table index when bit 39 is set
-//	bits 37..38  DepKind (RAW/WAR/WAW)
-//	bit  39      spill flag: delay did not fit 16 bits, read the table
-//	bits 40..63  zero
+//	bits  0..30  peer node index (To in the succ array, From in pred)
+//	bits 31..61  arc delay
+//	bits 62..63  DepKind (RAW/WAR/WAW)
 //
-// Delays on real machine models are single-digit cycles, so the spill
-// table is almost always empty; it exists so the packed view never has
-// to lie about a pathological arc. A block with more than
-// PackedMaxNodes instructions, or with more oversize delays than the
-// 16-bit spill index can address, is not frozen at all: Freeze returns
-// nil and consumers read the Succs/Preds mirrors.
+// The peer field holds every index an int32 Arc endpoint can name and
+// the delay field every delay Validate accepts (1 to 2^31-1), so the
+// record is lossless for every DAG a builder can produce: every block
+// freezes, and encode and decode are shifts and masks with no branch.
 type PackedArc uint64
 
 const (
-	packedNodeBits  = 21
-	packedDelayBits = 16
-	packedKindShift = packedNodeBits + packedDelayBits // 37
-	packedSpillBit  = PackedArc(1) << 39
+	packedNodeBits  = 31
+	packedDelayBits = 31
+	packedKindShift = packedNodeBits + packedDelayBits // 62
 
 	packedNodeMask  = 1<<packedNodeBits - 1
 	packedDelayMask = 1<<packedDelayBits - 1
-
-	// PackedMaxNodes is the largest node count the packed record's peer
-	// field can address; bigger blocks are not frozen.
-	PackedMaxNodes = 1 << packedNodeBits
-
-	// packedMaxSpills bounds the spill table: the delay field doubles as
-	// the spill index, so it has the same width as a delay.
-	packedMaxSpills = 1 << packedDelayBits
 )
 
 // pack encodes one arc for its owner's span: peer is the other
-// endpoint. An oversize delay is appended to the spill table; ok is
-// false once the table's 16-bit index is exhausted.
+// endpoint.
 //
 //sched:noalloc
-func (c *CSR) pack(peer int32, kind DepKind, delay int32) (p PackedArc, ok bool) {
-	p = PackedArc(uint64(peer) | uint64(kind)<<packedKindShift)
-	if uint32(delay) <= packedDelayMask {
-		return p | PackedArc(uint64(delay)<<packedNodeBits), true
-	}
-	if len(c.spill) == packedMaxSpills {
-		return 0, false
-	}
-	p |= packedSpillBit | PackedArc(uint64(len(c.spill))<<packedNodeBits)
-	//sched:lint-ignore noalloc oversize-delay spills are a pathological fault path, never the steady state
-	c.spill = append(c.spill, delay)
-	return p, true
+func pack(peer int32, kind DepKind, delay int32) PackedArc {
+	return PackedArc(uint64(peer) | uint64(delay)<<packedNodeBits | uint64(kind)<<packedKindShift)
 }
 
 // Node returns the record's explicit endpoint: the child (To) for a
@@ -68,10 +44,15 @@ func (c *CSR) pack(peer int32, kind DepKind, delay int32) (p PackedArc, ok bool)
 //sched:noalloc
 func (p PackedArc) Node() int32 { return int32(p & packedNodeMask) }
 
+// Delay returns the arc delay.
+//
+//sched:noalloc
+func (p PackedArc) Delay() int32 { return int32(p >> packedNodeBits & packedDelayMask) }
+
 // Kind returns the dependence kind.
 //
 //sched:noalloc
-func (p PackedArc) Kind() DepKind { return DepKind(p >> packedKindShift & 0b11) }
+func (p PackedArc) Kind() DepKind { return DepKind(p >> packedKindShift) }
 
 // PackedSuccArcs returns the packed successor-arc array (every arc,
 // grouped by From in ascending node order); index it with SuccSpan.
@@ -84,18 +65,6 @@ func (c *CSR) PackedSuccArcs() []PackedArc { return c.succPacked }
 //
 //sched:noalloc
 func (c *CSR) PackedPredArcs() []PackedArc { return c.predPacked }
-
-// Delay decodes a packed record's arc delay, following the spill table
-// on the (rare) oversize record.
-//
-//sched:noalloc
-func (c *CSR) Delay(p PackedArc) int32 {
-	v := int32(p >> packedNodeBits & packedDelayMask)
-	if p&packedSpillBit == 0 {
-		return v
-	}
-	return c.spill[v]
-}
 
 // growPacked returns an empty []PackedArc with capacity for at least n
 // records, reusing s's backing array when possible.

@@ -71,26 +71,26 @@ func TestPackedRoundTrip(t *testing.T) {
 			succs := d.Nodes[i].Succs
 			for k, arc := range succs {
 				p := c.PackedSuccArcs()[lo+int32(k)]
-				if p.Node() != arc.To || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
+				if p.Node() != arc.To || p.Kind() != arc.Kind || p.Delay() != arc.Delay {
 					t.Fatalf("%s: node %d packed succ %d = (%d,%v,%d), want (%d,%v,%d)",
-						bld.Name(), i, k, p.Node(), p.Kind(), c.Delay(p), arc.To, arc.Kind, arc.Delay)
+						bld.Name(), i, k, p.Node(), p.Kind(), p.Delay(), arc.To, arc.Kind, arc.Delay)
 				}
 			}
 			lo, _ = c.PredSpan(i)
 			preds := d.Nodes[i].Preds
 			for k, arc := range preds {
 				p := c.PackedPredArcs()[lo+int32(k)]
-				if p.Node() != arc.From || p.Kind() != arc.Kind || c.Delay(p) != arc.Delay {
+				if p.Node() != arc.From || p.Kind() != arc.Kind || p.Delay() != arc.Delay {
 					t.Fatalf("%s: node %d packed pred %d = (%d,%v,%d), want (%d,%v,%d)",
-						bld.Name(), i, k, p.Node(), p.Kind(), c.Delay(p), arc.From, arc.Kind, arc.Delay)
+						bld.Name(), i, k, p.Node(), p.Kind(), p.Delay(), arc.From, arc.Kind, arc.Delay)
 				}
 			}
 		}
 	}
 }
 
-// packedTestDAG hand-builds a small DAG with the given arc delays so
-// the spill machinery can be driven directly.
+// packedTestDAG hand-builds a chain DAG with the given arc delays so
+// the record's fields can be driven to their extremes directly.
 func packedTestDAG(t *testing.T, delays []int32) *DAG {
 	t.Helper()
 	b := csrTestBlock(7, len(delays)+1)
@@ -101,10 +101,12 @@ func packedTestDAG(t *testing.T, delays []int32) *DAG {
 	return d
 }
 
-// TestPackedOverflowSpill drives delays past the 16-bit field and
-// checks they round-trip through the spill table, on both mirrors.
-func TestPackedOverflowSpill(t *testing.T) {
-	delays := []int32{1, 70000, 3, 1 << 20, 65535, 65536}
+// TestPackedExtremesRoundTrip drives the record's fields to their
+// extremes: delays from 1 to 2^31-1 through Freeze and Validate on
+// both mirrors, and pack/decode at the smallest and largest peer for
+// every kind and extreme delay.
+func TestPackedExtremesRoundTrip(t *testing.T) {
+	delays := []int32{1, 65535, 65536, 1 << 20, 1<<31 - 1}
 	d := packedTestDAG(t, delays)
 	c := d.Freeze()
 	if c == nil {
@@ -113,62 +115,28 @@ func TestPackedOverflowSpill(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	// Three delays are oversize; each spills once per mirror.
-	if len(c.spill) != 6 {
-		t.Fatalf("spill table holds %d entries, want 6", len(c.spill))
-	}
-	spilled := 0
 	for i, delay := range delays {
 		lo, _ := c.SuccSpan(int32(i))
 		p := c.PackedSuccArcs()[lo]
-		if c.Delay(p) != delay || p.Node() != int32(i+1) {
-			t.Fatalf("succ of %d: packed (%d,%d), want (%d,%d)", i, p.Node(), c.Delay(p), i+1, delay)
-		}
-		if p&packedSpillBit != 0 {
-			spilled++
+		if p.Delay() != delay || p.Node() != int32(i+1) {
+			t.Fatalf("succ of %d: packed (%d,%d), want (%d,%d)", i, p.Node(), p.Delay(), i+1, delay)
 		}
 		lo, _ = c.PredSpan(int32(i + 1))
 		p = c.PackedPredArcs()[lo]
-		if c.Delay(p) != delay || p.Node() != int32(i) {
-			t.Fatalf("pred of %d: packed (%d,%d), want (%d,%d)", i+1, p.Node(), c.Delay(p), i, delay)
+		if p.Delay() != delay || p.Node() != int32(i) {
+			t.Fatalf("pred of %d: packed (%d,%d), want (%d,%d)", i+1, p.Node(), p.Delay(), i, delay)
 		}
 	}
-	if spilled != 3 {
-		t.Fatalf("%d succ records spilled, want 3", spilled)
-	}
-}
-
-// TestPackedSpillExhausted gives a DAG more oversize delays than the
-// 16-bit spill index can address across its two directions (each
-// direction alone fits): Freeze must leave it unfrozen, Validate must
-// still pass on the mirrors, and a repeat Freeze must not retry the
-// pack.
-func TestPackedSpillExhausted(t *testing.T) {
-	n := 0
-	for n*(n-1)/2 <= packedMaxSpills/2 {
-		n++
-	}
-	d := newDAG(csrTestBlock(3, n), "spill-exhaust")
-	for a := int32(0); int(a) < n; a++ {
-		for b := a + 1; int(b) < n; b++ {
-			d.addArc(a, b, RAW, packedDelayMask+1+a)
+	for _, peer := range []int32{0, 1<<31 - 1} {
+		for _, kind := range []DepKind{RAW, WAR, WAW} {
+			for _, delay := range []int32{1, 1<<31 - 1} {
+				p := pack(peer, kind, delay)
+				if p.Node() != peer || p.Kind() != kind || p.Delay() != delay {
+					t.Fatalf("pack(%d,%v,%d) decodes to (%d,%v,%d)",
+						peer, kind, delay, p.Node(), p.Kind(), p.Delay())
+				}
+			}
 		}
-	}
-	if d.NumArcs > packedMaxSpills || 2*d.NumArcs <= packedMaxSpills {
-		t.Fatalf("%d oversize arcs do not exhaust the spill index only across both directions", d.NumArcs)
-	}
-	if c := d.Freeze(); c != nil {
-		t.Fatal("Freeze packed a block whose spill index runs out")
-	}
-	if d.FrozenCSR() != nil {
-		t.Fatal("FrozenCSR reports a view for an unpackable block")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	d.csr.spill = d.csr.spill[:0]
-	if d.Freeze() != nil || len(d.csr.spill) != 0 {
-		t.Fatal("repeat Freeze retried the pack")
 	}
 }
 
@@ -203,7 +171,7 @@ func BenchmarkPackedDecode(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		for _, p := range c.PackedSuccArcs() {
-			sink += int64(p.Node()) + int64(c.Delay(p))
+			sink += int64(p.Node()) + int64(p.Delay())
 		}
 	}
 	_ = sink

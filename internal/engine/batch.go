@@ -60,7 +60,7 @@ func binIndex(n int) int {
 
 // binAcc is one worker's running tally for one size bin.
 type binAcc struct {
-	blocks, insts, table, cached, nanos int64
+	blocks, insts, cached, nanos int64
 }
 
 // binAdd records one finished block: scheduled by the pipeline, or
@@ -72,19 +72,16 @@ func (w *worker) binAdd(n int, nanos int64, cached bool) {
 	a.nanos += nanos
 	if cached {
 		a.cached++
-	} else {
-		a.table++
 	}
 }
 
 // BinStats is one size bin's slice of a run: how many blocks landed in
-// the bin, how many the pipeline scheduled and how many the cache
-// served, and the bin's share of the summed per-block wall time.
+// the bin, how many of them the cache served, and the bin's share of
+// the summed per-block wall time.
 type BinStats struct {
 	Label        string  `json:"label"`
 	Blocks       int64   `json:"blocks"`
 	Insts        int64   `json:"insts"`
-	TableBlocks  int64   `json:"table_blocks"`
 	CachedBlocks int64   `json:"cached_blocks"`
 	WallShare    float64 `json:"wall_share"`
 	InstsPerSec  float64 `json:"insts_per_sec"`
@@ -104,7 +101,6 @@ func (c *crew) collectBins(dst []BinStats) []BinStats {
 			a := &w.bins[i]
 			acc.blocks += a.blocks
 			acc.insts += a.insts
-			acc.table += a.table
 			acc.cached += a.cached
 			acc.nanos += a.nanos
 		}
@@ -113,7 +109,6 @@ func (c *crew) collectBins(dst []BinStats) []BinStats {
 			Label:        binLabels[i],
 			Blocks:       acc.blocks,
 			Insts:        acc.insts,
-			TableBlocks:  acc.table,
 			CachedBlocks: acc.cached,
 		}
 		if acc.nanos > 0 {

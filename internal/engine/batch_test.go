@@ -150,8 +150,8 @@ func checkSimulatorAndVerify(t *testing.T, rt *resource.Table, m *machine.Model,
 }
 
 // TestAdaptiveBinStats checks the per-bin accounting: every block
-// lands in exactly one bin, the pipeline and cache tags partition the
-// bin, and the wall shares are a distribution.
+// lands in exactly one bin, no bin counts more cached blocks than it
+// holds, and the wall shares are a distribution.
 func TestAdaptiveBinStats(t *testing.T) {
 	m := machine.Pipe1()
 	sizes := []int{1, 2, 3, 4, 5, 8, 9, 16, 40, 64, 65, 128, 129, 600}
@@ -180,8 +180,8 @@ func TestAdaptiveBinStats(t *testing.T) {
 		if bin.Blocks != wantPerBin[bin.Label] {
 			t.Errorf("bin %s: %d blocks, want %d", bin.Label, bin.Blocks, wantPerBin[bin.Label])
 		}
-		if got := bin.TableBlocks + bin.CachedBlocks; got != bin.Blocks {
-			t.Errorf("bin %s: pipeline tags sum to %d of %d blocks", bin.Label, got, bin.Blocks)
+		if bin.CachedBlocks > bin.Blocks {
+			t.Errorf("bin %s: %d cached of %d blocks", bin.Label, bin.CachedBlocks, bin.Blocks)
 		}
 		tot += bin.Blocks
 		insts += bin.Insts

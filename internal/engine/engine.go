@@ -228,6 +228,10 @@ type worker struct {
 
 	tally
 
+	// chunk is the claim loop's buffer: the run of items the worker
+	// claimed last (see workSource).
+	chunk [chunkSize]streamItem
+
 	// Hardening state. inj is the engine's fault injector (nil without
 	// a FaultPlan); deadline is the current block's soft deadline (zero
 	// when Config.BlockTimeout is unset); hookPanic/hookCorrupt are the
@@ -265,10 +269,8 @@ func newWorker(m *machine.Model) *worker {
 // pack the selector's priority words) in one fused sweep over the
 // packed successor records, then list-schedule over the same arrays.
 // The fused sweep computes everything the selector reads, so no
-// construction observer is needed; a block past the packed limits
-// stays unfrozen and runs the same steps over its mirrors. The
-// returned Result and DAG are worker-owned and valid only until the
-// worker's next block.
+// construction observer is needed. The returned Result and DAG are
+// worker-owned and valid only until the worker's next block.
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
@@ -319,12 +321,10 @@ type Engine struct {
 // recycled beside them (a quarantine overwrites a whole worker).
 type crew struct {
 	workers []*worker
-	// batch is Run's work source (see prefill); chunks holds each
-	// worker's stream claims, by crew position; slots is RunStream's
+	// batch is Run's work source (see prefill); slots is RunStream's
 	// reorder ring.
-	batch  batchSource
-	chunks [][chunkSize]streamItem
-	slots  []streamSlot
+	batch batchSource
+	slots []streamSlot
 	// wg joins the spawned workers: a field, not a local of work, which
 	// the goroutines' closure would move to the heap.
 	wg sync.WaitGroup
@@ -383,7 +383,7 @@ func New(cfg Config) (*Engine, error) {
 		e.workers[i] = newWorker(cfg.Model)
 		e.workers[i].e, e.workers[i].inj = e, inj
 		e.free <- e.workers[i]
-		e.crews <- &crew{workers: make([]*worker, 0, n), chunks: make([][chunkSize]streamItem, n)}
+		e.crews <- &crew{workers: make([]*worker, 0, n)}
 	}
 	if cfg.Cache {
 		e.cache = newSchedCache(cfg.CacheCap)

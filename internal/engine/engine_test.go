@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"daginsched/internal/block"
@@ -181,6 +182,25 @@ func TestEngineConfigErrors(t *testing.T) {
 	if e.Workers() < 1 {
 		t.Errorf("defaulted workers = %d, want >= 1", e.Workers())
 	}
+}
+
+// TestNewMemoryLinearInWorkers pins that New's footprint grows with
+// the worker count, not its square: the claim buffer is per worker,
+// not per crew member. New starts no goroutine without CachePath, so
+// the process-wide allocation counter measures it alone.
+func TestNewMemoryLinearInWorkers(t *testing.T) {
+	const limit = 8 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := New(Config{Workers: 256, Model: machine.Pipe1()})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("New with 256 workers allocated %d bytes, want under %d", got, limit)
+	}
+	runtime.KeepAlive(e)
 }
 
 // TestEngineEmptyBatch must not divide by zero or misreport.

@@ -172,8 +172,9 @@ func (w *worker) structuralGate(order, issue []int32, n int) bool {
 // successor arcs alone, so a predecessor mirror that disagrees with
 // its successor twin can never hide from this check. On a frozen DAG
 // the walk streams the packed successor and predecessor spans (freeze
-// packed both from the mirrors, disagreement included); otherwise it
-// chases the per-node mirrors.
+// packed both from the mirrors, disagreement included); on RungN2's
+// DAG, which is deliberately never frozen, it chases the per-node
+// mirrors.
 //
 //sched:noalloc
 func arcGate(d *dag.DAG, issue []int32) bool {
@@ -182,13 +183,13 @@ func arcGate(d *dag.DAG, issue []int32) bool {
 		for i := int32(0); int(i) < len(d.Nodes); i++ {
 			lo, hi := c.SuccSpan(i)
 			for _, p := range succs[lo:hi] { // i -> p.Node()
-				if issue[p.Node()] < issue[i]+c.Delay(p) {
+				if issue[p.Node()] < issue[i]+p.Delay() {
 					return false
 				}
 			}
 			lo, hi = c.PredSpan(i)
 			for _, p := range preds[lo:hi] { // p.Node() -> i
-				if issue[i] < issue[p.Node()]+c.Delay(p) {
+				if issue[i] < issue[p.Node()]+p.Delay() {
 					return false
 				}
 			}
@@ -225,8 +226,9 @@ func (w *worker) gate(d *dag.DAG, r *sched.Result, n int) bool {
 // everything a panicking or gate-failing pipeline may have left
 // inconsistent or aliased — and attaches fresh ones. Only plain
 // per-run bookkeeping survives: the tallies, the current block's key
-// encoding (needed for the cache insert after the retry) and the
-// armed deadline. The discarded arena's storage must regrow on the
+// encoding (needed for the cache insert after the retry), the armed
+// deadline and the claim buffer, which the claim loop is still
+// ranging over. The discarded arena's storage must regrow on the
 // fresh one, so a quarantine costs real allocations; it is strictly a
 // fault-path event.
 func (w *worker) quarantine() {
@@ -236,6 +238,7 @@ func (w *worker) quarantine() {
 	fresh.hookKey = w.hookKey
 	fresh.enc = w.enc // plain bytes: cannot alias the discarded arena
 	fresh.tally = w.tally
+	fresh.chunk = w.chunk
 	fresh.quars++
 	*w = *fresh
 }

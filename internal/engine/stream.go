@@ -123,17 +123,17 @@ type outcomeSink interface {
 // calling goroutine serves as the lead worker, so a one-worker crew
 // starts no goroutine at all.
 func (c *crew) work(src workSource, out outcomeSink, done <-chan struct{}) {
-	for i, w := range c.workers[1:] {
+	for _, w := range c.workers[1:] {
 		c.wg.Add(1)
-		go func(w *worker, chunk []streamItem) {
+		go func(w *worker) {
 			defer c.wg.Done()
-			w.claim(src, chunk, out, done)
-		}(w, c.chunks[i+1][:0])
+			w.claim(src, out, done)
+		}(w)
 	}
-	c.workers[0].claim(src, c.chunks[0][:0], out, done)
+	c.workers[0].claim(src, out, done)
 	c.wg.Wait()
-	for i := range c.workers {
-		clear(c.chunks[i][:]) // the crew outlives the run: drop its blocks
+	for _, w := range c.workers {
+		clear(w.chunk[:]) // the worker outlives the run: drop its blocks
 	}
 }
 
@@ -142,9 +142,9 @@ func (c *crew) work(src workSource, out outcomeSink, done <-chan struct{}) {
 // out, until src is exhausted or the context is cancelled. A claimed
 // block is always finished — cancellation is observed at claim
 // boundaries (and between a run's blocks), never mid-block.
-func (w *worker) claim(src workSource, chunk []streamItem, out outcomeSink, done <-chan struct{}) {
+func (w *worker) claim(src workSource, out outcomeSink, done <-chan struct{}) {
 	for !cancelled(done) {
-		items := src.next(chunk, done)
+		items := src.next(w.chunk[:0], done)
 		if len(items) == 0 {
 			return
 		}

@@ -453,10 +453,9 @@ func requireSameCounters(t *testing.T, what string, run, stream Stats) {
 	}
 	for i, r := range run.Bins {
 		s := stream.Bins[i]
-		if r.Blocks != s.Blocks || r.TableBlocks != s.TableBlocks || r.CachedBlocks != s.CachedBlocks {
-			t.Errorf("%s bin %s: Run %d blocks (table %d, cached %d), RunStream %d (table %d, cached %d)",
-				what, r.Label, r.Blocks, r.TableBlocks, r.CachedBlocks,
-				s.Blocks, s.TableBlocks, s.CachedBlocks)
+		if r.Blocks != s.Blocks || r.CachedBlocks != s.CachedBlocks {
+			t.Errorf("%s bin %s: Run %d blocks (cached %d), RunStream %d (cached %d)",
+				what, r.Label, r.Blocks, r.CachedBlocks, s.Blocks, s.CachedBlocks)
 		}
 	}
 }

@@ -164,20 +164,11 @@ func (a *Annot) ComputeBackward() {
 // fills (MaxPathToLeaf, MaxDelayToLeaf, ExecTime, InterlockChild,
 // SumDelayChild, MaxDelayChild), with identical values, and finishes
 // by packing the Section 6 priority words (PackSection6Prio) while the
-// freshly computed inputs are still cache-hot. A block past the packed
-// limits has no CSR view; it gets the same values from the mirror
-// walks (ComputeBackward and ComputeLocal), as the n²-direct pipeline
-// does.
+// freshly computed inputs are still cache-hot.
 //
 //sched:noalloc
 func (a *Annot) ComputeFusedCSR() {
 	c := a.D.Freeze()
-	if c == nil {
-		a.ComputeBackward()
-		a.ComputeLocal()
-		a.PackSection6Prio()
-		return
-	}
 	n := a.D.Len()
 	a.MaxPathToLeaf = buf.Int32(a.MaxPathToLeaf, n)
 	a.MaxDelayToLeaf = buf.Int32(a.MaxDelayToLeaf, n)
@@ -192,7 +183,7 @@ func (a *Annot) ComputeFusedCSR() {
 	for i := int32(n) - 1; i >= 0; i-- {
 		lo, hi := c.SuccSpan(i)
 		for _, p := range packed[lo:hi] {
-			to, delay := p.Node(), c.Delay(p)
+			to, delay := p.Node(), p.Delay()
 			if l := a.MaxPathToLeaf[to] + 1; l > a.MaxPathToLeaf[i] {
 				a.MaxPathToLeaf[i] = l
 			}

@@ -105,15 +105,13 @@ func BenchmarkForwardReadyList(b *testing.B) {
 	}
 }
 
-// spillExhaustDAG hand-builds a complete DAG over a generated block
-// with every arc delay past the packed record's 16-bit field: 257 nodes
-// give 32,896 oversize arcs, whose two directions need 65,792 spill
-// slots — more than the 16-bit spill index addresses, though either
-// direction alone would fit. It returns the arcs too, for an oracle
-// that reads no DAG code.
-func spillExhaustDAG() (*dag.DAG, []dag.Arc) {
+// wideDelayDAG hand-builds a complete DAG over a generated block with
+// every arc delay past 16 bits: 257 nodes give 32,896 wide arcs, twice
+// that across the two directions. It returns the arcs too, for an
+// oracle that reads no DAG code.
+func wideDelayDAG() (*dag.DAG, []dag.Arc) {
 	const n = 257
-	b := &block.Block{Name: "spill", Insts: testgen.Block(31, n)}
+	b := &block.Block{Name: "wide", Insts: testgen.Block(31, n)}
 	d := &dag.DAG{Block: b, Builder: "hand", Nodes: make([]dag.Node, n)}
 	var arcs []dag.Arc
 	for i := range b.Insts {
@@ -132,17 +130,17 @@ func spillExhaustDAG() (*dag.DAG, []dag.Arc) {
 	return d, arcs
 }
 
-// TestPackedSpillExhaustedFallsBack runs the engine's frozen pipeline
-// (Freeze, ComputeFusedCSR, Scratch.Forward) on a block whose spill
-// index runs out. Freeze must leave it unfrozen, and the pipeline must
-// reproduce, on the mirrors, an unfrozen reference's annotations and
-// schedule; the to-leaf and child-delay values are also checked
-// against a longest-path pass over the raw arc list.
-func TestPackedSpillExhaustedFallsBack(t *testing.T) {
+// TestPackedWideDelaysFreeze runs the engine's frozen pipeline
+// (Freeze, ComputeFusedCSR, Scratch.Forward) on a complete DAG whose
+// every delay is past 16 bits. The DAG must freeze, and the packed
+// pipeline must reproduce an unfrozen reference's annotations and
+// schedule, read off the mirrors; the to-leaf and child-delay values
+// are also checked against a longest-path pass over the raw arc list.
+func TestPackedWideDelaysFreeze(t *testing.T) {
 	m := machine.Pipe1()
-	d, arcs := spillExhaustDAG()
-	if d.Freeze() != nil || d.FrozenCSR() != nil {
-		t.Fatal("Freeze packed a block whose spill index runs out")
+	d, arcs := wideDelayDAG()
+	if d.Freeze() == nil || d.FrozenCSR() == nil {
+		t.Fatal("Freeze left a wide-delay block unfrozen")
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -153,7 +151,7 @@ func TestPackedSpillExhaustedFallsBack(t *testing.T) {
 	sel := NewPooledWinnow(Section6Ranked())
 	got := sc.Forward(d, m, a, sel)
 
-	plain, _ := spillExhaustDAG()
+	plain, _ := wideDelayDAG()
 	ref := heur.New(plain, m)
 	ref.ComputeBackward()
 	ref.ComputeLocal()
@@ -163,7 +161,7 @@ func TestPackedSpillExhaustedFallsBack(t *testing.T) {
 	if plain.FrozenCSR() != nil {
 		t.Fatal("reference DAG was frozen")
 	}
-	sameSchedule(t, "spill-exhausted", got, want)
+	sameSchedule(t, "wide-delay", got, want)
 
 	for _, pair := range [][2][]int32{
 		{a.MaxPathToLeaf, ref.MaxPathToLeaf},
@@ -173,12 +171,12 @@ func TestPackedSpillExhaustedFallsBack(t *testing.T) {
 		{a.MaxDelayChild, ref.MaxDelayChild},
 	} {
 		if !slices.Equal(pair[0], pair[1]) {
-			t.Fatal("fallback annotations diverge from the unfrozen reference")
+			t.Fatal("packed annotations diverge from the unfrozen reference")
 		}
 	}
 	if !slices.Equal(a.InterlockChild, ref.InterlockChild) || a.PrioExact != ref.PrioExact ||
 		(a.PrioExact && !slices.Equal(a.PackedPrio, ref.PackedPrio)) {
-		t.Fatal("fallback interlock flags or priority words diverge from the unfrozen reference")
+		t.Fatal("packed interlock flags or priority words diverge from the unfrozen reference")
 	}
 
 	n := d.Len()
@@ -193,7 +191,7 @@ func TestPackedSpillExhaustedFallsBack(t *testing.T) {
 	}
 	if !slices.Equal(a.MaxPathToLeaf, pathToLeaf) || !slices.Equal(a.MaxDelayToLeaf, delayToLeaf) ||
 		!slices.Equal(a.SumDelayChild, sumChild) || !slices.Equal(a.MaxDelayChild, maxChild) {
-		t.Fatal("fallback annotations disagree with the arc-list oracle")
+		t.Fatal("packed annotations disagree with the arc-list oracle")
 	}
 	if got.Cycles < delayToLeaf[0] {
 		t.Fatalf("schedule completes in %d cycles, under the %d-cycle critical path", got.Cycles, delayToLeaf[0])

@@ -19,15 +19,7 @@ import (
 // The CTI's delay-slot instruction, if the block retains one, stays
 // glued after it by the same mechanism.
 func Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
-	s := newState(d, m, a)
-	forced := pinnedTail(d)
-	if prio := packedPrioFor(s, sel); prio != nil {
-		var h readyHeap
-		forwardLoopPacked(s, prio, forced, &h, make([]int32, 0, 4))
-	} else {
-		forwardLoop(s, sel, forced, make([]int32, 0, 16), nil)
-	}
-	return s.result()
+	return new(Scratch).Forward(d, m, a, sel)
 }
 
 // packedPrioFor reports whether the selector's ranking can be served by
@@ -120,11 +112,11 @@ func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap,
 	return held
 }
 
-// forwardLoop is the forward list-scheduling core shared by Forward
-// and Scratch.Forward. It schedules every node of s.D, drawing the
-// candidate list and the pinned-tail hold list from the caller-
-// provided buffers, and returns them (possibly regrown) so reusable
-// callers can retain the capacity.
+// forwardLoop is the forward list-scheduling core shared by
+// Scratch.Forward (so Forward) and ForwardWithCarry. It schedules
+// every node of s.D, drawing the candidate list and the pinned-tail
+// hold list from the caller-provided buffers, and returns them
+// (possibly regrown) so reusable callers can retain the capacity.
 //
 //sched:noalloc
 func forwardLoop(s *State, sel Selector, forcedLast []bool, cands, held []int32) ([]int32, []int32) {
@@ -295,7 +287,7 @@ func (s *State) place(pick int32) {
 		for _, p := range pa[lo:hi] {
 			to := p.Node()
 			s.unschedParents[to]--
-			if t := at + c.Delay(p); t > s.eet[to] {
+			if t := at + p.Delay(); t > s.eet[to] {
 				s.eet[to] = t
 				s.effStamp[to] = 0
 			}

@@ -104,41 +104,7 @@ func applyCarry(s *State, carry *Carry) {
 func ForwardWithCarry(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector, carry *Carry) *Result {
 	s := newState(d, m, a)
 	applyCarry(s, carry)
-	n := int32(d.Len())
-	forcedLast := pinnedTail(d)
-	cands := make([]int32, 0, 16)
-	var held []int32
-	admit := func(i int32) {
-		if forcedLast[i] {
-			held = append(held, i)
-		} else {
-			cands = append(cands, i)
-		}
-	}
-	for i := int32(0); i < n; i++ {
-		if s.unschedParents[i] == 0 {
-			admit(i)
-		}
-	}
-	for scheduled := int32(0); scheduled < n; scheduled++ {
-		if len(cands) == 0 {
-			cands, held = held, cands
-		}
-		pick := sel.Pick(s, cands)
-		for k, c := range cands {
-			if c == pick {
-				cands[k] = cands[len(cands)-1]
-				cands = cands[:len(cands)-1]
-				break
-			}
-		}
-		s.place(pick)
-		for _, arc := range d.Nodes[pick].Succs {
-			if s.unschedParents[arc.To] == 0 {
-				admit(arc.To)
-			}
-		}
-	}
+	forwardLoop(s, sel, pinnedTail(d), make([]int32, 0, 16), nil)
 	return s.result()
 }
 

@@ -243,3 +243,34 @@ func TestNilCarryIsLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardWithCarryNilMatchesForward pins that a nil carry leaves
+// ForwardWithCarry exactly Forward: every forward Table 2 algorithm,
+// on generated blocks, produces the same order and issue cycles.
+func TestForwardWithCarryNilMatchesForward(t *testing.T) {
+	m := machine.Pipe1()
+	checked := 0
+	for _, al := range Table2() {
+		if al.TimeIndexed || al.SchedDir != dag.Forward {
+			continue
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			b := &block.Block{Name: "fwc", Insts: testgen.Block(seed, 20+int(seed)*9)}
+			for i := range b.Insts {
+				b.Insts[i].Index = i
+			}
+			rt := resource.NewTable(resource.MemExprModel)
+			rt.PrepareBlock(b.Insts)
+			d := al.Builder().Build(b, m, rt)
+			a := heur.New(d, m)
+			prepareAnnot(a, al.Ranked)
+			want := Forward(d, m, a, al.Selector())
+			got := ForwardWithCarry(d, m, a, al.Selector(), nil)
+			sameSchedule(t, al.Name, got, want)
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("Table 2 has no forward algorithm")
+	}
+}

@@ -56,7 +56,9 @@ type State struct {
 	M *machine.Model
 	A *heur.Annot
 
-	// csr is the DAG's frozen CSR view when available (nil otherwise).
+	// csr is the DAG's frozen CSR view, nil only when the caller never
+	// froze the DAG (the paper's Table 2 algorithms, the engine's n²
+	// rung).
 	// The hot successor walks — place's ready-list decrement and the
 	// packed heap's admissions — stream its packed records; the other
 	// arc walks (the dynamic child/parent heuristics, the winnowing

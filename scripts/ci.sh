@@ -29,7 +29,9 @@
 # runs repeat a test: the cache-enabled determinism test at count=3
 # (eight workers racing lookups, first-wins inserts and shard resets)
 # and the concurrent-caller hammer at count=10 (Run, cancelled RunCtx
-# and RunStream racing on one two-tier-cache engine, then Close).
+# and RunStream racing on one two-tier-cache engine, then Close; and
+# TestRunStreamFaultedMatchesRun, whose faults quarantine workers in
+# the middle of a claimed chunk).
 #
 # Then the perf gate (perfbench run three times over all three
 # workloads, the per-metric medians compared against the committed
@@ -74,7 +76,7 @@ echo "== engine cache determinism stress (workers=8, -race, count=3)"
 go test -race -run '^TestEngineCacheDeterminism$' -count 3 ./internal/engine
 
 echo "== concurrent-caller stress (-race, count=10)"
-go test -race -run '^TestEngineConcurrentCallers$|^TestCloseDuringRunStreamBusy$|^TestCloseDuringRunBusy$' -count 10 ./internal/engine
+go test -race -run '^TestEngineConcurrentCallers$|^TestCloseDuringRunStreamBusy$|^TestCloseDuringRunBusy$|^TestRunStreamFaultedMatchesRun$' -count 10 ./internal/engine
 
 echo "== perf gate (perfbench, median of 3 runs vs BENCH_perfbench.ndjson)"
 SBENCH_BIN="$(mktemp -u)"
