@@ -34,7 +34,7 @@ import (
 var arenaSourceMethods = map[string]map[string]bool{
 	"internal/buf": {"*": true},
 	"internal/dag": {
-		"ResetFor": true, "BuildInto": true, "Freeze": true, "FrozenCSR": true,
+		"ResetFor": true, "BuildInto": true, "Freeze": true,
 		"PackedSuccArcs": true, "PackedPredArcs": true,
 	},
 	"internal/bitset": {"Carve": true},

@@ -75,11 +75,13 @@ func (c *CSR) freeze(d *DAG) {
 	c.predOff[n] = int32(len(c.predPacked))
 }
 
-// Freeze builds the DAG's CSR view (once per block) and returns it.
-// Freeze may only be called after construction completes; the view is
-// immutable and shares the DAG's lifetime — for arena-owned DAGs it is
-// invalidated by the arena's next ResetFor/BuildInto, which also
-// recycles the CSR's storage.
+// Freeze builds the DAG's CSR view (once per block) and returns it;
+// on a frozen DAG it is a flag check. Freeze may only be called after
+// construction completes; the view is immutable and shares the DAG's
+// lifetime — for arena-owned DAGs it is invalidated by the arena's
+// next ResetFor/BuildInto, which also recycles the CSR's storage. The
+// first call writes the view into the DAG, so a DAG shared across
+// goroutines must be frozen before it is shared.
 //
 //sched:noalloc
 func (d *DAG) Freeze() *CSR {
@@ -87,14 +89,4 @@ func (d *DAG) Freeze() *CSR {
 		d.csr.freeze(d)
 	}
 	return &d.csr
-}
-
-// FrozenCSR returns the CSR view if Freeze has run, else nil.
-// Hot-path consumers use it to pick the packed layout when available
-// without forcing a freeze on callers that never asked for one.
-func (d *DAG) FrozenCSR() *CSR {
-	if d.csr.frozen {
-		return &d.csr
-	}
-	return nil
 }

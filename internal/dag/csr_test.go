@@ -29,7 +29,7 @@ func TestCSRReuseAcrossResetFor(t *testing.T) {
 		b := csrTestBlock(int64(1000+round), n)
 		rt.PrepareBlock(b.Insts)
 		d := bld.BuildInto(ar, b, m, rt)
-		if d.FrozenCSR() != nil {
+		if d.csr.frozen {
 			t.Fatalf("round %d: ResetFor kept the previous block's frozen view", round)
 		}
 		d.Freeze()

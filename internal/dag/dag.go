@@ -256,7 +256,7 @@ func (d *DAG) Validate() error {
 		return fmt.Errorf("arc accounting: succ %d, pred %d, NumArcs %d",
 			succTotal, predTotal, d.NumArcs)
 	}
-	if d.FrozenCSR() != nil {
+	if d.csr.frozen {
 		if err := d.validateCSR(); err != nil {
 			return err
 		}

@@ -9,8 +9,7 @@ import (
 
 // TestFreezeMatchesMirrors checks the Freeze lifecycle on DAGs from
 // every builder: no view before Freeze, one view however often Freeze
-// or FrozenCSR is called, and per-node spans as wide as the
-// Succs/Preds mirrors.
+// is called, and per-node spans as wide as the Succs/Preds mirrors.
 func TestFreezeMatchesMirrors(t *testing.T) {
 	m := machine.Pipe1()
 	for _, bld := range AllBuilders() {
@@ -18,15 +17,15 @@ func TestFreezeMatchesMirrors(t *testing.T) {
 		b := csrTestBlock(77, 60)
 		rt.PrepareBlock(b.Insts)
 		d := bld.Build(b, m, rt)
-		if d.FrozenCSR() != nil {
+		if d.csr.frozen {
 			t.Fatalf("%s: DAG frozen before Freeze", bld.Name())
 		}
 		c := d.Freeze()
 		if c == nil {
 			t.Fatalf("%s: no packed view for an ordinary block", bld.Name())
 		}
-		if c2 := d.Freeze(); c2 != c || d.FrozenCSR() != c {
-			t.Fatalf("%s: repeat Freeze/FrozenCSR returned a different view", bld.Name())
+		if c2 := d.Freeze(); c2 != c || !c.frozen {
+			t.Fatalf("%s: repeat Freeze returned a different view", bld.Name())
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: Validate after Freeze: %v", bld.Name(), err)

@@ -149,9 +149,10 @@ func checkSimulatorAndVerify(t *testing.T, rt *resource.Table, m *machine.Model,
 	}
 }
 
-// TestAdaptiveBinStats checks the per-bin accounting: every block
-// lands in exactly one bin, no bin counts more cached blocks than it
-// holds, and the wall shares are a distribution.
+// TestAdaptiveBinStats checks the per-bin accounting over two runs of
+// one batch on a caching engine: every block lands in exactly one bin,
+// each bin's cached count is 0 on the cold run and all of its blocks on
+// the warm one, and the wall shares are a distribution.
 func TestAdaptiveBinStats(t *testing.T) {
 	m := machine.Pipe1()
 	sizes := []int{1, 2, 3, 4, 5, 8, 9, 16, 40, 64, 65, 128, 129, 600}
@@ -166,33 +167,43 @@ func TestAdaptiveBinStats(t *testing.T) {
 	wantPerBin := map[string]int64{
 		"<=4": 4, "<=8": 2, "<=16": 2, "<=32": 0, "<=64": 2, "<=128": 2, "<=512": 1, ">512": 1,
 	}
-	e, err := New(Config{Workers: 3, Model: m})
+	e, err := New(Config{Workers: 3, Model: m, Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tot, insts int64
-	var share float64
-	for _, bin := range res.Stats.Bins {
-		if bin.Blocks != wantPerBin[bin.Label] {
-			t.Errorf("bin %s: %d blocks, want %d", bin.Label, bin.Blocks, wantPerBin[bin.Label])
+	// The first run schedules every (distinct) block; the second is
+	// served whole from the cache, so every bin's cached count goes from
+	// none of its blocks to all of them.
+	for run, cachedAll := range []bool{false, true} {
+		res, err := e.Run(blocks)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if bin.CachedBlocks > bin.Blocks {
-			t.Errorf("bin %s: %d cached of %d blocks", bin.Label, bin.CachedBlocks, bin.Blocks)
+		var tot, insts int64
+		var share float64
+		for _, bin := range res.Stats.Bins {
+			if bin.Blocks != wantPerBin[bin.Label] {
+				t.Errorf("run %d bin %s: %d blocks, want %d", run, bin.Label, bin.Blocks, wantPerBin[bin.Label])
+			}
+			want := int64(0)
+			if cachedAll {
+				want = bin.Blocks
+			}
+			if bin.CachedBlocks != want {
+				t.Errorf("run %d bin %s: %d cached of %d blocks, want %d",
+					run, bin.Label, bin.CachedBlocks, bin.Blocks, want)
+			}
+			tot += bin.Blocks
+			insts += bin.Insts
+			share += bin.WallShare
 		}
-		tot += bin.Blocks
-		insts += bin.Insts
-		share += bin.WallShare
-	}
-	if tot != int64(len(blocks)) || insts != int64(res.Stats.Insts) {
-		t.Errorf("bins cover %d blocks/%d insts, run had %d/%d",
-			tot, insts, len(blocks), res.Stats.Insts)
-	}
-	if share < 0.999 || share > 1.001 {
-		t.Errorf("wall shares sum to %f", share)
+		if tot != int64(len(blocks)) || insts != int64(res.Stats.Insts) {
+			t.Errorf("run %d: bins cover %d blocks/%d insts, run had %d/%d",
+				run, tot, insts, len(blocks), res.Stats.Insts)
+		}
+		if share < 0.999 || share > 1.001 {
+			t.Errorf("run %d: wall shares sum to %f", run, share)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"daginsched/internal/block"
+	"daginsched/internal/diskcache"
 	"daginsched/internal/fault"
 	"daginsched/internal/isa"
 	"daginsched/internal/machine"
@@ -151,6 +152,80 @@ func TestDiskPendingDrains(t *testing.T) {
 	if p := mem.DiskPending(); p != 0 {
 		t.Fatalf("an engine without a disk tier reports %d pending", p)
 	}
+}
+
+// TestDiskFullKeepsWhatFits drives the disk tier into diskcache.ErrFull:
+// the file is pre-created with a data region that holds some but not
+// all of the corpus, and the engine adopts that geometry. The full
+// file must cost nothing but recomputes — schedules identical to a
+// cache-off run, a clean Close with nothing left pending — and a
+// restarted engine must serve exactly the records that fit from disk.
+func TestDiskFullKeepsWhatFits(t *testing.T) {
+	m := machine.Super2()
+	blocks := testBlocks(t, 120)
+	path := diskPath(t)
+	c, err := diskcache.Open(path, diskcache.Options{Buckets: 64, DataBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := New(Config{Workers: 2, Model: m, KeepOrders: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold, err := New(Config{Workers: 2, Model: m, KeepOrders: true, CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, err := cold.Run(blocks)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	requireSameOrders(t, want, cres)
+	deadline := time.Now().Add(10 * time.Second)
+	for cold.DiskPending() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("DiskPending still %d after 10 s over a full file", cold.DiskPending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closeEngine(t, cold)
+
+	c, err = diskcache.Open(path, diskcache.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := c.Len()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	distinct := distinctBlocks(blocks)
+	if fit == 0 || fit >= distinct {
+		t.Fatalf("%d of %d distinct schedules fit: the file must fill part-way", fit, distinct)
+	}
+	t.Logf("%d of %d distinct schedules fit", fit, distinct)
+
+	warm, err := New(Config{Workers: 2, Model: m, KeepOrders: true, CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeEngine(t, warm)
+	wres, err := warm.Run(blocks)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if wres.Stats.DiskHits != int64(fit) {
+		t.Errorf("warm run: %d disk hits, want the %d records in the file", wres.Stats.DiskHits, fit)
+	}
+	requireSameOrders(t, want, wres)
 }
 
 // requireSameOrders compares cycles, arcs and full scheduled orders.

@@ -163,8 +163,8 @@ func FuzzBuildSchedule(f *testing.F) {
 			t.Fatalf("simulator disagrees with table schedule: %v", err)
 		}
 
-		// The ladder's independent rung: n² construction over the
-		// mirrors, no table state, no freeze. Its schedule may differ
+		// The ladder's independent rung: n² construction and the
+		// mirror heuristic passes, no table state. Its schedule may differ
 		// from the table pipeline's (its DAG keeps transitive arcs), so
 		// it answers to the gate and the simulator alone.
 		r2, d2 := wN2.scheduleN2Direct(b, m)

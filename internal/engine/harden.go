@@ -16,9 +16,9 @@
 //     attached — and the block retries down the degradation ladder.
 //   - The ladder's rungs are RungPrimary (the table pipeline, or the
 //     cache), RungTable (the table pipeline again, on the fresh scratch
-//     of a quarantined worker), RungN2 (n²-direct over
-//     the per-node arc mirrors, no freeze — a structurally independent
-//     second construction algorithm), and RungIdentity (the original
+//     of a quarantined worker), RungN2 (n²-direct construction with the
+//     mirror heuristic passes — a structurally independent second
+//     construction algorithm), and RungIdentity (the original
 //     program order timed on the scoreboard simulator, which consults
 //     no DAG at all and is therefore always legal). A batch always
 //     completes; BatchResult.Rungs records which rung served each
@@ -27,7 +27,7 @@
 //     returned or cached: structuralGate proves the order is a
 //     permutation (each instruction issued exactly once), arcGate
 //     proves every dependence arc's latency is respected — over both
-//     the successor and predecessor arc arrays, so a desynchronized
+//     the packed successor and predecessor arrays, so a desynchronized
 //     mirror is caught even though only one side drives scheduling. A
 //     gate failure quarantines the worker and demotes the block.
 //   - Config.BlockTimeout arms a per-block soft deadline, checked
@@ -69,9 +69,10 @@ const (
 	// one-shot injection hooks already consumed. Its schedules are
 	// byte-identical to a healthy primary run's.
 	RungTable
-	// RungN2 is the second fallback: n²-direct construction scheduled
-	// off the per-node arc mirrors only — no table state, no CSR
-	// freeze — so it shares no construction machinery with RungTable.
+	// RungN2 is the second fallback: n²-direct construction and the
+	// heuristic passes over the per-node arc mirrors — no table state,
+	// no fused packed sweep — so it shares no construction machinery
+	// with RungTable. The scheduler freezes its DAG like any other.
 	RungN2
 	// RungIdentity is the floor: the block's original program order,
 	// timed on the scoreboard simulator. It consults no DAG and is
@@ -170,40 +171,25 @@ func (w *worker) structuralGate(order, issue []int32, n int) bool {
 // scheduler's EET propagation maintains). Both the successor and the
 // predecessor arcs are walked — the scheduler derives timing from
 // successor arcs alone, so a predecessor mirror that disagrees with
-// its successor twin can never hide from this check. On a frozen DAG
-// the walk streams the packed successor and predecessor spans (freeze
-// packed both from the mirrors, disagreement included); on RungN2's
-// DAG, which is deliberately never frozen, it chases the per-node
-// mirrors.
+// its successor twin can never hide from this check. The walk streams
+// the packed successor and predecessor spans of the frozen view the
+// scheduler ran on (freeze packed both from the mirrors, disagreement
+// included).
 //
 //sched:noalloc
 func arcGate(d *dag.DAG, issue []int32) bool {
-	if c := d.FrozenCSR(); c != nil {
-		succs, preds := c.PackedSuccArcs(), c.PackedPredArcs()
-		for i := int32(0); int(i) < len(d.Nodes); i++ {
-			lo, hi := c.SuccSpan(i)
-			for _, p := range succs[lo:hi] { // i -> p.Node()
-				if issue[p.Node()] < issue[i]+p.Delay() {
-					return false
-				}
-			}
-			lo, hi = c.PredSpan(i)
-			for _, p := range preds[lo:hi] { // p.Node() -> i
-				if issue[i] < issue[p.Node()]+p.Delay() {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := range d.Nodes {
-		for _, a := range d.Nodes[i].Succs {
-			if issue[a.To] < issue[a.From]+a.Delay {
+	c := d.Freeze()
+	succs, preds := c.PackedSuccArcs(), c.PackedPredArcs()
+	for i := int32(0); int(i) < len(d.Nodes); i++ {
+		lo, hi := c.SuccSpan(i)
+		for _, p := range succs[lo:hi] { // i -> p.Node()
+			if issue[p.Node()] < issue[i]+p.Delay() {
 				return false
 			}
 		}
-		for _, a := range d.Nodes[i].Preds {
-			if issue[a.To] < issue[a.From]+a.Delay {
+		lo, hi = c.PredSpan(i)
+		for _, p := range preds[lo:hi] { // p.Node() -> i
+			if issue[i] < issue[p.Node()]+p.Delay() {
 				return false
 			}
 		}
@@ -276,9 +262,10 @@ func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG
 }
 
 // scheduleN2Direct is the RungN2 pipeline: n²-direct construction for
-// a block of any size (transitive arcs included), heuristics and
-// scheduling over the per-node arc mirrors only — no resource-table
-// reuse assumptions, no CSR freeze. O(n²) construction makes it
+// a block of any size (transitive arcs included) and the heuristic
+// passes over the per-node arc mirrors — no resource-table reuse
+// assumptions, no fused packed sweep — then the same scheduler as the
+// table pipeline, which freezes the DAG. O(n²) construction makes it
 // slower than the table pipeline on big blocks, which is fine: it is
 // a fault-path rung, chosen for sharing no construction machinery
 // with the rung above it.

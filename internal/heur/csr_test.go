@@ -47,9 +47,6 @@ func TestComputeFusedCSRMatchesObserver(t *testing.T) {
 		d := dag.TableBackward{}.Build(b, m, rt2)
 		a := New(d, m)
 		a.ComputeFusedCSR()
-		if d.FrozenCSR() == nil {
-			t.Fatalf("n=%d: ComputeFusedCSR did not freeze the DAG", n)
-		}
 
 		if !int32sEqual(a.MaxPathToLeaf, ref.MaxPathToLeaf) ||
 			!int32sEqual(a.MaxDelayToLeaf, ref.MaxDelayToLeaf) ||

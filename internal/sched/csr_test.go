@@ -12,49 +12,9 @@ import (
 	"daginsched/internal/testgen"
 )
 
-// TestCSRSchedulesMatchSliceWalks freezes the DAG and re-runs every
-// Table 2 algorithm: a scheduler reading the packed CSR arc records must
-// reproduce the slice-walking schedule exactly — same order, same issue
-// cycles, same completion time.
-func TestCSRSchedulesMatchSliceWalks(t *testing.T) {
-	models := []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Super2()}
-	for seed := int64(100); seed < 110; seed++ {
-		for _, n := range []int{0, 1, 25, 80} {
-			insts := testgen.Block(seed, n)
-			for _, m := range models {
-				for _, al := range Table2() {
-					plain := buildDAG(t, al.Builder(), m, insts)
-					want := al.Run(plain, m)
-
-					frozen := buildDAG(t, al.Builder(), m, insts)
-					frozen.Freeze()
-					got := al.Run(frozen, m)
-
-					if got.Cycles != want.Cycles || len(got.Order) != len(want.Order) {
-						t.Fatalf("%s on %s seed %d n %d: frozen run %d cycles, want %d",
-							al.Name, m.Name, seed, n, got.Cycles, want.Cycles)
-					}
-					for k := range want.Order {
-						if got.Order[k] != want.Order[k] {
-							t.Fatalf("%s on %s seed %d n %d: order diverges at %d",
-								al.Name, m.Name, seed, n, k)
-						}
-					}
-					for k := range want.Issue {
-						if got.Issue[k] != want.Issue[k] {
-							t.Fatalf("%s on %s seed %d n %d: issue diverges at node %d",
-								al.Name, m.Name, seed, n, k)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // readyListDAG builds one mid-sized block the way the batch engine
 // does, returning the DAG plus a ready annotation set.
-func readyListDAG(tb testing.TB, m *machine.Model, freeze bool) (*dag.DAG, *heur.Annot) {
+func readyListDAG(tb testing.TB, m *machine.Model) (*dag.DAG, *heur.Annot) {
 	b := &block.Block{Name: "bench", Insts: testgen.Block(4242, 200)}
 	for i := range b.Insts {
 		b.Insts[i].Index = i
@@ -62,46 +22,31 @@ func readyListDAG(tb testing.TB, m *machine.Model, freeze bool) (*dag.DAG, *heur
 	rt := resource.NewTable(resource.MemExprModel)
 	rt.PrepareBlock(b.Insts)
 	d := dag.TableBackward{}.Build(b, m, rt)
+	d.Freeze()
 	a := heur.New(d, m)
-	if freeze {
-		d.Freeze()
-		a.ComputeFusedCSR()
-	} else {
-		a.ComputeBackward()
-		a.ComputeLocal()
-	}
+	a.ComputeFusedCSR()
 	return d, a
 }
 
-// The ready-list microbenchmark pair: the forward scheduler's hot loop
-// is the successor walk that decrements unscheduled-parent counts and
-// admits newly ready nodes. BenchmarkForwardReadyList/slice chases the
-// per-node Succs/Preds slices; /csr runs the same loop over the frozen
-// packed successor records. Both recycle one Scratch, so steady state is 0
-// allocs/op either way — the CSR variant wins on locality alone.
+// BenchmarkForwardReadyList times the forward scheduler's hot loop:
+// the packed successor walk that decrements unscheduled-parent counts
+// and admits newly ready nodes. It recycles one Scratch, so steady
+// state is 0 allocs/op.
 func BenchmarkForwardReadyList(b *testing.B) {
 	m := machine.Pipe1()
-	for _, mode := range []struct {
-		name   string
-		freeze bool
-	}{{"slice", false}, {"csr", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			d, a := readyListDAG(b, m, mode.freeze)
-			sel := NewPooledWinnow(Section6Ranked())
-			var sc Scratch
-			r := sc.Forward(d, m, a, sel)
-			want := r.Cycles
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sc.Forward(d, m, a, sel).Cycles != want {
-					b.Fatal("schedule diverged across runs")
-				}
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)*float64(d.NumArcs)/secs, "arcs/sec")
-			}
-		})
+	d, a := readyListDAG(b, m)
+	sel := NewPooledWinnow(Section6Ranked())
+	var sc Scratch
+	want := sc.Forward(d, m, a, sel).Cycles
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sc.Forward(d, m, a, sel).Cycles != want {
+			b.Fatal("schedule diverged across runs")
+		}
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*float64(d.NumArcs)/secs, "arcs/sec")
 	}
 }
 
@@ -133,13 +78,14 @@ func wideDelayDAG() (*dag.DAG, []dag.Arc) {
 // TestPackedWideDelaysFreeze runs the engine's frozen pipeline
 // (Freeze, ComputeFusedCSR, Scratch.Forward) on a complete DAG whose
 // every delay is past 16 bits. The DAG must freeze, and the packed
-// pipeline must reproduce an unfrozen reference's annotations and
-// schedule, read off the mirrors; the to-leaf and child-delay values
-// are also checked against a longest-path pass over the raw arc list.
+// pipeline must reproduce the annotations the mirror passes compute on
+// a second copy, and that copy's schedule; the to-leaf and child-delay
+// values are also checked against a longest-path pass over the raw arc
+// list.
 func TestPackedWideDelaysFreeze(t *testing.T) {
 	m := machine.Pipe1()
 	d, arcs := wideDelayDAG()
-	if d.Freeze() == nil || d.FrozenCSR() == nil {
+	if d.Freeze() == nil {
 		t.Fatal("Freeze left a wide-delay block unfrozen")
 	}
 	if err := d.Validate(); err != nil {
@@ -158,9 +104,6 @@ func TestPackedWideDelaysFreeze(t *testing.T) {
 	ref.PackSection6Prio()
 	var refSc Scratch
 	want := refSc.Forward(plain, m, ref, NewPooledWinnow(Section6Ranked()))
-	if plain.FrozenCSR() != nil {
-		t.Fatal("reference DAG was frozen")
-	}
 	sameSchedule(t, "wide-delay", got, want)
 
 	for _, pair := range [][2][]int32{
@@ -171,12 +114,12 @@ func TestPackedWideDelaysFreeze(t *testing.T) {
 		{a.MaxDelayChild, ref.MaxDelayChild},
 	} {
 		if !slices.Equal(pair[0], pair[1]) {
-			t.Fatal("packed annotations diverge from the unfrozen reference")
+			t.Fatal("packed annotations diverge from the mirror passes")
 		}
 	}
 	if !slices.Equal(a.InterlockChild, ref.InterlockChild) || a.PrioExact != ref.PrioExact ||
 		(a.PrioExact && !slices.Equal(a.PackedPrio, ref.PackedPrio)) {
-		t.Fatal("packed interlock flags or priority words diverge from the unfrozen reference")
+		t.Fatal("packed interlock flags or priority words diverge from the mirror passes")
 	}
 
 	n := d.Len()

@@ -18,6 +18,11 @@ import (
 // implemented here without distorting the DAG's structural statistics.
 // The CTI's delay-slot instruction, if the block retains one, stays
 // glued after it by the same mechanism.
+//
+// Every scheduler in this package walks the DAG's frozen CSR view, so
+// the first schedule of a DAG freezes it (d.Freeze), writing the view
+// into the DAG as d.Reachability caches d.Reach. A caller that shares
+// one DAG across goroutines must Freeze it before sharing it.
 func Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	return new(Scratch).Forward(d, m, a, sel)
 }
@@ -71,7 +76,6 @@ func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap,
 		}
 	}
 	h.heapify()
-	c := s.csr
 	for scheduled := int32(0); scheduled < n; scheduled++ {
 		if h.len() == 0 {
 			// Only pinned-tail nodes remain; release them.
@@ -83,23 +87,8 @@ func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap,
 		}
 		pick := h.pickMax()
 		s.place(pick)
-		if c != nil {
-			lo, hi := c.SuccSpan(pick)
-			pa := c.PackedSuccArcs()
-			for _, p := range pa[lo:hi] {
-				if to := p.Node(); s.unschedParents[to] == 0 {
-					if forcedLast[to] {
-						//sched:lint-ignore noalloc amortized: hold-list capacity is retained across blocks by the caller
-						held = append(held, to)
-					} else {
-						h.admit(to, prio[to])
-					}
-				}
-			}
-			continue
-		}
-		for _, arc := range s.succs(pick) {
-			if to := arc.To; s.unschedParents[to] == 0 {
+		for _, p := range s.succs(pick) {
+			if to := p.Node(); s.unschedParents[to] == 0 {
 				if forcedLast[to] {
 					//sched:lint-ignore noalloc amortized: hold-list capacity is retained across blocks by the caller
 					held = append(held, to)
@@ -155,9 +144,9 @@ func forwardLoop(s *State, sel Selector, forcedLast []bool, cands, held []int32)
 			}
 		}
 		s.place(pick)
-		for _, arc := range s.succs(pick) {
-			if s.unschedParents[arc.To] == 0 {
-				admit(arc.To)
+		for _, p := range s.succs(pick) {
+			if to := p.Node(); s.unschedParents[to] == 0 {
+				admit(to)
 			}
 		}
 	}
@@ -211,7 +200,7 @@ func (sc *Scratch) UsedPacked() bool { return sc.usedPacked }
 // Forward is the reuse-aware equivalent of the package-level Forward.
 // When the selector's ranking matches the block's exact packed priority
 // words it dispatches to the heap pick loop; schedules are byte-
-// identical on either path.
+// identical on either path. Like Forward, it freezes d on first use.
 //
 //sched:noalloc
 func (sc *Scratch) Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
@@ -276,29 +265,16 @@ func (s *State) place(pick int32) {
 		s.memoGen++
 	}
 	// Update children: unscheduled-parent counters and earliest
-	// execution times. On a frozen DAG this is the scheduler's hottest
-	// arc walk and runs over the packed 8-byte successor records —
-	// half the bytes of the mirrors' 16-byte arcs. A raised EET makes a
-	// child's cached EffectiveEET stale, so its stamp is zeroed (the
-	// dirty set is exactly the placed node's successor span).
-	if c := s.csr; c != nil {
-		lo, hi := c.SuccSpan(pick)
-		pa := c.PackedSuccArcs()
-		for _, p := range pa[lo:hi] {
-			to := p.Node()
-			s.unschedParents[to]--
-			if t := at + p.Delay(); t > s.eet[to] {
-				s.eet[to] = t
-				s.effStamp[to] = 0
-			}
-		}
-		return
-	}
-	for _, arc := range s.succs(pick) {
-		s.unschedParents[arc.To]--
-		if t := at + arc.Delay; t > s.eet[arc.To] {
-			s.eet[arc.To] = t
-			s.effStamp[arc.To] = 0
+	// execution times. This is the scheduler's hottest arc walk. A
+	// raised EET makes a child's cached EffectiveEET stale, so its stamp
+	// is zeroed (the dirty set is exactly the placed node's successor
+	// span).
+	for _, p := range s.succs(pick) {
+		to := p.Node()
+		s.unschedParents[to]--
+		if t := at + p.Delay(); t > s.eet[to] {
+			s.eet[to] = t
+			s.effStamp[to] = 0
 		}
 	}
 }
@@ -327,7 +303,8 @@ func (s *State) finish(r *Result) {
 // Backward runs a backward list-scheduling pass (Tiemann, Schlansker):
 // candidates are nodes whose children are all scheduled; the selector
 // ranks them; the resulting reverse order is then timed with one
-// forward placement pass so Result carries real issue cycles.
+// forward placement pass so Result carries real issue cycles. Like
+// Forward, it freezes d on first use.
 func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	s := newState(d, m, a)
 	n := int32(d.Len())
@@ -338,8 +315,8 @@ func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result
 		rev = append(rev, n-1)
 		picked[n-1] = true
 		s.last = n - 1
-		for _, arc := range s.preds(n - 1) {
-			s.unschedKids[arc.From]--
+		for _, p := range s.preds(n - 1) {
+			s.unschedKids[p.Node()]--
 		}
 	}
 	cands := make([]int32, 0, 16)
@@ -360,9 +337,10 @@ func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result
 		picked[pick] = true
 		rev = append(rev, pick)
 		s.last = pick
-		for _, arc := range s.preds(pick) {
-			if s.unschedKids[arc.From]--; s.unschedKids[arc.From] == 0 {
-				cands = append(cands, arc.From)
+		for _, p := range s.preds(pick) {
+			from := p.Node()
+			if s.unschedKids[from]--; s.unschedKids[from] == 0 {
+				cands = append(cands, from)
 			}
 		}
 	}
@@ -375,7 +353,8 @@ func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result
 
 // Timed places an already-ordered instruction sequence on the machine's
 // issue model and returns the timing. It is also the evaluator the
-// post-pass fixup and the tests use to score schedules.
+// post-pass fixup and the tests use to score schedules. Like Forward,
+// it freezes d on first use.
 func Timed(d *dag.DAG, m *machine.Model, order []int32) *Result {
 	s := newState(d, m, nil)
 	for _, i := range order {
@@ -392,38 +371,4 @@ func InOrder(d *dag.DAG, m *machine.Model) *Result {
 		order[i] = int32(i)
 	}
 	return Timed(d, m, order)
-}
-
-// Legal reports whether a schedule respects every DAG arc's ordering
-// (parents before children in Order) and covers each node exactly once.
-func Legal(d *dag.DAG, r *Result) bool {
-	if len(r.Order) != d.Len() {
-		return false
-	}
-	pos := make([]int32, d.Len())
-	seen := make([]bool, d.Len())
-	for p, node := range r.Order {
-		if node < 0 || int(node) >= d.Len() || seen[node] {
-			return false
-		}
-		seen[node] = true
-		pos[node] = int32(p)
-	}
-	for i := range d.Nodes {
-		for _, arc := range d.Nodes[i].Succs {
-			if pos[arc.From] >= pos[arc.To] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CTILast reports whether the block-ending CTI (if any) stays last.
-func CTILast(d *dag.DAG, r *Result) bool {
-	n := d.Len()
-	if n == 0 || !d.Nodes[n-1].Inst.Op.IsCTI() {
-		return true
-	}
-	return len(r.Order) == n && r.Order[n-1] == int32(n-1)
 }

@@ -87,6 +87,7 @@ func (rt *ReservationTable) pickUnits(pattern []machine.StageUse, pick []int, t,
 // dependence-ready time. Placement times need not be monotone — later
 // picks may backfill earlier empty slots — so the resulting Order is
 // the placement-time sort, suitable for a VLIW/microcode-style target.
+// Like Forward, it freezes d on first use.
 func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	n := d.Len()
 	s := newState(d, m, a) // reuse EET bookkeeping and selector state
@@ -137,13 +138,14 @@ func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Res
 		s.issue[pick] = at
 		s.last = pick
 		order = append(order, placed{pick, at})
-		for _, arc := range d.Nodes[pick].Succs {
-			s.unschedParents[arc.To]--
-			if t := at + arc.Delay; t > s.eet[arc.To] {
-				s.eet[arc.To] = t
+		for _, p := range s.succs(pick) {
+			to := p.Node()
+			s.unschedParents[to]--
+			if t := at + p.Delay(); t > s.eet[to] {
+				s.eet[to] = t
 			}
-			if s.unschedParents[arc.To] == 0 {
-				admit(arc.To)
+			if s.unschedParents[to] == 0 {
+				admit(to)
 			}
 		}
 	}

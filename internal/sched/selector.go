@@ -48,7 +48,7 @@ func (s *State) Value(k heur.Key, i int32) int64 {
 	case heur.Slack:
 		return int64(a.Slack[i])
 	case heur.NumChildren:
-		return int64(len(s.succs(i)))
+		return int64(s.csr.NumSuccs(i))
 	case heur.DelaysToChildren:
 		return int64(a.SumDelayChild[i])
 	case heur.NumSingleParent:
@@ -58,7 +58,7 @@ func (s *State) Value(k heur.Key, i int32) int64 {
 	case heur.NumUncovered:
 		return int64(s.NumUncoveredChildren(i))
 	case heur.NumParents:
-		return int64(len(s.preds(i)))
+		return int64(s.csr.NumPreds(i))
 	case heur.DelaysFromParents:
 		return int64(a.SumDelayParent[i])
 	case heur.NumDescendants:

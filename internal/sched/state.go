@@ -56,13 +56,11 @@ type State struct {
 	M *machine.Model
 	A *heur.Annot
 
-	// csr is the DAG's frozen CSR view, nil only when the caller never
-	// froze the DAG (the paper's Table 2 algorithms, the engine's n²
-	// rung).
-	// The hot successor walks — place's ready-list decrement and the
-	// packed heap's admissions — stream its packed records; the other
-	// arc walks (the dynamic child/parent heuristics, the winnowing
-	// loop, backward scheduling) read the mirrors through succs/preds.
+	// csr is the DAG's frozen CSR view: reset freezes every DAG it is
+	// handed, so every arc walk of a scheduling pass — place's EET
+	// updates, the ready-list admissions, the dynamic child/parent
+	// heuristics, backward scheduling — streams its packed 8-byte
+	// records through succs/preds.
 	csr *dag.CSR
 
 	time           int32   // current issue cycle
@@ -105,7 +103,7 @@ func newState(d *dag.DAG, m *machine.Model, a *heur.Annot) *State {
 func (s *State) reset(d *dag.DAG, m *machine.Model, a *heur.Annot) {
 	n := d.Len()
 	s.D, s.M, s.A = d, m, a
-	s.csr = d.FrozenCSR()
+	s.csr = d.Freeze()
 	s.eet = buf.Int32(s.eet, n)
 	s.unschedParents = buf.Int32(s.unschedParents, n)
 	s.unschedKids = buf.Int32(s.unschedKids, n)
@@ -124,18 +122,10 @@ func (s *State) reset(d *dag.DAG, m *machine.Model, a *heur.Annot) {
 	s.ufFree = buf.Int32(s.ufFree, isa.NumClasses)
 	s.ufIdx = buf.Int32(s.ufIdx, isa.NumClasses)
 	s.ufStamp = buf.Int32(s.ufStamp, isa.NumClasses)
-	if c := s.csr; c != nil {
-		for i := int32(0); i < int32(n); i++ {
-			s.unschedParents[i] = c.NumPreds(i)
-			s.unschedKids[i] = c.NumSuccs(i)
-			s.issue[i] = -1
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s.unschedParents[i] = int32(len(d.Nodes[i].Preds))
-			s.unschedKids[i] = int32(len(d.Nodes[i].Succs))
-			s.issue[i] = -1
-		}
+	for i := int32(0); i < int32(n); i++ {
+		s.unschedParents[i] = s.csr.NumPreds(i)
+		s.unschedKids[i] = s.csr.NumSuccs(i)
+		s.issue[i] = -1
 	}
 	if cap(s.unitBusy) < isa.NumClasses {
 		s.unitBusy = make([][]int32, isa.NumClasses)
@@ -149,11 +139,23 @@ func (s *State) reset(d *dag.DAG, m *machine.Model, a *heur.Annot) {
 	}
 }
 
-// succs returns node i's successor arcs.
-func (s *State) succs(i int32) []dag.Arc { return s.D.Nodes[i].Succs }
+// succs returns node i's packed successor records; each record's Node
+// is a child.
+//
+//sched:noalloc
+func (s *State) succs(i int32) []dag.PackedArc {
+	lo, hi := s.csr.SuccSpan(i)
+	return s.csr.PackedSuccArcs()[lo:hi]
+}
 
-// preds returns node i's predecessor arcs.
-func (s *State) preds(i int32) []dag.Arc { return s.D.Nodes[i].Preds }
+// preds returns node i's packed predecessor records; each record's
+// Node is a parent.
+//
+//sched:noalloc
+func (s *State) preds(i int32) []dag.PackedArc {
+	lo, hi := s.csr.PredSpan(i)
+	return s.csr.PackedPredArcs()[lo:hi]
+}
 
 // Time returns the current issue cycle.
 func (s *State) Time() int32 { return s.time }
@@ -229,8 +231,8 @@ func (s *State) InterlocksWithPrev(i int32) bool {
 	if s.last < 0 {
 		return false
 	}
-	for _, arc := range s.preds(i) {
-		if arc.From == s.last && s.issue[s.last]+arc.Delay > s.time+1 {
+	for _, p := range s.preds(i) {
+		if p.Node() == s.last && s.issue[s.last]+p.Delay() > s.time+1 {
 			return true
 		}
 	}
@@ -243,8 +245,8 @@ func (s *State) InterlocksWithPrev(i int32) bool {
 // does).
 func (s *State) NumSingleParentChildren(i int32) int32 {
 	var n int32
-	for _, arc := range s.succs(i) {
-		if s.unschedParents[arc.To] == 1 {
+	for _, p := range s.succs(i) {
+		if s.unschedParents[p.Node()] == 1 {
 			n++
 		}
 	}
@@ -255,9 +257,9 @@ func (s *State) NumSingleParentChildren(i int32) int32 {
 // their arc delays.
 func (s *State) SumDelaysToSingleParentChildren(i int32) int32 {
 	var n int32
-	for _, arc := range s.succs(i) {
-		if s.unschedParents[arc.To] == 1 {
-			n += arc.Delay
+	for _, p := range s.succs(i) {
+		if s.unschedParents[p.Node()] == 1 {
+			n += p.Delay()
 		}
 	}
 	return n
@@ -269,8 +271,8 @@ func (s *State) SumDelaysToSingleParentChildren(i int32) int32 {
 // delay to the child be equal to one").
 func (s *State) NumUncoveredChildren(i int32) int32 {
 	var n int32
-	for _, arc := range s.succs(i) {
-		if s.unschedParents[arc.To] == 1 && arc.Delay == 1 {
+	for _, p := range s.succs(i) {
+		if s.unschedParents[p.Node()] == 1 && p.Delay() == 1 {
 			n++
 		}
 	}
@@ -285,8 +287,8 @@ func (s *State) IsBirthing(i int32) bool {
 	if s.last < 0 {
 		return false
 	}
-	for _, arc := range s.succs(i) {
-		if arc.To == s.last && arc.Kind == dag.RAW {
+	for _, p := range s.succs(i) {
+		if p.Node() == s.last && p.Kind() == dag.RAW {
 			return true
 		}
 	}
