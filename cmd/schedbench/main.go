@@ -109,16 +109,10 @@ func run() (code int) {
 
 	sets := tables.Table3Sets()
 	if *bench != "" {
-		var filtered []tables.BenchmarkSet
-		for _, s := range sets {
-			if strings.HasPrefix(s.Name, *bench) {
-				filtered = append(filtered, s)
-			}
-		}
-		if len(filtered) == 0 {
+		sets = keep(sets, func(name string) bool { return strings.HasPrefix(name, *bench) })
+		if len(sets) == 0 {
 			return fail(exitUsage, "no benchmark matches %q", *bench)
 		}
-		sets = filtered
 	}
 
 	if *all || *fig1 {
@@ -129,14 +123,7 @@ func run() (code int) {
 	}
 	if *all || *t4 {
 		// The paper did not run n² past a 1000-instruction window.
-		var t4sets []tables.BenchmarkSet
-		for _, s := range sets {
-			if s.Name == "fpppp" || s.Name == "fpppp-2000" || s.Name == "fpppp-4000" {
-				continue
-			}
-			t4sets = append(t4sets, s)
-		}
-		fmt.Println(tables.Table4(t4sets, m, *runs))
+		fmt.Println(tables.Table4(keep(sets, windowed), m, *runs))
 	}
 	if *all || *t5 {
 		fmt.Println(tables.Table5(sets, m, *runs))
@@ -144,47 +131,42 @@ func run() (code int) {
 	if *quality {
 		// The n²-based algorithms make full fpppp impractical; keep the
 		// quality race to windowed sets, like Table 4.
-		var qsets []tables.BenchmarkSet
-		for _, s := range sets {
-			if s.Name == "fpppp" || s.Name == "fpppp-2000" || s.Name == "fpppp-4000" {
-				continue
-			}
-			qsets = append(qsets, s)
-		}
-		fmt.Println(tables.QualityTable(qsets, m))
+		fmt.Println(tables.QualityTable(keep(sets, windowed), m))
 	}
 	if *optim {
-		var osets []tables.BenchmarkSet
-		for _, s := range sets {
-			if !strings.HasPrefix(s.Name, "fpppp-") {
-				osets = append(osets, s)
-			}
-		}
-		fmt.Println(tables.OptimalityTable(osets, m, *maxBB))
+		fmt.Println(tables.OptimalityTable(keep(sets, func(name string) bool {
+			return !strings.HasPrefix(name, "fpppp-")
+		}), m, *maxBB))
 	}
 	if *scaling {
 		fmt.Println(tables.ScalingTable(m, nil, *runs))
 	}
 	if *ablate {
-		var asets []tables.BenchmarkSet
-		for _, s := range sets {
-			if !strings.HasPrefix(s.Name, "fpppp") {
-				asets = append(asets, s)
-			}
-		}
-		fmt.Println(tables.AblationTable(asets, m))
+		fmt.Println(tables.AblationTable(keep(sets, func(name string) bool {
+			return !strings.HasPrefix(name, "fpppp")
+		}), m))
 	}
 	if *winners {
-		var wsets []tables.BenchmarkSet
-		for _, s := range sets {
-			if s.Name == "fpppp" || s.Name == "fpppp-2000" || s.Name == "fpppp-4000" {
-				continue
-			}
-			wsets = append(wsets, s)
-		}
-		fmt.Println(tables.WinnersBySize(wsets, m))
+		fmt.Println(tables.WinnersBySize(keep(sets, windowed), m))
 	}
 	return exitOK
+}
+
+// keep returns the sets whose names ok accepts.
+func keep(sets []tables.BenchmarkSet, ok func(name string) bool) []tables.BenchmarkSet {
+	var out []tables.BenchmarkSet
+	for _, s := range sets {
+		if ok(s.Name) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// windowed accepts every set the n²-based studies can afford: all but
+// full fpppp and its 2000- and 4000-instruction windows.
+func windowed(name string) bool {
+	return name != "fpppp" && name != "fpppp-2000" && name != "fpppp-4000"
 }
 
 // fail prints the one-line diagnostic and returns the exit code.

@@ -63,8 +63,8 @@ func (ar *BuildArena) ResetFor(b *block.Block, builder string) *DAG {
 		d.Nodes = d.Nodes[:n]
 	} else {
 		nodes := make([]Node, n)
-		// Keep the recycled nodes' allocated Succs/Preds/bit-map
-		// storage; only the tail is genuinely new.
+		// Keep the recycled nodes' allocated Succs/bit-map storage;
+		// only the tail is genuinely new.
 		copy(nodes, d.Nodes[:cap(d.Nodes)])
 		d.Nodes = nodes
 	}
@@ -72,7 +72,6 @@ func (ar *BuildArena) ResetFor(b *block.Block, builder string) *DAG {
 		nd := &d.Nodes[i]
 		nd.Inst = &b.Insts[i]
 		nd.Succs = nd.Succs[:0]
-		nd.Preds = nd.Preds[:0]
 		// UseBM/DefBM are recycled lazily by instScratch.extract.
 	}
 	return d

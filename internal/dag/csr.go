@@ -6,12 +6,10 @@ import "daginsched/internal/buf"
 // successor arc as one packed 8-byte record (see packed.go) in a flat
 // array grouped by source node, every predecessor arc in a second flat
 // array grouped by target node, with n+1 offset arrays delimiting each
-// node's span. The per-node spans preserve the mirror slices'
-// insertion order exactly, so any consumer that walks Succs/Preds
-// produces bit-identical results walking the CSR view — only the
-// memory layout changes: the hot heuristic and ready-list loops stream
-// two contiguous arrays of half-size records instead of chasing n
-// scattered slice headers.
+// node's span. Successor spans keep the Succs lists' insertion order;
+// predecessor spans, the transpose of the Succs lists, list parents in
+// ascending index. The hot heuristic and ready-list loops stream these
+// contiguous half-size records instead of chasing n slice headers.
 //
 // A CSR is built once per DAG by Freeze after construction completes
 // and is immutable from then on (the same contract as the DAG itself).
@@ -45,34 +43,47 @@ func (c *CSR) SuccSpan(i int32) (lo, hi int32) { return c.succOff[i], c.succOff[
 // predecessors inside PackedPredArcs.
 func (c *CSR) PredSpan(i int32) (lo, hi int32) { return c.predOff[i], c.predOff[i+1] }
 
-// freeze packs d's mirror slices into c: one O(n + m) pass over the
-// nodes in index order, appending each node's arcs in their insertion
-// order, which is exactly the grouping CSR requires. The record is
-// lossless (see packed.go), so every block packs.
+// freeze packs d's Succs lists into c in O(n + m): one pass appends
+// each node's arcs in index and insertion order and counts each
+// child's parents, a prefix sum turns the counts into predOff, and a
+// second pass scatters the packed successor records into their
+// children's spans, parents in ascending order. The record is lossless
+// (see packed.go), so every block packs.
 //
 //sched:noalloc
 func (c *CSR) freeze(d *DAG) {
 	c.frozen = true
-	n := len(d.Nodes)
+	n, m := len(d.Nodes), d.NumArcs
 	c.succOff = buf.Int32(c.succOff, n+1)
 	c.predOff = buf.Int32(c.predOff, n+1)
-	c.succPacked = growPacked(c.succPacked, d.NumArcs)
-	c.predPacked = growPacked(c.predPacked, d.NumArcs)
+	c.succPacked = growPacked(c.succPacked, m)
+	c.predPacked = growPacked(c.predPacked, m)
+	succOff, predOff, succs, preds := c.succOff, c.predOff, c.succPacked, c.predPacked
+	k := int32(0)
 	for i := range d.Nodes {
-		nd := &d.Nodes[i]
-		c.succOff[i] = int32(len(c.succPacked))
-		for _, arc := range nd.Succs {
-			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
-			c.succPacked = append(c.succPacked, pack(arc.To, arc.Kind, arc.Delay))
-		}
-		c.predOff[i] = int32(len(c.predPacked))
-		for _, arc := range nd.Preds {
-			//sched:lint-ignore noalloc growPacked reserved capacity for all NumArcs arcs above
-			c.predPacked = append(c.predPacked, pack(arc.From, arc.Kind, arc.Delay))
+		succOff[i] = k
+		for _, arc := range d.Nodes[i].Succs {
+			succs[k] = PackArc(arc.To, arc.Kind, arc.Delay)
+			k++
+			predOff[arc.To+1]++
 		}
 	}
-	c.succOff[n] = int32(len(c.succPacked))
-	c.predOff[n] = int32(len(c.predPacked))
+	succOff[n] = k
+	for i := 0; i < n; i++ {
+		predOff[i+1] += predOff[i]
+	}
+	// predOff[:n] serves as the write cursors; afterwards predOff[j]
+	// holds the end of node j's span, so shifting it up one node
+	// restores the starts.
+	for i := int32(0); i < int32(n); i++ {
+		for _, p := range succs[succOff[i]:succOff[i+1]] {
+			to := p.Node()
+			preds[predOff[to]] = p&^packedNodeMask | PackedArc(i)
+			predOff[to]++
+		}
+	}
+	copy(predOff[1:], predOff[:n])
+	predOff[0] = 0
 }
 
 // Freeze builds the DAG's CSR view (once per block) and returns it;

@@ -1,11 +1,13 @@
 package dag
 
 import (
+	"fmt"
 	"testing"
 
 	"daginsched/internal/block"
 	"daginsched/internal/machine"
 	"daginsched/internal/resource"
+	"daginsched/internal/synth"
 	"daginsched/internal/testgen"
 )
 
@@ -101,5 +103,35 @@ func TestValidateCatchesCSRDivergence(t *testing.T) {
 	d.csr.succPacked = d.csr.succPacked[:len(d.csr.succPacked)-1]
 	if err := d.Validate(); err == nil {
 		t.Error("Validate accepted a truncated packed array")
+	}
+}
+
+// BenchmarkFreeze times freeze alone, refilling recycled CSR storage,
+// on backward-table DAGs of linpack's largest block (a Table 3-sized
+// block) and of fpppp's 11,750-instruction giant. It reports ns/arc:
+// the per-arc cost of packing the successor half and deriving the
+// predecessor half by transposition.
+func BenchmarkFreeze(b *testing.B) {
+	m := machine.Pipe1()
+	for _, name := range []string{"linpack", "fpppp"} {
+		p, _ := synth.ByName(name)
+		var blk *block.Block
+		for _, bl := range p.Generate() {
+			if blk == nil || bl.Len() > blk.Len() {
+				blk = bl
+			}
+		}
+		rt := resource.NewTable(resource.MemExprModel)
+		rt.PrepareBlock(blk.Insts)
+		d := TableBackward{}.Build(blk, m, rt)
+		b.Run(fmt.Sprintf("%s/n=%d", name, blk.Len()), func(b *testing.B) {
+			d.csr.freeze(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.csr.freeze(d)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d.NumArcs), "ns/arc")
+		})
 	}
 }

@@ -65,10 +65,9 @@ type Arc struct {
 // Node is one instruction in the DAG.
 type Node struct {
 	Inst *isa.Inst
-	// Succs are the arcs to this node's children, in insertion order.
+	// Succs are the arcs to this node's children, in insertion order:
+	// the DAG's only arc list. Freeze derives the predecessor side.
 	Succs []Arc
-	// Preds are the arcs from this node's parents, in insertion order.
-	Preds []Arc
 	// UseBM and DefBM are the instruction's use/definition resource bit
 	// maps — the paper's "variable-length bit map ... to represent
 	// resource use and definition". They are sized to the resource table
@@ -82,9 +81,6 @@ type Node struct {
 // It is inflated by transitive arcs under the n² builder, exactly as
 // Table 1 warns.
 func (n *Node) NumChildren() int { return len(n.Succs) }
-
-// NumParents is the paper's #parents heuristic: incoming arc count.
-func (n *Node) NumParents() int { return len(n.Preds) }
 
 // DAG is the dependence DAG (in general a forest) of one basic block.
 //
@@ -119,12 +115,23 @@ func (d *DAG) Len() int { return len(d.Nodes) }
 // candidate list of a forward scheduling pass.
 func (d *DAG) Roots() []int32 {
 	var out []int32
-	for i := range d.Nodes {
-		if len(d.Nodes[i].Preds) == 0 {
+	for i, p := range d.numParents() {
+		if p == 0 {
 			out = append(out, int32(i))
 		}
 	}
 	return out
+}
+
+// numParents counts each node's parents from the Succs lists.
+func (d *DAG) numParents() []int {
+	np := make([]int, len(d.Nodes))
+	for i := range d.Nodes {
+		for _, arc := range d.Nodes[i].Succs {
+			np[arc.To]++
+		}
+	}
+	return np
 }
 
 // Leaves returns the indices of nodes with no children, in program order.
@@ -144,8 +151,6 @@ func (d *DAG) addArc(a, b int32, kind DepKind, delay int32) {
 	arc := Arc{From: a, To: b, Kind: kind, Delay: delay}
 	//sched:lint-ignore noalloc amortized: arena-recycled nodes retain their arc-list capacity across blocks
 	d.Nodes[a].Succs = append(d.Nodes[a].Succs, arc)
-	//sched:lint-ignore noalloc amortized: arena-recycled nodes retain their arc-list capacity across blocks
-	d.Nodes[b].Preds = append(d.Nodes[b].Preds, arc)
 	d.NumArcs++
 }
 
@@ -204,10 +209,10 @@ func (d *DAG) TransitiveArcs() int {
 }
 
 // Validate checks structural invariants: arcs point forward in program
-// order, no self-arcs, positive delays, Succs/Preds mirror each other,
+// order, no self-arcs, positive delays, NumArcs counts the arc lists,
 // any cached reachability (Reach) covers every node, and any frozen
-// CSR view agrees arc-for-arc with the mirror slices. It returns the
-// first violation found.
+// CSR view agrees arc-for-arc with the Succs lists and their
+// transpose. It returns the first violation found.
 func (d *DAG) Validate() error {
 	if d.Reach != nil {
 		if len(d.Reach) != len(d.Nodes) {
@@ -223,7 +228,7 @@ func (d *DAG) Validate() error {
 			}
 		}
 	}
-	var succTotal, predTotal int
+	total := 0
 	for i := range d.Nodes {
 		for _, arc := range d.Nodes[i].Succs {
 			if arc.From != int32(i) {
@@ -238,23 +243,11 @@ func (d *DAG) Validate() error {
 			if arc.Delay < 1 {
 				return fmt.Errorf("arc %d->%d has delay %d", arc.From, arc.To, arc.Delay)
 			}
-			found := false
-			for _, back := range d.Nodes[arc.To].Preds {
-				if back == arc {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("arc %d->%d missing from child preds", arc.From, arc.To)
-			}
 		}
-		succTotal += len(d.Nodes[i].Succs)
-		predTotal += len(d.Nodes[i].Preds)
+		total += len(d.Nodes[i].Succs)
 	}
-	if succTotal != predTotal || succTotal != d.NumArcs {
-		return fmt.Errorf("arc accounting: succ %d, pred %d, NumArcs %d",
-			succTotal, predTotal, d.NumArcs)
+	if total != d.NumArcs {
+		return fmt.Errorf("arc accounting: succ %d, NumArcs %d", total, d.NumArcs)
 	}
 	if d.csr.frozen {
 		if err := d.validateCSR(); err != nil {
@@ -264,22 +257,31 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// validateCSR cross-checks the frozen CSR view against the Succs/Preds
-// mirrors in both directions (catching any divergence after ResetFor
-// reuse of the CSR's recycled storage).
+// validateCSR cross-checks the frozen CSR view against the Succs lists
+// (catching any divergence after ResetFor reuse of the CSR's recycled
+// storage). The successor spans must match each node's Succs; the
+// predecessor spans must match a transpose built here, arc by arc in
+// ascending parent order, independently of freeze.
 func (d *DAG) validateCSR() error {
+	succs, preds := make([][]Arc, len(d.Nodes)), make([][]Arc, len(d.Nodes))
+	for i := range d.Nodes {
+		succs[i] = d.Nodes[i].Succs
+		for _, arc := range d.Nodes[i].Succs {
+			preds[arc.To] = append(preds[arc.To], arc)
+		}
+	}
 	c := &d.csr
-	if err := checkSpans(d, "succ", c.succOff, c.succPacked); err != nil {
+	if err := checkSpans(d, "succ", c.succOff, c.succPacked, succs); err != nil {
 		return err
 	}
-	return checkSpans(d, "pred", c.predOff, c.predPacked)
+	return checkSpans(d, "pred", c.predOff, c.predPacked, preds)
 }
 
 // checkSpans validates one direction of the CSR: the offsets must start
 // at 0, be monotone and end at NumArcs over exactly NumArcs records,
-// and every node's span must decode to its mirror slice element for
+// and every node's span must decode to its entry of lists element for
 // element.
-func checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) error {
+func checkSpans(d *DAG, dir string, off []int32, recs []PackedArc, lists [][]Arc) error {
 	n := len(d.Nodes)
 	if len(off) != n+1 {
 		return fmt.Errorf("csr: %s offsets cover %d nodes, DAG has %d", dir, len(off)-1, n)
@@ -294,22 +296,19 @@ func checkSpans(d *DAG, dir string, off []int32, recs []PackedArc) error {
 		}
 	}
 	for i := range d.Nodes {
-		mirror := d.Nodes[i].Succs
-		if dir == "pred" {
-			mirror = d.Nodes[i].Preds
-		}
+		arcs := lists[i]
 		span := recs[off[i]:off[i+1]]
-		if len(span) != len(mirror) {
-			return fmt.Errorf("csr: node %d has %d %s records, mirror has %d",
-				i, len(span), dir, len(mirror))
+		if len(span) != len(arcs) {
+			return fmt.Errorf("csr: node %d has %d %s records, want %d",
+				i, len(span), dir, len(arcs))
 		}
-		for k, arc := range mirror {
+		for k, arc := range arcs {
 			p, peer := span[k], arc.To
 			if dir == "pred" {
 				peer = arc.From
 			}
 			if p.Node() != peer || p.Kind() != arc.Kind || p.Delay() != arc.Delay {
-				return fmt.Errorf("csr: node %d %s record %d decodes to (%d,%v,%d), mirror arc is (%d,%v,%d)",
+				return fmt.Errorf("csr: node %d %s record %d decodes to (%d,%v,%d), arc is (%d,%v,%d)",
 					i, dir, k, p.Node(), p.Kind(), p.Delay(), peer, arc.Kind, arc.Delay)
 			}
 		}

@@ -60,31 +60,14 @@ func (N2Forward) Name() string { return "n2f" }
 func (N2Forward) Direction() Direction { return Forward }
 
 // Build implements Builder.
-func (N2Forward) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG {
-	d := newDAG(b, "n2f")
-	var sc instScratch
-	uses := make([][]ref, len(b.Insts))
-	defs := make([][]ref, len(b.Insts))
-	for i := range d.Nodes {
-		u, df := sc.extract(d.Nodes[i].Inst, rt, &d.Nodes[i])
-		uses[i] = append([]ref(nil), u...)
-		defs[i] = append([]ref(nil), df...)
-		for j := int32(0); j < int32(i); j++ {
-			kind, delay, found := n2Compare(d, m, j, int32(i),
-				uses[j], defs[j], uses[i], defs[i])
-			if found {
-				d.addArc(j, int32(i), kind, delay)
-			}
-		}
-	}
-	return d
+func (t N2Forward) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG {
+	return t.BuildInto(new(BuildArena), b, m, rt)
 }
 
-// BuildInto implements ReuseBuilder: identical construction to Build,
-// but the per-node interned refs live in one flat arena segment and
-// every other piece of storage — nodes, arc lists, bit maps — is
-// recycled, so the n² forward builder is a first-class zero-alloc peer
-// of the table builders. The engine's RungN2 fallback builds with it:
+// BuildInto implements ReuseBuilder: the per-node interned refs live
+// in one flat arena segment and every other piece of storage — nodes,
+// arc lists, bit maps — is recycled, so the n² forward builder is a
+// first-class zero-alloc peer of the table builders. The engine's RungN2 fallback builds with it:
 // a construction algorithm that shares no table state with the
 // primary pipeline. The returned DAG is arena-owned.
 //
@@ -240,6 +223,9 @@ func (Landskov) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 	var sc instScratch
 	uses := make([][]ref, len(b.Insts))
 	defs := make([][]ref, len(b.Insts))
+	// parents[i] lists node i's parents for the ancestor walk; the DAG
+	// itself keeps only child lists.
+	parents := make([][]int32, len(b.Insts))
 	pruned := bitset.New(len(b.Insts))
 	for i := range d.Nodes {
 		u, df := sc.extract(d.Nodes[i].Inst, rt, &d.Nodes[i])
@@ -260,7 +246,8 @@ func (Landskov) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 				continue
 			}
 			d.addArc(j, int32(i), kind, delay)
-			markAncestors(d, j, pruned)
+			parents[i] = append(parents[i], j)
+			markAncestors(parents, j, pruned)
 		}
 	}
 	return d
@@ -268,12 +255,12 @@ func (Landskov) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 
 // markAncestors sets the bits of every ancestor of node j (and j
 // itself) in the scratch set.
-func markAncestors(d *DAG, j int32, pruned *bitset.Set) {
+func markAncestors(parents [][]int32, j int32, pruned *bitset.Set) {
 	if pruned.Test(int(j)) {
 		return
 	}
 	pruned.Set(int(j))
-	for _, arc := range d.Nodes[j].Preds {
-		markAncestors(d, arc.From, pruned)
+	for _, p := range parents[j] {
+		markAncestors(parents, p, pruned)
 	}
 }

@@ -30,8 +30,9 @@ func arcSet(d *DAG) map[[2]int32]Arc {
 }
 
 // TestN2BuildIntoMatchesBuild requires the reuse path to reproduce the
-// plain Build path arc for arc, across blocks of uneven sizes streamed
-// through one arena (exercising shrink/regrow of the flat ref arena).
+// arc set of N2Backward's separate pairwise loop, across blocks of
+// uneven sizes streamed through one arena (exercising shrink/regrow of
+// the flat ref arena).
 func TestN2BuildIntoMatchesBuild(t *testing.T) {
 	m := machine.Pipe1()
 	rt := resource.NewTable(resource.MemExprModel)
@@ -39,7 +40,7 @@ func TestN2BuildIntoMatchesBuild(t *testing.T) {
 	for i, n := range []int{40, 3, 0, 1, 97, 12, 64, 7} {
 		b := n2TestBlock(int64(100+i), n)
 		rt.PrepareBlock(b.Insts)
-		want := N2Forward{}.Build(b, m, rt)
+		want := N2Backward{}.Build(b, m, rt)
 		rt.PrepareBlock(b.Insts)
 		got := N2Forward{}.BuildInto(&ar, b, m, rt)
 		if err := got.Validate(); err != nil {

@@ -30,11 +30,11 @@ const (
 	packedDelayMask = 1<<packedDelayBits - 1
 )
 
-// pack encodes one arc for its owner's span: peer is the other
+// PackArc encodes one arc for its owner's span: peer is the other
 // endpoint.
 //
 //sched:noalloc
-func pack(peer int32, kind DepKind, delay int32) PackedArc {
+func PackArc(peer int32, kind DepKind, delay int32) PackedArc {
 	return PackedArc(uint64(peer) | uint64(delay)<<packedNodeBits | uint64(kind)<<packedKindShift)
 }
 
@@ -66,11 +66,12 @@ func (c *CSR) PackedSuccArcs() []PackedArc { return c.succPacked }
 //sched:noalloc
 func (c *CSR) PackedPredArcs() []PackedArc { return c.predPacked }
 
-// growPacked returns an empty []PackedArc with capacity for at least n
-// records, reusing s's backing array when possible.
+// growPacked returns a []PackedArc of length n, reusing s's backing
+// array when possible. Its contents are unspecified: freeze writes
+// every record.
 func growPacked(s []PackedArc, n int) []PackedArc {
 	if cap(s) < n {
-		return make([]PackedArc, 0, n)
+		return make([]PackedArc, n)
 	}
-	return s[:0]
+	return s[:n]
 }

@@ -7,9 +7,22 @@ import (
 	"daginsched/internal/resource"
 )
 
+// predLists transposes d's Succs lists: node i's incoming arcs in
+// ascending parent order, the order of freeze's predecessor spans.
+func predLists(d *DAG) [][]Arc {
+	preds := make([][]Arc, d.Len())
+	for i := range d.Nodes {
+		for _, arc := range d.Nodes[i].Succs {
+			preds[arc.To] = append(preds[arc.To], arc)
+		}
+	}
+	return preds
+}
+
 // TestFreezeMatchesMirrors checks the Freeze lifecycle on DAGs from
 // every builder: no view before Freeze, one view however often Freeze
-// is called, and per-node spans as wide as the Succs/Preds mirrors.
+// is called, and per-node spans as wide as the Succs lists and their
+// transpose.
 func TestFreezeMatchesMirrors(t *testing.T) {
 	m := machine.Pipe1()
 	for _, bld := range AllBuilders() {
@@ -34,23 +47,25 @@ func TestFreezeMatchesMirrors(t *testing.T) {
 			t.Fatalf("%s: packed arrays hold %d/%d arcs, want %d",
 				bld.Name(), len(c.PackedSuccArcs()), len(c.PackedPredArcs()), d.NumArcs)
 		}
+		allPreds := predLists(d)
 		for i := int32(0); int(i) < d.Len(); i++ {
-			succs, preds := d.Nodes[i].Succs, d.Nodes[i].Preds
+			succs, preds := d.Nodes[i].Succs, allPreds[i]
 			lo, hi := c.SuccSpan(i)
 			if int(hi-lo) != len(succs) || int(c.NumSuccs(i)) != len(succs) {
-				t.Fatalf("%s: node %d succ span [%d,%d), mirror has %d", bld.Name(), i, lo, hi, len(succs))
+				t.Fatalf("%s: node %d succ span [%d,%d), Succs has %d", bld.Name(), i, lo, hi, len(succs))
 			}
 			lo, hi = c.PredSpan(i)
 			if int(hi-lo) != len(preds) || int(c.NumPreds(i)) != len(preds) {
-				t.Fatalf("%s: node %d pred span [%d,%d), mirror has %d", bld.Name(), i, lo, hi, len(preds))
+				t.Fatalf("%s: node %d pred span [%d,%d), transpose has %d", bld.Name(), i, lo, hi, len(preds))
 			}
 		}
 	}
 }
 
 // TestPackedRoundTrip freezes DAGs from every builder and checks the
-// packed records decode to exactly the Succs/Preds mirrors' arcs, both
-// through Validate's cross-check and by walking the spans by hand.
+// packed records decode to exactly the Succs lists' arcs, and the
+// predecessor records to their transpose in ascending parent order,
+// both through Validate's cross-check and by walking the spans by hand.
 func TestPackedRoundTrip(t *testing.T) {
 	m := machine.Pipe1()
 	for _, bld := range AllBuilders() {
@@ -65,6 +80,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: Validate: %v", bld.Name(), err)
 		}
+		allPreds := predLists(d)
 		for i := int32(0); int(i) < d.Len(); i++ {
 			lo, _ := c.SuccSpan(i)
 			succs := d.Nodes[i].Succs
@@ -76,8 +92,7 @@ func TestPackedRoundTrip(t *testing.T) {
 				}
 			}
 			lo, _ = c.PredSpan(i)
-			preds := d.Nodes[i].Preds
-			for k, arc := range preds {
+			for k, arc := range allPreds[i] {
 				p := c.PackedPredArcs()[lo+int32(k)]
 				if p.Node() != arc.From || p.Kind() != arc.Kind || p.Delay() != arc.Delay {
 					t.Fatalf("%s: node %d packed pred %d = (%d,%v,%d), want (%d,%v,%d)",
@@ -102,7 +117,7 @@ func packedTestDAG(t *testing.T, delays []int32) *DAG {
 
 // TestPackedExtremesRoundTrip drives the record's fields to their
 // extremes: delays from 1 to 2^31-1 through Freeze and Validate on
-// both mirrors, and pack/decode at the smallest and largest peer for
+// both CSR halves, and PackArc/decode at the smallest and largest peer for
 // every kind and extreme delay.
 func TestPackedExtremesRoundTrip(t *testing.T) {
 	delays := []int32{1, 65535, 65536, 1 << 20, 1<<31 - 1}
@@ -129,9 +144,9 @@ func TestPackedExtremesRoundTrip(t *testing.T) {
 	for _, peer := range []int32{0, 1<<31 - 1} {
 		for _, kind := range []DepKind{RAW, WAR, WAW} {
 			for _, delay := range []int32{1, 1<<31 - 1} {
-				p := pack(peer, kind, delay)
+				p := PackArc(peer, kind, delay)
 				if p.Node() != peer || p.Kind() != kind || p.Delay() != delay {
-					t.Fatalf("pack(%d,%v,%d) decodes to (%d,%v,%d)",
+					t.Fatalf("PackArc(%d,%v,%d) decodes to (%d,%v,%d)",
 						peer, kind, delay, p.Node(), p.Kind(), p.Delay())
 				}
 			}

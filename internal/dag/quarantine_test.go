@@ -32,15 +32,16 @@ func TestArenaRecycledAfterAbandonedBuild(t *testing.T) {
 	rt.PrepareBlock(poisoned.Insts)
 	d := TableBackward{}.BuildInto(&ar, poisoned, m, rt)
 	// Scribble over the abandoned DAG the way a faulted pipeline might
-	// leave it: corrupted delays in both mirrors, a frozen CSR view.
-	d.Freeze()
+	// leave it: corrupted delays in the arc lists and in the frozen
+	// CSR view's predecessor records.
+	c := d.Freeze()
 	for i := range d.Nodes {
 		for k := range d.Nodes[i].Succs {
 			d.Nodes[i].Succs[k].Delay += 1 << 20
 		}
-		for k := range d.Nodes[i].Preds {
-			d.Nodes[i].Preds[k].Delay = -7
-		}
+	}
+	for k := range c.PackedPredArcs() {
+		c.PackedPredArcs()[k] = PackArc(0, RAW, 1<<20)
 	}
 
 	rt.PrepareBlock(next.Insts)

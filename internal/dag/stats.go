@@ -12,7 +12,7 @@ type Stats struct {
 	DelaySum    int64  // total arc delay (for average weights)
 }
 
-// Statistics computes structural statistics in one pass.
+// Statistics computes structural statistics from the arc lists.
 func (d *DAG) Statistics() Stats {
 	s := Stats{Nodes: d.Len(), Arcs: d.NumArcs}
 	for i := range d.Nodes {
@@ -20,18 +20,20 @@ func (d *DAG) Statistics() Stats {
 		if c := len(n.Succs); c > s.ChildrenMax {
 			s.ChildrenMax = c
 		}
-		if p := len(n.Preds); p > s.ParentsMax {
-			s.ParentsMax = p
-		}
-		if len(n.Preds) == 0 {
-			s.Roots++
-		}
 		if len(n.Succs) == 0 {
 			s.Leaves++
 		}
 		for _, arc := range n.Succs {
 			s.ByKind[arc.Kind]++
 			s.DelaySum += int64(arc.Delay)
+		}
+	}
+	for _, p := range d.numParents() {
+		if p > s.ParentsMax {
+			s.ParentsMax = p
+		}
+		if p == 0 {
+			s.Roots++
 		}
 	}
 	return s

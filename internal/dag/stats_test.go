@@ -41,11 +41,17 @@ func TestStatisticsMatchManualCount(t *testing.T) {
 		arcs, roots, leaves := 0, 0, 0
 		for i := range d.Nodes {
 			arcs += len(d.Nodes[i].Succs)
-			if len(d.Nodes[i].Preds) == 0 {
-				roots++
-			}
 			if len(d.Nodes[i].Succs) == 0 {
 				leaves++
+			}
+			hasParent := false
+			for j := 0; j < i; j++ {
+				for _, arc := range d.Nodes[j].Succs {
+					hasParent = hasParent || arc.To == int32(i)
+				}
+			}
+			if !hasParent {
+				roots++
 			}
 		}
 		if s.Arcs != arcs || s.Roots != roots || s.Leaves != leaves {

@@ -165,11 +165,12 @@ func annulCandidate(g *cfg.Graph, bi int, m *machine.Model, rt *resource.Table) 
 	}
 	rt.PrepareBlock(tn.Block.Insts)
 	d := dag.TableForward{}.Build(tn.Block, m, rt)
+	c := d.Freeze()
 	// Prefer the earliest root past position 0: hoisting the labeled
 	// first instruction would orphan the label.
 	for i := int32(1); i < int32(d.Len()); i++ {
 		op := d.Nodes[i].Inst.Op
-		if op.IsCTI() || op == isa.NOP || len(d.Nodes[i].Preds) != 0 {
+		if op.IsCTI() || op == isa.NOP || c.NumPreds(i) != 0 {
 			continue
 		}
 		return ti, i

@@ -274,8 +274,8 @@ func newWorker(m *machine.Model) *worker {
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
-	w.buildCheckpoint(d)
 	d.Freeze()
+	w.buildCheckpoint(d)
 	w.a.D = d
 	w.a.ComputeFusedCSR()
 	r := w.sc.Forward(d, m, w.a, w.sel)

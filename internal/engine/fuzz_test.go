@@ -164,7 +164,7 @@ func FuzzBuildSchedule(f *testing.F) {
 		}
 
 		// The ladder's independent rung: n² construction and the
-		// mirror heuristic passes, no table state. Its schedule may differ
+		// arc-list heuristic passes, no table state. Its schedule may differ
 		// from the table pipeline's (its DAG keeps transitive arcs), so
 		// it answers to the gate and the simulator alone.
 		r2, d2 := wN2.scheduleN2Direct(b, m)

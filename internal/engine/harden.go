@@ -17,7 +17,7 @@
 //   - The ladder's rungs are RungPrimary (the table pipeline, or the
 //     cache), RungTable (the table pipeline again, on the fresh scratch
 //     of a quarantined worker), RungN2 (n²-direct construction with the
-//     mirror heuristic passes — a structurally independent second
+//     arc-list heuristic passes — a structurally independent second
 //     construction algorithm), and RungIdentity (the original
 //     program order timed on the scoreboard simulator, which consults
 //     no DAG at all and is therefore always legal). A batch always
@@ -27,9 +27,9 @@
 //     returned or cached: structuralGate proves the order is a
 //     permutation (each instruction issued exactly once), arcGate
 //     proves every dependence arc's latency is respected — over both
-//     the packed successor and predecessor arrays, so a desynchronized
-//     mirror is caught even though only one side drives scheduling. A
-//     gate failure quarantines the worker and demotes the block.
+//     the packed successor and predecessor arrays, so a predecessor
+//     record that disagrees with its successor twin is caught. A gate
+//     failure quarantines the worker and demotes the block.
 //   - Config.BlockTimeout arms a per-block soft deadline, checked
 //     cooperatively at the post-construction checkpoint; an expired
 //     block demotes straight to the bounded-work identity rung instead
@@ -70,9 +70,9 @@ const (
 	// byte-identical to a healthy primary run's.
 	RungTable
 	// RungN2 is the second fallback: n²-direct construction and the
-	// heuristic passes over the per-node arc mirrors — no table state,
+	// heuristic passes over the per-node arc lists — no table state,
 	// no fused packed sweep — so it shares no construction machinery
-	// with RungTable. The scheduler freezes its DAG like any other.
+	// with RungTable. Its DAG is frozen like any other.
 	RungN2
 	// RungIdentity is the floor: the block's original program order,
 	// timed on the scoreboard simulator. It consults no DAG and is
@@ -114,10 +114,11 @@ func (r Rung) next() Rung {
 var errDeadline = errors.New("engine: block soft deadline expired")
 
 // buildCheckpoint runs at the end of DAG construction, once per
-// pipeline attempt: it fires the one-shot injection hooks armed for
-// this block (panic-in-builder leaves the arena holding a built but
-// unscheduled DAG; corrupt-arc desynchronizes the predecessor mirror
-// the gate cross-checks) and performs the cooperative soft-deadline
+// pipeline attempt, on the frozen DAG: it fires the one-shot injection
+// hooks armed for this block (panic-in-builder leaves the arena
+// holding a built but unscheduled DAG; corrupt-arc bumps one record of
+// the frozen predecessor array, the half the gate cross-checks against
+// the successor half) and performs the cooperative soft-deadline
 // check. The construction is complete when it runs, so a deadline
 // unwind leaves the arena in its ordinary post-build state. In the
 // fault-free, deadline-free configuration this is three predictable
@@ -169,12 +170,11 @@ func (w *worker) structuralGate(order, issue []int32, n int) bool {
 // arcGate is the latency half of the output gate: every arc must
 // satisfy issue[To] >= issue[From] + Delay (the invariant the
 // scheduler's EET propagation maintains). Both the successor and the
-// predecessor arcs are walked — the scheduler derives timing from
-// successor arcs alone, so a predecessor mirror that disagrees with
-// its successor twin can never hide from this check. The walk streams
-// the packed successor and predecessor spans of the frozen view the
-// scheduler ran on (freeze packed both from the mirrors, disagreement
-// included).
+// predecessor records are walked — the scheduler derives timing from
+// successor records alone, so a predecessor record that disagrees
+// with its successor twin can never hide from this check. The walk
+// streams the packed successor and predecessor spans of the frozen
+// view the scheduler ran on.
 //
 //sched:noalloc
 func arcGate(d *dag.DAG, issue []int32) bool {
@@ -262,16 +262,17 @@ func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG
 }
 
 // scheduleN2Direct is the RungN2 pipeline: n²-direct construction for
-// a block of any size (transitive arcs included) and the heuristic
-// passes over the per-node arc mirrors — no resource-table reuse
-// assumptions, no fused packed sweep — then the same scheduler as the
-// table pipeline, which freezes the DAG. O(n²) construction makes it
+// a block of any size (transitive arcs included), freeze, and the
+// heuristic passes over the per-node arc lists — no resource-table
+// reuse assumptions, no fused packed sweep — then the same scheduler
+// as the table pipeline. O(n²) construction makes it
 // slower than the table pipeline on big blocks, which is fine: it is
 // a fault-path rung, chosen for sharing no construction machinery
 // with the rung above it.
 func (w *worker) scheduleN2Direct(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.N2Forward{}.BuildInto(&w.ar, b, m, w.rt)
+	d.Freeze()
 	w.buildCheckpoint(d)
 	w.a.D = d
 	w.a.ComputeBackward()

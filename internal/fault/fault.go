@@ -33,9 +33,10 @@ const (
 	// mid-pipeline state the quarantine must be able to discard.
 	PanicBuilder Point = iota
 	// CorruptArc overwrites the delay of one deterministically chosen
-	// predecessor-mirror arc after construction, desynchronizing the
-	// mirrors the legality gate cross-checks — a silent-miscompile
-	// stand-in the gate must catch.
+	// record of the frozen predecessor array after construction, so
+	// the CSR's two halves disagree where the legality gate
+	// cross-checks them — a silent-miscompile stand-in the gate must
+	// catch.
 	CorruptArc
 	// CacheBitflip flips one bit in the scheduled order copied out of a
 	// schedule-cache hit, modeling a poisoned or decayed cache entry.
@@ -217,9 +218,10 @@ func (in *Injector) Stall(deadline time.Time) bool {
 }
 
 // CorruptPredArc overwrites the delay of one deterministically chosen
-// arc in d's predecessor mirror (the successor mirror keeps the true
+// record in d's frozen predecessor array (freezing d if it is not yet
+// frozen; the Succs lists and the successor records keep the true
 // delay), reporting whether anything was corrupted. The scheduler
-// derives timing from successor arcs, so the schedule itself is
+// derives timing from successor records, so the schedule itself is
 // computed against the true delays — the corruption is only visible
 // to a consumer that checks the predecessor side, which is exactly
 // what the engine's legality gate does. The bump is large enough
@@ -228,16 +230,11 @@ func (in *Injector) CorruptPredArc(d *dag.DAG, key uint64) bool {
 	if in == nil || d == nil || d.NumArcs == 0 {
 		return false
 	}
-	k := int(mix(in.seed, NumPoints+1, key) % uint64(d.NumArcs))
-	for i := range d.Nodes {
-		preds := d.Nodes[i].Preds
-		if k < len(preds) {
-			preds[k].Delay += 1 << 20
-			return true
-		}
-		k -= len(preds)
-	}
-	return false
+	preds := d.Freeze().PackedPredArcs()
+	k := mix(in.seed, NumPoints+1, key) % uint64(len(preds))
+	p := preds[k]
+	preds[k] = dag.PackArc(p.Node(), p.Kind(), p.Delay()+1<<20)
+	return true
 }
 
 // InjectedPanic is the value PanicBuilder panics with, so a recover

@@ -170,8 +170,9 @@ func buildDAG(t *testing.T, seed int64, n int) *dag.DAG {
 }
 
 // TestCorruptPredArc checks the corruption is surgical: exactly one
-// predecessor-mirror arc gains the 2^20 delay bump, the successor
-// mirror keeps every true delay, and the choice is deterministic.
+// frozen predecessor record gains the 2^20 delay bump, the Succs lists
+// and the successor records keep every true delay, and the choice is
+// deterministic.
 func TestCorruptPredArc(t *testing.T) {
 	in, err := NewInjector(&Plan{Seed: 11, CorruptArc: 1})
 	if err != nil {
@@ -181,32 +182,34 @@ func TestCorruptPredArc(t *testing.T) {
 	if d.NumArcs == 0 {
 		t.Fatal("test DAG has no arcs")
 	}
+	sumPacked := func(recs []dag.PackedArc) (s int64) {
+		for _, p := range recs {
+			s += int64(p.Delay())
+		}
+		return s
+	}
 	sumSucc := func() (s int64) {
 		for i := range d.Nodes {
 			for _, a := range d.Nodes[i].Succs {
 				s += int64(a.Delay)
 			}
 		}
-		return s
-	}
-	sumPred := func() (s int64) {
-		for i := range d.Nodes {
-			for _, a := range d.Nodes[i].Preds {
-				s += int64(a.Delay)
-			}
+		if p := sumPacked(d.Freeze().PackedSuccArcs()); p != s {
+			t.Fatalf("successor records sum to %d, Succs lists to %d", p, s)
 		}
 		return s
 	}
+	sumPred := func() int64 { return sumPacked(d.Freeze().PackedPredArcs()) }
 	succBefore, predBefore := sumSucc(), sumPred()
 	if succBefore != predBefore {
-		t.Fatalf("mirrors disagree before corruption: succ %d, pred %d", succBefore, predBefore)
+		t.Fatalf("CSR halves disagree before corruption: succ %d, pred %d", succBefore, predBefore)
 	}
 	const key = 0xfeed
 	if !in.CorruptPredArc(d, key) {
 		t.Fatal("CorruptPredArc reported nothing corrupted")
 	}
 	if got := sumSucc(); got != succBefore {
-		t.Fatalf("successor mirror changed: delay sum %d, want %d", got, succBefore)
+		t.Fatalf("successor side changed: delay sum %d, want %d", got, succBefore)
 	}
 	if got := sumPred(); got != predBefore+(1<<20) {
 		t.Fatalf("pred delay sum %d, want exactly one 2^20 bump over %d", got, predBefore)
@@ -216,12 +219,11 @@ func TestCorruptPredArc(t *testing.T) {
 	// identically built DAG.
 	d2 := buildDAG(t, 101, 60)
 	in.CorruptPredArc(d2, key)
-	for i := range d.Nodes {
-		for k, a := range d.Nodes[i].Preds {
-			if a.Delay != d2.Nodes[i].Preds[k].Delay {
-				t.Fatalf("node %d pred %d: corruption not deterministic (%d vs %d)",
-					i, k, a.Delay, d2.Nodes[i].Preds[k].Delay)
-			}
+	got, want := d2.Freeze().PackedPredArcs(), d.Freeze().PackedPredArcs()
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("pred record %d: corruption not deterministic (%d vs %d)",
+				k, got[k].Delay(), want[k].Delay())
 		}
 	}
 

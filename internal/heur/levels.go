@@ -19,18 +19,19 @@ type LevelLists struct {
 }
 
 // BuildLevels computes levels with one forward pass and buckets nodes
-// into per-level lists.
+// into per-level lists. Each node pushes its level along its child
+// arcs; parents precede children in program order, so a node's level
+// is final when the pass reaches it.
 func BuildLevels(d *dag.DAG) *LevelLists {
 	n := d.Len()
 	ll := &LevelLists{Level: make([]int32, n)}
 	for i := 0; i < n; i++ {
-		var lvl int32
-		for _, arc := range d.Nodes[i].Preds {
-			if l := ll.Level[arc.From] + 1; l > lvl {
-				lvl = l
+		lvl := ll.Level[i]
+		for _, arc := range d.Nodes[i].Succs {
+			if lvl+1 > ll.Level[arc.To] {
+				ll.Level[arc.To] = lvl + 1
 			}
 		}
-		ll.Level[i] = lvl
 		for int32(len(ll.Lists)) <= lvl {
 			ll.Lists = append(ll.Lists, nil)
 		}

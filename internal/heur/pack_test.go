@@ -200,18 +200,17 @@ func TestPackInvalidatedByRecompute(t *testing.T) {
 
 // TestFusedCSRPackedArcsMatch runs the fused sweep over the packed arc
 // records and checks every output annotation matches the unfused
-// passes' walk over the mirrors.
+// passes' walk over the arc lists.
 func TestFusedCSRPackedArcsMatch(t *testing.T) {
 	a := packTestAnnot(t, 19, 150) // packed layout (block well under limits)
 	b := packTestAnnot(t, 19, 150)
-	// Rebuild b's annotations through the unfused mirror passes.
+	// Rebuild b's annotations through the unfused arc-list passes.
 	b.ComputeBackward()
 	b.ComputeLocal()
 	for i := 0; i < a.D.Len(); i++ {
 		if a.MaxPathToLeaf[i] != b.MaxPathToLeaf[i] ||
 			a.MaxDelayToLeaf[i] != b.MaxDelayToLeaf[i] ||
 			a.SumDelayChild[i] != b.SumDelayChild[i] ||
-			a.MaxDelayChild[i] != b.MaxDelayChild[i] ||
 			a.InterlockChild[i] != b.InterlockChild[i] {
 			t.Fatalf("node %d: packed-arc sweep diverges from unfused passes", i)
 		}

@@ -19,14 +19,12 @@ type Annot struct {
 	D *dag.DAG
 	M *machine.Model
 
-	// Add-arc ("a") heuristics. NumChildren/NumParents live on the DAG
-	// nodes themselves (arc-list lengths).
+	// Add-arc ("a") heuristics. #children and #parents are the frozen
+	// CSR's span widths (NumSuccs/NumPreds).
 	ExecTime       []int32 // operation latency of the node
 	InterlockChild []bool  // any outgoing arc with delay > 1
 	SumDelayChild  []int32 // φ=sum delays to children
-	MaxDelayChild  []int32 // φ=max delays to children
 	SumDelayParent []int32 // φ=sum delays from parents
-	MaxDelayParent []int32 // φ=max delays from parents
 
 	// Forward ("f") heuristics.
 	EST              []int32 // earliest start time (Schlansker: node latencies)
@@ -76,32 +74,24 @@ func (a *Annot) ComputeAll() *Annot {
 
 // ComputeLocal fills the add-arc ("a") heuristics. In the paper these
 // are maintained by add_arc during construction; recomputing them from
-// the final arc lists is equivalent and keeps the builders lean.
+// the final arc lists is equivalent and keeps the builders lean. Each
+// arc adds its delay to its parent's sum to children and its child's
+// sum from parents.
 func (a *Annot) ComputeLocal() {
 	n := a.D.Len()
 	a.PrioExact = false // SumDelayChild is a packed-priority input
 	a.ExecTime = buf.Int32(a.ExecTime, n)
 	a.InterlockChild = buf.Bool(a.InterlockChild, n)
 	a.SumDelayChild = buf.Int32(a.SumDelayChild, n)
-	a.MaxDelayChild = buf.Int32(a.MaxDelayChild, n)
 	a.SumDelayParent = buf.Int32(a.SumDelayParent, n)
-	a.MaxDelayParent = buf.Int32(a.MaxDelayParent, n)
 	for i := 0; i < n; i++ {
 		node := &a.D.Nodes[i]
 		a.ExecTime[i] = int32(a.M.Latency(node.Inst.Op))
 		for _, arc := range node.Succs {
 			a.SumDelayChild[i] += arc.Delay
-			if arc.Delay > a.MaxDelayChild[i] {
-				a.MaxDelayChild[i] = arc.Delay
-			}
+			a.SumDelayParent[arc.To] += arc.Delay
 			if arc.Delay > 1 {
 				a.InterlockChild[i] = true
-			}
-		}
-		for _, arc := range node.Preds {
-			a.SumDelayParent[i] += arc.Delay
-			if arc.Delay > a.MaxDelayParent[i] {
-				a.MaxDelayParent[i] = arc.Delay
 			}
 		}
 	}
@@ -109,27 +99,28 @@ func (a *Annot) ComputeLocal() {
 
 // ComputeForward fills the forward-pass ("f") heuristics by walking the
 // instruction list in program order, which is a topological order of
-// every DAG this package sees (builders emit forward arcs only).
+// every DAG this package sees (builders emit forward arcs only). Each
+// node pushes its values along its child arcs; every parent precedes
+// its child, so a node's values are final when the walk reaches it.
 func (a *Annot) ComputeForward() {
 	n := a.D.Len()
 	a.EST = buf.Int32(a.EST, n)
 	a.MaxPathFromRoot = buf.Int32(a.MaxPathFromRoot, n)
 	a.MaxDelayFromRoot = buf.Int32(a.MaxDelayFromRoot, n)
 	for i := 0; i < n; i++ {
-		node := &a.D.Nodes[i]
-		for _, arc := range node.Preds {
-			p := arc.From
+		for _, arc := range a.D.Nodes[i].Succs {
+			c := arc.To
 			// Schlansker's EST is max of earliest_start(p) + latency(p);
 			// we use the arc delay, which equals latency(p) on RAW arcs
 			// and stays accurate on 1-cycle WAR arcs.
-			if est := a.EST[p] + arc.Delay; est > a.EST[i] {
-				a.EST[i] = est
+			if est := a.EST[i] + arc.Delay; est > a.EST[c] {
+				a.EST[c] = est
 			}
-			if l := a.MaxPathFromRoot[p] + 1; l > a.MaxPathFromRoot[i] {
-				a.MaxPathFromRoot[i] = l
+			if l := a.MaxPathFromRoot[i] + 1; l > a.MaxPathFromRoot[c] {
+				a.MaxPathFromRoot[c] = l
 			}
-			if d := a.MaxDelayFromRoot[p] + arc.Delay; d > a.MaxDelayFromRoot[i] {
-				a.MaxDelayFromRoot[i] = d
+			if d := a.MaxDelayFromRoot[i] + arc.Delay; d > a.MaxDelayFromRoot[c] {
+				a.MaxDelayFromRoot[c] = d
 			}
 		}
 	}
@@ -162,7 +153,7 @@ func (a *Annot) ComputeBackward() {
 //
 // It fills exactly the annotations FusedBackward with ComputeLocals
 // fills (MaxPathToLeaf, MaxDelayToLeaf, ExecTime, InterlockChild,
-// SumDelayChild, MaxDelayChild), with identical values, and finishes
+// SumDelayChild), with identical values, and finishes
 // by packing the Section 6 priority words (PackSection6Prio) while the
 // freshly computed inputs are still cache-hot.
 //
@@ -175,7 +166,6 @@ func (a *Annot) ComputeFusedCSR() {
 	a.ExecTime = buf.Int32(a.ExecTime, n)
 	a.InterlockChild = buf.Bool(a.InterlockChild, n)
 	a.SumDelayChild = buf.Int32(a.SumDelayChild, n)
-	a.MaxDelayChild = buf.Int32(a.MaxDelayChild, n)
 	for i := 0; i < n; i++ {
 		a.ExecTime[i] = int32(a.M.Latency(a.D.Nodes[i].Inst.Op))
 	}
@@ -191,9 +181,6 @@ func (a *Annot) ComputeFusedCSR() {
 				a.MaxDelayToLeaf[i] = d
 			}
 			a.SumDelayChild[i] += delay
-			if delay > a.MaxDelayChild[i] {
-				a.MaxDelayChild[i] = delay
-			}
 			if delay > 1 {
 				a.InterlockChild[i] = true
 			}
@@ -328,7 +315,7 @@ func (a *Annot) ComputeRegisterUsage() {
 type FusedBackward struct {
 	A *Annot
 	// ComputeLocals additionally fills the add-arc heuristics used by
-	// Section 6's scheduling pipeline (max delay to child, interlock).
+	// Section 6's scheduling pipeline (delays to children, interlock).
 	ComputeLocals bool
 }
 
@@ -343,7 +330,6 @@ func (f *FusedBackward) Start(d *dag.DAG) {
 		f.A.ExecTime = buf.Int32(f.A.ExecTime, n)
 		f.A.InterlockChild = buf.Bool(f.A.InterlockChild, n)
 		f.A.SumDelayChild = buf.Int32(f.A.SumDelayChild, n)
-		f.A.MaxDelayChild = buf.Int32(f.A.MaxDelayChild, n)
 	}
 }
 
@@ -356,9 +342,6 @@ func (f *FusedBackward) NodeDone(d *dag.DAG, i int32) {
 	f.A.ExecTime[i] = int32(f.A.M.Latency(d.Nodes[i].Inst.Op))
 	for _, arc := range d.Nodes[i].Succs {
 		f.A.SumDelayChild[i] += arc.Delay
-		if arc.Delay > f.A.MaxDelayChild[i] {
-			f.A.MaxDelayChild[i] = arc.Delay
-		}
 		if arc.Delay > 1 {
 			f.A.InterlockChild[i] = true
 		}

@@ -54,8 +54,10 @@ func Fixup(d *dag.DAG, m *machine.Model, r *Result) *Result {
 // dependsOnRange reports whether cand has a DAG parent scheduled in
 // positions [from, to) of the current order.
 func dependsOnRange(d *dag.DAG, pos []int32, cand, from, to int32) bool {
-	for _, arc := range d.Nodes[cand].Preds {
-		if p := pos[arc.From]; p >= from && p < to {
+	c := d.Freeze()
+	lo, hi := c.PredSpan(cand)
+	for _, arc := range c.PackedPredArcs()[lo:hi] {
+		if p := pos[arc.Node()]; p >= from && p < to {
 			return true
 		}
 	}

@@ -2,9 +2,10 @@ package sched
 
 import "daginsched/internal/dag"
 
-// The schedule oracles read the DAG's Succs/Preds mirrors, not the
-// frozen CSR view the scheduler walks, so a fault in packing or in the
-// packed walks cannot hide from them.
+// The schedule oracles read the DAG's Succs lists, not the frozen CSR
+// view the scheduler walks, so a fault in packing, in the transpose
+// that derives the predecessor half, or in the packed walks cannot
+// hide from them.
 
 // Legal reports whether a schedule respects every DAG arc's ordering
 // (parents before children in Order) and covers each node exactly once.

@@ -242,7 +242,9 @@ func bruteForceOptimal(d *dag.DAG, m *machine.Model) int32 {
 	best := int32(1 << 30)
 	parents := make([]int, n)
 	for i := 0; i < n; i++ {
-		parents[i] = len(d.Nodes[i].Preds)
+		for _, arc := range d.Nodes[i].Succs {
+			parents[arc.To]++
+		}
 	}
 	order := make([]int32, 0, n)
 	used := make([]bool, n)

@@ -17,15 +17,36 @@ import (
 // means the rank is dead weight on this workload; a large positive
 // column means the rank carries the algorithm.
 func AblationTable(sets []BenchmarkSet, m *machine.Model) string {
+	// One pass scores every algorithm and its one-rank-short variants,
+	// which share their base's construction and so its DAG.
+	bases := sched.Table2()
+	var variants []*sched.Algorithm
+	for _, base := range bases {
+		variants = append(variants, base)
+		for rank := range base.Ranked {
+			variants = append(variants, cloneWithout(base, rank))
+		}
+	}
+	totals := make([]int64, len(variants))
+	for _, set := range sets {
+		rt := resource.NewTable(resource.MemExprModel)
+		for _, blk := range set.Blocks {
+			dags := buildShared(variants, blk, m, rt)
+			for v, al := range variants {
+				totals[v] += int64(sched.Timed(dags[v], m, al.Run(dags[v], m).Order).Cycles)
+			}
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Heuristic ablation: %% cycle increase when one rank is dropped (machine %s)\n\n", m.Name)
-	for _, base := range sched.Table2() {
-		full := totalAlgoCycles(sets, base, m)
+	v := 0
+	for _, base := range bases {
+		full := totals[v]
+		v++
 		fmt.Fprintf(&b, "%-20s (full: %d cycles)\n", base.Name, full)
 		for rank := range base.Ranked {
-			trimmed := cloneWithout(base, rank)
-			cycles := totalAlgoCycles(sets, trimmed, m)
-			delta := 100 * float64(cycles-full) / float64(full)
+			delta := 100 * float64(totals[v]-full) / float64(full)
+			v++
 			fmt.Fprintf(&b, "    - rank %d (%s): %+0.2f%%\n",
 				rank+1, base.Ranked[rank].Key, delta)
 		}
@@ -41,18 +62,4 @@ func cloneWithout(al *sched.Algorithm, rank int) *sched.Algorithm {
 	c.Ranked = append(c.Ranked, al.Ranked[:rank]...)
 	c.Ranked = append(c.Ranked, al.Ranked[rank+1:]...)
 	return &c
-}
-
-// totalAlgoCycles sums re-timed schedule lengths over the benchmarks.
-func totalAlgoCycles(sets []BenchmarkSet, al *sched.Algorithm, m *machine.Model) int64 {
-	var total int64
-	for _, set := range sets {
-		rt := resource.NewTable(resource.MemExprModel)
-		for _, blk := range set.Blocks {
-			rt.PrepareBlock(blk.Insts)
-			d := al.Builder().Build(blk, m, rt)
-			total += int64(sched.Timed(d, m, al.Run(d, m).Order).Cycles)
-		}
-	}
-	return total
 }

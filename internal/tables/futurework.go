@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"daginsched/internal/dag"
 	"daginsched/internal/machine"
 	"daginsched/internal/resource"
 	"daginsched/internal/sched"
@@ -38,16 +39,18 @@ func OptimalityTable(sets []BenchmarkSet, m *machine.Model, maxBB int) string {
 				continue
 			}
 			n++
-			rt.PrepareBlock(blk.Insts)
+			dags := buildShared(algos, blk, m, rt)
+			opt := map[*dag.DAG]int32{} // the optimum depends only on the DAG
 			for ai, al := range algos {
-				d := al.Builder().Build(blk, m, rt)
-				r := al.Run(d, m)
-				opt := sched.BranchAndBound(d, m)
-				got := sched.Timed(d, m, r.Order).Cycles
-				if got == opt.Cycles {
+				d := dags[ai]
+				if _, ok := opt[d]; !ok {
+					opt[d] = sched.BranchAndBound(d, m).Cycles
+				}
+				got := sched.Timed(d, m, al.Run(d, m).Order).Cycles
+				if got == opt[d] {
 					optimal[ai]++
 				} else {
-					excess += int64(got - opt.Cycles)
+					excess += int64(got - opt[d])
 				}
 			}
 		}
@@ -100,9 +103,9 @@ func WinnersBySize(sets []BenchmarkSet, m *machine.Model) string {
 			counts[bi]++
 			best := int32(1 << 30)
 			cycles := make([]int32, len(algos))
-			rt.PrepareBlock(blk.Insts)
+			dags := buildShared(algos, blk, m, rt)
 			for ai, al := range algos {
-				d := al.Builder().Build(blk, m, rt)
+				d := dags[ai]
 				cycles[ai] = sched.Timed(d, m, al.Run(d, m).Order).Cycles
 				if cycles[ai] < best {
 					best = cycles[ai]

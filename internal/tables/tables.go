@@ -321,9 +321,9 @@ func QualityTable(sets []BenchmarkSet, m *machine.Model) string {
 		var base int64
 		saved := make([]int64, len(algos))
 		for _, blk := range set.Blocks {
-			rt.PrepareBlock(blk.Insts)
+			dags := buildShared(algos, blk, m, rt)
 			for ai, al := range algos {
-				d := al.Builder().Build(blk, m, rt)
+				d := dags[ai]
 				r := al.Run(d, m)
 				if ai == 0 {
 					base += int64(sched.InOrder(d, m).Cycles)
@@ -344,6 +344,24 @@ func QualityTable(sets []BenchmarkSet, m *machine.Model) string {
 		fmt.Fprintln(&b)
 	}
 	return b.String()
+}
+
+// buildShared prepares rt for blk and returns each algorithm's DAG of
+// blk. Each distinct construction (keyed by Builder().Name()) builds
+// once, and the algorithms that use it share the DAG: a built DAG is
+// immutable, and scheduling only freezes it.
+func buildShared(algos []*sched.Algorithm, blk *block.Block, m *machine.Model, rt *resource.Table) []*dag.DAG {
+	rt.PrepareBlock(blk.Insts)
+	built := map[string]*dag.DAG{}
+	dags := make([]*dag.DAG, len(algos))
+	for ai, al := range algos {
+		bld := al.Builder()
+		if built[bld.Name()] == nil {
+			built[bld.Name()] = bld.Build(blk, m, rt)
+		}
+		dags[ai] = built[bld.Name()]
+	}
+	return dags
 }
 
 func shortName(name string) string {
