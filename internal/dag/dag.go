@@ -110,19 +110,6 @@ type DAG struct {
 // Len returns the number of nodes.
 func (d *DAG) Len() int { return len(d.Nodes) }
 
-// Roots returns the indices of nodes with no parents, in program order.
-// Together with the forest's other roots they form the initial
-// candidate list of a forward scheduling pass.
-func (d *DAG) Roots() []int32 {
-	var out []int32
-	for i, p := range d.numParents() {
-		if p == 0 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // numParents counts each node's parents from the Succs lists.
 func (d *DAG) numParents() []int {
 	np := make([]int, len(d.Nodes))
@@ -132,17 +119,6 @@ func (d *DAG) numParents() []int {
 		}
 	}
 	return np
-}
-
-// Leaves returns the indices of nodes with no children, in program order.
-func (d *DAG) Leaves() []int32 {
-	var out []int32
-	for i := range d.Nodes {
-		if len(d.Nodes[i].Succs) == 0 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // addArc inserts an arc from parent a to child b. Builders must not

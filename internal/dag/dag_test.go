@@ -96,12 +96,6 @@ func TestSimpleChain(t *testing.T) {
 		if d.NumArcs != 2 {
 			t.Errorf("%s: chain arcs = %d, want 2", bld.Name(), d.NumArcs)
 		}
-		if got := d.Roots(); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%s: roots = %v", bld.Name(), got)
-		}
-		if got := d.Leaves(); len(got) != 1 || got[0] != 2 {
-			t.Errorf("%s: leaves = %v", bld.Name(), got)
-		}
 	}
 }
 
@@ -115,9 +109,6 @@ func TestIndependentInstructionsFormForest(t *testing.T) {
 		d := buildOn(t, bld, insts)
 		if d.NumArcs != 0 {
 			t.Errorf("%s: independent block has %d arcs", bld.Name(), d.NumArcs)
-		}
-		if len(d.Roots()) != 3 || len(d.Leaves()) != 3 {
-			t.Errorf("%s: expected 3-tree forest", bld.Name())
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package engine is the batch scheduling engine: it fans the basic
 // blocks of a compilation unit across a pool of workers, each owning
 // the full set of reusable scratch structures — a resource.Table, a
-// dag.BuildArena, a heur.Annot, a sched.Scratch and a pooled winnowing
-// selector — so the steady-state per-block pipeline (prepare → build →
-// heuristics → schedule) performs no allocations once every buffer has
-// grown to the stream's largest block.
+// dag.BuildArena, a heur.Annot and a sched.Scratch (whose State holds
+// the winnowing selector's survivor buffers) — so the steady-state
+// per-block pipeline (prepare → build → heuristics → schedule) performs
+// no allocations once every buffer has grown to the stream's largest
+// block.
 //
 // The pipeline is one and fixed, for blocks of every size: prepare the
 // resource table, build the DAG by backward table building, freeze it
@@ -215,7 +216,7 @@ type worker struct {
 	ar  dag.BuildArena
 	a   *heur.Annot
 	sc  sched.Scratch
-	sel *sched.PooledWinnow
+	sel sched.Selector
 
 	// Schedule-cache scratch: the recycled key-encoding buffer and a
 	// Result shell for re-verifying cached hits.
@@ -259,7 +260,7 @@ func newWorker(m *machine.Model) *worker {
 	return &worker{
 		rt:  resource.NewTable(resource.MemExprModel),
 		a:   heur.New(nil, m),
-		sel: sched.NewPooledWinnow(sched.Section6Ranked()),
+		sel: sched.Winnow(sched.Section6Ranked()),
 	}
 }
 

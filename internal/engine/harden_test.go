@@ -217,10 +217,11 @@ func TestEngineChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineCorruptArcCaught proves the mirror cross-check end to end:
-// with every block's predecessor mirror corrupted, the gate must
-// reject every schedule whose DAG has arcs, demote those blocks to the
-// table rung, and still emit byte-identical output.
+// TestEngineCorruptArcCaught proves the output gate's predecessor walk
+// end to end: with one frozen predecessor record of every block's DAG
+// bumped by 2^20 cycles (fault.CorruptPredArc), the gate must reject
+// every schedule whose DAG has arcs, demote those blocks to the table
+// rung, and still emit byte-identical output.
 func TestEngineCorruptArcCaught(t *testing.T) {
 	m := machine.Pipe1()
 	blocks := testBlocks(t, 20)

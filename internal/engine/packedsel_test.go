@@ -9,15 +9,31 @@ import (
 	"daginsched/internal/machine"
 	"daginsched/internal/pipe"
 	"daginsched/internal/resource"
+	"daginsched/internal/sched"
 	"daginsched/internal/synth"
 	"daginsched/internal/testgen"
 )
 
+// keyless hides a selector's ranking (Keys() == nil), so
+// Scratch.Forward cannot serve it from the packed-priority heap and
+// every pick runs the selector's own winnowing rescan.
+type keyless struct{ sched.Selector }
+
+func (keyless) Keys() []sched.RankedKey { return nil }
+
+// winnowOnly makes e the winnowing reference of the identity gates:
+// each worker's selector is wrapped in keyless.
+func winnowOnly(e *Engine) {
+	for _, w := range e.workers {
+		w.sel = keyless{w.sel}
+	}
+}
+
 // TestPackedSelMatchesWinnow is the packed-selection identity gate:
 // with the packed-priority heap engaged (the default), every block's
 // cycle count, arc count and scheduled order must be byte-identical to
-// the winnowing reference (an engine whose workers' schedulers have
-// packed selection switched off), at every worker count — including a
+// the winnowing reference (an engine whose workers' selectors hide
+// their ranking, see winnowOnly), at every worker count — including a
 // faulted run, where quarantined workers, degraded rungs and poisoned
 // cache entries must not perturb the selection either.
 func TestPackedSelMatchesWinnow(t *testing.T) {
@@ -27,9 +43,7 @@ func TestPackedSelMatchesWinnow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range ref.workers {
-		w.sc.DisablePacked = true
-	}
+	winnowOnly(ref)
 	want, err := ref.Run(blocks)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +183,7 @@ func TestPackedSelGiantBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range ref.workers {
-		w.sc.DisablePacked = true
-	}
+	winnowOnly(ref)
 	want, err := ref.Run(blocks)
 	if err != nil {
 		t.Fatal(err)

@@ -52,8 +52,10 @@ func PackedRankingKeys() [3]Key {
 // PackSection6Prio fills PackedPrio from MaxPathToLeaf, MaxDelayToLeaf
 // and SumDelayChild (which must already be computed) and reports
 // whether the packing is exact. ComputeFusedCSR calls it as the tail
-// of the fused sweep; pipelines that compute the same annotations
-// separately (the n²-direct path) call it directly.
+// of the fused sweep. After the separate passes (ComputeBackward,
+// ComputeLocal) PrioExact is false until a caller packs explicitly, as
+// perfbench's replay does; the engine's n² rung does not, and selects
+// by winnowing.
 //
 //sched:noalloc
 func (a *Annot) PackSection6Prio() bool {

@@ -54,7 +54,7 @@ func BranchAndBound(d *dag.DAG, m *machine.Model) *Result {
 		bestCycles: inc.Cycles,
 		bestOrder:  append([]int32(nil), inc.Order...),
 		seen:       make(map[uint64]bool),
-		pinned:     pinnedTail(d),
+		pinned:     ctiTail(d),
 	}
 	s := newState(d, m, a)
 	bb.search(s, 0)
@@ -69,7 +69,7 @@ type bbSearch struct {
 	bestCycles int32
 	bestOrder  []int32
 	seen       map[uint64]bool // fully-explored timing states
-	pinned     []bool
+	pinned     int32           // the block-ending CTI; n when there is none
 }
 
 // search extends the partial schedule in s; depth is the number of
@@ -116,7 +116,7 @@ func (b *bbSearch) search(s *State, depth int32) {
 		if s.scheduled[i] || s.unschedParents[i] != 0 {
 			continue
 		}
-		if b.pinned[i] && depth != n-1 {
+		if i == b.pinned && depth != n-1 {
 			continue // the block-ending CTI stays last
 		}
 		saved := s.snapshot()

@@ -35,7 +35,7 @@ func readyListDAG(tb testing.TB, m *machine.Model) (*dag.DAG, *heur.Annot) {
 func BenchmarkForwardReadyList(b *testing.B) {
 	m := machine.Pipe1()
 	d, a := readyListDAG(b, m)
-	sel := NewPooledWinnow(Section6Ranked())
+	var sel Selector = Winnow(Section6Ranked())
 	var sc Scratch
 	want := sc.Forward(d, m, a, sel).Cycles
 	b.ReportAllocs()
@@ -93,7 +93,7 @@ func TestPackedWideDelaysFreeze(t *testing.T) {
 	a := heur.New(d, m)
 	a.ComputeFusedCSR()
 	var sc Scratch
-	sel := NewPooledWinnow(Section6Ranked())
+	sel := Winnow(Section6Ranked())
 	got := sc.Forward(d, m, a, sel)
 
 	plain, _ := wideDelayDAG()
@@ -102,7 +102,7 @@ func TestPackedWideDelaysFreeze(t *testing.T) {
 	ref.ComputeLocal()
 	ref.PackSection6Prio()
 	var refSc Scratch
-	want := refSc.Forward(plain, m, ref, NewPooledWinnow(Section6Ranked()))
+	want := refSc.Forward(plain, m, ref, Winnow(Section6Ranked()))
 	sameSchedule(t, "wide-delay", got, want)
 
 	for _, pair := range [][2][]int32{

@@ -17,7 +17,7 @@ func Fixup(d *dag.DAG, m *machine.Model, r *Result) *Result {
 	order := append([]int32(nil), r.Order...)
 	best := Timed(d, m, order)
 	n := len(order)
-	pinned := pinnedTail(d)
+	pinned := ctiTail(d) // a block-ending CTI never hoists; n when there is none
 	for improved := true; improved; {
 		improved = false
 		pos := make([]int32, d.Len())
@@ -32,7 +32,7 @@ func Fixup(d *dag.DAG, m *machine.Model, r *Result) *Result {
 			// Look for a later instruction that can hoist to position k.
 			for j := k + 1; j < n; j++ {
 				cand := order[j]
-				if pinned[cand] || dependsOnRange(d, pos, cand, int32(k), int32(j)) {
+				if cand == pinned || dependsOnRange(d, pos, cand, int32(k), int32(j)) {
 					continue
 				}
 				trial := hoist(order, j, k)

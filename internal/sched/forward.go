@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"daginsched/internal/buf"
 	"daginsched/internal/dag"
 	"daginsched/internal/heur"
 	"daginsched/internal/machine"
@@ -12,12 +11,11 @@ import (
 // instruction issues at the earliest cycle its dependences, its
 // function unit and the machine's issue width allow.
 //
-// A block-terminating CTI is pinned last — the effect the paper
+// A block-terminating CTI is placed last — the effect the paper
 // describes as connecting "all true leaves to the block-ending branch
 // node to ensure that the branch is the last node to be scheduled",
-// implemented here without distorting the DAG's structural statistics.
-// The CTI's delay-slot instruction, if the block retains one, stays
-// glued after it by the same mechanism.
+// implemented here without distorting the DAG's structural statistics
+// (see ctiTail).
 //
 // Every scheduler in this package walks the DAG's frozen CSR view, so
 // the first schedule of a DAG freezes it (d.Freeze), writing the view
@@ -54,87 +52,69 @@ func packedPrioFor(s *State, sel Selector) []uint64 {
 	return a.PackedPrio
 }
 
-// forwardLoopPacked is the packed-priority scheduling core: the ready
-// list lives in an indexed max-heap keyed by the precomputed priority
-// words, so each pick is O(log candidates) with zero heuristic
-// evaluations. Pinned-tail nodes are parked on held and admitted only
-// when the heap drains, mirroring forwardLoop's swap semantics exactly.
+// ctiTail returns the index of the block-ending CTI, the branch every
+// scheduler in this package places last, or d.Len() when the block does
+// not end in a CTI. Every arc points forward, so that node has no
+// children: the schedulers order the nodes before it by selection and
+// place it afterwards, and it never sits in a ready list.
 //
 //sched:noalloc
-func forwardLoopPacked(s *State, prio []uint64, forcedLast []bool, h *readyHeap, held []int32) []int32 {
-	d := s.D
+func ctiTail(d *dag.DAG) int32 {
 	n := int32(d.Len())
-	h.reset(int(n))
-	for i := int32(0); i < n; i++ {
+	if n > 0 && d.Nodes[n-1].Inst.Op.IsCTI() {
+		return n - 1
+	}
+	return n
+}
+
+// forwardLoopPacked is the packed-priority scheduling core: the ready
+// list is a max-heap keyed by the precomputed priority words, so each
+// pick is O(log candidates) with zero heuristic evaluations.
+//
+//sched:noalloc
+func forwardLoopPacked(s *State, prio []uint64, h *readyHeap) {
+	n, tail := int32(s.D.Len()), ctiTail(s.D)
+	h.reset()
+	for i := int32(0); i < tail; i++ {
 		if s.unschedParents[i] == 0 {
-			if forcedLast[i] {
-				//sched:lint-ignore noalloc amortized: hold-list capacity is retained across blocks by the caller
-				held = append(held, i)
-			} else {
-				h.admitLazy(i, prio[i])
-			}
+			h.admitLazy(i, prio[i])
 		}
 	}
 	h.heapify()
-	for scheduled := int32(0); scheduled < n; scheduled++ {
-		if h.len() == 0 {
-			// Only pinned-tail nodes remain; release them.
-			for _, i := range held {
-				h.admitLazy(i, prio[i])
-			}
-			held = held[:0]
-			h.heapify()
-		}
+	for scheduled := int32(0); scheduled < tail; scheduled++ {
 		pick := h.pickMax()
 		s.place(pick)
 		for _, p := range s.succs(pick) {
-			if to := p.Node(); s.unschedParents[to] == 0 {
-				if forcedLast[to] {
-					//sched:lint-ignore noalloc amortized: hold-list capacity is retained across blocks by the caller
-					held = append(held, to)
-				} else {
-					h.admit(to, prio[to])
-				}
+			if to := p.Node(); to < tail && s.unschedParents[to] == 0 {
+				h.admit(to, prio[to])
 			}
 		}
 	}
-	return held
+	if tail < n {
+		s.place(tail)
+	}
 }
 
 // forwardLoop is the forward list-scheduling core shared by
 // Scratch.Forward (so Forward) and ForwardWithCarry. It schedules
-// every node of s.D, drawing the candidate list and the pinned-tail
-// hold list from the caller-provided buffers, and returns them
-// (possibly regrown) so reusable callers can retain the capacity.
+// every node of s.D, drawing the candidate list from the caller's
+// buffer, and returns it (possibly regrown) so reusable callers can
+// retain the capacity.
 //
 //sched:noalloc
-func forwardLoop(s *State, sel Selector, forcedLast []bool, cands, held []int32) ([]int32, []int32) {
-	d := s.D
-	n := int32(d.Len())
-
+func forwardLoop(s *State, sel Selector, cands []int32) []int32 {
+	n, tail := int32(s.D.Len()), ctiTail(s.D)
 	// The candidate list is maintained incrementally: a node enters when
 	// its last unscheduled parent is placed. Rebuilding it per step
 	// would make the scheduling pass quadratic in block size, which the
 	// fpppp-sized blocks of Section 6 cannot afford.
-	admit := func(i int32) {
-		if forcedLast[i] {
-			//sched:lint-ignore noalloc amortized: hold-list capacity is retained across blocks by the caller
-			held = append(held, i)
-		} else {
+	for i := int32(0); i < tail; i++ {
+		if s.unschedParents[i] == 0 {
 			//sched:lint-ignore noalloc amortized: candidate-list capacity is retained across blocks by the caller
 			cands = append(cands, i)
 		}
 	}
-	for i := int32(0); i < n; i++ {
-		if s.unschedParents[i] == 0 {
-			admit(i)
-		}
-	}
-	for scheduled := int32(0); scheduled < n; scheduled++ {
-		if len(cands) == 0 {
-			// Only pinned-tail nodes remain.
-			cands, held = held, cands
-		}
+	for scheduled := int32(0); scheduled < tail; scheduled++ {
 		pick := sel.Pick(s, cands)
 		for k, c := range cands {
 			if c == pick {
@@ -145,56 +125,39 @@ func forwardLoop(s *State, sel Selector, forcedLast []bool, cands, held []int32)
 		}
 		s.place(pick)
 		for _, p := range s.succs(pick) {
-			if to := p.Node(); s.unschedParents[to] == 0 {
-				admit(to)
+			if to := p.Node(); to < tail && s.unschedParents[to] == 0 {
+				//sched:lint-ignore noalloc amortized: candidate-list capacity is retained across blocks by the caller
+				cands = append(cands, to)
 			}
 		}
 	}
-	return cands, held
-}
-
-// pinnedTail marks the block-terminating CTI so it schedules last. Any
-// trailing CTI in the block is pinned; everything else floats.
-func pinnedTail(d *dag.DAG) []bool {
-	return pinnedTailInto(make([]bool, d.Len()), d)
-}
-
-// pinnedTailInto is pinnedTail over a caller-provided (already
-// false-filled) buffer of length d.Len().
-func pinnedTailInto(pinned []bool, d *dag.DAG) []bool {
-	if n := d.Len(); n > 0 && d.Nodes[n-1].Inst.Op.IsCTI() {
-		pinned[n-1] = true
+	if tail < n {
+		s.place(tail)
 	}
-	return pinned
+	return cands
 }
 
 // Scratch holds reusable scheduling state for the batch engine's hot
 // path. Scratch.Forward is Forward with every piece of working storage
-// — the State's slices, the candidate lists, the pinned-tail marks and
-// the Result itself — recycled across calls, so scheduling a stream of
-// same-scale blocks performs no steady-state allocations.
+// — the State's slices (the winnowing survivor buffers among them),
+// the candidate list, the ready heap and the Result itself — recycled
+// across calls, so scheduling a stream of same-scale blocks performs
+// no steady-state allocations.
 //
 // The returned Result is owned by the Scratch and is invalidated by
 // the next Forward call (its Order and Issue slices are the recycled
 // state). Callers that keep schedules must copy them out. A Scratch is
 // not safe for concurrent use; the engine gives each worker its own.
 type Scratch struct {
-	state       State
-	cands, held []int32
-	forced      []bool
-	heap        readyHeap
-	res         Result
-
-	// DisablePacked restores the plain winnowing rescan in place of the
-	// packed-priority heap, so runs reproduce the pre-packing selection
-	// loop exactly: the reference configuration of the packed-selection
-	// identity tests and of BenchmarkForwardPackedSel's winnow arm.
-	DisablePacked bool
-	usedPacked    bool
+	state      State
+	cands      []int32
+	heap       readyHeap
+	res        Result
+	usedPacked bool
 }
 
 // UsedPacked reports whether the last Forward call selected through the
-// packed-priority heap (vs. the winnowing rescan).
+// packed-priority heap (vs. the selector's own Pick).
 func (sc *Scratch) UsedPacked() bool { return sc.usedPacked }
 
 // Forward is the reuse-aware equivalent of the package-level Forward.
@@ -206,20 +169,13 @@ func (sc *Scratch) UsedPacked() bool { return sc.usedPacked }
 func (sc *Scratch) Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	s := &sc.state
 	s.reset(d, m, a)
-	sc.forced = pinnedTailInto(buf.Bool(sc.forced, d.Len()), d)
-	sc.usedPacked = false
-	if !sc.DisablePacked {
-		if prio := packedPrioFor(s, sel); prio != nil {
-			sc.usedPacked = true
-			sc.held = forwardLoopPacked(s, prio, sc.forced, &sc.heap, sc.held[:0])
-			s.finish(&sc.res)
-			return &sc.res
-		}
+	prio := packedPrioFor(s, sel)
+	sc.usedPacked = prio != nil
+	if prio != nil {
+		forwardLoopPacked(s, prio, &sc.heap)
+	} else {
+		sc.cands = forwardLoop(s, sel, sc.cands[:0])
 	}
-	if cap(sc.cands) == 0 {
-		sc.cands = make([]int32, 0, 16)
-	}
-	sc.cands, sc.held = forwardLoop(s, sel, sc.forced, sc.cands[:0], sc.held[:0])
 	s.finish(&sc.res)
 	return &sc.res
 }
@@ -311,7 +267,7 @@ func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result
 	rev := make([]int32, 0, n)
 	picked := make([]bool, n)
 	// Pin the trailing CTI first so it lands last in program order.
-	if n > 0 && d.Nodes[n-1].Inst.Op.IsCTI() {
+	if ctiTail(d) < n {
 		rev = append(rev, n-1)
 		picked[n-1] = true
 		s.last = n - 1

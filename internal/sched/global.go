@@ -104,7 +104,7 @@ func applyCarry(s *State, carry *Carry) {
 func ForwardWithCarry(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector, carry *Carry) *Result {
 	s := newState(d, m, a)
 	applyCarry(s, carry)
-	forwardLoop(s, sel, pinnedTail(d), make([]int32, 0, 16), nil)
+	forwardLoop(s, sel, make([]int32, 0, 16))
 	return s.result()
 }
 

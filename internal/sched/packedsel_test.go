@@ -20,7 +20,8 @@ func (n noFastPath) Pick(s *State, cands []int32) int32 { return n.sel.Pick(s, c
 func (n noFastPath) Keys() []RankedKey                  { return nil }
 
 // packedSelInsts builds a test block; every other seed gets a trailing
-// branch so the pinned-tail hold list is exercised on both pick loops.
+// branch, so both pick loops also run blocks whose CTI they place last
+// outside the ready list.
 func packedSelInsts(seed int64, n int) []isa.Inst {
 	insts := testgen.Block(seed, n)
 	if seed%2 == 0 {
@@ -54,7 +55,8 @@ func sameSchedule(t *testing.T, ctx string, got, want *Result) {
 // TestPackedSelMatchesWinnowSection6 is the tentpole identity property:
 // on the engine's default Section 6 ranking, the packed-priority heap
 // pick loop produces schedules byte-identical to the plain winnowing
-// rescan, across block sizes, machine models and pinned-tail shapes.
+// rescan, across block sizes, machine models and blocks with and
+// without a block-ending CTI.
 func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 	models := []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Asym(), machine.Super2()}
 	var heapSc Scratch
@@ -70,7 +72,7 @@ func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 					t.Fatalf("seed %d n %d: fused sweep left no exact packing", seed, n)
 				}
 				ref := Forward(d, m, a, noFastPath{Winnow(Section6Ranked())})
-				hr := heapSc.Forward(d, m, a, NewPooledWinnow(Section6Ranked()))
+				hr := heapSc.Forward(d, m, a, Winnow(Section6Ranked()))
 				if !heapSc.UsedPacked() {
 					t.Fatalf("seed %d n %d %s: heap path not taken", seed, n, m.Name)
 				}
@@ -84,8 +86,8 @@ func TestPackedSelMatchesWinnowSection6(t *testing.T) {
 }
 
 // TestPackedSelMatchesWinnowTable2 runs every Table 2 ranking in its
-// published direction, comparing the pooled selector (persistent
-// buffers, memoized state) against the plain winnowing rescan.
+// published direction, comparing the selector as the schedulers see it
+// (the heap when its ranking packs) against the plain winnowing rescan.
 func TestPackedSelMatchesWinnowTable2(t *testing.T) {
 	m := machine.Pipe1()
 	for _, al := range Table2() {
@@ -102,7 +104,7 @@ func TestPackedSelMatchesWinnowTable2(t *testing.T) {
 				return Forward(d, m, a, sel)
 			}
 			ref := run(noFastPath{Winnow(al.Ranked)})
-			sameSchedule(t, al.Name, run(NewPooledWinnow(al.Ranked)), ref)
+			sameSchedule(t, al.Name, run(Winnow(al.Ranked)), ref)
 		}
 	}
 }
@@ -140,22 +142,28 @@ func TestPackedPrioForGating(t *testing.T) {
 	}
 }
 
-// TestReadyHeapProperty drives the indexed heap through a random
-// admit/remove/pick sequence against a naive linear-scan reference.
+// TestReadyHeapProperty drives the heap through a lazily admitted
+// batch (admitLazy, heapify) followed by a random admit/pick sequence,
+// against a naive linear-scan reference.
 func TestReadyHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const n = 200
 	var h readyHeap
 	for round := 0; round < 20; round++ {
-		h.reset(n)
+		h.reset()
 		ref := map[int32]uint64{}
 		key := func(i int32) uint64 {
 			// Deliberately collide high bits; low bits keep words unique.
 			return uint64(rng.Intn(8))<<32 | uint64(n-i)
 		}
+		for i := int32(rng.Intn(4)); i < n; i += int32(1 + rng.Intn(8)) {
+			k := key(i)
+			ref[i] = k
+			h.admitLazy(i, k)
+		}
+		h.heapify()
 		for step := 0; step < 600; step++ {
-			switch op := rng.Intn(4); {
-			case op == 0 || len(ref) == 0: // admit a node not present
+			if rng.Intn(2) == 0 || len(ref) == 0 { // admit a node not present
 				i := int32(rng.Intn(n))
 				if _, ok := ref[i]; ok {
 					continue
@@ -163,20 +171,7 @@ func TestReadyHeapProperty(t *testing.T) {
 				k := key(i)
 				ref[i] = k
 				h.admit(i, k)
-			case op == 1: // remove an arbitrary present node
-				for i := range ref {
-					h.remove(i)
-					delete(ref, i)
-					break
-				}
-			case op == 2: // rekey an arbitrary present node
-				for i := range ref {
-					k := key(i)
-					ref[i] = k
-					h.rekey(i, k)
-					break
-				}
-			default: // pickMax must equal the reference max
+			} else { // pickMax must equal the reference max
 				var want int32 = -1
 				var wantK uint64
 				for i, k := range ref {
@@ -189,13 +184,14 @@ func TestReadyHeapProperty(t *testing.T) {
 				}
 				delete(ref, want)
 			}
-			if h.len() != len(ref) {
-				t.Fatalf("round %d step %d: heap len %d, reference %d", round, step, h.len(), len(ref))
+			if len(h.key) != len(ref) || len(h.node) != len(ref) {
+				t.Fatalf("round %d step %d: heap len %d/%d, reference %d",
+					round, step, len(h.key), len(h.node), len(ref))
 			}
 		}
 		// Drain: picks must come out in strictly descending key order.
 		var last uint64
-		for first := true; h.len() > 0; first = false {
+		for first := true; len(h.key) > 0; first = false {
 			i := h.pickMax()
 			k := ref[i]
 			if !first && k >= last {
@@ -216,7 +212,7 @@ func TestScratchForwardPackedZeroAlloc(t *testing.T) {
 	a := heur.New(d, m)
 	a.ComputeFusedCSR()
 	var sc Scratch
-	sel := NewPooledWinnow(Section6Ranked())
+	var sel Selector = Winnow(Section6Ranked())
 	sc.Forward(d, m, a, sel) // warm the scratch capacity
 	if !sc.UsedPacked() {
 		t.Fatal("heap path not taken")
@@ -225,6 +221,28 @@ func TestScratchForwardPackedZeroAlloc(t *testing.T) {
 		sc.Forward(d, m, a, sel)
 	}); allocs != 0 {
 		t.Errorf("packed Forward allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestScratchForwardWinnowZeroAlloc pins the same guarantee on the
+// winnowing pick loop: the survivor buffers live in the Scratch's
+// State, so a warm Scratch winnows without allocating.
+func TestScratchForwardWinnowZeroAlloc(t *testing.T) {
+	m := machine.Pipe1()
+	d := buildDAG(t, dag.TableBackward{}, m, packedSelInsts(4, 120))
+	d.Freeze()
+	a := heur.New(d, m)
+	a.ComputeFusedCSR()
+	var sc Scratch
+	var sel Selector = noFastPath{Winnow(Section6Ranked())}
+	sc.Forward(d, m, a, sel) // warm the scratch capacity
+	if sc.UsedPacked() {
+		t.Fatal("keyless selector took the heap path")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		sc.Forward(d, m, a, sel)
+	}); allocs != 0 {
+		t.Errorf("winnowing Forward allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -238,7 +256,7 @@ func BenchmarkForwardPackedSel(b *testing.B) {
 	d.Freeze()
 	a := heur.New(d, m)
 	a.ComputeFusedCSR()
-	sel := NewPooledWinnow(Section6Ranked())
+	var sel Selector = Winnow(Section6Ranked())
 	b.Run("heap", func(b *testing.B) {
 		var sc Scratch
 		sc.Forward(d, m, a, sel)
@@ -249,8 +267,8 @@ func BenchmarkForwardPackedSel(b *testing.B) {
 		}
 	})
 	b.Run("winnow", func(b *testing.B) {
-		sc := Scratch{DisablePacked: true}
-		ref := noFastPath{Winnow(Section6Ranked())}
+		var sc Scratch
+		var ref Selector = noFastPath{Winnow(Section6Ranked())}
 		sc.Forward(d, m, a, ref)
 		b.ReportAllocs()
 		b.ResetTimer()

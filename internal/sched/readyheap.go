@@ -1,67 +1,47 @@
 package sched
 
-import "daginsched/internal/buf"
-
-// readyHeap is the packed-priority ready list: an indexed binary
-// max-heap over the per-node packed priority words (heur.PackedPrio).
-// Admitting a freshly uncovered candidate and extracting the best one
-// are both O(log candidates) with zero heuristic evaluations — the
-// winnow path's per-pick rescan of every candidate through every
-// ranked key becomes a handful of uint64 compares.
+// readyHeap is the packed-priority ready list: a binary max-heap over
+// the per-node packed priority words (heur.PackedPrio). Admitting a
+// freshly uncovered candidate and extracting the best one are both
+// O(log candidates) with zero heuristic evaluations — the winnow
+// path's per-pick rescan of every candidate through every ranked key
+// becomes a handful of uint64 compares.
 //
 // Invariants:
 //
 //   - key[k] >= key[2k+1] and key[k] >= key[2k+2] (max-heap order);
 //     node[k] is the node whose packed word key[k] is.
-//   - pos[node[k]] == k for every live entry, and pos[i] == -1 for
-//     every node not currently in the heap (position tracking, so
-//     arbitrary removal and re-keying stay O(log n)).
 //   - Packed words are distinct across nodes (the low bits carry the
 //     complemented node index), so the heap's max is unique and pick
 //     order is deterministic regardless of sift history.
 //
-// The three slices are recycled across blocks by reset; a Scratch owns
+// The two slices are recycled across blocks by reset; a Scratch owns
 // one heap per worker, keeping the steady-state admit/pick path
 // allocation-free.
 type readyHeap struct {
 	key  []uint64
 	node []int32
-	pos  []int32 // node index -> heap slot, -1 when absent
 }
 
-// reset readies the heap for a block of n nodes, recycling capacity.
+// reset empties the heap for a new block, recycling capacity.
 //
 //sched:noalloc
-func (h *readyHeap) reset(n int) {
+func (h *readyHeap) reset() {
 	h.key = h.key[:0]
 	h.node = h.node[:0]
-	h.pos = buf.Int32(h.pos, n)
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
 }
-
-// len returns the live candidate count.
-//
-//sched:noalloc
-func (h *readyHeap) len() int { return len(h.key) }
 
 // admit inserts node i with packed priority k.
 //
 //sched:noalloc
 func (h *readyHeap) admit(i int32, k uint64) {
-	//sched:lint-ignore noalloc amortized: heap capacity is retained across blocks by the owning Scratch
-	h.key = append(h.key, k)
-	//sched:lint-ignore noalloc amortized: heap capacity is retained across blocks by the owning Scratch
-	h.node = append(h.node, i)
-	h.pos[i] = int32(len(h.key) - 1)
+	h.admitLazy(i, k)
 	h.siftUp(len(h.key) - 1)
 }
 
 // admitLazy appends node i without restoring heap order; the caller
 // must heapify before the next pick. Batching the block-start fill
-// (and the pinned-tail flush) this way replaces k sift-ups with one
-// O(k) Floyd pass.
+// this way replaces k sift-ups with one O(k) Floyd pass.
 //
 //sched:noalloc
 func (h *readyHeap) admitLazy(i int32, k uint64) {
@@ -69,7 +49,6 @@ func (h *readyHeap) admitLazy(i int32, k uint64) {
 	h.key = append(h.key, k)
 	//sched:lint-ignore noalloc amortized: heap capacity is retained across blocks by the owning Scratch
 	h.node = append(h.node, i)
-	h.pos[i] = int32(len(h.key) - 1)
 }
 
 // heapify restores max-heap order over the whole array in O(n).
@@ -87,52 +66,13 @@ func (h *readyHeap) heapify() {
 //sched:noalloc
 func (h *readyHeap) pickMax() int32 {
 	best := h.node[0]
-	h.removeAt(0)
-	return best
-}
-
-// remove deletes node i from the heap wherever it sits.
-//
-//sched:noalloc
-func (h *readyHeap) remove(i int32) {
-	if p := h.pos[i]; p >= 0 {
-		h.removeAt(int(p))
-	}
-}
-
-// rekey updates node i's packed word in place, restoring heap order
-// with a single directional sift.
-//
-//sched:noalloc
-func (h *readyHeap) rekey(i int32, k uint64) {
-	p := int(h.pos[i])
-	old := h.key[p]
-	h.key[p] = k
-	if k > old {
-		h.siftUp(p)
-	} else if k < old {
-		h.siftDown(p)
-	}
-}
-
-// removeAt deletes the entry in heap slot p: the tail entry takes its
-// place and sifts whichever way restores order.
-//
-//sched:noalloc
-func (h *readyHeap) removeAt(p int) {
 	last := len(h.key) - 1
-	h.pos[h.node[p]] = -1
-	if p != last {
-		h.key[p] = h.key[last]
-		h.node[p] = h.node[last]
-		h.pos[h.node[p]] = int32(p)
+	h.key[0], h.node[0] = h.key[last], h.node[last]
+	h.key, h.node = h.key[:last], h.node[:last]
+	if last > 0 {
+		h.siftDown(0)
 	}
-	h.key = h.key[:last]
-	h.node = h.node[:last]
-	if p < last {
-		h.siftDown(p)
-		h.siftUp(p)
-	}
+	return best
 }
 
 //sched:noalloc
@@ -144,11 +84,9 @@ func (h *readyHeap) siftUp(p int) {
 			break
 		}
 		h.key[p], h.node[p] = h.key[parent], h.node[parent]
-		h.pos[h.node[p]] = int32(p)
 		p = parent
 	}
 	h.key[p], h.node[p] = k, n
-	h.pos[n] = int32(p)
 }
 
 //sched:noalloc
@@ -167,9 +105,7 @@ func (h *readyHeap) siftDown(p int) {
 			break
 		}
 		h.key[p], h.node[p] = h.key[c], h.node[c]
-		h.pos[h.node[p]] = int32(p)
 		p = c
 	}
 	h.key[p], h.node[p] = k, n
-	h.pos[n] = int32(p)
 }

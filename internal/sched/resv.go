@@ -89,23 +89,14 @@ func (rt *ReservationTable) pickUnits(pattern []machine.StageUse, pick []int, t,
 // the placement-time sort, suitable for a VLIW/microcode-style target.
 // Like Forward, it freezes d on first use.
 func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
-	n := d.Len()
+	n, tail := int32(d.Len()), ctiTail(d)
 	s := newState(d, m, a) // reuse EET bookkeeping and selector state
 	table := NewReservationTable(m)
-	pinned := pinnedTail(d)
 
 	cands := make([]int32, 0, 16)
-	var held []int32
-	admit := func(i int32) {
-		if pinned[i] {
-			held = append(held, i)
-		} else {
-			cands = append(cands, i)
-		}
-	}
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < tail; i++ {
 		if s.unschedParents[i] == 0 {
-			admit(int32(i))
+			cands = append(cands, i)
 		}
 	}
 	type placed struct {
@@ -114,22 +105,7 @@ func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Res
 	}
 	order := make([]placed, 0, n)
 	var maxAt int32 = -1
-	for len(order) < n {
-		if len(cands) == 0 {
-			cands, held = held, cands
-		}
-		pick := sel.Pick(s, cands)
-		for k, c := range cands {
-			if c == pick {
-				cands[k] = cands[len(cands)-1]
-				cands = cands[:len(cands)-1]
-				break
-			}
-		}
-		from := s.eet[pick]
-		if pinned[pick] && maxAt+1 > from {
-			from = maxAt + 1 // the block-ending CTI stays last in time
-		}
+	put := func(pick, from int32) {
 		at := int32(table.TryPlace(d.Nodes[pick].Inst.Op, int(from)))
 		if at > maxAt {
 			maxAt = at
@@ -144,10 +120,25 @@ func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Res
 			if t := at + p.Delay(); t > s.eet[to] {
 				s.eet[to] = t
 			}
-			if s.unschedParents[to] == 0 {
-				admit(to)
+			if to < tail && s.unschedParents[to] == 0 {
+				cands = append(cands, to)
 			}
 		}
+	}
+	for len(cands) > 0 {
+		pick := sel.Pick(s, cands)
+		for k, c := range cands {
+			if c == pick {
+				cands[k] = cands[len(cands)-1]
+				cands = cands[:len(cands)-1]
+				break
+			}
+		}
+		put(pick, s.eet[pick])
+	}
+	if tail < n {
+		// The block-ending CTI stays last in time.
+		put(tail, max(s.eet[tail], maxAt+1))
 	}
 	// Sort by placement time (stable on node index) to form the order.
 	for i := 1; i < len(order); i++ {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"daginsched/internal/block"
@@ -88,17 +89,50 @@ func TestAllAlgorithmsProduceLegalSchedules(t *testing.T) {
 	}
 }
 
+// TestCTIPinnedLast runs blocks that end in a CTI through every entry
+// point that places one: a branch with parents, a root branch that
+// could fill a load stall, a root branch after independent work, and a
+// one-instruction block. The selectors prefer the CTI: its packed word
+// is raised above every other node's, and the winnowing arms rank by
+// highest program index. Each entry point must still leave it last.
 func TestCTIPinnedLast(t *testing.T) {
-	insts := append(loadStall(),
-		isa.CmpI(isa.O1, 0),
-		isa.Branch(isa.BNE, "L1"))
-	for _, al := range Table2() {
-		m := machine.Pipe1()
-		d := buildDAG(t, al.Builder(), m, insts)
-		r := al.Run(d, m)
-		if !CTILast(d, r) {
-			t.Errorf("%s: CTI not last: %v", al.Name, r.Order)
+	blocks := []struct {
+		name  string
+		insts []isa.Inst
+	}{
+		{"bne after cmp", append(loadStall(), isa.CmpI(isa.O1, 0), isa.Branch(isa.BNE, "L1"))},
+		{"ba could fill a stall", append(loadStall()[:2], isa.Branch(isa.BA, "L1"))},
+		{"root ba", append(loadStall(), isa.Branch(isa.BA, "L1"))},
+		{"lone ba", []isa.Inst{isa.Branch(isa.BA, "L1")}},
+	}
+	m := machine.Pipe1()
+	latestFirst := Winnow{{Key: heur.OriginalOrder}}
+	for _, blk := range blocks {
+		check := func(entry string, d *dag.DAG, r *Result) {
+			t.Helper()
+			if !Legal(d, r) || !CTILast(d, r) {
+				t.Errorf("%s, %s: CTI not last or illegal: %v", blk.name, entry, r.Order)
+			}
 		}
+		for _, al := range Table2() {
+			d := buildDAG(t, al.Builder(), m, blk.insts)
+			check(al.Name, d, al.Run(d, m))
+		}
+		d := buildDAG(t, dag.TableBackward{}, m, blk.insts)
+		a := heur.New(d, m)
+		a.ComputeFusedCSR()
+		a.PackedPrio[d.Len()-1] = math.MaxUint64
+		var sc Scratch
+		check("Scratch.Forward heap", d, sc.Forward(d, m, a, Winnow(Section6Ranked())))
+		if !sc.UsedPacked() {
+			t.Errorf("%s: heap path not taken", blk.name)
+		}
+		check("Scratch.Forward winnow", d, sc.Forward(d, m, a, noFastPath{latestFirst}))
+		check("ForwardWithCarry", d, ForwardWithCarry(d, m, a, latestFirst, &Carry{}))
+		check("Backward", d, Backward(d, m, a, latestFirst))
+		check("Reservation", d, Reservation(d, m, a, latestFirst))
+		check("BranchAndBound", d, BranchAndBound(d, m))
+		check("Fixup", d, Fixup(d, m, InOrder(d, m)))
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"daginsched/internal/heur"
 )
@@ -104,28 +103,13 @@ type Winnow []RankedKey
 // Keys implements Selector.
 func (w Winnow) Keys() []RankedKey { return w }
 
-// winnowBufs recycles survivor double buffers for the selectors that
-// don't own persistent ones (value-typed Winnow and Priority's long-
-// ranking fallback), so casual picks stop allocating two fresh buffers
-// apiece.
-var winnowBufs = sync.Pool{New: func() any { return new([2][]int32) }}
-
 // Pick implements Selector. The input slice is read-only: survivors are
-// winnowed through pooled double buffers, so callers may maintain cands
-// incrementally across picks.
+// winnowed through the State's two survivor buffers, so callers may
+// maintain cands incrementally across picks, and picks allocate
+// nothing once those buffers have grown to the largest candidate list.
 func (w Winnow) Pick(s *State, cands []int32) int32 {
-	bufs := winnowBufs.Get().(*[2][]int32)
-	pick := winnowPick(s, w, cands, bufs)
-	winnowBufs.Put(bufs)
-	return pick
-}
-
-// winnowPick is the winnowing core shared by Winnow (pooled buffers)
-// and PooledWinnow (persistent buffers). bufs holds the two survivor
-// double buffers; their grown capacity is retained via the pointer so
-// pooled callers allocate nothing in steady state.
-func winnowPick(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32) int32 {
-	for ki, rk := range ranked {
+	live := cands
+	for ki, rk := range w {
 		if len(live) == 1 {
 			break
 		}
@@ -135,38 +119,30 @@ func winnowPick(s *State, ranked []RankedKey, live []int32, bufs *[2][]int32) in
 				best = v
 			}
 		}
-		dst := bufs[ki%2][:0]
+		dst := s.survivors[ki%2][:0]
 		for _, c := range live {
 			if adjusted(s, rk, c) == best {
 				dst = append(dst, c)
 			}
 		}
-		bufs[ki%2] = dst
+		s.survivors[ki%2] = dst
 		live = dst
 	}
 	return minIndex(live)
 }
 
-// PooledWinnow is Winnow with persistent survivor buffers: picks are
-// identical, but the double buffers grow once to the largest candidate
-// list and are then recycled, keeping the batch engine's selection loop
-// allocation-free. Not safe for concurrent use — one per worker.
-type PooledWinnow struct {
-	ranked []RankedKey
-	bufs   [2][]int32
-}
+// PooledWinnow is Winnow under its former name.
+//
+// Deprecated: Winnow keeps its survivor buffers in the State, so it
+// allocates nothing in steady state by itself; use Winnow.
+type PooledWinnow = Winnow
 
-// NewPooledWinnow returns a pooled selector over the given ranked keys.
+// NewPooledWinnow returns a Winnow over the given ranked keys.
+//
+// Deprecated: use Winnow(ranked).
 func NewPooledWinnow(ranked []RankedKey) *PooledWinnow {
-	return &PooledWinnow{ranked: ranked}
-}
-
-// Keys implements Selector.
-func (p *PooledWinnow) Keys() []RankedKey { return p.ranked }
-
-// Pick implements Selector.
-func (p *PooledWinnow) Pick(s *State, cands []int32) int32 {
-	return winnowPick(s, p.ranked, cands, &p.bufs)
+	w := Winnow(ranked)
+	return &w
 }
 
 // Section6Ranked returns the heuristic ranking of the paper's Section 6
@@ -197,9 +173,7 @@ func (p Priority) Keys() []RankedKey { return p }
 func (p Priority) Pick(s *State, cands []int32) int32 {
 	if len(p) > 4 {
 		// More than four ranked keys cannot pack into one int64 field
-		// set; fall back to the equivalent winnowing comparison (through
-		// the shared buffer pool, so long rankings don't allocate fresh
-		// survivor buffers on every pick).
+		// set; fall back to the equivalent winnowing comparison.
 		return Winnow(p).Pick(s, cands)
 	}
 	bestN := int32(-1)

@@ -89,6 +89,12 @@ type State struct {
 	ufFree   []int32 // per class: cached earliest-free cycle
 	ufIdx    []int32 // per class: cached free-unit index
 	ufStamp  []int32 // per class: generation of the cached pair
+
+	// survivors are Winnow's double buffers: each ranked key filters
+	// the live candidates from one into the other. They keep their
+	// capacity across resets, so a warm State winnows without
+	// allocating.
+	survivors [2][]int32
 }
 
 func newState(d *dag.DAG, m *machine.Model, a *heur.Annot) *State {

@@ -15,7 +15,9 @@
 # simulator and verify's legality, timing and width checks over the
 # mixed, chaos and giant-block corpora, and the branch-and-bound
 # optimum on small blocks), the packed-selection identity
-# gate (TestPackedSelMatchesWinnow; DESIGN.md §12), the chaos gate
+# gate (TestPackedSelMatchesWinnow: every block's order and cycles
+# from the packed-priority heap byte-identical to an engine whose
+# selectors hide their ranking and so winnow; DESIGN.md §12), the chaos gate
 # (TestEngineChaosLadder and TestEngineChaosDeterminism: a seeded fault
 # plan at an 8-worker pool, every block byte-identical to a fault-free
 # run; DESIGN.md §9), the streaming gates (TestRunStream*,
