@@ -90,10 +90,8 @@ func main() {
 			arcs += d.NumArcs
 			insts += b.Len()
 			trans += d.TransitiveArcs()
-			for i := range d.Nodes {
-				if c := d.Nodes[i].NumChildren(); c > childMax {
-					childMax = c
-				}
+			if c := d.Statistics().ChildrenMax; c > childMax {
+				childMax = c
 			}
 		}
 		ratio := 0.0

@@ -41,14 +41,8 @@ func main() {
 		start := time.Now()
 		d := bld.Build(b, m, rt)
 		dt := time.Since(start)
-		maxKids := 0
-		for i := range d.Nodes {
-			if c := d.Nodes[i].NumChildren(); c > maxKids {
-				maxKids = c
-			}
-		}
 		fmt.Printf("%-14s %10s %8d %10d %12d\n",
-			bld.Name(), dt.Round(time.Microsecond), d.NumArcs, d.TransitiveArcs(), maxKids)
+			bld.Name(), dt.Round(time.Microsecond), d.NumArcs, d.TransitiveArcs(), d.Statistics().ChildrenMax)
 	}
 	fmt.Println("\nThe n² builders retain every transitive arc (quadratic work);")
 	fmt.Println("table building keeps only the most recent def/use arcs; the")

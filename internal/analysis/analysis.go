@@ -11,7 +11,7 @@
 //     claim true as the code evolves.
 //   - arenalife: values derived from the arena constructors
 //     (dag.BuildArena, package buf, bitset.Slab.Carve, the frozen CSR
-//     views) are invalidated by the arena's next ResetFor. They must
+//     views) are invalidated by the arena's next BuildInto. They must
 //     not be stored in package-level variables nor returned across an
 //     exported boundary outside the arena-owning packages.
 //   - guardedby: struct fields annotated //sched:guarded-by <mu> may
@@ -150,7 +150,7 @@ var Passes = []struct {
 	Doc  string
 }{
 	{"noalloc", runNoalloc, "//sched:noalloc functions and their static callees must not allocate"},
-	{"arenalife", runArenaLife, "arena-backed values must not outlive ResetFor (no globals, no exported returns)"},
+	{"arenalife", runArenaLife, "arena-backed values must not outlive the next BuildInto (no globals, no exported returns)"},
 	{"guardedby", runGuardedBy, "//sched:guarded-by fields only touched under their mutex"},
 	{"benchallocs", runBenchAllocs, "hot-package benchmarks must call b.ReportAllocs()"},
 	{"lockorder", runLockOrder, "//sched:lock-rank mutexes must be acquired in strictly increasing rank, acyclically"},

@@ -1,5 +1,5 @@
 // The arenalife pass. The reuse-aware construction path hands out
-// storage that is recycled on the arena's next ResetFor/BuildInto:
+// storage that is recycled on the arena's next BuildInto:
 // dag.BuildArena's DAGs, the frozen CSR views and their packed arc
 // arrays, package buf's zeroing-resize slices, and bitset.Slab's
 // carved sets. Such values are only safe while the current block is
@@ -34,7 +34,7 @@ import (
 var arenaSourceMethods = map[string]map[string]bool{
 	"internal/buf": {"*": true},
 	"internal/dag": {
-		"ResetFor": true, "BuildInto": true, "Freeze": true,
+		"resetFor": true, "BuildInto": true, "Freeze": true,
 		"PackedSuccArcs": true, "PackedPredArcs": true,
 	},
 	"internal/bitset": {"Carve": true},
@@ -212,7 +212,7 @@ func (ctx *Context) checkArenaLife(pkg *Package, fd *ast.FuncDecl, ownerPkg bool
 			}
 			if v, ok := obj.(*types.Var); ok && v.Parent() == pkg.Types.Scope() {
 				*diags = append(*diags, ctx.diag(lhs.Pos(), "arenalife",
-					"arena-backed value stored in package-level %s outlives the arena's next ResetFor", root.Name))
+					"arena-backed value stored in package-level %s outlives the arena's next BuildInto", root.Name))
 			}
 		}
 		return true
@@ -234,7 +234,7 @@ func (ctx *Context) checkArenaLife(pkg *Package, fd *ast.FuncDecl, ownerPkg bool
 		for _, res := range ret.Results {
 			if exprTainted(res) {
 				*diags = append(*diags, ctx.diag(res.Pos(), "arenalife",
-					"arena-backed value returned across the exported boundary of %s; callers outlive the arena's next ResetFor", funcDisplayName(info.Defs[fd.Name].(*types.Func))))
+					"arena-backed value returned across the exported boundary of %s; callers outlive the arena's next BuildInto", funcDisplayName(info.Defs[fd.Name].(*types.Func))))
 			}
 		}
 		return true

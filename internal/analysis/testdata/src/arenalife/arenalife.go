@@ -36,7 +36,7 @@ func LeakDerived(n int) {
 }
 
 // Expose returns arena storage from an exported function of a
-// non-arena package: callers outlive the next ResetFor.
+// non-arena package: callers outlive the next BuildInto.
 func Expose(n int) []int32 {
 	s := buf.Int32(nil, n)
 	return s // want [arenalife] arena-backed value returned across the exported boundary
@@ -48,7 +48,7 @@ func ExposeDirect(n int) []int32 {
 }
 
 // KeepPacked stores a frozen view's packed records, which the arena
-// refills on its next Freeze. The view arrives untainted as a
+// refills on its next BuildInto. The view arrives untainted as a
 // parameter, so only the accessor itself marks the result.
 func KeepPacked(c *dag.CSR) {
 	keptArcs = c.PackedSuccArcs() // want [arenalife] arena-backed value stored in package-level keptArcs

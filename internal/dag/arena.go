@@ -15,11 +15,11 @@ import (
 // performs no steady-state allocations (everything has grown to the
 // stream's largest block after warm-up).
 //
-// The DAG returned by BuildInto (or ResetFor) is owned by the arena
-// and remains valid only until the arena's next ResetFor/BuildInto
-// call; callers that need the DAG to outlive the next block must use
-// the plain Build path instead. A BuildArena is not safe for
-// concurrent use — the batch engine gives each worker its own.
+// The DAG returned by BuildInto is owned by the arena and remains
+// valid only until the arena's next BuildInto call; callers that need
+// the DAG to outlive the next block must use the plain Build path
+// instead. A BuildArena is not safe for concurrent use — the batch
+// engine gives each worker its own.
 //
 // The zero value is ready to use.
 type BuildArena struct {
@@ -44,19 +44,19 @@ type BuildArena struct {
 	reach bitset.Slab
 }
 
-// ResetFor recycles the arena's DAG storage for block b: the node
+// resetFor recycles the arena's DAG storage for block b: the node
 // array is resized (retaining each node's arc-list and bit-map
 // capacity), arc lists are emptied, and counters cleared. Builders
-// call it at the top of BuildInto; it is exported so future builders
-// outside this package can join the reuse protocol.
-func (ar *BuildArena) ResetFor(b *block.Block, builder string) *DAG {
+// call it at the top of BuildInto; the DAG it returns is under
+// construction until the builder freezes it.
+func (ar *BuildArena) resetFor(b *block.Block, builder string) *DAG {
 	d := &ar.d
 	d.Block = b
 	d.Builder = builder
 	d.NumArcs = 0
 	d.Reach = nil
 	// Drop the previous block's frozen CSR view; its arrays are kept
-	// and refilled by the next Freeze.
+	// and refilled when the builder freezes the new DAG.
 	d.csr.frozen = false
 	n := len(b.Insts)
 	if cap(d.Nodes) >= n {
@@ -107,6 +107,6 @@ type n2Scratch struct {
 type ReuseBuilder interface {
 	Builder
 	// BuildInto constructs the DAG inside ar. The returned DAG is
-	// owned by ar and is invalidated by ar's next BuildInto/ResetFor.
+	// owned by ar, frozen, and invalidated by ar's next BuildInto.
 	BuildInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 }

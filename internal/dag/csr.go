@@ -11,11 +11,9 @@ import "daginsched/internal/buf"
 // ascending index. The hot heuristic and ready-list loops stream these
 // contiguous half-size records instead of chasing n slice headers.
 //
-// A CSR is built once per DAG by Freeze after construction completes
-// and is immutable from then on (the same contract as the DAG itself).
-// Its storage lives inside the DAG value, so arena-recycled DAGs
-// recycle the CSR arrays too: ResetFor drops the frozen view and the
-// next Freeze refills the same backing arrays.
+// Every builder freezes its DAG as its last step, and the view is
+// immutable from then on. Its storage lives inside the DAG value, so
+// arena-recycled DAGs recycle the CSR arrays too.
 type CSR struct {
 	succOff []int32 // len n+1; node i's successors are succPacked[succOff[i]:succOff[i+1]]
 	predOff []int32 // len n+1; node i's predecessors are predPacked[predOff[i]:predOff[i+1]]
@@ -38,6 +36,9 @@ func (c *CSR) NumPreds(i int32) int32 { return c.predOff[i+1] - c.predOff[i] }
 // SuccSpan returns the half-open [lo, hi) range of node i's successors
 // inside PackedSuccArcs.
 func (c *CSR) SuccSpan(i int32) (lo, hi int32) { return c.succOff[i], c.succOff[i+1] }
+
+// succs returns node i's packed successor records.
+func (c *CSR) succs(i int32) []PackedArc { return c.succPacked[c.succOff[i]:c.succOff[i+1]] }
 
 // PredSpan returns the half-open [lo, hi) range of node i's
 // predecessors inside PackedPredArcs.
@@ -86,13 +87,10 @@ func (c *CSR) freeze(d *DAG) {
 	predOff[0] = 0
 }
 
-// Freeze builds the DAG's CSR view (once per block) and returns it;
-// on a frozen DAG it is a flag check. Freeze may only be called after
-// construction completes; the view is immutable and shares the DAG's
-// lifetime — for arena-owned DAGs it is invalidated by the arena's
-// next ResetFor/BuildInto, which also recycles the CSR's storage. The
-// first call writes the view into the DAG, so a DAG shared across
-// goroutines must be frozen before it is shared.
+// Freeze returns the DAG's CSR view. Every builder freezes its DAG, so
+// on a built DAG this is a flag check; only a DAG assembled by hand is
+// frozen here. For arena-owned DAGs the view dies at the arena's next
+// BuildInto.
 //
 //sched:noalloc
 func (d *DAG) Freeze() *CSR {

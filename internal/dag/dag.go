@@ -66,7 +66,10 @@ type Arc struct {
 type Node struct {
 	Inst *isa.Inst
 	// Succs are the arcs to this node's children, in insertion order:
-	// the DAG's only arc list. Freeze derives the predecessor side.
+	// construction writes them and the builder's freeze packs them.
+	// Readers walk the frozen view; only construction, Validate and
+	// the schedule oracles, which must stay off freeze's output, read
+	// Succs.
 	Succs []Arc
 	// UseBM and DefBM are the instruction's use/definition resource bit
 	// maps — the paper's "variable-length bit map ... to represent
@@ -77,20 +80,12 @@ type Node struct {
 	UseBM, DefBM *bitset.Set
 }
 
-// NumChildren is the paper's #children heuristic: outgoing arc count.
-// It is inflated by transitive arcs under the n² builder, exactly as
-// Table 1 warns.
-func (n *Node) NumChildren() int { return len(n.Succs) }
-
 // DAG is the dependence DAG (in general a forest) of one basic block.
 //
-// Immutability contract: once a Builder's Build (or BuildInto) returns,
-// the DAG's structure — Nodes, arc lists, NumArcs — is immutable.
-// Consumers (heuristic passes, schedulers, statistics) only read it,
-// and Reachability caches its result on Reach under that assumption;
-// nothing invalidates the cache because nothing may change the arcs.
-// Code that wants a different DAG builds a new one (or recycles this
-// one's storage through a BuildArena, which abandons the old view).
+// A built DAG is read-only: every builder freezes it (see Freeze) as
+// its last step and no reader writes it, so any number of goroutines
+// may share it. Code that wants a different DAG builds a new one (or
+// recycles this one's storage through a BuildArena).
 type DAG struct {
 	Block   *block.Block
 	Nodes   []Node
@@ -99,27 +94,16 @@ type DAG struct {
 	Builder string
 	// Reach holds per-node reachability maps (descendants, self
 	// included) when the builder maintained them; nil otherwise. Use
-	// Reachability() to compute them on demand.
+	// Reachability() to get them either way.
 	Reach []*bitset.Set
 
-	// csr is the frozen flat-adjacency view; built by Freeze, dropped
-	// (storage retained) by BuildArena.ResetFor. See csr.go.
+	// csr is the frozen flat-adjacency view every builder ends with;
+	// dropped (storage retained) by BuildArena.resetFor. See csr.go.
 	csr CSR
 }
 
 // Len returns the number of nodes.
 func (d *DAG) Len() int { return len(d.Nodes) }
-
-// numParents counts each node's parents from the Succs lists.
-func (d *DAG) numParents() []int {
-	np := make([]int, len(d.Nodes))
-	for i := range d.Nodes {
-		for _, arc := range d.Nodes[i].Succs {
-			np[arc.To]++
-		}
-	}
-	return np
-}
 
 // addArc inserts an arc from parent a to child b. Builders must not
 // call it with a == b; callers dedupe via arcDeduper.
@@ -130,38 +114,29 @@ func (d *DAG) addArc(a, b int32, kind DepKind, delay int32) {
 	d.NumArcs++
 }
 
-// Reachability returns per-node descendant bit maps (self included),
-// computing them with one reverse topological walk if the builder did
-// not maintain them. This is the add_arc-maintained map the paper
-// recommends for the #descendants heuristic ("the #descendants is then
-// merely the population count on the reachability bit map ... minus
-// one").
-//
-// The result is cached on Reach and never invalidated — safe because a
-// built DAG is immutable (see the DAG contract above). Whenever Reach
-// is present it must hold exactly one map per node; Validate checks
-// that invariant.
+// Reachability returns per-node descendant bit maps (self included):
+// the builder's Reach when it kept one, otherwise fresh maps from one
+// reverse walk of the successor spans, which are not stored (a caller
+// that needs them twice keeps the result). This is the
+// add_arc-maintained map the paper recommends for the #descendants
+// heuristic ("the #descendants is then merely the population count on
+// the reachability bit map ... minus one").
 func (d *DAG) Reachability() []*bitset.Set {
 	if d.Reach != nil {
 		return d.Reach
 	}
+	c := d.Freeze()
 	n := len(d.Nodes)
 	reach := make([]*bitset.Set, n)
-	for i := n - 1; i >= 0; i-- {
+	for i := int32(n) - 1; i >= 0; i-- {
 		r := bitset.New(n)
-		r.Set(i)
-		for _, arc := range d.Nodes[i].Succs {
-			r.Or(reach[arc.To])
+		r.Set(int(i))
+		for _, p := range c.succs(i) {
+			r.Or(reach[p.Node()])
 		}
 		reach[i] = r
 	}
-	d.Reach = reach
 	return reach
-}
-
-// HasPath reports whether descendant is reachable from ancestor.
-func (d *DAG) HasPath(ancestor, descendant int32) bool {
-	return d.Reachability()[ancestor].Test(int(descendant))
 }
 
 // TransitiveArcs counts arcs (a, b) for which another a→…→b path of at
@@ -170,25 +145,35 @@ func (d *DAG) HasPath(ancestor, descendant int32) bool {
 // retain delay-carrying ones (Figure 1).
 func (d *DAG) TransitiveArcs() int {
 	reach := d.Reachability()
+	c := d.Freeze()
 	count := 0
-	for i := range d.Nodes {
-		for _, arc := range d.Nodes[i].Succs {
-			for _, other := range d.Nodes[i].Succs {
-				if other.To != arc.To && reach[other.To].Test(int(arc.To)) {
-					count++
-					break
-				}
+	for i := int32(0); int(i) < len(d.Nodes); i++ {
+		span := c.succs(i)
+		for _, p := range span {
+			if transitive(span, p.Node(), reach) {
+				count++
 			}
 		}
 	}
 	return count
 }
 
+// transitive reports whether the arc to child to is covered by a path
+// through another record of the parent's successor span.
+func transitive(span []PackedArc, to int32, reach []*bitset.Set) bool {
+	for _, other := range span {
+		if o := other.Node(); o != to && reach[o].Test(int(to)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks structural invariants: arcs point forward in program
 // order, no self-arcs, positive delays, NumArcs counts the arc lists,
-// any cached reachability (Reach) covers every node, and any frozen
-// CSR view agrees arc-for-arc with the Succs lists and their
-// transpose. It returns the first violation found.
+// the builder's reachability maps (Reach), if any, cover every node,
+// and the frozen CSR view agrees arc-for-arc with the Succs lists and
+// their transpose. It returns the first violation found.
 func (d *DAG) Validate() error {
 	if d.Reach != nil {
 		if len(d.Reach) != len(d.Nodes) {
@@ -234,7 +219,7 @@ func (d *DAG) Validate() error {
 }
 
 // validateCSR cross-checks the frozen CSR view against the Succs lists
-// (catching any divergence after ResetFor reuse of the CSR's recycled
+// (catching any divergence after resetFor reuse of the CSR's recycled
 // storage). The successor spans must match each node's Succs; the
 // predecessor spans must match a transpose built here, arc by arc in
 // ascending parent order, independently of freeze.
@@ -329,8 +314,8 @@ type Builder interface {
 	Name() string
 	// Direction is the construction pass direction.
 	Direction() Direction
-	// Build constructs the DAG. The resource table must already have
-	// PrepareBlock(b.Insts) applied.
+	// Build constructs the DAG and freezes it. The resource table must
+	// already have PrepareBlock(b.Insts) applied.
 	Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 }
 

@@ -20,17 +20,16 @@ func (d *DAG) WriteDOT(w io.Writer, name string) error {
 		}
 	}
 	reach := d.Reachability()
-	for i := range d.Nodes {
-		for _, arc := range d.Nodes[i].Succs {
+	c := d.Freeze()
+	for i := int32(0); int(i) < len(d.Nodes); i++ {
+		span := c.succs(i)
+		for _, p := range span {
 			style := ""
-			for _, other := range d.Nodes[i].Succs {
-				if other.To != arc.To && reach[other.To].Test(int(arc.To)) {
-					style = ", style=dashed"
-					break
-				}
+			if transitive(span, p.Node(), reach) {
+				style = ", style=dashed"
 			}
 			if _, err := fmt.Fprintf(w, "  n%d -> n%d [label=\"%s/%d\"%s];\n",
-				arc.From, arc.To, arc.Kind, arc.Delay, style); err != nil {
+				i, p.Node(), p.Kind(), p.Delay(), style); err != nil {
 				return err
 			}
 		}

@@ -92,8 +92,9 @@ const N2MaskCap = 64
 // perfbench's layer replay is its only caller: it times n²
 // construction on tiny blocks against table building.
 //
-// Construction aborts as soon as a transitive arc is discovered
-// (returning a nil DAG and clean=false; the arena stays reusable), and
+// A clean DAG comes back frozen. Construction aborts as soon as a
+// transitive arc is discovered (returning a nil DAG and clean=false;
+// the arena stays reusable), and
 // blocks larger than N2MaskCap are rejected outright — callers fall
 // back to table building either way.
 //
@@ -113,7 +114,7 @@ func (t N2Forward) BuildCleanInto(ar *BuildArena, b *block.Block, m *machine.Mod
 //
 //sched:noalloc
 func n2ForwardInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resource.Table, track bool) (*DAG, bool) {
-	d := ar.ResetFor(b, "n2f")
+	d := ar.resetFor(b, "n2f")
 	sc := &ar.sc
 	n2 := &ar.n2
 	n := len(b.Insts)
@@ -159,6 +160,7 @@ func n2ForwardInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resourc
 			n2.anc[i] = parents | covered
 		}
 	}
+	d.csr.freeze(d)
 	return d, true
 }
 
@@ -199,6 +201,7 @@ func (N2Backward) Build(b *block.Block, m *machine.Model, rt *resource.Table) *D
 			}
 		}
 	}
+	d.csr.freeze(d)
 	return d
 }
 
@@ -250,6 +253,7 @@ func (Landskov) Build(b *block.Block, m *machine.Model, rt *resource.Table) *DAG
 			markAncestors(parents, j, pruned)
 		}
 	}
+	d.csr.freeze(d)
 	return d
 }
 

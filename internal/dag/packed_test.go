@@ -20,9 +20,9 @@ func predLists(d *DAG) [][]Arc {
 }
 
 // TestFreezeMatchesMirrors checks the Freeze lifecycle on DAGs from
-// every builder: no view before Freeze, one view however often Freeze
-// is called, and per-node spans as wide as the Succs lists and their
-// transpose.
+// every builder: frozen when the builder returns, one view however
+// often Freeze is called, and per-node spans as wide as the Succs
+// lists and their transpose.
 func TestFreezeMatchesMirrors(t *testing.T) {
 	m := machine.Pipe1()
 	for _, bld := range AllBuilders() {
@@ -30,8 +30,8 @@ func TestFreezeMatchesMirrors(t *testing.T) {
 		b := csrTestBlock(77, 60)
 		rt.PrepareBlock(b.Insts)
 		d := bld.Build(b, m, rt)
-		if d.csr.frozen {
-			t.Fatalf("%s: DAG frozen before Freeze", bld.Name())
+		if !d.csr.frozen {
+			t.Fatalf("%s: Build returned an unfrozen DAG", bld.Name())
 		}
 		c := d.Freeze()
 		if c == nil {

@@ -14,7 +14,7 @@ import (
 // possibly corrupted) DAG mid-pipeline, and the arena must serve the
 // next block as if nothing happened — identical structure to a
 // fresh-arena build, and still allocation-free once warm. Stale arc
-// state leaking across ResetFor is exactly the failure this pins.
+// state leaking across resetFor is exactly the failure this pins.
 func TestArenaRecycledAfterAbandonedBuild(t *testing.T) {
 	m := machine.Super2()
 	rt := resource.NewTable(resource.MemExprModel)

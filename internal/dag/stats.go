@@ -12,29 +12,26 @@ type Stats struct {
 	DelaySum    int64  // total arc delay (for average weights)
 }
 
-// Statistics computes structural statistics from the arc lists.
+// Statistics computes structural statistics from the frozen spans:
+// a node's child and parent counts are its span widths.
 func (d *DAG) Statistics() Stats {
 	s := Stats{Nodes: d.Len(), Arcs: d.NumArcs}
-	for i := range d.Nodes {
-		n := &d.Nodes[i]
-		if c := len(n.Succs); c > s.ChildrenMax {
-			s.ChildrenMax = c
-		}
-		if len(n.Succs) == 0 {
+	c := d.Freeze()
+	for i := int32(0); int(i) < len(d.Nodes); i++ {
+		if k := int(c.NumSuccs(i)); k > s.ChildrenMax {
+			s.ChildrenMax = k
+		} else if k == 0 {
 			s.Leaves++
 		}
-		for _, arc := range n.Succs {
-			s.ByKind[arc.Kind]++
-			s.DelaySum += int64(arc.Delay)
-		}
-	}
-	for _, p := range d.numParents() {
-		if p > s.ParentsMax {
+		if p := int(c.NumPreds(i)); p > s.ParentsMax {
 			s.ParentsMax = p
-		}
-		if p == 0 {
+		} else if p == 0 {
 			s.Roots++
 		}
+	}
+	for _, p := range c.PackedSuccArcs() {
+		s.ByKind[p.Kind()]++
+		s.DelaySum += int64(p.Delay())
 	}
 	return s
 }

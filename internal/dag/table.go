@@ -83,7 +83,7 @@ func (t TableForward) Build(b *block.Block, m *machine.Model, rt *resource.Table
 // piece of storage — nodes, arc lists, bit maps, table state — is
 // recycled from the arena. The returned DAG is arena-owned.
 func (t TableForward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resource.Table) *DAG {
-	d := ar.ResetFor(b, t.Name())
+	d := ar.resetFor(b, t.Name())
 	sc := &ar.sc
 	ts := &ar.ts
 	ts.reset()
@@ -126,6 +126,7 @@ func (t TableForward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model
 		}
 		ad.flush(d)
 	}
+	d.csr.freeze(d)
 	return d
 }
 
@@ -171,7 +172,7 @@ func (t TableBackward) Build(b *block.Block, m *machine.Model, rt *resource.Tabl
 // reachability maps — is recycled from the arena. The returned DAG is
 // arena-owned.
 func (t TableBackward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Model, rt *resource.Table) *DAG {
-	d := ar.ResetFor(b, t.Name())
+	d := ar.resetFor(b, t.Name())
 	n := int32(len(d.Nodes))
 	sc := &ar.sc
 	ts := &ar.ts
@@ -251,6 +252,7 @@ func (t TableBackward) BuildInto(ar *BuildArena, b *block.Block, m *machine.Mode
 	if t.PreventTransitive {
 		d.Reach = reach
 	}
+	d.csr.freeze(d)
 	return d
 }
 

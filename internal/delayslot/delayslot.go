@@ -182,12 +182,13 @@ func annulCandidate(g *cfg.Graph, bi int, m *machine.Model, rt *resource.Table) 
 // Latest is best: it is the instruction the surrounding schedule most
 // recently decided could run last anyway.
 func pickLeaf(d *dag.DAG) int32 {
+	c := d.Freeze()
 	for i := int32(d.Len()) - 2; i >= 0; i-- { // skip the CTI itself
 		op := d.Nodes[i].Inst.Op
 		if op.IsCTI() || op == isa.NOP {
 			continue // moving a nop into a nop slot achieves nothing
 		}
-		if len(d.Nodes[i].Succs) == 0 {
+		if c.NumSuccs(i) == 0 {
 			return i
 		}
 	}

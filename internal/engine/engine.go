@@ -265,17 +265,17 @@ func newWorker(m *machine.Model) *worker {
 }
 
 // schedule runs the per-block pipeline in worker scratch: prepare the
-// resource table, build the DAG by plain backward table building,
-// freeze it into its packed CSR view, compute every heuristic (and
-// pack the selector's priority words) in one fused sweep over the
-// packed successor records, then list-schedule over the same arrays.
+// resource table, build the DAG by plain backward table building (the
+// builder freezes it into its packed CSR view), compute every
+// heuristic (and pack the selector's priority words) in one fused
+// sweep over the packed successor records, then list-schedule over the
+// same arrays.
 // The fused sweep computes everything the selector reads, so no
 // construction observer is needed. The returned Result and DAG are
 // worker-owned and valid only until the worker's next block.
 func (w *worker) schedule(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.TableBackward{}.BuildInto(&w.ar, b, m, w.rt)
-	d.Freeze()
 	w.buildCheckpoint(d)
 	w.a.D = d
 	w.a.ComputeFusedCSR()

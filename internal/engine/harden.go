@@ -17,7 +17,7 @@
 //   - The ladder's rungs are RungPrimary (the table pipeline, or the
 //     cache), RungTable (the table pipeline again, on the fresh scratch
 //     of a quarantined worker), RungN2 (n²-direct construction with the
-//     arc-list heuristic passes — a structurally independent second
+//     separate heuristic passes — a structurally independent second
 //     construction algorithm), and RungIdentity (the original
 //     program order timed on the scoreboard simulator, which consults
 //     no DAG at all and is therefore always legal). A batch always
@@ -70,9 +70,9 @@ const (
 	// byte-identical to a healthy primary run's.
 	RungTable
 	// RungN2 is the second fallback: n²-direct construction and the
-	// heuristic passes over the per-node arc lists — no table state,
-	// no fused packed sweep — so it shares no construction machinery
-	// with RungTable. Its DAG is frozen like any other.
+	// separate backward and local heuristic passes — no table state,
+	// no fused sweep — so it shares no construction machinery with
+	// RungTable. Its builder freezes its DAG like any other.
 	RungN2
 	// RungIdentity is the floor: the block's original program order,
 	// timed on the scoreboard simulator. It consults no DAG and is
@@ -262,17 +262,16 @@ func (w *worker) attempt(b *block.Block, rung Rung) (r *sched.Result, d *dag.DAG
 }
 
 // scheduleN2Direct is the RungN2 pipeline: n²-direct construction for
-// a block of any size (transitive arcs included), freeze, and the
-// heuristic passes over the per-node arc lists — no resource-table
-// reuse assumptions, no fused packed sweep — then the same scheduler
-// as the table pipeline. O(n²) construction makes it
+// a block of any size (transitive arcs included; the builder freezes
+// the DAG) and the separate backward and local heuristic passes — no
+// resource-table reuse assumptions, no fused sweep — then the same
+// scheduler as the table pipeline. O(n²) construction makes it
 // slower than the table pipeline on big blocks, which is fine: it is
 // a fault-path rung, chosen for sharing no construction machinery
 // with the rung above it.
 func (w *worker) scheduleN2Direct(b *block.Block, m *machine.Model) (*sched.Result, *dag.DAG) {
 	w.rt.PrepareBlock(b.Insts)
 	d := dag.N2Forward{}.BuildInto(&w.ar, b, m, w.rt)
-	d.Freeze()
 	w.buildCheckpoint(d)
 	w.a.D = d
 	w.a.ComputeBackward()

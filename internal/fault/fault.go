@@ -218,9 +218,8 @@ func (in *Injector) Stall(deadline time.Time) bool {
 }
 
 // CorruptPredArc overwrites the delay of one deterministically chosen
-// record in d's frozen predecessor array (freezing d if it is not yet
-// frozen; the Succs lists and the successor records keep the true
-// delay), reporting whether anything was corrupted. The scheduler
+// record in d's frozen predecessor array (the Succs lists and the
+// successor records keep the true delay), reporting whether anything was corrupted. The scheduler
 // derives timing from successor records, so the schedule itself is
 // computed against the true delays — the corruption is only visible
 // to a consumer that checks the predecessor side, which is exactly

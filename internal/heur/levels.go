@@ -25,17 +25,16 @@ type LevelLists struct {
 func BuildLevels(d *dag.DAG) *LevelLists {
 	n := d.Len()
 	ll := &LevelLists{Level: make([]int32, n)}
-	for i := 0; i < n; i++ {
+	c := d.Freeze()
+	for i := int32(0); i < int32(n); i++ {
 		lvl := ll.Level[i]
-		for _, arc := range d.Nodes[i].Succs {
-			if lvl+1 > ll.Level[arc.To] {
-				ll.Level[arc.To] = lvl + 1
-			}
+		for _, p := range succs(c, i) {
+			ll.Level[p.Node()] = max(ll.Level[p.Node()], lvl+1)
 		}
 		for int32(len(ll.Lists)) <= lvl {
 			ll.Lists = append(ll.Lists, nil)
 		}
-		ll.Lists[lvl] = append(ll.Lists[lvl], int32(i))
+		ll.Lists[lvl] = append(ll.Lists[lvl], i)
 		if lvl > ll.Max {
 			ll.Max = lvl
 		}
@@ -51,12 +50,14 @@ func BuildLevels(d *dag.DAG) *LevelLists {
 // ComputeBackward.
 func (a *Annot) ComputeBackwardLevelLists() {
 	n := a.D.Len()
+	a.PrioExact = false // the to-leaf passes are packed-priority inputs
 	a.MaxPathToLeaf = make([]int32, n)
 	a.MaxDelayToLeaf = make([]int32, n)
 	ll := BuildLevels(a.D)
+	c := a.D.Freeze()
 	for lvl := ll.Max; lvl >= 0; lvl-- {
 		for _, i := range ll.Lists[lvl] {
-			a.backwardNode(i)
+			a.backwardNode(c, i)
 		}
 	}
 }

@@ -196,15 +196,20 @@ func TestPackInvalidatedByRecompute(t *testing.T) {
 	if a.PrioExact {
 		t.Fatal("ComputeLocal left PrioExact set")
 	}
+	a.ComputeFusedCSR()
+	a.ComputeBackwardLevelLists()
+	if a.PrioExact {
+		t.Fatal("ComputeBackwardLevelLists left PrioExact set")
+	}
 }
 
 // TestFusedCSRPackedArcsMatch runs the fused sweep over the packed arc
 // records and checks every output annotation matches the unfused
-// passes' walk over the arc lists.
+// passes' separate walks.
 func TestFusedCSRPackedArcsMatch(t *testing.T) {
 	a := packTestAnnot(t, 19, 150) // packed layout (block well under limits)
 	b := packTestAnnot(t, 19, 150)
-	// Rebuild b's annotations through the unfused arc-list passes.
+	// Rebuild b's annotations through the unfused passes.
 	b.ComputeBackward()
 	b.ComputeLocal()
 	for i := 0; i < a.D.Len(); i++ {

@@ -74,9 +74,9 @@ func (a *Annot) ComputeAll() *Annot {
 
 // ComputeLocal fills the add-arc ("a") heuristics. In the paper these
 // are maintained by add_arc during construction; recomputing them from
-// the final arc lists is equivalent and keeps the builders lean. Each
-// arc adds its delay to its parent's sum to children and its child's
-// sum from parents.
+// the final successor spans is equivalent and keeps the builders lean.
+// Each arc adds its delay to its parent's sum to children and its
+// child's sum from parents.
 func (a *Annot) ComputeLocal() {
 	n := a.D.Len()
 	a.PrioExact = false // SumDelayChild is a packed-priority input
@@ -84,13 +84,14 @@ func (a *Annot) ComputeLocal() {
 	a.InterlockChild = buf.Bool(a.InterlockChild, n)
 	a.SumDelayChild = buf.Int32(a.SumDelayChild, n)
 	a.SumDelayParent = buf.Int32(a.SumDelayParent, n)
-	for i := 0; i < n; i++ {
-		node := &a.D.Nodes[i]
-		a.ExecTime[i] = int32(a.M.Latency(node.Inst.Op))
-		for _, arc := range node.Succs {
-			a.SumDelayChild[i] += arc.Delay
-			a.SumDelayParent[arc.To] += arc.Delay
-			if arc.Delay > 1 {
+	c := a.D.Freeze()
+	for i := int32(0); i < int32(n); i++ {
+		a.ExecTime[i] = int32(a.M.Latency(a.D.Nodes[i].Inst.Op))
+		for _, p := range succs(c, i) {
+			delay := p.Delay()
+			a.SumDelayChild[i] += delay
+			a.SumDelayParent[p.Node()] += delay
+			if delay > 1 {
 				a.InterlockChild[i] = true
 			}
 		}
@@ -107,21 +108,16 @@ func (a *Annot) ComputeForward() {
 	a.EST = buf.Int32(a.EST, n)
 	a.MaxPathFromRoot = buf.Int32(a.MaxPathFromRoot, n)
 	a.MaxDelayFromRoot = buf.Int32(a.MaxDelayFromRoot, n)
-	for i := 0; i < n; i++ {
-		for _, arc := range a.D.Nodes[i].Succs {
-			c := arc.To
+	c := a.D.Freeze()
+	for i := int32(0); i < int32(n); i++ {
+		for _, p := range succs(c, i) {
+			ch, delay := p.Node(), p.Delay()
 			// Schlansker's EST is max of earliest_start(p) + latency(p);
 			// we use the arc delay, which equals latency(p) on RAW arcs
 			// and stays accurate on 1-cycle WAR arcs.
-			if est := a.EST[i] + arc.Delay; est > a.EST[c] {
-				a.EST[c] = est
-			}
-			if l := a.MaxPathFromRoot[i] + 1; l > a.MaxPathFromRoot[c] {
-				a.MaxPathFromRoot[c] = l
-			}
-			if d := a.MaxDelayFromRoot[i] + arc.Delay; d > a.MaxDelayFromRoot[c] {
-				a.MaxDelayFromRoot[c] = d
-			}
+			a.EST[ch] = max(a.EST[ch], a.EST[i]+delay)
+			a.MaxPathFromRoot[ch] = max(a.MaxPathFromRoot[ch], a.MaxPathFromRoot[i]+1)
+			a.MaxDelayFromRoot[ch] = max(a.MaxDelayFromRoot[ch], a.MaxDelayFromRoot[i]+delay)
 		}
 	}
 }
@@ -135,21 +131,21 @@ func (a *Annot) ComputeBackward() {
 	a.PrioExact = false // the to-leaf passes are packed-priority inputs
 	a.MaxPathToLeaf = buf.Int32(a.MaxPathToLeaf, n)
 	a.MaxDelayToLeaf = buf.Int32(a.MaxDelayToLeaf, n)
-	for i := n - 1; i >= 0; i-- {
-		a.backwardNode(int32(i))
+	c := a.D.Freeze()
+	for i := int32(n) - 1; i >= 0; i-- {
+		a.backwardNode(c, i)
 	}
 }
 
 // ComputeFusedCSR fills the backward to-leaf heuristics and the
 // child-side add-arc locals in one reverse walk over the frozen CSR
 // view — the Annot-level counterpart of the construction-fused
-// FusedBackward observer. It freezes the DAG if the builder did not.
-// The engine's CSR pipeline uses it as the whole heuristic step: the
-// paper's "single cheap walk" (Section 4), here over the packed 8-byte
-// successor records with no per-node slice headers in the loop. Node
-// spans are walked in descending order, so a node's span is entered
-// only after every child's is done; every accumulation is
-// order-independent.
+// FusedBackward observer. The engine's CSR pipeline uses it as the
+// whole heuristic step: the paper's "single cheap walk" (Section 4),
+// here over the packed 8-byte successor records with no per-node slice
+// headers in the loop. Node spans are walked in descending order, so a
+// node's span is entered only after every child's is done; every
+// accumulation is order-independent.
 //
 // It fills exactly the annotations FusedBackward with ComputeLocals
 // fills (MaxPathToLeaf, MaxDelayToLeaf, ExecTime, InterlockChild,
@@ -189,17 +185,19 @@ func (a *Annot) ComputeFusedCSR() {
 	a.PackSection6Prio()
 }
 
+// succs returns node i's packed successor records.
+func succs(c *dag.CSR, i int32) []dag.PackedArc {
+	lo, hi := c.SuccSpan(i)
+	return c.PackedSuccArcs()[lo:hi]
+}
+
 // backwardNode computes the to-leaf heuristics of node i assuming every
-// child is final. Shared by the reverse walk, the level-lists engine
-// and the fused construction observer.
-func (a *Annot) backwardNode(i int32) {
-	for _, arc := range a.D.Nodes[i].Succs {
-		if l := a.MaxPathToLeaf[arc.To] + 1; l > a.MaxPathToLeaf[i] {
-			a.MaxPathToLeaf[i] = l
-		}
-		if d := a.MaxDelayToLeaf[arc.To] + arc.Delay; d > a.MaxDelayToLeaf[i] {
-			a.MaxDelayToLeaf[i] = d
-		}
+// child is final. Shared by the reverse walk and the level-lists engine.
+func (a *Annot) backwardNode(c *dag.CSR, i int32) {
+	for _, p := range succs(c, i) {
+		to := p.Node()
+		a.MaxPathToLeaf[i] = max(a.MaxPathToLeaf[i], a.MaxPathToLeaf[to]+1)
+		a.MaxDelayToLeaf[i] = max(a.MaxDelayToLeaf[i], a.MaxDelayToLeaf[to]+p.Delay())
 	}
 }
 
@@ -225,13 +223,12 @@ func (a *Annot) ComputeCritical() {
 			total = fin
 		}
 	}
-	for i := n - 1; i >= 0; i-- {
+	c := a.D.Freeze()
+	for i := int32(n) - 1; i >= 0; i-- {
 		lat := int32(a.M.Latency(a.D.Nodes[i].Inst.Op))
 		lst := total - lat
-		for _, arc := range a.D.Nodes[i].Succs {
-			if v := a.LST[arc.To] - arc.Delay; v < lst {
-				lst = v
-			}
+		for _, p := range succs(c, i) {
+			lst = min(lst, a.LST[p.Node()]-p.Delay())
 		}
 		a.LST[i] = lst
 		a.Slack[i] = a.LST[i] - a.EST[i]
@@ -333,17 +330,22 @@ func (f *FusedBackward) Start(d *dag.DAG) {
 	}
 }
 
-// NodeDone implements dag.BackwardObserver.
+// NodeDone implements dag.BackwardObserver. The DAG is still under
+// construction, so it reads node i's arc list, which is final.
 func (f *FusedBackward) NodeDone(d *dag.DAG, i int32) {
-	f.A.backwardNode(i)
+	a := f.A
+	for _, arc := range d.Nodes[i].Succs {
+		a.MaxPathToLeaf[i] = max(a.MaxPathToLeaf[i], a.MaxPathToLeaf[arc.To]+1)
+		a.MaxDelayToLeaf[i] = max(a.MaxDelayToLeaf[i], a.MaxDelayToLeaf[arc.To]+arc.Delay)
+	}
 	if !f.ComputeLocals {
 		return
 	}
-	f.A.ExecTime[i] = int32(f.A.M.Latency(d.Nodes[i].Inst.Op))
+	a.ExecTime[i] = int32(a.M.Latency(d.Nodes[i].Inst.Op))
 	for _, arc := range d.Nodes[i].Succs {
-		f.A.SumDelayChild[i] += arc.Delay
+		a.SumDelayChild[i] += arc.Delay
 		if arc.Delay > 1 {
-			f.A.InterlockChild[i] = true
+			a.InterlockChild[i] = true
 		}
 	}
 }

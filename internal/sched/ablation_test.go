@@ -95,7 +95,7 @@ func TestUncoveredBeatsChildrenAsEstimate(t *testing.T) {
 			if pick < 0 {
 				t.Fatal("no ready node")
 			}
-			nc := int64(d.Nodes[pick].NumChildren())
+			nc := int64(d.Freeze().NumSuccs(pick))
 			sp := int64(s.NumSingleParentChildren(pick))
 			uc := int64(s.NumUncoveredChildren(pick))
 			// Ground truth: children that become immediately issuable

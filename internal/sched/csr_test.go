@@ -77,7 +77,7 @@ func wideDelayDAG() (*dag.DAG, []dag.Arc) {
 // TestPackedWideDelaysFreeze runs the engine's frozen pipeline
 // (Freeze, ComputeFusedCSR, Scratch.Forward) on a complete DAG whose
 // every delay is past 16 bits. The DAG must freeze, and the packed
-// pipeline must reproduce the annotations the arc-list passes compute on
+// pipeline must reproduce the annotations the separate passes compute on
 // a second copy, and that copy's schedule; the to-leaf and child-delay
 // values are also checked against a longest-path pass over the raw arc
 // list.
@@ -112,12 +112,12 @@ func TestPackedWideDelaysFreeze(t *testing.T) {
 		{a.SumDelayChild, ref.SumDelayChild},
 	} {
 		if !slices.Equal(pair[0], pair[1]) {
-			t.Fatal("packed annotations diverge from the arc-list passes")
+			t.Fatal("packed annotations diverge from the separate passes")
 		}
 	}
 	if !slices.Equal(a.InterlockChild, ref.InterlockChild) || a.PrioExact != ref.PrioExact ||
 		(a.PrioExact && !slices.Equal(a.PackedPrio, ref.PackedPrio)) {
-		t.Fatal("packed interlock flags or priority words diverge from the arc-list passes")
+		t.Fatal("packed interlock flags or priority words diverge from the separate passes")
 	}
 
 	n := d.Len()

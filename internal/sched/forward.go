@@ -16,11 +16,6 @@ import (
 // node to ensure that the branch is the last node to be scheduled",
 // implemented here without distorting the DAG's structural statistics
 // (see ctiTail).
-//
-// Every scheduler in this package walks the DAG's frozen CSR view, so
-// the first schedule of a DAG freezes it (d.Freeze), writing the view
-// into the DAG as d.Reachability caches d.Reach. A caller that shares
-// one DAG across goroutines must Freeze it before sharing it.
 func Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	return new(Scratch).Forward(d, m, a, sel)
 }
@@ -163,7 +158,7 @@ func (sc *Scratch) UsedPacked() bool { return sc.usedPacked }
 // Forward is the reuse-aware equivalent of the package-level Forward.
 // When the selector's ranking matches the block's exact packed priority
 // words it dispatches to the heap pick loop; schedules are byte-
-// identical on either path. Like Forward, it freezes d on first use.
+// identical on either path.
 //
 //sched:noalloc
 func (sc *Scratch) Forward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
@@ -259,8 +254,7 @@ func (s *State) finish(r *Result) {
 // Backward runs a backward list-scheduling pass (Tiemann, Schlansker):
 // candidates are nodes whose children are all scheduled; the selector
 // ranks them; the resulting reverse order is then timed with one
-// forward placement pass so Result carries real issue cycles. Like
-// Forward, it freezes d on first use.
+// forward placement pass so Result carries real issue cycles.
 func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	s := newState(d, m, a)
 	n := int32(d.Len())
@@ -309,8 +303,7 @@ func Backward(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result
 
 // Timed places an already-ordered instruction sequence on the machine's
 // issue model and returns the timing. It is also the evaluator the
-// post-pass fixup and the tests use to score schedules. Like Forward,
-// it freezes d on first use.
+// post-pass fixup and the tests use to score schedules.
 func Timed(d *dag.DAG, m *machine.Model, order []int32) *Result {
 	s := newState(d, m, nil)
 	for _, i := range order {

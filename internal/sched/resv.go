@@ -87,7 +87,6 @@ func (rt *ReservationTable) pickUnits(pattern []machine.StageUse, pick []int, t,
 // dependence-ready time. Placement times need not be monotone — later
 // picks may backfill earlier empty slots — so the resulting Order is
 // the placement-time sort, suitable for a VLIW/microcode-style target.
-// Like Forward, it freezes d on first use.
 func Reservation(d *dag.DAG, m *machine.Model, a *heur.Annot, sel Selector) *Result {
 	n, tail := int32(d.Len()), ctiTail(d)
 	s := newState(d, m, a) // reuse EET bookkeeping and selector state

@@ -56,11 +56,10 @@ type State struct {
 	M *machine.Model
 	A *heur.Annot
 
-	// csr is the DAG's frozen CSR view: reset freezes every DAG it is
-	// handed, so every arc walk of a scheduling pass — place's EET
-	// updates, the ready-list admissions, the dynamic child/parent
-	// heuristics, backward scheduling — streams its packed 8-byte
-	// records through succs/preds.
+	// csr is the CSR view the DAG's builder froze: every arc walk of a
+	// scheduling pass — place's EET updates, the ready-list admissions,
+	// the dynamic child/parent heuristics, backward scheduling —
+	// streams its packed 8-byte records through succs/preds.
 	csr *dag.CSR
 
 	time           int32   // current issue cycle

@@ -22,8 +22,11 @@ import (
 )
 
 // Approach is one of the three Section 6 pipelines: a construction
-// algorithm paired with a simple forward scheduling pass over "max path
-// to leaf, max delay to leaf, and max delay to child".
+// algorithm paired with a simple forward scheduling pass ranking max
+// path to leaf, max delay to leaf, and the sum of delays to children
+// (sched.Section6Ranked, whose third key is heur.DelaysToChildren).
+// The paper's text names the third key "max delay to child"; the code
+// ranks the sum.
 type Approach struct {
 	Name    string
 	Builder dag.Builder
@@ -98,9 +101,10 @@ func Run(name string, blocks []*block.Block, ap Approach, m *machine.Model, runs
 					st.ArcsMax = d.NumArcs
 				}
 				st.ArcsAvg += float64(d.NumArcs)
-				for i := range d.Nodes {
-					if c := d.Nodes[i].NumChildren(); c > st.ChildrenMax {
-						st.ChildrenMax = c
+				c := d.Freeze()
+				for i := int32(0); i < int32(d.Len()); i++ {
+					if k := int(c.NumSuccs(i)); k > st.ChildrenMax {
+						st.ChildrenMax = k
 					}
 				}
 				st.ChildrenAvg += float64(d.NumArcs)
@@ -349,7 +353,7 @@ func QualityTable(sets []BenchmarkSet, m *machine.Model) string {
 // buildShared prepares rt for blk and returns each algorithm's DAG of
 // blk. Each distinct construction (keyed by Builder().Name()) builds
 // once, and the algorithms that use it share the DAG: a built DAG is
-// immutable, and scheduling only freezes it.
+// read-only.
 func buildShared(algos []*sched.Algorithm, blk *block.Block, m *machine.Model, rt *resource.Table) []*dag.DAG {
 	rt.PrepareBlock(blk.Insts)
 	built := map[string]*dag.DAG{}
@@ -399,9 +403,11 @@ func Figure1(m *machine.Model) string {
 		a.ComputeBackward()
 		a.ComputeForward()
 		fmt.Fprintf(&b, "%s:\n", bld.Name())
-		for i := range d.Nodes {
-			for _, arc := range d.Nodes[i].Succs {
-				fmt.Fprintf(&b, "  arc %d->%d %s delay %d\n", arc.From+1, arc.To+1, arc.Kind, arc.Delay)
+		c := d.Freeze()
+		for i := int32(0); i < int32(d.Len()); i++ {
+			lo, hi := c.SuccSpan(i)
+			for _, p := range c.PackedSuccArcs()[lo:hi] {
+				fmt.Fprintf(&b, "  arc %d->%d %s delay %d\n", i+1, p.Node()+1, p.Kind(), p.Delay())
 			}
 		}
 		fmt.Fprintf(&b, "  max delay to leaf(1) = %d, EST(3) = %d\n\n",

@@ -31,9 +31,12 @@
 # runs repeat a test: the cache-enabled determinism test at count=3
 # (eight workers racing lookups, first-wins inserts and shard resets)
 # and the concurrent-caller hammer at count=10 (Run, cancelled RunCtx
-# and RunStream racing on one two-tier-cache engine, then Close; and
+# and RunStream racing on one two-tier-cache engine, then Close;
 # TestRunStreamFaultedMatchesRun, whose faults quarantine workers in
-# the middle of a claimed chunk).
+# the middle of a claimed chunk; and TestSharedDAGConcurrentReaders,
+# four goroutines running every Table 2 algorithm, every heuristic
+# pass, the statistics and the dot writer over one DAG per builder,
+# which proves a built DAG is read-only).
 #
 # Then the perf gate (perfbench run three times over all three
 # workloads, the per-metric medians compared against the committed
@@ -79,6 +82,7 @@ go test -race -run '^TestEngineCacheDeterminism$' -count 3 ./internal/engine
 
 echo "== concurrent-caller stress (-race, count=10)"
 go test -race -run '^TestEngineConcurrentCallers$|^TestCloseDuringRunStreamBusy$|^TestCloseDuringRunBusy$|^TestRunStreamFaultedMatchesRun$' -count 10 ./internal/engine
+go test -race -run '^TestSharedDAGConcurrentReaders$' -count 10 ./internal/sched
 
 echo "== perf gate (perfbench, median of 3 runs vs BENCH_perfbench.ndjson)"
 SBENCH_BIN="$(mktemp -u)"
