@@ -101,7 +101,6 @@ func run() (code int) {
 	eng, err := engine.New(engine.Config{
 		Workers:      *workers,
 		Model:        m,
-		KeepOrders:   true,
 		Verify:       *verify,
 		Cache:        true,
 		CacheCap:     *cachecap,

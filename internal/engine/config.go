@@ -36,7 +36,8 @@ func (e *ConfigError) Unwrap() error { return ErrConfig }
 //     rejected rather than silently treated as a default.
 //   - CacheCap: 0 means the default, a 65536-entry cache; negative is
 //     rejected.
-//   - Crossover: deprecated and ignored, so any value is accepted.
+//   - KeepOrders, Crossover: deprecated and ignored, so any value is
+//     accepted.
 //   - CachePath: implies Cache.
 //   - BlockTimeout: negative is rejected; 0 disables deadlines.
 //   - FaultPlan: rates must lie in [0, 1] and SlowDelay must be

@@ -60,8 +60,10 @@ type Config struct {
 	Workers int
 	// Model is the target machine. Required.
 	Model *machine.Model
-	// KeepOrders retains each block's scheduled order in the result
-	// (copied out of worker scratch into one flat per-batch arena).
+	// KeepOrders is ignored: every run keeps each block's scheduled
+	// order.
+	//
+	// Deprecated: orders are always kept, so there is nothing to set.
 	KeepOrders bool
 	// Verify re-times every schedule on the pipe scoreboard simulator —
 	// an independent witness that never consults the DAG — and fails
@@ -171,8 +173,8 @@ type BatchResult struct {
 	Cycles []int32
 	// Arcs is each block's DAG arc count.
 	Arcs []int32
-	// Orders holds each block's scheduled order (empty unless
-	// Config.KeepOrders); the subslices share one flat arena.
+	// Orders holds each block's scheduled order, copied out of worker
+	// scratch; the subslices share one flat arena.
 	Orders [][]int32
 	// Rungs records which degradation-ladder rung served each block;
 	// all RungPrimary on a healthy run. A block at RungIdentity kept
@@ -445,23 +447,19 @@ func (e *Engine) RunIntoCtx(ctx context.Context, res *BatchResult, blocks []*blo
 	nb := len(blocks)
 	res.Cycles = buf.Int32(res.Cycles, nb)
 	res.Arcs = buf.Int32(res.Arcs, nb)
-	if e.cfg.KeepOrders {
-		total := 0
-		for _, b := range blocks {
-			total += b.Len()
-		}
-		res.orderArena = buf.Int32(res.orderArena, total)
-		if cap(res.Orders) < nb {
-			res.Orders = make([][]int32, nb)
-		}
-		res.Orders = res.Orders[:nb]
-		off := 0
-		for i, b := range blocks {
-			res.Orders[i] = res.orderArena[off : off+b.Len()]
-			off += b.Len()
-		}
-	} else {
-		res.Orders = res.Orders[:0]
+	total := 0
+	for _, b := range blocks {
+		total += b.Len()
+	}
+	res.orderArena = buf.Int32(res.orderArena, total)
+	if cap(res.Orders) < nb {
+		res.Orders = make([][]int32, nb)
+	}
+	res.Orders = res.Orders[:nb]
+	off := 0
+	for i, b := range blocks {
+		res.Orders[i] = res.orderArena[off : off+b.Len()]
+		off += b.Len()
 	}
 	res.errs = res.errs[:0]
 	if e.cfg.Verify {
@@ -502,9 +500,7 @@ func (res *BatchResult) put(it streamItem, o outcome) {
 	res.Cycles[i] = o.cycles
 	res.Arcs[i] = o.arcs
 	res.Rungs[i] = o.rung
-	if len(res.Orders) > 0 {
-		copy(res.Orders[i], o.order)
-	}
+	copy(res.Orders[i], o.order)
 	if len(res.errs) > 0 {
 		res.errs[i] = o.err
 	}

@@ -64,7 +64,7 @@ const slotKeepInsts = 256
 
 // BlockOutcome is one streamed block's result, delivered to the
 // stream's sink in sequence order. Seq numbers blocks in arrival order
-// starting at 0. Order (present only under Config.KeepOrders) aliases a
+// starting at 0. Order is the block's scheduled order; it aliases a
 // recycled ring buffer and is valid only for the duration of the sink
 // call — a sink that retains it must copy. Block is the block itself:
 // under RunStream the producer's pointer, handed back so a
@@ -227,12 +227,11 @@ func histPercentile(h *[streamHistBuckets]int64, total, pct int64) float64 {
 // claimers share and the reorder ring they deposit into. Exactly one
 // of src (RunSource) and ch (RunStream) is set.
 type streamRun struct {
-	src        BlockSource
-	ch         <-chan *block.Block
-	sink       func(BlockOutcome)
-	keepOrders bool
-	window     int64
-	slots      []streamSlot // the crew's recycled ring
+	src    BlockSource
+	ch     <-chan *block.Block
+	sink   func(BlockOutcome)
+	window int64
+	slots  []streamSlot // the crew's recycled ring
 
 	// claimMu is the claim lock: one claimer at a time pulls from the
 	// source and numbers what it pulls. It is held across the pull on
@@ -372,13 +371,9 @@ func (s *streamRun) wake() {
 func (s *streamRun) put(it streamItem, o outcome) {
 	seq := it.seq
 	slot := &s.slots[seq%s.window]
-	if s.keepOrders && o.order != nil {
-		slot.order = buf.Int32(slot.order, len(o.order))
-		copy(slot.order, o.order)
-		slot.out.Order = slot.order
-	} else {
-		slot.out.Order = nil
-	}
+	slot.order = buf.Int32(slot.order, len(o.order))
+	copy(slot.order, o.order)
+	slot.out.Order = slot.order
 	slot.out.Seq = seq
 	slot.out.Block = it.b
 	slot.out.Cycles = o.cycles
@@ -517,7 +512,7 @@ func (e *Engine) stream(ctx context.Context, s *streamRun, sink func(BlockOutcom
 	if cap(c.slots) < window {
 		c.slots = make([]streamSlot, window)
 	}
-	s.sink, s.keepOrders = sink, e.cfg.KeepOrders
+	s.sink = sink
 	s.window, s.slots = int64(window), c.slots[:window]
 	s.cond = sync.NewCond(&s.mu)
 

@@ -541,15 +541,29 @@ func TestRunStreamBoundedMemory(t *testing.T) {
 	profiles := synth.Profiles()
 	runStream := func(minInsts int64) {
 		src := make(chan *block.Block, 8)
-		free := make(chan *block.Block, 64)
-		go synth.StreamCorpus(context.Background(), profiles, minInsts, src, free)
-		sink := func(o BlockOutcome) {
-			select {
-			case free <- o.Block:
-			default:
+		stop := make(chan struct{})
+		defer close(stop)
+		// Cycle fresh generation passes over the profiles until the
+		// stream reaches minInsts, stopping at a block boundary.
+		go func() {
+			defer close(src)
+			var insts int64
+			for pass := uint64(0); ; pass++ {
+				for _, p := range profiles {
+					for _, b := range p.GeneratePass(pass) {
+						select {
+						case src <- b:
+						case <-stop:
+							return
+						}
+						if insts += int64(b.Len()); insts >= minInsts {
+							return
+						}
+					}
+				}
 			}
-		}
-		if _, err := e.RunStream(context.Background(), src, sink); err != nil {
+		}()
+		if _, err := e.RunStream(context.Background(), src, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

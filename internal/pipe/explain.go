@@ -64,9 +64,12 @@ type Detail struct {
 	ByCause [numCauses]int32 // total stall cycles per cause
 }
 
-// Explain simulates like Simulate but records, for every instruction,
-// which constraint bound its issue cycle and who imposed it. The
-// timing is identical to Simulate's.
+// Explain times insts[order[0]], insts[order[1]], … on machine m and
+// records, for every instruction, which constraint bound its issue
+// cycle and who imposed it. A nil order means program order. The
+// resource table rt must have PrepareBlock(insts) applied; it supplies
+// the memory-disambiguation policy (use the same table the DAG builder
+// saw to compare against sched.Timed).
 func Explain(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Table) *Detail {
 	if order == nil {
 		order = make([]int32, len(insts))
@@ -191,6 +194,19 @@ func Explain(insts []isa.Inst, order []int32, m *machine.Model, rt *resource.Tab
 		}
 	}
 	return det
+}
+
+func unitFree(units []int32) (int32, int) {
+	if len(units) == 0 {
+		return 0, -1
+	}
+	best, bi := units[0], 0
+	for i, t := range units[1:] {
+		if t < best {
+			best, bi = t, i+1
+		}
+	}
+	return best, bi
 }
 
 // Report renders the attribution: a per-cause summary and the stalled

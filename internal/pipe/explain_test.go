@@ -10,7 +10,7 @@ import (
 )
 
 func TestExplainMatchesSimulate(t *testing.T) {
-	models := []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Super2()}
+	models := []*machine.Model{machine.Pipe1(), machine.FPU(), machine.Asym(), machine.Super2(), machine.Deep()}
 	for seed := int64(0); seed < 20; seed++ {
 		insts := testgen.Block(seed, 25)
 		for _, m := range models {
@@ -85,15 +85,40 @@ func TestExplainAttributesWAR(t *testing.T) {
 }
 
 func TestExplainNoStallsOnIndependentCode(t *testing.T) {
-	insts := []isa.Inst{
-		isa.MovI(1, isa.O0),
-		isa.MovI(2, isa.O1),
-		isa.MovI(3, isa.O2),
+	cases := []struct {
+		name  string
+		m     *machine.Model
+		insts []isa.Inst
+		issue []int32
+	}{
+		{"pipe1", machine.Pipe1(), []isa.Inst{
+			isa.MovI(1, isa.O0),
+			isa.MovI(2, isa.O1),
+			isa.MovI(3, isa.O2),
+		}, []int32{0, 1, 2}},
+		// Super2 issues one instruction per group per cycle: the second
+		// integer-side instruction waits for the next cycle, which is
+		// the issue-group floor, not a stall.
+		{"super2 same group", machine.Super2(), []isa.Inst{
+			isa.MovI(1, isa.O0),
+			isa.MovI(2, isa.O1),
+		}, []int32{0, 1}},
+		// A WAR delay that ends exactly at the issue-group floor binds
+		// nothing either.
+		{"super2 WAR at floor", machine.Super2(), []isa.Inst{
+			isa.RRR(isa.ADD, isa.O1, isa.O2, isa.O0), // reads o1
+			isa.MovI(5, isa.O1),                      // overwrites o1 one cycle later
+		}, []int32{0, 1}},
 	}
-	det := Explain(insts, nil, machine.Pipe1(), table(insts))
-	for i, st := range det.Stalls {
-		if st.Cause != NoStall || st.Wait != 0 {
-			t.Fatalf("position %d: %+v", i, st)
+	for _, c := range cases {
+		det := Explain(c.insts, nil, c.m, table(c.insts))
+		for i, st := range det.Stalls {
+			if st.Cause != NoStall || st.Wait != 0 || st.Culprit != -1 {
+				t.Fatalf("%s: position %d: %+v", c.name, i, st)
+			}
+			if det.Issue[i] != c.issue[i] {
+				t.Fatalf("%s: issue %v, want %v", c.name, det.Issue, c.issue)
+			}
 		}
 	}
 }

@@ -51,8 +51,7 @@ import (
 type Config struct {
 	// Engine is the shared scheduling engine. Required. The server
 	// owns its lifecycle from Serve through Drain: configure it with
-	// KeepOrders (responses carry schedules) and, for warm restarts,
-	// CachePath.
+	// CachePath for warm restarts.
 	Engine *engine.Engine
 	// MaxQueue bounds engine-queue occupancy: the requests admitted to
 	// the engine at once, running or waiting for a free worker; past

@@ -661,6 +661,34 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestOrdersFromPlainEngine serves from an engine configured with
+// nothing but its workers and model: both endpoints must still return
+// every block's order, byte-identical to the reference.
+func TestOrdersFromPlainEngine(t *testing.T) {
+	s := newTestServer(t, func(c *engine.Config) {
+		*c = engine.Config{Workers: 1, Model: machine.Super2()}
+	}, nil)
+	body := corpusAsm(20)
+	want := referenceOrders(t, body)
+
+	requireOrders(t, decodeSchedule(t, post(s, "/v1/schedule", body, nil)).Results, want)
+
+	w := post(s, "/v1/stream", body, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("stream status %d: %s", w.Code, w.Body.String())
+	}
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	var got []blockResult
+	for i, line := range lines[:len(lines)-1] { // the last line is the trailer
+		var rec streamRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		got = append(got, blockResult{Order: rec.Order})
+	}
+	requireOrders(t, got, want)
+}
+
 // TestStreamLargeBodyOverListener drives /v1/stream through a real
 // HTTP/1.1 listener (a ResponseRecorder never sees the bug this pins):
 // a handler that flushes its first record and keeps reading the body

@@ -8,10 +8,10 @@ import (
 
 // genScratch is the recycled working set of block generation: the
 // fill map, the unique-expression set and the position list are reused
-// block to block, so a streaming producer generates an unbounded
-// corpus without per-block scratch allocations. The scratch never
-// influences the rng draw sequence — a generator running on a warm
-// scratch emits bit-identical blocks to one on a fresh scratch.
+// block to block within one generation pass, so a pass allocates no
+// per-block scratch. The scratch never influences the rng draw
+// sequence — a generator running on a warm scratch emits bit-identical
+// blocks to one on a fresh scratch.
 type genScratch struct {
 	filled    []bool
 	exprs     []isa.MemExpr
@@ -47,17 +47,13 @@ var (
 func (g *blockGen) intReg() isa.Reg { return intRegs[g.r.intn(len(intRegs))] }
 func (g *blockGen) fpReg() isa.Reg  { return fpRegs[g.r.intn(len(fpRegs))] }
 
-// generate lays out the block into dst (recycled when its capacity
-// allows; every position is overwritten, so no zeroing is needed): an
-// optional cmp+branch tail, memory operations realizing exactly g.mem
-// unique expressions (biased toward the block end under MemLate), and
-// an ALU/FP filler mix everywhere else.
-func (g *blockGen) generate(dst []isa.Inst) []isa.Inst {
+// generate lays out the block: an optional cmp+branch tail, memory
+// operations realizing exactly g.mem unique expressions (biased toward
+// the block end under MemLate), and an ALU/FP filler mix everywhere
+// else.
+func (g *blockGen) generate() []isa.Inst {
 	n := g.n
-	if cap(dst) < n {
-		dst = make([]isa.Inst, n)
-	}
-	insts := dst[:n]
+	insts := make([]isa.Inst, n)
 	sc := g.sc
 	if cap(sc.filled) < n {
 		sc.filled = make([]bool, n)

@@ -103,6 +103,20 @@ func (p Profile) Generate() []*block.Block {
 	return p.generateSeeded(p.Seed)
 }
 
+// passStride reseeds each generation pass: pass k of a profile runs on
+// Seed + k·passStride (the SplitMix64 gamma, so consecutive passes land
+// in well-separated stream positions). Pass 0 therefore runs on Seed
+// itself and emits exactly the blocks Generate returns.
+const passStride = 0x9e3779b97f4a7c15
+
+// GeneratePass materializes generation pass k of the profile: the
+// corpus regenerated on a reseeded stream, so a long run can schedule
+// a continuing supply of fresh blocks instead of re-running one corpus
+// against a warm cache. GeneratePass(0) is Generate.
+func (p Profile) GeneratePass(pass uint64) []*block.Block {
+	return p.generateSeeded(p.Seed + pass*passStride)
+}
+
 // generateSeeded is Generate on an explicit seed (GeneratePass uses
 // reseeded streams for later passes).
 func (p Profile) generateSeeded(seed uint64) []*block.Block {
@@ -114,9 +128,7 @@ func (p Profile) generateSeeded(seed uint64) []*block.Block {
 	start := 0
 	for i, n := range sizes {
 		g := &blockGen{r: r, p: p, n: n, mem: memCounts[i], sc: sc}
-		insts := g.generate(nil)
-		b := &block.Block{Name: blockName(p.Name, i), Start: start}
-		b.Insts = insts
+		b := &block.Block{Name: blockName(p.Name, i), Start: start, Insts: g.generate()}
 		for j := range b.Insts {
 			b.Insts[j].Index = j
 		}
